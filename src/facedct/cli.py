@@ -261,12 +261,12 @@ def cmd_evaluate(args) -> int:
     rows = []
     for metric in cfg.metrics:
         tensor = build_score_tensor(probes, gallery, metric)
-        summary = summarize_tensor(tensor, cfg.c_miss, cfg.c_fa)
+        trials = split_intra_inter(tensor)
+        summary = summarize_tensor(tensor, cfg.c_miss, cfg.c_fa, trials=trials)
         rows.append(_summary_row(summary))
 
         tag = "" if single else f"_{metric}"
         save_scores_csv(tensor, out / f"scores{tag}.csv")
-        trials = split_intra_inter(tensor)
         points = det_curve(trials)
         save_det_csv(points, out / f"det{tag}.csv")
         if args.svg:

@@ -233,7 +233,8 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
             )
         cursor += count
         for vec in chunk:
-            if vec.subject_id != subject:
+            # the row format writes no label and the label "" alike
+            if (vec.subject_id or "") != subject:
                 raise GalleryCorruptError(
                     f"row labelled {vec.subject_id!r} listed under subject {subject!r}"
                 )

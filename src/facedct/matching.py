@@ -7,8 +7,6 @@ subject when the genuine cell is the strict minimum of its row.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -213,31 +211,75 @@ SCORES_FORMAT = "facedct-scores-v1"
 
 def scores_to_csv(tensor: ScoreTensor) -> str:
     """Interchange CSV: provenance comments, then i,j,k,score rows."""
-    buf = io.StringIO()
-    buf.write(f"# format={SCORES_FORMAT}\n")
-    buf.write(f"# metric={tensor.metric}\n")
-    buf.write(f"# probe_subjects={json.dumps(list(tensor.probe_subjects))}\n")
-    buf.write(f"# gallery_subjects={json.dumps(list(tensor.gallery_subjects))}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["i", "j", "k", "score"])
-    scores = tensor.scores
-    for i in range(scores.shape[0]):
-        for j in range(scores.shape[1]):
-            for k in range(scores.shape[2]):
-                writer.writerow([i, j, k, f"{scores[i, j, k]:.17g}"])
-    return buf.getvalue()
+    head = [
+        f"# format={SCORES_FORMAT}",
+        f"# metric={tensor.metric}",
+        f"# probe_subjects={json.dumps(list(tensor.probe_subjects))}",
+        f"# gallery_subjects={json.dumps(list(tensor.gallery_subjects))}",
+        "i,j,k,score",
+    ]
+    n_probe, n_gallery, n_trials = tensor.scores.shape
+    jk_strings = [f"{j},{k}," for j in range(n_gallery) for k in range(n_trials)]
+    blocks = ["\n".join(head) + "\n"]
+    # one block per probe row, in C order of the tensor, so that only one
+    # row's strings are alive at a time; no field holds a comma, quote or
+    # newline, so csv.writer would quote none
+    for i, row in enumerate(tensor.scores.reshape(n_probe, -1).tolist()):
+        cells = [f"{i}," + jk for jk in jk_strings]
+        values = map("{:.17g}".format, row)
+        blocks.append("\n".join(map(str.__add__, cells, values)) + "\n")
+    return "".join(blocks)
+
+
+#: characters between the fields of a data row, in order, ending the row
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
+#: data rows are parsed in blocks of about this many characters
+_BLOCK_CHARS = 1 << 21
+
+
+def _parse_rows(block: str, first_line: int) -> tuple[np.ndarray, np.ndarray]:
+    """(int64 (n, 3) indices, float64 (n,) scores) of a block of whole rows,
+    each ended by a newline; ``first_line`` numbers its first row in errors."""
+    try:
+        raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        raise DataError(f"malformed score row near line {first_line}: not ASCII") from None
+    separators = raw[(raw == ord(",")) | (raw == ord("\n"))]
+    n_rows = block.count("\n")
+    if separators.size != 4 * n_rows or not np.all(separators.reshape(n_rows, 4) == _ROW_SEPARATORS):
+        lines = block.split("\n")
+        bad = next(n for n, line in enumerate(lines) if line.count(",") != 3)
+        raise DataError(
+            f"malformed score row at line {first_line + bad}: {lines[bad][:80]!r} "
+            "(expected i,j,k,score)"
+        )
+    fields = block.replace("\n", ",").split(",")
+    try:
+        # int64 parsing rejects "1.0" and "1e3" as int() does
+        index = np.array([fields[0:-1:4], fields[1:-1:4], fields[2:-1:4]], dtype=np.int64).T
+        values = np.array(fields[3::4], dtype=np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"malformed score row near line {first_line}: {exc}") from exc
+    return index, values
 
 
 def scores_from_csv(text: str) -> ScoreTensor:
-    """Parse the interchange CSV back into a ScoreTensor."""
+    """Parse the interchange CSV back into a ScoreTensor.
+
+    The ``#`` comment lines and the ``i,j,k,score`` header come first, then
+    one row per cell; every cell of the tensor must appear exactly once.
+    Rows are parsed in blocks of about ``_BLOCK_CHARS`` characters, so only
+    one block's field strings are alive at a time.
+    """
     meta: dict[str, str] = {}
-    rows: list[str] = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            meta[key.strip()] = value
-        elif line.strip():
-            rows.append(line)
+    pos = 0
+    line_no = 1
+    while text.startswith("#", pos):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        key, _, value = text[pos + 1 : end].strip().partition("=")
+        meta[key.strip()] = value
+        pos, line_no = end + 1, line_no + 1
     if meta.get("format") != SCORES_FORMAT:
         raise DataError(f"not a {SCORES_FORMAT} score file")
     try:
@@ -247,35 +289,50 @@ def scores_from_csv(text: str) -> ScoreTensor:
     except (KeyError, json.JSONDecodeError) as exc:
         raise DataError(f"score file header incomplete: {exc}") from exc
 
-    reader = csv.reader(io.StringIO("\n".join(rows)))
-    header = next(reader, None)
-    if header != ["i", "j", "k", "score"]:
+    header_end = text.find("\n", pos)
+    header_end = len(text) if header_end < 0 else header_end
+    if text[pos:header_end] != "i,j,k,score":
         raise DataError("score file missing i,j,k,score header row")
-    cells: dict[tuple[int, int, int], float] = {}
-    max_k = -1
-    try:
-        for row in reader:
-            if not row:
-                continue
-            i, j, k = int(row[0]), int(row[1]), int(row[2])
-            cells[(i, j, k)] = float(row[3])
-            max_k = max(max_k, k)
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"malformed score row: {exc}") from exc
+    pos, line_no = header_end + 1, line_no + 1
+    stop = len(text)
+    while stop > pos and text[stop - 1].isspace():
+        stop -= 1
+
+    indices: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    while pos < stop:
+        end = text.find("\n", min(pos + _BLOCK_CHARS, stop), stop)
+        end = stop if end < 0 else end
+        block_index, block_values = _parse_rows(text[pos:end] + "\n", line_no)
+        indices.append(block_index)
+        values.append(block_values)
+        line_no += block_values.size
+        pos = end + 1
+    index = np.concatenate(indices) if indices else np.empty((0, 3), dtype=np.int64)
+    del indices
+    max_k = int(index[:, 2].max()) if index.size else -1
     shape = (len(probe_subjects), len(gallery_subjects), max_k + 1)
     expected = shape[0] * shape[1] * shape[2]
-    if len(cells) != expected:
+    outside = np.flatnonzero(np.any((index < 0) | (index >= shape), axis=1))
+    if outside.size:
+        i, j, k = index[outside[0]].tolist()
+        raise DataError(f"score cell index ({i},{j},{k}) out of bounds {shape}")
+    flat = np.ravel_multi_index(tuple(index.T), shape) if index.size else np.empty(0, np.intp)
+    del index
+    seen = np.bincount(flat, minlength=expected)
+    if np.any(seen > 1):
+        i, j, k = np.unravel_index(int(np.argmax(seen > 1)), shape)
+        raise DataError(f"score cell ({i},{j},{k}) appears more than once")
+    if flat.size != expected:
         raise DataError(
-            f"score file has {len(cells)} cells, expected {expected} for shape {shape}"
+            f"score file has {flat.size} cells, expected {expected} for shape {shape}"
         )
-    scores = np.empty(shape)
-    for (i, j, k), value in cells.items():
-        try:
-            scores[i, j, k] = value
-        except IndexError:
-            raise DataError(f"score cell index ({i},{j},{k}) out of bounds {shape}") from None
+    scores = np.empty(expected)
+    scores[flat] = np.concatenate(values)
     try:
-        return ScoreTensor(tuple(probe_subjects), tuple(gallery_subjects), scores, metric)
+        return ScoreTensor(
+            tuple(probe_subjects), tuple(gallery_subjects), scores.reshape(shape), metric
+        )
     except ValueError as exc:
         raise DataError(f"invalid score tensor: {exc}") from exc
 

@@ -67,24 +67,24 @@ class TensorSummary:
     n_genuine: int
     n_impostor: int
 
-    @property
-    def empirical_prior(self) -> float:
-        return self.n_genuine / (self.n_genuine + self.n_impostor)
-
 
 def summarize_tensor(
     tensor: ScoreTensor,
     c_miss: float = 1.0,
     c_fa: float = 1.0,
     priors: dict[str, float] | None = None,
+    trials: TrialScores | None = None,
 ) -> TensorSummary:
     """Identification rate plus verification metrics for a tensor.
 
     ``priors`` maps a label to a target prior; by default min-DCF is
     reported both at 0.5 and at the empirical genuine-trial fraction,
     since either reading of the cost model's prior is defensible.
+    ``trials`` is ``split_intra_inter(tensor)`` when the caller already has
+    it; passing it shares the split and its staircase with the caller.
     """
-    trials = split_intra_inter(tensor)
+    if trials is None:
+        trials = split_intra_inter(tensor)
     if priors is None:
         empirical = trials.n_genuine / (trials.n_genuine + trials.n_impostor)
         priors = {"0.5": 0.5, "empirical": empirical}
@@ -103,7 +103,3 @@ def summarize_tensor(
         n_genuine=trials.n_genuine,
         n_impostor=trials.n_impostor,
     )
-
-
-def trials_of(tensor: ScoreTensor) -> TrialScores:
-    return split_intra_inter(tensor)

@@ -7,14 +7,27 @@ score = threshold boundary counts as acceptance.  All threshold sweeps use
 the exact candidate set (midpoints of the pooled sorted distinct scores
 plus -inf/+inf sentinels), on which the error staircase attains every value
 it takes anywhere on the real line.
+
+The staircase is built once per :class:`TrialScores` and shared by
+:func:`det_curve`, :func:`eer` and :func:`min_dcf`.  DET data is
+array-backed: :func:`det_curve` returns a :class:`DetCurve`, a sequence of
+:class:`DetPoint` over three read-only arrays, and the CSV and SVG exports
+read those arrays without building points.
+
+There is one probit implementation, :func:`_probit`, on arrays;
+:func:`normal_deviate` is its scalar form.  Its results must stay bit-identical
+to the scalar formula the tests keep as a reference, because ``det.csv`` and
+``det.svg`` print them: numpy does the correctly rounded ``+ - * /`` and
+``sqrt`` in the formula's order, and ``log``, ``exp`` and ``erfc`` come from
+:mod:`math`, since numpy's versions need not match libm bit for bit.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +72,55 @@ class TrialScores:
     def n_impostor(self) -> int:
         return int(self.impostor.size)
 
+    @cached_property
+    def _staircase(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(thresholds asc, p_fa, p_miss) over the exact candidate set."""
+        thresholds = _candidate_thresholds(self)
+        gs: np.ndarray = self._genuine_sorted  # type: ignore[attr-defined]
+        is_: np.ndarray = self._impostor_sorted  # type: ignore[attr-defined]
+        p_fa = np.searchsorted(is_, thresholds, side="right") / self.n_impostor
+        # (n - hits) / n rounds once, as far_frr_at does; 1 - hits/n rounds twice
+        hits = np.searchsorted(gs, thresholds, side="right")
+        p_miss = (self.n_genuine - hits) / self.n_genuine
+        for arr in (thresholds, p_fa, p_miss):
+            arr.flags.writeable = False
+        return thresholds, p_fa, p_miss
+
 
 @dataclass(frozen=True)
 class DetPoint:
     threshold: float
     p_fa: float
     p_miss: float
+
+
+class DetCurve(Sequence[DetPoint]):
+    """DET staircase ordered by threshold descending, held as three
+    read-only arrays; indexing and iteration build :class:`DetPoint` values
+    on demand, and slicing returns a :class:`DetCurve`."""
+
+    __slots__ = ("thresholds", "p_fa", "p_miss")
+
+    def __init__(self, thresholds: np.ndarray, p_fa: np.ndarray, p_miss: np.ndarray) -> None:
+        self.thresholds = thresholds
+        self.p_fa = p_fa
+        self.p_miss = p_miss
+
+    def __len__(self) -> int:
+        return int(self.thresholds.size)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DetCurve(self.thresholds[index], self.p_fa[index], self.p_miss[index])
+        return DetPoint(
+            float(self.thresholds[index]), float(self.p_fa[index]), float(self.p_miss[index])
+        )
+
+    def __iter__(self) -> Iterator[DetPoint]:
+        return map(DetPoint, self.thresholds.tolist(), self.p_fa.tolist(), self.p_miss.tolist())
+
+    def __reversed__(self) -> Iterator[DetPoint]:
+        return iter(self[::-1])
 
 
 @dataclass(frozen=True)
@@ -114,25 +170,10 @@ def _candidate_thresholds(trials: TrialScores) -> np.ndarray:
     return np.concatenate(([-np.inf], mids, [np.inf]))
 
 
-def _staircase(trials: TrialScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(thresholds asc, p_fa, p_miss) over the exact candidate set."""
-    thresholds = _candidate_thresholds(trials)
-    gs: np.ndarray = trials._genuine_sorted  # type: ignore[attr-defined]
-    is_: np.ndarray = trials._impostor_sorted  # type: ignore[attr-defined]
-    p_fa = np.searchsorted(is_, thresholds, side="right") / trials.n_impostor
-    # (n - hits) / n rounds once, as far_frr_at does; 1 - hits/n rounds twice
-    hits = np.searchsorted(gs, thresholds, side="right")
-    p_miss = (trials.n_genuine - hits) / trials.n_genuine
-    return thresholds, p_fa, p_miss
-
-
-def det_curve(trials: TrialScores) -> list[DetPoint]:
+def det_curve(trials: TrialScores) -> DetCurve:
     """Full DET staircase, ordered by threshold descending: (1,0) -> (0,1)."""
-    thresholds, p_fa, p_miss = _staircase(trials)
-    return [
-        DetPoint(float(t), float(fa), float(miss))
-        for t, fa, miss in zip(thresholds[::-1], p_fa[::-1], p_miss[::-1])
-    ]
+    thresholds, p_fa, p_miss = trials._staircase
+    return DetCurve(thresholds[::-1], p_fa[::-1], p_miss[::-1])
 
 
 def eer(trials: TrialScores) -> float:
@@ -141,7 +182,7 @@ def eer(trials: TrialScores) -> float:
     Without an exact crossing, interpolates linearly between the two
     adjacent sweep points straddling p_fa = p_miss.
     """
-    _, p_fa, p_miss = _staircase(trials)
+    _, p_fa, p_miss = trials._staircase
     # descending threshold order: diff runs monotonically from +1 to -1
     fa = p_fa[::-1]
     miss = p_miss[::-1]
@@ -166,7 +207,7 @@ def min_dcf(trials: TrialScores, params: DcfParams = DcfParams()) -> tuple[float
     The step function attains its global minimum on the candidate set;
     ties resolve to the smallest threshold.
     """
-    thresholds, p_fa, p_miss = _staircase(trials)
+    thresholds, p_fa, p_miss = trials._staircase
     costs = params.c_miss * p_miss * params.p_true + params.c_fa * p_fa * params.p_false
     idx = int(np.argmin(costs))  # first occurrence = smallest threshold
     return float(costs[idx]), float(thresholds[idx])
@@ -199,29 +240,47 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
+
+
+def _horner(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:
+    """((c0*t + c1)*t + c2)... in that order of operations."""
+    acc = coeffs[0] * t
+    for c in coeffs[1:-1]:
+        acc = (acc + c) * t
+    return acc + coeffs[-1]
+
+
+def _probit(p: np.ndarray) -> np.ndarray:
+    """Probit of each element of a 1-D float64 array inside (0, 1).
+
+    Rational approximation in three regions, then one Newton step; every
+    element goes through the same IEEE operations, in the same order, as the
+    scalar formula, so results do not depend on the array they came in.
+    """
+    x = np.empty_like(p)
+    low = p < _PROBIT_SPLIT
+    high = p > 1.0 - _PROBIT_SPLIT
+    mid = ~(low | high)
+    den_c = _PROBIT_D + (1.0,)
+    q = np.sqrt(-2.0 * _libm(math.log, p[low]))
+    x[low] = _horner(_PROBIT_C, q) / _horner(den_c, q)
+    q = p[mid] - 0.5
+    r = q * q
+    x[mid] = _horner(_PROBIT_A, r) * q / _horner(_PROBIT_B + (1.0,), r)
+    q = np.sqrt(-2.0 * _libm(math.log, 1.0 - p[high]))
+    x[high] = -_horner(_PROBIT_C, q) / _horner(den_c, q)
+    pdf = _libm(math.exp, -0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    cdf = 0.5 * _libm(math.erfc, -x / math.sqrt(2.0))
+    return x - (cdf - p) / pdf
+
+
 def normal_deviate(p: float) -> float:
     """Inverse standard normal CDF (probit), for p strictly inside (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"probit requires 0 < p < 1, got {p}")
-    a, b, c, d = _PROBIT_A, _PROBIT_B, _PROBIT_C, _PROBIT_D
-    if p < _PROBIT_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - _PROBIT_SPLIT:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return x - (normal_cdf(x) - p) / pdf
+    return float(_probit(np.array([p], dtype=np.float64))[0])
 
 
 @dataclass(frozen=True)
@@ -251,49 +310,79 @@ def trial_counts(n_clients: int, n_gallery_subjects: int, trials_per_client: int
 PROBIT_CLAMP = 1e-6
 
 
-def _probit_clamped(p: float) -> float:
-    return normal_deviate(min(max(p, PROBIT_CLAMP), 1.0 - PROBIT_CLAMP))
+def _formatted(values: np.ndarray, spec: str) -> list[str]:
+    return list(map(spec.format, values.tolist()))
 
 
-def det_to_csv(points: list[DetPoint]) -> str:
+def _formatted_distinct(
+    values: np.ndarray, spec: str, fn: Callable[[np.ndarray], np.ndarray]
+) -> list[str]:
+    """``spec``-formatted ``fn(values)``, computing and formatting each distinct
+    value once; ``fn`` must act element by element."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    strings = np.array(_formatted(fn(distinct), spec), dtype=object)
+    return strings[inverse].tolist()
+
+
+def _probit_clamped(p: np.ndarray) -> np.ndarray:
+    return _probit(np.clip(p, PROBIT_CLAMP, 1.0 - PROBIT_CLAMP))
+
+
+#: DET points formatted per block, which bounds the strings alive at once
+_POINTS_PER_BLOCK = 1 << 16
+
+
+def _blocks(points: DetCurve) -> Iterator[DetCurve]:
+    for start in range(0, len(points), _POINTS_PER_BLOCK):
+        yield points[start : start + _POINTS_PER_BLOCK]
+
+
+def det_to_csv(points: DetCurve) -> str:
     """DET export: threshold, p_fa, p_miss, plus probit axes for plotting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["threshold", "p_fa", "p_miss", "probit_p_fa", "probit_p_miss"])
-    for pt in points:
-        writer.writerow(
-            [
-                f"{pt.threshold:.17g}",
-                f"{pt.p_fa:.17g}",
-                f"{pt.p_miss:.17g}",
-                f"{_probit_clamped(pt.p_fa):.9g}",
-                f"{_probit_clamped(pt.p_miss):.9g}",
-            ]
+    blocks = ["threshold,p_fa,p_miss,probit_p_fa,probit_p_miss\n"]
+    for part in _blocks(points):
+        # p_miss takes at most n_genuine + 1 distinct values
+        columns = (
+            _formatted(part.thresholds, "{:.17g}"),
+            _formatted(part.p_fa, "{:.17g}"),
+            _formatted_distinct(part.p_miss, "{:.17g}", lambda p: p),
+            _formatted(_probit_clamped(part.p_fa), "{:.9g}"),
+            _formatted_distinct(part.p_miss, "{:.9g}", _probit_clamped),
         )
-    return buf.getvalue()
+        # no field holds a comma, quote or newline, so csv.writer would quote none
+        blocks.append("\n".join(map(",".join, zip(*columns))) + "\n")
+    return "".join(blocks)
 
 
-def save_det_csv(points: list[DetPoint], path: str | Path) -> None:
+def save_det_csv(points: DetCurve, path: str | Path) -> None:
     Path(path).write_text(det_to_csv(points))
 
 
 _DET_TICKS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
 
 
-def render_det_svg(points: list[DetPoint], eer_value: float | None = None) -> str:
+def render_det_svg(points: DetCurve, eer_value: float | None = None) -> str:
     """DET staircase on probit axes with the chance diagonal, as an SVG string."""
     lo, hi = 0.0005, 0.6
     zlo, zhi = normal_deviate(lo), normal_deviate(hi)
     size, margin = 480, 60
     span = size - 2 * margin
 
+    def offset(p: np.ndarray) -> np.ndarray:
+        z = _probit(np.clip(p, lo, hi))
+        return (z - zlo) / (zhi - zlo) * span
+
+    def xs(p: np.ndarray) -> np.ndarray:
+        return margin + offset(p)
+
+    def ys(p: np.ndarray) -> np.ndarray:
+        return size - margin - offset(p)
+
     def sx(p: float) -> float:
-        z = normal_deviate(min(max(p, lo), hi))
-        return margin + (z - zlo) / (zhi - zlo) * span
+        return float(xs(np.array([p]))[0])
 
     def sy(p: float) -> float:
-        z = normal_deviate(min(max(p, lo), hi))
-        return size - margin - (z - zlo) / (zhi - zlo) * span
+        return float(ys(np.array([p]))[0])
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -327,8 +416,15 @@ def render_det_svg(points: list[DetPoint], eer_value: float | None = None) -> st
         f'<line x1="{sx(lo):.1f}" y1="{sy(lo):.1f}" x2="{sx(hi):.1f}" y2="{sy(hi):.1f}" '
         'stroke="gray" stroke-dasharray="4 3"/>'
     )
-    coords = " ".join(f"{sx(pt.p_fa):.2f},{sy(pt.p_miss):.2f}" for pt in points)
-    parts.append(f'<polyline points="{coords}" fill="none" stroke="crimson" stroke-width="1.5"/>')
+
+    def coords(part: DetCurve) -> str:
+        # clamping first leaves fewer distinct values to map and format
+        x_strings = _formatted_distinct(np.clip(part.p_fa, lo, hi), "{:.2f}", xs)
+        y_strings = _formatted_distinct(np.clip(part.p_miss, lo, hi), "{:.2f}", ys)
+        return " ".join(map("{},{}".format, x_strings, y_strings))
+
+    polyline = " ".join(map(coords, _blocks(points)))
+    parts.append(f'<polyline points="{polyline}" fill="none" stroke="crimson" stroke-width="1.5"/>')
     if eer_value is not None and lo < eer_value < hi:
         parts.append(
             f'<circle cx="{sx(eer_value):.1f}" cy="{sy(eer_value):.1f}" r="3" fill="black"/>'

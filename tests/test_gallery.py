@@ -144,6 +144,15 @@ class TestPersistence:
             for a, b in zip(g.templates_of(s), loaded.templates_of(s)):
                 assert np.array_equal(a.coeffs, b.coeffs)
 
+    def test_empty_subject_id_round_trips(self, tmp_path):
+        g = Gallery()
+        g.enroll("", vec([1.0, 2.0, 3.0], subject=""))
+        g.enroll("b", vec([4.0, 5.0, 6.0]))
+        save_gallery(g, tmp_path)
+        loaded, _ = load_gallery(tmp_path)
+        assert loaded == g
+        assert loaded.templates_of("")[0].subject_id == ""
+
     def test_rerun_save_is_byte_identical(self, tmp_path):
         g = self.orl_like_gallery()
         save_gallery(g, tmp_path / "a")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facedct import matching
 from facedct.errors import DataError, MismatchError
 from facedct.features import FeatureVector
 from facedct.gallery import Gallery
@@ -315,3 +316,50 @@ class TestScoresCsv:
         truncated = "\n".join(text.splitlines()[:-1]) + "\n"
         with pytest.raises(DataError):
             scores_from_csv(truncated)
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            (["1,0,0"], "malformed"),  # too few fields
+            (["1,0,0,1,1"], "malformed"),  # too many fields
+            (["1,0.0,0,1"], "malformed"),  # non-integer index
+            (["1,0,0,x"], "malformed"),  # unparsable score
+            (["", "1,0,0,1"], "malformed"),  # blank line within the rows
+            (["1,2,0,1"], "out of bounds"),  # index beyond the gallery
+            (["1,0,0,nan"], "invalid score tensor"),  # non-finite score
+            (["1,0,0,-1"], "invalid score tensor"),  # negative distance
+        ],
+    )
+    def test_bad_row_rejected(self, rows, error):
+        tensor = ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse")
+        lines = scores_to_csv(tensor).splitlines()
+        lines[-2:-1] = rows  # in place of the row of cell (1,0,0)
+        with pytest.raises(DataError, match=error):
+            scores_from_csv("\n".join(lines) + "\n")
+
+    def test_round_trip_across_many_blocks(self, monkeypatch):
+        monkeypatch.setattr(matching, "_BLOCK_CHARS", 64)
+        rng = np.random.default_rng(22)
+        tensor = ScoreTensor(("a", "b", "c"), ("a", "b", "c"), rng.random((3, 3, 7)), "mse")
+        text = scores_to_csv(tensor)
+        assert np.array_equal(scores_from_csv(text).scores, tensor.scores)
+        lines = text.splitlines()
+        lines[40] = "0,0,0"
+        with pytest.raises(DataError, match="line 41"):
+            scores_from_csv("\n".join(lines) + "\n")
+
+    def test_negative_index_rejected(self):
+        tensor = ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse")
+        lines = scores_to_csv(tensor).splitlines()
+        # the last row (1,1,0) rewritten as (-1,1,0) would wrap to it
+        lines[-1] = "-1,1,0,1"
+        with pytest.raises(DataError, match="out of bounds"):
+            scores_from_csv("\n".join(lines) + "\n")
+
+    def test_duplicate_cell_rejected(self):
+        tensor = ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse")
+        lines = scores_to_csv(tensor).splitlines()
+        # right cell count, but (0,0,0) twice and (1,1,0) missing
+        lines[-1] = "0,0,0,2"
+        with pytest.raises(DataError, match="more than once"):
+            scores_from_csv("\n".join(lines) + "\n")

@@ -1,5 +1,8 @@
 """Genuine/impostor split, FAR/FRR sweep, DET, EER, DCF, probit."""
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -7,8 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facedct.matching import ScoreTensor
+from facedct import verification
+from facedct.matching import ScoreTensor, scores_to_csv
 from facedct.verification import (
+    _PROBIT_A,
+    _PROBIT_B,
+    _PROBIT_C,
+    _PROBIT_D,
+    _PROBIT_SPLIT,
+    PROBIT_CLAMP,
     DcfParams,
     DegenerateScoresError,
     TrialScores,
@@ -20,6 +30,7 @@ from facedct.verification import (
     min_dcf,
     normal_cdf,
     normal_deviate,
+    _probit,
     render_det_svg,
     split_intra_inter,
     trial_counts,
@@ -341,3 +352,146 @@ class TestTrialScoresInvariants:
         # raw Gaussian scores are legitimate input for the sweep machinery
         trials = TrialScores([-1.0, 0.5], [0.0, 2.0])
         assert trials.n_genuine == 2
+
+
+# Reference oracles: the scalar and row-by-row code that wrote det.csv,
+# det.svg and scores.csv before the exports went array-native.  The array
+# code must reproduce their output exactly.
+
+
+def scalar_normal_deviate(p: float) -> float:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"probit requires 0 < p < 1, got {p}")
+    a, b, c, d = _PROBIT_A, _PROBIT_B, _PROBIT_C, _PROBIT_D
+    if p < _PROBIT_SPLIT:
+        q = math.sqrt(-2.0 * math.log(p))
+        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+        )
+    elif p <= 1.0 - _PROBIT_SPLIT:
+        q = p - 0.5
+        r = q * q
+        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
+            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+        )
+    else:
+        q = math.sqrt(-2.0 * math.log(1.0 - p))
+        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+        )
+    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return x - (normal_cdf(x) - p) / pdf
+
+
+def scalar_probit_clamped(p: float) -> float:
+    return scalar_normal_deviate(min(max(p, PROBIT_CLAMP), 1.0 - PROBIT_CLAMP))
+
+
+def rowwise_det_to_csv(points) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["threshold", "p_fa", "p_miss", "probit_p_fa", "probit_p_miss"])
+    for pt in points:
+        writer.writerow(
+            [
+                f"{pt.threshold:.17g}",
+                f"{pt.p_fa:.17g}",
+                f"{pt.p_miss:.17g}",
+                f"{scalar_probit_clamped(pt.p_fa):.9g}",
+                f"{scalar_probit_clamped(pt.p_miss):.9g}",
+            ]
+        )
+    return buf.getvalue()
+
+
+def rowwise_svg_polyline(points) -> str:
+    lo, hi = 0.0005, 0.6
+    zlo, zhi = scalar_normal_deviate(lo), scalar_normal_deviate(hi)
+    size, margin = 480, 60
+    span = size - 2 * margin
+
+    def sx(p):
+        z = scalar_normal_deviate(min(max(p, lo), hi))
+        return margin + (z - zlo) / (zhi - zlo) * span
+
+    def sy(p):
+        z = scalar_normal_deviate(min(max(p, lo), hi))
+        return size - margin - (z - zlo) / (zhi - zlo) * span
+
+    coords = " ".join(f"{sx(pt.p_fa):.2f},{sy(pt.p_miss):.2f}" for pt in points)
+    return f'<polyline points="{coords}" fill="none" stroke="crimson" stroke-width="1.5"/>'
+
+
+def rowwise_scores_to_csv(tensor) -> str:
+    buf = io.StringIO()
+    buf.write("# format=facedct-scores-v1\n")
+    buf.write(f"# metric={tensor.metric}\n")
+    buf.write(f"# probe_subjects={json.dumps(list(tensor.probe_subjects))}\n")
+    buf.write(f"# gallery_subjects={json.dumps(list(tensor.gallery_subjects))}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["i", "j", "k", "score"])
+    scores = tensor.scores
+    for i in range(scores.shape[0]):
+        for j in range(scores.shape[1]):
+            for k in range(scores.shape[2]):
+                writer.writerow([i, j, k, f"{scores[i, j, k]:.17g}"])
+    return buf.getvalue()
+
+
+def tie_heavy_tensor(seed, n_subjects=12, n_trials=3):
+    rng = np.random.default_rng(seed)
+    scores = np.round(rng.random((n_subjects, n_subjects, n_trials)) * 4, 1)
+    scores[np.arange(n_subjects), np.arange(n_subjects), :] *= 0.5
+    scores[0, 1, 0] = 1e-300
+    scores[1, 0, 0] = 0.0
+    return square_tensor(scores)
+
+
+class TestArrayExportsMatchRowwiseReference:
+    def test_probit_is_bit_identical_to_scalar_formula(self):
+        tiny = np.finfo(np.float64).tiny
+        p = np.concatenate(
+            [
+                [_PROBIT_SPLIT, 1.0 - _PROBIT_SPLIT, PROBIT_CLAMP, 1.0 - PROBIT_CLAMP],
+                np.nextafter(_PROBIT_SPLIT, [0.0, 1.0]),
+                np.nextafter(1.0 - _PROBIT_SPLIT, [0.0, 1.0]),
+                [5e-324, 1e-320, tiny, np.nextafter(tiny, 0.0), np.nextafter(tiny, 1.0)],
+                [1e-15, 0.5, np.nextafter(1.0, 0.0), 1.0 - 1e-15],
+                np.geomspace(1e-300, 0.5, 2000),
+                1.0 - np.geomspace(1e-16, 0.5, 2000),
+                np.random.default_rng(5).random(5000),
+            ]
+        )
+        expected = np.array([scalar_normal_deviate(float(x)) for x in p])
+        assert np.array_equal(_probit(p), expected)
+        assert all(normal_deviate(float(x)) == e for x, e in zip(p[:40], expected[:40]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_det_csv_and_svg_match_on_tie_heavy_trials(self, seed):
+        trials = split_intra_inter(tie_heavy_tensor(seed))
+        points = det_curve(trials)
+        assert det_to_csv(points) == rowwise_det_to_csv(list(points))
+        assert rowwise_svg_polyline(list(points)) in render_det_svg(points, eer(trials))
+
+    def test_det_csv_and_svg_match_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(verification, "_POINTS_PER_BLOCK", 7)
+        trials = split_intra_inter(tie_heavy_tensor(3))
+        points = det_curve(trials)
+        assert len(points) > 7 * 3
+        assert det_to_csv(points) == rowwise_det_to_csv(list(points))
+        assert rowwise_svg_polyline(list(points)) in render_det_svg(points, eer(trials))
+
+    def test_det_csv_and_svg_match_with_one_genuine_score(self):
+        trials = TrialScores([0.25], np.random.default_rng(3).random(300))
+        points = det_curve(trials)
+        assert det_to_csv(points) == rowwise_det_to_csv(list(points))
+        assert rowwise_svg_polyline(list(points)) in render_det_svg(points, eer(trials))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scores_csv_matches_on_tie_heavy_tensor(self, seed):
+        tensor = tie_heavy_tensor(seed)
+        assert scores_to_csv(tensor) == rowwise_scores_to_csv(tensor)
+
+    def test_scores_csv_matches_on_single_cell_tensor(self):
+        tensor = ScoreTensor(("a",), ("a",), np.full((1, 1, 1), 0.1), "mad")
+        assert scores_to_csv(tensor) == rowwise_scores_to_csv(tensor)
