@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import DataError, ValidationError
 from .features import DEFAULT_DIM, extract_features
@@ -30,8 +32,8 @@ from .matching import (
     METRICS,
     build_score_tensor,
     load_scores_csv,
-    person_score,
     save_scores_csv,
+    subject_distances,
 )
 from .pipeline import (
     DEFAULT_WINDOW,
@@ -249,7 +251,7 @@ def cmd_evaluate(args) -> int:
     """Score the test samples; the training indices need not exist."""
     cfg = load_config(args.config, args)
     gallery, meta = load_gallery(args.gallery)
-    window = int(meta.get("window", cfg.window))
+    window = meta.get("window", cfg.window)
     out = Path(args.out) if args.out else (cfg.output_dir or Path("results"))
     out.mkdir(parents=True, exist_ok=True)
 
@@ -297,18 +299,25 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_identify(args) -> int:
+    """Nearest enrolled subject of one probe image.
+
+    Subjects are in lexicographic order and argmin takes the first minimum,
+    so a tie goes to the lexicographically first subject.  The distance is
+    the probe's ``scores.csv`` cell, bit for bit.
+    """
     gallery, meta = load_gallery(args.gallery)
-    window = int(meta.get("window", DEFAULT_WINDOW))
+    window = meta.get("window", DEFAULT_WINDOW)
     metric = args.metric
     img = read_pnm_file(args.image)
     plane = prepare_plane(img, gallery.channel, window)
     probe = extract_features(plane, gallery.feature_dim, gallery.channel)
-    best_subject, best_distance = None, None
-    for subject in gallery.subject_ids:  # lexicographic; first wins ties
-        d = person_score(probe, gallery.templates_of(subject), metric)
-        if best_distance is None or d < best_distance:
-            best_subject, best_distance = subject, d
-    print(json.dumps({"subject": best_subject, "distance": best_distance, "metric": metric}))
+    dists = subject_distances(probe.coeffs, gallery, metric)
+    best = int(np.argmin(dists))
+    print(
+        json.dumps(
+            {"subject": gallery.subject_ids[best], "distance": float(dists[best]), "metric": metric}
+        )
+    )
     return EXIT_OK
 
 

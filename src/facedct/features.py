@@ -109,6 +109,17 @@ def zigzag_order(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(order)
 
 
+@lru_cache(maxsize=None)
+def _zigzag_index(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, cols) index arrays of the first ``dim`` zigzag cells."""
+    order = zigzag_order(n)[:dim]
+    rows = np.fromiter((rc[0] for rc in order), dtype=np.intp, count=dim)
+    cols = np.fromiter((rc[1] for rc in order), dtype=np.intp, count=dim)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def extract_features(
     plane: np.ndarray,
     dim: int = DEFAULT_DIM,
@@ -122,11 +133,8 @@ def extract_features(
     n = plane.shape[0]
     if not 1 <= dim <= n * n:
         raise ValueError(f"dim must be in [1, {n * n}], got {dim}")
-    spectrum = dct2(plane)
-    order = zigzag_order(n)[:dim]
-    rows = np.fromiter((rc[0] for rc in order), dtype=np.intp, count=dim)
-    cols = np.fromiter((rc[1] for rc in order), dtype=np.intp, count=dim)
-    return FeatureVector(spectrum[rows, cols], source_channel, subject_id)
+    rows, cols = _zigzag_index(n, dim)
+    return FeatureVector(dct2(plane)[rows, cols], source_channel, subject_id)
 
 
 def feature_to_row(vec: FeatureVector) -> list[str]:
@@ -167,5 +175,63 @@ def features_to_csv(vectors: list[FeatureVector]) -> str:
 
 
 def features_from_csv(text: str) -> list[FeatureVector]:
+    """Row-by-row reader of :func:`features_to_csv`; the reference that
+    :func:`feature_matrix_from_csv` is tested against."""
     reader = csv.reader(io.StringIO(text))
     return [feature_from_row(row) for row in reader if row]
+
+
+def feature_matrix_from_csv(text: str) -> tuple[list[str], str | None, np.ndarray]:
+    """Rows of :func:`features_to_csv` as ``(labels, channel, matrix)``.
+
+    ``labels`` holds each row's subject id (``""`` when the row has none),
+    ``channel`` the source channel all rows share, and ``matrix`` the
+    coefficients as one float64 ``(N, D)`` array, parsed in a single call.
+    Every row :func:`feature_from_row` rejects is a DataError here too, and
+    so are rows that differ in dim or channel.  An empty text gives no
+    labels, channel None and a ``(0, 0)`` matrix.
+    """
+    if '"' in text or "\r" in text:
+        # csv.writer quotes a subject id holding a comma, quote or newline;
+        # without those characters a row is exactly its line split at commas
+        try:
+            rows = [
+                r[:3] + [",".join(r[3:])] if len(r) > 3 else r
+                for r in csv.reader(io.StringIO(text))
+                if r
+            ]
+        except csv.Error as exc:
+            raise DataError(f"malformed feature row: {exc}") from exc
+    else:
+        rows = [line.split(",", 3) for line in text.split("\n") if line]
+    if not rows:
+        return [], None, np.empty((0, 0))
+    for n, row in enumerate(rows, 1):
+        if len(row) < 4:
+            raise DataError(f"feature row {n} too short ({len(row)} fields)")
+    channels = sorted({row[1] for row in rows})
+    if len(channels) > 1:
+        raise DataError(f"feature rows mix channels {channels}")
+    if channels[0] not in CHANNELS:
+        raise DataError(f"unknown source channel {channels[0]!r}")
+    try:
+        dims = [int(row[2]) for row in rows]
+        # one C-level parse of every coefficient; rows of unequal length fail
+        matrix = np.loadtxt(
+            [row[3] for row in rows], dtype=np.float64, delimiter=",", comments=None, ndmin=2
+        )
+    except ValueError as exc:
+        raise DataError(f"malformed feature row: {exc}") from exc
+    if len(matrix) != len(rows):
+        # loadtxt skips a blank line, so a row without coefficients vanishes
+        raise DataError("feature row without coefficients")
+    dim = matrix.shape[1]
+    bad = next((n for n, d in enumerate(dims) if d != dim), None)
+    if bad is not None:
+        raise DataError(
+            f"feature row {bad + 1} declares dim={dims[bad]} but carries {dim} coefficients"
+        )
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise DataError(f"feature row {int(np.argmin(finite)) + 1} has a non-finite coefficient")
+    return [row[0] for row in rows], channels[0], matrix

@@ -1,14 +1,26 @@
 """Enrollment store: subjects -> ordered template vectors, plus the
-train/test split rule and on-disk persistence (gallery.json + vectors.csv)."""
+train/test split rule and on-disk persistence (gallery.json + vectors.csv).
+
+A gallery holds its M templates as one contiguous, read-only float64
+``(M, D)`` matrix with CSR-style subject offsets: subjects in lexicographic
+order, each subject's templates in enrollment order, and subject
+``subject_ids[j]`` owning rows ``offsets[j]:offsets[j + 1]``.  Matching
+reduces one distance kernel over that matrix (see ``matching``).
+``vectors.csv`` stores the rows in the same order and is read back into the
+matrix in one pass.
+"""
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataError, MismatchError
-from .features import FeatureVector, features_from_csv, features_to_csv
+from .features import FeatureVector, feature_matrix_from_csv, features_to_csv
 
 GALLERY_FORMAT = "facedct-gallery"
 GALLERY_VERSION = 1
@@ -99,15 +111,55 @@ def apply_split(
 class Gallery:
     """Immutable-after-enrollment map of subject id -> template vectors.
 
-    The first enrollment fixes the feature dimension and source channel;
-    subject iteration order is lexicographic so downstream score tensors
-    are reproducible.
+    The first enrollment fixes the feature dimension and source channel.
+    Templates live in :attr:`matrix`, subjects in lexicographic order so
+    downstream score tensors are reproducible; enrollment may come in any
+    subject order and is merged into the matrix on the next read.
     """
 
     def __init__(self) -> None:
-        self._subjects: dict[str, list[FeatureVector]] = {}
         self._feature_dim: int | None = None
         self._channel: str | None = None
+        self._ids: list[str] = []
+        self._index: dict[str, int] = {}
+        self._matrix = np.empty((0, 0))
+        self._offsets = np.zeros(1, dtype=np.intp)
+        self._staged: list[tuple[str, np.ndarray]] = []
+
+    @classmethod
+    def _of_rows(cls, labels: list[str], channel: str, matrix: np.ndarray) -> "Gallery":
+        """Gallery of matrix rows labelled by subject, in any subject order."""
+        gallery = cls()
+        gallery._feature_dim = int(matrix.shape[1])
+        gallery._channel = channel
+        gallery._merge(labels, matrix)
+        return gallery
+
+    def _merge(self, labels: list[str], rows: np.ndarray) -> None:
+        """Add matrix rows labelled by subject after the enrolled ones; each
+        subject keeps its rows in order, and subjects are sorted."""
+        counts = np.diff(self._offsets).tolist()
+        labels = [s for s, c in zip(self._ids, counts) for _ in range(c)] + labels
+        if len(self._matrix):
+            rows = np.concatenate([self._matrix, rows])
+        rows_of: dict[str, list[int]] = {}
+        for i, subject in enumerate(labels):
+            rows_of.setdefault(subject, []).append(i)
+        ids = sorted(rows_of)
+        matrix = rows[[i for s in ids for i in rows_of[s]]]
+        matrix.flags.writeable = False
+        offsets = np.zeros(len(ids) + 1, dtype=np.intp)
+        np.cumsum([len(rows_of[s]) for s in ids], out=offsets[1:])
+        offsets.flags.writeable = False
+        self._ids = ids
+        self._index = {s: j for j, s in enumerate(ids)}
+        self._matrix = matrix
+        self._offsets = offsets
+
+    def _flush(self) -> None:
+        if self._staged:
+            staged, self._staged = self._staged, []
+            self._merge([s for s, _ in staged], np.array([row for _, row in staged]))
 
     @property
     def feature_dim(self) -> int | None:
@@ -118,25 +170,43 @@ class Gallery:
         return self._channel
 
     @property
+    def matrix(self) -> np.ndarray:
+        """Read-only float64 ``(M, D)`` templates, grouped by subject."""
+        self._flush()
+        return self._matrix
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Read-only ``(S + 1,)`` row offsets of the subjects in :attr:`matrix`."""
+        self._flush()
+        return self._offsets
+
+    @property
     def subject_ids(self) -> list[str]:
-        return sorted(self._subjects)
+        self._flush()
+        return list(self._ids)
 
     @property
     def n_subjects(self) -> int:
-        return len(self._subjects)
+        self._flush()
+        return len(self._ids)
 
     @property
     def n_templates(self) -> int:
-        return sum(len(t) for t in self._subjects.values())
+        return len(self._matrix) + len(self._staged)
 
     def templates_of(self, subject_id: str) -> list[FeatureVector]:
+        self._flush()
         try:
-            return list(self._subjects[subject_id])
+            j = self._index[subject_id]
         except KeyError:
             raise GalleryError(f"subject {subject_id!r} is not enrolled") from None
+        rows = self._matrix[self._offsets[j] : self._offsets[j + 1]]
+        return [FeatureVector(row, self._channel, subject_id) for row in rows]
 
     def __contains__(self, subject_id: str) -> bool:
-        return subject_id in self._subjects
+        self._flush()
+        return subject_id in self._index
 
     def enroll(self, subject_id: str, vec: FeatureVector) -> None:
         """Append one template to a subject, preserving enrollment order."""
@@ -155,28 +225,40 @@ class Gallery:
             raise GalleryError(
                 f"vector labelled {vec.subject_id!r} enrolled under {subject_id!r}"
             )
-        stored = (
-            vec
-            if vec.subject_id == subject_id
-            else FeatureVector(vec.coeffs, vec.source_channel, subject_id)
-        )
-        self._subjects.setdefault(subject_id, []).append(stored)
+        self._staged.append((subject_id, vec.coeffs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gallery):
             return NotImplemented
+        self._flush()
+        other._flush()
         return (
             self._feature_dim == other._feature_dim
             and self._channel == other._channel
-            and self.subject_ids == other.subject_ids
-            and all(
-                self._subjects[s] == other._subjects[s] for s in self._subjects
-            )
+            and self._ids == other._ids
+            and np.array_equal(self._offsets, other._offsets)
+            and np.array_equal(self._matrix, other._matrix)
         )
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory, so that a failed write leaves the old file (or none) in place."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = None) -> None:
-    """Persist as gallery.json + vectors.csv; load is bit-exact."""
+    """Persist as gallery.json + vectors.csv; load is bit-exact.
+
+    Each file is written under a temporary name and renamed into place,
+    vectors.csv first, so a failed save leaves no partial file behind.
+    """
     if gallery.n_templates == 0:
         raise GalleryError("refusing to save an empty gallery (nothing enrolled)")
     directory = Path(directory)
@@ -187,19 +269,38 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
         "feature_dim": gallery.feature_dim,
         "channel": gallery.channel,
         "subjects": [
-            {"id": s, "templates": len(gallery.templates_of(s))}
-            for s in gallery.subject_ids
+            {"id": s, "templates": int(b - a)}
+            for s, a, b in zip(gallery.subject_ids, gallery.offsets[:-1], gallery.offsets[1:])
         ],
     }
     if meta:
         manifest["meta"] = meta
-    (directory / GALLERY_JSON).write_text(json.dumps(manifest, indent=1) + "\n")
     vectors = [t for s in gallery.subject_ids for t in gallery.templates_of(s)]
-    (directory / VECTORS_CSV).write_text(features_to_csv(vectors))
+    vectors_text = features_to_csv(vectors)
+    manifest_text = json.dumps(manifest, indent=1) + "\n"
+    _write_atomic(directory / VECTORS_CSV, vectors_text)
+    _write_atomic(directory / GALLERY_JSON, manifest_text)
+
+
+def _check_window(window, feature_dim: int, directory: Path) -> None:
+    # bool is an int subclass, but true/false is no window size
+    if (
+        not isinstance(window, int)
+        or isinstance(window, bool)
+        or window < 1
+        or window * window < feature_dim
+    ):
+        raise GalleryCorruptError(
+            f"gallery {directory}: meta.window {window!r} must be an integer >= 1 "
+            f"whose square covers feature_dim {feature_dim}"
+        )
 
 
 def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
-    """Load a persisted gallery; returns (gallery, meta dict)."""
+    """Load a persisted gallery; returns (gallery, meta dict).
+
+    ``meta["window"]``, when present, is checked against the feature dim.
+    """
     directory = Path(directory)
     try:
         manifest = json.loads((directory / GALLERY_JSON).read_text())
@@ -207,7 +308,7 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
         raise GalleryCorruptError(f"missing {GALLERY_JSON} in {directory}") from None
     except json.JSONDecodeError as exc:
         raise GalleryCorruptError(f"unreadable {GALLERY_JSON}: {exc}") from exc
-    if manifest.get("format") != GALLERY_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != GALLERY_FORMAT:
         raise GalleryVersionError(f"not a {GALLERY_FORMAT} payload")
     if manifest.get("version") != GALLERY_VERSION:
         raise GalleryVersionError(
@@ -218,36 +319,38 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
     except FileNotFoundError:
         raise GalleryCorruptError(f"missing {VECTORS_CSV} in {directory}") from None
     try:
-        vectors = features_from_csv(csv_text)
+        labels, channel, matrix = feature_matrix_from_csv(csv_text)
     except DataError as exc:
-        raise GalleryCorruptError(f"corrupt {VECTORS_CSV}: {exc}") from exc
+        raise GalleryCorruptError(f"corrupt {directory / VECTORS_CSV}: {exc}") from exc
 
-    gallery = Gallery()
-    cursor = 0
+    listed: list = []
     for entry in manifest.get("subjects", []):
+        if not isinstance(entry, dict):
+            raise GalleryCorruptError(f"{GALLERY_JSON} subject entry {entry!r} is not an object")
         subject, count = entry.get("id"), entry.get("templates", 0)
-        chunk = vectors[cursor : cursor + count]
-        if len(chunk) != count:
+        if not isinstance(count, int) or count < 0:
+            raise GalleryCorruptError(f"subject {subject!r} lists {count!r} templates")
+        if len(listed) + count > len(labels):
             raise GalleryCorruptError(
                 f"vectors.csv truncated: subject {subject!r} expects {count} rows"
             )
-        cursor += count
-        for vec in chunk:
-            # the row format writes no label and the label "" alike
-            if (vec.subject_id or "") != subject:
-                raise GalleryCorruptError(
-                    f"row labelled {vec.subject_id!r} listed under subject {subject!r}"
-                )
-            try:
-                gallery.enroll(subject, vec)
-            except (MismatchError, GalleryError) as exc:
-                raise GalleryCorruptError(str(exc)) from exc
-    if cursor != len(vectors):
+        listed.extend([subject] * count)
+    if len(listed) != len(labels):
         raise GalleryCorruptError(
-            f"vectors.csv carries {len(vectors) - cursor} rows beyond the manifest"
+            f"vectors.csv carries {len(labels) - len(listed)} rows beyond the manifest"
         )
-    if gallery.feature_dim != manifest.get("feature_dim") or gallery.channel != manifest.get("channel"):
+    if labels != listed:
+        # the row format writes no label and the label "" alike
+        label, subject = next((a, b) for a, b in zip(labels, listed) if a != b)
+        raise GalleryCorruptError(f"row labelled {label!r} listed under subject {subject!r}")
+    feature_dim = int(matrix.shape[1]) if labels else None
+    if feature_dim != manifest.get("feature_dim") or channel != manifest.get("channel"):
         raise GalleryCorruptError("gallery.json metadata disagrees with vectors.csv")
-    if gallery.n_templates == 0:
+    if not labels:
         raise GalleryCorruptError("persisted gallery holds no templates")
-    return gallery, manifest.get("meta", {})
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise GalleryCorruptError(f"gallery {directory}: meta is not an object")
+    if "window" in meta:
+        _check_window(meta["window"], feature_dim, directory)
+    return Gallery._of_rows(labels, channel, matrix), meta

@@ -1,8 +1,16 @@
-"""Nearest-template matching: distance kernels, the probe x model x trial
+"""Nearest-template matching: the distance kernel, the probe x model x trial
 score tensor, and the rank-1 identification rate.
 
 Distances are stored (smaller = better match); a probe identifies its
 subject when the genuine cell is the strict minimum of its row.
+
+One kernel, :func:`_batched_distances`, computes a probe's distance to
+every row of a template matrix.  A probe's distance to a subject is the
+minimum over that subject's rows, taken with ``np.minimum.reduceat`` over
+the gallery's matrix and subject offsets (:func:`subject_distances`).
+``build_score_tensor``, the ``identify`` command and the channel fusion
+runs all score through it, and ``mse``, ``mad`` and ``person_score`` are
+thin calls into it, so every route gives the same bits.
 """
 
 from __future__ import annotations
@@ -29,29 +37,25 @@ def _check_dims(x: FeatureVector, y: FeatureVector) -> None:
         raise MismatchError(f"feature dims differ: {x.dim} vs {y.dim}")
 
 
+def _batched_distances(metric: str, probe: np.ndarray, templates: np.ndarray) -> np.ndarray:
+    # templates: (M, D); probe: (D,) -> (M,), each row reduced along its
+    # contiguous axis
+    d = templates - probe
+    if metric == "mse":
+        return np.sum(d * d, axis=1)
+    return np.sum(np.abs(d), axis=1)
+
+
 def mse(x: FeatureVector, y: FeatureVector) -> float:
     """Sum of squared coefficient differences."""
     _check_dims(x, y)
-    d = x.coeffs - y.coeffs
-    return float(np.sum(d * d))
+    return float(_batched_distances("mse", x.coeffs, y.coeffs[None, :])[0])
 
 
 def mad(x: FeatureVector, y: FeatureVector) -> float:
     """Sum of absolute coefficient differences."""
     _check_dims(x, y)
-    return float(np.sum(np.abs(x.coeffs - y.coeffs)))
-
-
-_METRIC_FNS = {"mse": mse, "mad": mad}
-
-
-def _batched_distances(metric: str, probe: np.ndarray, templates: np.ndarray) -> np.ndarray:
-    # templates: (M, D); probe: (D,) -> (M,) using the same axis reduction
-    # as the scalar kernels so both routes agree bit-for-bit
-    d = templates - probe
-    if metric == "mse":
-        return np.sum(d * d, axis=1)
-    return np.sum(np.abs(d), axis=1)
+    return float(_batched_distances("mad", x.coeffs, y.coeffs[None, :])[0])
 
 
 def check_metric(metric: str) -> str:
@@ -66,8 +70,17 @@ def person_score(probe: FeatureVector, templates: list[FeatureVector], metric: s
     metric = check_metric(metric)
     if not templates:
         raise ValueError("person_score needs at least one template")
-    fn = _METRIC_FNS[metric]
-    return min(fn(probe, t) for t in templates)
+    for t in templates:
+        _check_dims(probe, t)
+    matrix = np.array([t.coeffs for t in templates])
+    return float(_batched_distances(metric, probe.coeffs, matrix).min())
+
+
+def subject_distances(probe: np.ndarray, gallery: Gallery, metric: str) -> np.ndarray:
+    """Distance from probe coefficients to each enrolled subject, in
+    ``gallery.subject_ids`` order: the minimum over the subject's templates."""
+    dists = _batched_distances(check_metric(metric), probe, gallery.matrix)
+    return np.minimum.reduceat(dists, gallery.offsets[:-1])
 
 
 @dataclass
@@ -161,15 +174,6 @@ def build_score_tensor(
             )
 
     gallery_subjects = tuple(gallery.subject_ids)
-    template_rows = []
-    group_starts = []
-    for subject in gallery_subjects:
-        group_starts.append(len(template_rows))
-        for t in gallery.templates_of(subject):
-            template_rows.append(t.coeffs)
-    templates = np.vstack(template_rows)
-    starts = np.array(group_starts, dtype=np.intp)
-
     dim = gallery.feature_dim
     scores = np.empty((len(probe_subjects), len(gallery_subjects), n_trials))
     for i, subject in enumerate(probe_subjects):
@@ -183,8 +187,7 @@ def build_score_tensor(
                     f"probe {subject!r}[{k}] channel {vec.source_channel!r} != "
                     f"gallery channel {gallery.channel!r}"
                 )
-            dists = _batched_distances(metric, vec.coeffs, templates)
-            scores[i, :, k] = np.minimum.reduceat(dists, starts)
+            scores[i, :, k] = subject_distances(vec.coeffs, gallery, metric)
     return ScoreTensor(probe_subjects, gallery_subjects, scores, metric)
 
 

@@ -2,9 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from facedct.cli import main
+from facedct.features import FeatureVector, extract_features
+from facedct.gallery import Gallery, save_gallery
+from facedct.imageio import RasterImage, prepare_plane, write_pnm_file
+from facedct.matching import build_score_tensor
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +247,60 @@ class TestEvaluate:
         assert payload["distance"] >= 0.0
 
 
+class TestIdentifyContract:
+    """identify answers the lexicographically first argmin of the probe's row
+    in build_score_tensor, with that cell's distance bit for bit."""
+
+    WINDOW, DIM = 8, 10
+
+    @pytest.fixture
+    def probe(self, tmp_path):
+        rng = np.random.default_rng(3)
+        img = RasterImage(8, 8, 1, 255, rng.integers(0, 256, 64))
+        path = tmp_path / "probe.pgm"
+        write_pnm_file(img, path)
+        return path, extract_features(prepare_plane(img, "gray", self.WINDOW), self.DIM)
+
+    def check(self, capsys, tmp_path, gallery, probe, metric):
+        path, vec = probe
+        save_gallery(gallery, tmp_path / "gal", meta={"window": self.WINDOW})
+        code, out, _ = run_cli(
+            capsys, "identify", "--gallery", str(tmp_path / "gal"),
+            "--image", str(path), "--metric", metric,
+        )
+        assert code == 0
+        answer = json.loads(out)
+        first = gallery.subject_ids[0]
+        tensor = build_score_tensor({first: [vec]}, gallery, metric)
+        row = tensor.scores[0, :, 0].tolist()
+        best = row.index(min(row))  # the first of equal minima
+        assert (answer["subject"], answer["distance"]) == (tensor.gallery_subjects[best], row[best])
+        return answer["subject"]
+
+    @pytest.mark.parametrize("metric", ["mse", "mad"])
+    def test_tie_goes_to_the_lexicographically_first_subject(
+        self, capsys, tmp_path, probe, metric
+    ):
+        rng = np.random.default_rng(11)
+        gallery = Gallery()
+        # "m" is enrolled before "c", and both hold the nearest template
+        for subject, shift in [("m", 0.01), ("zz", 1), ("m", 1), ("c", 1), ("c", 0.01),
+                               ("a", 1), ("zz", 1)]:
+            offset = shift if shift < 1 else rng.uniform(1, 2, self.DIM)
+            gallery.enroll(subject, FeatureVector(probe[1].coeffs + offset))
+        assert self.check(capsys, tmp_path, gallery, probe, metric) == "c"
+
+    @pytest.mark.parametrize("metric", ["mse", "mad"])
+    def test_several_templates_enrolled_out_of_order(self, capsys, tmp_path, probe, metric):
+        rng = np.random.default_rng(12)
+        subjects = [f"s{i}" for i in range(7)] * 3
+        rng.shuffle(subjects)
+        gallery = Gallery()
+        for subject in subjects:
+            gallery.enroll(subject, FeatureVector(probe[1].coeffs + rng.normal(0, 1, self.DIM)))
+        self.check(capsys, tmp_path, gallery, probe, metric)
+
+
 class TestFuseEval:
     def test_table_rows(self, tmp_path, capsys):
         code = main(
@@ -336,3 +395,33 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sigsize", "--p", "0.1")
         assert code == 3
         assert "internal error" in err
+
+    @pytest.fixture(scope="class")
+    def gallery_dir(self, dataset, tmp_path_factory):
+        root = tmp_path_factory.mktemp("window")
+        cfg = write_config(root / "cfg.json", dataset)
+        assert main(["enroll", "--config", str(cfg), "--out", str(root / "gal")]) == 0
+        return root
+
+    @pytest.mark.parametrize("window", [4, "abc"])
+    @pytest.mark.parametrize("command", ["identify", "evaluate"])
+    def test_inconsistent_gallery_window_is_data_error(
+        self, gallery_dir, dataset, tmp_path, capsys, command, window
+    ):
+        # feature_dim 64 needs a window of at least 8
+        gallery = tmp_path / "gal"
+        gallery.mkdir()
+        (gallery / "vectors.csv").write_bytes((gallery_dir / "gal" / "vectors.csv").read_bytes())
+        manifest = json.loads((gallery_dir / "gal" / "gallery.json").read_text())
+        manifest["meta"]["window"] = window
+        (gallery / "gallery.json").write_text(json.dumps(manifest))
+        probe = dataset.parent / next(iter(json.loads(dataset.read_text()).values()))[0]
+        args = {
+            "identify": ["identify", "--image", str(probe)],
+            "evaluate": ["evaluate", "--config", str(gallery_dir / "cfg.json"),
+                         "--out", str(tmp_path / "res")],
+        }[command]
+        code, _, err = run_cli(capsys, *args, "--gallery", str(gallery))
+        assert code == 2
+        assert "data error" in err
+        assert str(gallery) in err

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from facedct.errors import DataError
 from facedct.features import (
     FeatureVector,
+    _zigzag_index,
     dct2,
     extract_features,
     feature_from_row,
+    feature_matrix_from_csv,
     feature_to_row,
     features_from_csv,
     features_to_csv,
@@ -110,6 +112,12 @@ class TestZigzag:
         assert len(set(order)) == n * n
         assert all(0 <= r < n and 0 <= c < n for r, c in order)
 
+    def test_index_arrays_are_a_cached_read_only_prefix(self):
+        rows, cols = _zigzag_index(8, 10)
+        assert _zigzag_index(8, 10)[0] is rows
+        assert list(zip(rows.tolist(), cols.tolist())) == list(zigzag_order(8)[:10])
+        assert not rows.flags.writeable and not cols.flags.writeable
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             zigzag_order(0)
@@ -189,6 +197,65 @@ class TestFeatureCsv:
     def test_non_numeric_detected(self):
         with pytest.raises(DataError):
             feature_from_row(["s", "gray", "1", "abc"])
+
+
+class TestFeatureMatrixCsv:
+    """``feature_matrix_from_csv`` against the row-by-row reader as oracle."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet=',"\n ab', max_size=5),
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=3,
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=100)
+    def test_matches_row_oracle_bit_for_bit(self, rows):
+        vecs = [FeatureVector(np.array(c), "b", s) for s, c in rows]
+        text = features_to_csv(vecs)
+        labels, channel, matrix = feature_matrix_from_csv(text)
+        oracle = features_from_csv(text)
+        assert labels == [v.subject_id or "" for v in oracle]
+        assert channel == "b"
+        assert matrix.shape == (len(oracle), 3)
+        assert matrix.tobytes() == np.array([v.coeffs for v in oracle]).tobytes()
+
+    def test_empty_text(self):
+        labels, channel, matrix = feature_matrix_from_csv("")
+        assert labels == [] and channel is None and matrix.shape == (0, 0)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "s,gray,1\n",
+            "s,gray,3,1.0,2.0\n",
+            "s,gray,x,1.0\n",
+            "s,purple,1,1.0\n",
+            "s,gray,2,1.0,abc\n",
+            "s,gray,2,1.0,\n",
+            "s,gray,2,1.0,inf\n",
+            '"s,gray,1,1.0\n',
+        ],
+    )
+    def test_rejects_what_the_row_reader_rejects(self, text):
+        with pytest.raises(DataError):
+            features_from_csv(text)
+        with pytest.raises(DataError):
+            feature_matrix_from_csv(text)
+
+    @pytest.mark.parametrize(
+        "text", ["a,gray,1,1.0\nb,gray,2,1.0,2.0\n", "a,gray,1,1.0\nb,r,1,2.0\n"]
+    )
+    def test_rejects_mixed_dims_and_channels(self, text):
+        with pytest.raises(DataError):
+            feature_matrix_from_csv(text)
 
 
 class TestFeatureVector:

@@ -1,5 +1,8 @@
 """Enrollment, split rule, gallery persistence."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,8 +30,6 @@ def vec(values, channel="gray", subject=None):
 
 
 def make_manifest(n_subjects, n_samples):
-    from pathlib import Path
-
     return {
         f"s{i:02d}": [Path(f"s{i:02d}/{j + 1}.pgm") for j in range(n_samples)]
         for i in range(n_subjects)
@@ -183,8 +184,6 @@ class TestPersistence:
             load_gallery(tmp_path)
 
     def test_version_mismatch_detected(self, tmp_path):
-        import json
-
         save_gallery(self.orl_like_gallery(), tmp_path)
         meta_path = tmp_path / "gallery.json"
         payload = json.loads(meta_path.read_text())
@@ -201,3 +200,95 @@ class TestPersistence:
     def test_missing_files_detected(self, tmp_path):
         with pytest.raises(GalleryCorruptError):
             load_gallery(tmp_path)
+
+    def test_quoted_subject_ids_round_trip_byte_identical(self, tmp_path):
+        # csv.writer quotes ids holding a comma, a quote or a line break
+        g = Gallery()
+        rng = np.random.default_rng(4)
+        ids = ["plain", "a,b", 'say "hi"', "line\nbreak", ""]
+        for s in ids:
+            for _ in range(2):
+                g.enroll(s, vec(rng.standard_normal(5)))
+        save_gallery(g, tmp_path / "a")
+        assert '"' in (tmp_path / "a" / "vectors.csv").read_text()
+        loaded, _ = load_gallery(tmp_path / "a")
+        assert loaded == g
+        assert loaded.subject_ids == sorted(ids)
+        save_gallery(loaded, tmp_path / "b")
+        assert (tmp_path / "a" / "vectors.csv").read_bytes() == (
+            tmp_path / "b" / "vectors.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (3, "nan"),  # non-finite coefficient
+            (4, "abc"),  # non-numeric coefficient
+            (2, "101"),  # declared dim disagrees with the coefficients
+            (1, "r"),  # channel differs from the other rows'
+            (0, "s01"),  # label differs from the manifest subject s00
+        ],
+        ids=["non-finite", "non-numeric", "dim", "channel", "label"],
+    )
+    def test_bad_row_detected(self, tmp_path, field, value):
+        save_gallery(self.orl_like_gallery(), tmp_path)
+        csv_path = tmp_path / "vectors.csv"
+        lines = csv_path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[field] = value
+        lines[1] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GalleryCorruptError):
+            load_gallery(tmp_path)
+
+    def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        save_gallery(self.orl_like_gallery(), tmp_path, meta={"window": 64})
+        old_manifest = (tmp_path / "gallery.json").read_bytes()
+        real_write_text = Path.write_text
+        calls = []
+
+        def write_text(path, text, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == 2:
+                real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+                raise OSError("no space left on device")
+            return real_write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+        new = Gallery()
+        new.enroll("x", vec(np.ones(100)))
+        with pytest.raises(OSError, match="no space"):
+            save_gallery(new, tmp_path, meta={"window": 32})
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert (tmp_path / "gallery.json").read_bytes() == old_manifest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gallery.json", "vectors.csv"]
+
+
+class TestMatrixLayout:
+    def test_any_enrollment_order_gives_subject_sorted_rows(self):
+        g = Gallery()
+        for subject, value in [("m", 1), ("a", 2), ("m", 3), ("zz", 4), ("a", 5)]:
+            g.enroll(subject, vec([value, -value]))
+        assert g.subject_ids == ["a", "m", "zz"]
+        assert g.offsets.tolist() == [0, 2, 4, 5]
+        assert g.matrix[:, 0].tolist() == [2.0, 5.0, 1.0, 3.0, 4.0]
+        assert g.matrix.dtype == np.float64 and g.matrix.flags.c_contiguous
+        assert not g.matrix.flags.writeable and not g.offsets.flags.writeable
+        assert [t.coeffs[0] for t in g.templates_of("m")] == [1.0, 3.0]
+
+    def test_enrolling_after_load_merges_in_order(self, tmp_path):
+        rng = np.random.default_rng(8)
+        rows = [(s, vec(rng.standard_normal(4))) for s in ["b", "d", "b", "a", "d", "c"]]
+        whole = Gallery()
+        for s, v in rows:
+            whole.enroll(s, v)
+        first = Gallery()
+        for s, v in rows[:3]:
+            first.enroll(s, v)
+        save_gallery(first, tmp_path)
+        loaded, _ = load_gallery(tmp_path)
+        for s, v in rows[3:]:
+            loaded.enroll(s, v)
+        assert loaded == whole
+        assert loaded.n_templates == 6
