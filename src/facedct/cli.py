@@ -24,10 +24,10 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, ValidationError
-from .features import DEFAULT_DIM, extract_features
+from .features import DEFAULT_DIM
 from .fusion import apply_fusion, parse_fusion_spec, run_channel_pipeline
 from .gallery import SplitSpec, load_gallery, save_gallery, select_samples
-from .imageio import CHANNELS, load_manifest, prepare_plane, read_pnm_file
+from .imageio import CHANNELS, load_manifest
 from .matching import (
     METRICS,
     build_score_tensor,
@@ -39,6 +39,7 @@ from .pipeline import (
     DEFAULT_WINDOW,
     enroll_subjects,
     extract_subject_features,
+    featurize_image,
     summarize_tensor,
 )
 from .significance import (
@@ -308,9 +309,7 @@ def cmd_identify(args) -> int:
     gallery, meta = load_gallery(args.gallery)
     window = meta.get("window", DEFAULT_WINDOW)
     metric = args.metric
-    img = read_pnm_file(args.image)
-    plane = prepare_plane(img, gallery.channel, window)
-    probe = extract_features(plane, gallery.feature_dim, gallery.channel)
+    probe = featurize_image(args.image, gallery.channel, gallery.feature_dim, window)
     dists = subject_distances(probe.coeffs, gallery, metric)
     best = int(np.argmin(dists))
     print(

@@ -3,12 +3,17 @@
 A normalized gray plane is mapped to a D-dimensional feature vector by
 taking the orthonormal 2-D DCT and keeping the first D coefficients in
 zigzag (low-frequency-first) order, DC included.  D defaults to 100.
+
+A CSV row holds subject id, channel, dim and the coefficients.  A whole
+matrix is read back with one ``np.loadtxt`` call (``feature_matrix_from_csv``);
+the per-vector ``features_to_csv``/``features_from_csv`` are the reference.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -181,57 +186,65 @@ def features_from_csv(text: str) -> list[FeatureVector]:
     return [feature_from_row(row) for row in reader if row]
 
 
-def feature_matrix_from_csv(text: str) -> tuple[list[str], str | None, np.ndarray]:
-    """Rows of :func:`features_to_csv` as ``(labels, channel, matrix)``.
+def _csv_field(text: str) -> str:
+    # as csv.writer quotes it, and also on a carriage return, which
+    # np.loadtxt would otherwise take for a line break
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    ``labels`` holds each row's subject id (``""`` when the row has none),
-    ``channel`` the source channel all rows share, and ``matrix`` the
-    coefficients as one float64 ``(N, D)`` array, parsed in a single call.
-    Every row :func:`feature_from_row` rejects is a DataError here too, and
-    so are rows that differ in dim or channel.  An empty text gives no
-    labels, channel None and a ``(0, 0)`` matrix.
+
+def feature_matrix_to_csv(labels: list[str], channel: str, matrix: np.ndarray) -> str:
+    """Inverse of :func:`feature_matrix_from_csv`: the text of
+    :func:`features_to_csv`, but with an id holding a carriage return quoted."""
+    head = f",{channel},{matrix.shape[1]},"
+    return "".join(
+        _csv_field(label) + head + ",".join(map("{:.17g}".format, row)) + "\n"
+        for label, row in zip(labels, matrix.tolist())
+    )
+
+
+#: a row's subject id, csv-quoted or bare, then the rest of its first line
+_FIRST_LINE = re.compile(rb'[\r\n]*("(?:[^"]|"")*"|[^,\r\n]*)([^\r\n]*)')
+
+
+def feature_matrix_from_csv(data: bytes | str) -> tuple[list[str], str | None, np.ndarray]:
+    """Rows of :func:`features_to_csv`, UTF-8 bytes or text, as ``(labels,
+    channel, matrix)``: each row's subject id (``""`` for none), the channel
+    all rows share and the float64 ``(N, D)`` coefficients, D being the first
+    row's count.  One ``np.loadtxt`` call parses every row, csv-quoted ids
+    included.  Every row :func:`feature_from_row` rejects is a DataError here
+    too, and so are rows that differ in dim or channel.  An empty text gives
+    no labels, channel None and a ``(0, 0)`` matrix.
     """
-    if '"' in text or "\r" in text:
-        # csv.writer quotes a subject id holding a comma, quote or newline;
-        # without those characters a row is exactly its line split at commas
-        try:
-            rows = [
-                r[:3] + [",".join(r[3:])] if len(r) > 3 else r
-                for r in csv.reader(io.StringIO(text))
-                if r
-            ]
-        except csv.Error as exc:
-            raise DataError(f"malformed feature row: {exc}") from exc
-    else:
-        rows = [line.split(",", 3) for line in text.split("\n") if line]
-    if not rows:
+    data = data.encode() if isinstance(data, str) else data
+    if not data.strip(b"\r\n"):
         return [], None, np.empty((0, 0))
-    for n, row in enumerate(rows, 1):
-        if len(row) < 4:
-            raise DataError(f"feature row {n} too short ({len(row)} fields)")
-    channels = sorted({row[1] for row in rows})
+    # after the id, the first line holds ",channel,dim,c1,...,cD"
+    dim = _FIRST_LINE.match(data).group(2).count(b",") - 2
+    if dim < 1:
+        raise DataError(f"feature row 1 too short ({dim + 3} fields)")
+    row = [("label", object), ("channel", object), ("dim", np.int64), ("coeffs", np.float64, dim)]
+    try:
+        rows = np.loadtxt(
+            io.BytesIO(data), row, delimiter=",", quotechar='"', comments=None, ndmin=1,
+            encoding="utf-8",
+        )
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise DataError(f"malformed feature row: {exc}") from exc
+    channels = sorted(set(rows["channel"]))
     if len(channels) > 1:
         raise DataError(f"feature rows mix channels {channels}")
     if channels[0] not in CHANNELS:
         raise DataError(f"unknown source channel {channels[0]!r}")
-    try:
-        dims = [int(row[2]) for row in rows]
-        # one C-level parse of every coefficient; rows of unequal length fail
-        matrix = np.loadtxt(
-            [row[3] for row in rows], dtype=np.float64, delimiter=",", comments=None, ndmin=2
-        )
-    except ValueError as exc:
-        raise DataError(f"malformed feature row: {exc}") from exc
-    if len(matrix) != len(rows):
-        # loadtxt skips a blank line, so a row without coefficients vanishes
-        raise DataError("feature row without coefficients")
-    dim = matrix.shape[1]
-    bad = next((n for n, d in enumerate(dims) if d != dim), None)
-    if bad is not None:
+    bad = np.flatnonzero(rows["dim"] != dim)
+    if bad.size:
+        n = bad[0]
         raise DataError(
-            f"feature row {bad + 1} declares dim={dims[bad]} but carries {dim} coefficients"
+            f"feature row {n + 1} declares dim={rows['dim'][n]} but carries {dim} coefficients"
         )
+    matrix = np.ascontiguousarray(rows["coeffs"])
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise DataError(f"feature row {int(np.argmin(finite)) + 1} has a non-finite coefficient")
-    return [row[0] for row in rows], channels[0], matrix
+    return rows["label"].tolist(), channels[0], matrix

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .features import DEFAULT_DIM
 from .gallery import SplitSpec, apply_split
-from .matching import IdentificationResult, ScoreTensor, build_score_tensor
+from .matching import ScoreTensor, build_score_tensor
 from .pipeline import (
     DEFAULT_WINDOW,
     TensorSummary,
@@ -42,12 +42,9 @@ def _check_compatible(tensors: list[ScoreTensor]) -> None:
 
 
 def fuse_scores_sum(tensors: list[ScoreTensor]) -> ScoreTensor:
-    """Cellwise sum of channel score tensors."""
-    _check_compatible(tensors)
-    fused = np.zeros_like(tensors[0].scores)
-    for t in tensors:
-        fused = fused + t.scores
-    return tensors[0].with_scores(fused)
+    """Cellwise sum of channel score tensors: the weighted sum at unit
+    weights, bit for bit, since ``1.0 * x == x``."""
+    return fuse_scores_weighted(tensors, [1.0] * len(tensors))
 
 
 def fuse_scores_weighted(tensors: list[ScoreTensor], weights: list[float]) -> ScoreTensor:
@@ -116,10 +113,7 @@ def apply_fusion(spec: FusionSpec, tensors: dict[str, ScoreTensor]) -> ScoreTens
         selected = [tensors[c] for c in spec.channels]
     except KeyError as exc:
         raise ValidationError(f"fusion needs channel {exc.args[0]!r} but it was not run") from None
-    if spec.kind == "sum":
-        return fuse_scores_sum(selected)
-    assert spec.weights is not None
-    return fuse_scores_weighted(selected, list(spec.weights))
+    return fuse_scores_weighted(selected, list(spec.weights or [1.0] * len(selected)))
 
 
 @dataclass(frozen=True)
@@ -129,14 +123,6 @@ class ChannelRunResult:
     channel: str
     tensor: ScoreTensor
     summary: TensorSummary
-
-    @property
-    def identification(self) -> IdentificationResult:
-        return self.summary.identification
-
-    @property
-    def min_dcf(self) -> dict[str, float]:
-        return self.summary.min_dcf
 
 
 def run_channel_pipeline(

@@ -6,8 +6,8 @@ A gallery holds its M templates as one contiguous, read-only float64
 order, each subject's templates in enrollment order, and subject
 ``subject_ids[j]`` owning rows ``offsets[j]:offsets[j + 1]``.  Matching
 reduces one distance kernel over that matrix (see ``matching``).
-``vectors.csv`` stores the rows in the same order and is read back into the
-matrix in one pass.
+``vectors.csv`` stores the rows in the same order, formatted from the matrix
+and read back from its bytes with one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, MismatchError
-from .features import FeatureVector, feature_matrix_from_csv, features_to_csv
+from .features import FeatureVector, feature_matrix_from_csv, feature_matrix_to_csv
 
 GALLERY_FORMAT = "facedct-gallery"
 GALLERY_VERSION = 1
@@ -246,7 +246,7 @@ def _write_atomic(path: Path, text: str) -> None:
     directory, so that a failed write leaves the old file (or none) in place."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -275,8 +275,8 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
     }
     if meta:
         manifest["meta"] = meta
-    vectors = [t for s in gallery.subject_ids for t in gallery.templates_of(s)]
-    vectors_text = features_to_csv(vectors)
+    labels = [entry["id"] for entry in manifest["subjects"] for _ in range(entry["templates"])]
+    vectors_text = feature_matrix_to_csv(labels, gallery.channel, gallery.matrix)
     manifest_text = json.dumps(manifest, indent=1) + "\n"
     _write_atomic(directory / VECTORS_CSV, vectors_text)
     _write_atomic(directory / GALLERY_JSON, manifest_text)
@@ -315,11 +315,12 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
             f"gallery version {manifest.get('version')!r} != supported {GALLERY_VERSION}"
         )
     try:
-        csv_text = (directory / VECTORS_CSV).read_text()
+        # bytes, so that no line ending inside a quoted subject id is translated
+        csv_data = (directory / VECTORS_CSV).read_bytes()
     except FileNotFoundError:
         raise GalleryCorruptError(f"missing {VECTORS_CSV} in {directory}") from None
     try:
-        labels, channel, matrix = feature_matrix_from_csv(csv_text)
+        labels, channel, matrix = feature_matrix_from_csv(csv_data)
     except DataError as exc:
         raise GalleryCorruptError(f"corrupt {directory / VECTORS_CSV}: {exc}") from exc
 

@@ -11,11 +11,17 @@ the gallery's matrix and subject offsets (:func:`subject_distances`).
 ``build_score_tensor``, the ``identify`` command and the channel fusion
 runs all score through it, and ``mse``, ``mad`` and ``person_score`` are
 thin calls into it, so every route gives the same bits.
+
+A tensor is exchanged as ``facedct-scores-v1`` CSV, one ``i,j,k,score`` row
+per cell, which ``load_scores_csv`` reads as bytes with one ``np.loadtxt``
+call.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -234,53 +240,36 @@ def scores_to_csv(tensor: ScoreTensor) -> str:
     return "".join(blocks)
 
 
-#: characters between the fields of a data row, in order, ending the row
-_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
-#: data rows are parsed in blocks of about this many characters
-_BLOCK_CHARS = 1 << 21
+_ROW_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("score", np.float64)])
+#: a data row that ``np.loadtxt`` reads; every line it rejects fails this
+#: too, so the error path names the first line that fails it
+_ROW = re.compile(
+    rb"(?:[ \t]*[+-]?\d{1,18}[ \t]*,){3}"
+    rb"[ \t]*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)[ \t]*\r?",
+    re.IGNORECASE,
+)
 
 
-def _parse_rows(block: str, first_line: int) -> tuple[np.ndarray, np.ndarray]:
-    """(int64 (n, 3) indices, float64 (n,) scores) of a block of whole rows,
-    each ended by a newline; ``first_line`` numbers its first row in errors."""
-    try:
-        raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        raise DataError(f"malformed score row near line {first_line}: not ASCII") from None
-    separators = raw[(raw == ord(",")) | (raw == ord("\n"))]
-    n_rows = block.count("\n")
-    if separators.size != 4 * n_rows or not np.all(separators.reshape(n_rows, 4) == _ROW_SEPARATORS):
-        lines = block.split("\n")
-        bad = next(n for n, line in enumerate(lines) if line.count(",") != 3)
-        raise DataError(
-            f"malformed score row at line {first_line + bad}: {lines[bad][:80]!r} "
-            "(expected i,j,k,score)"
-        )
-    fields = block.replace("\n", ",").split(",")
-    try:
-        # int64 parsing rejects "1.0" and "1e3" as int() does
-        index = np.array([fields[0:-1:4], fields[1:-1:4], fields[2:-1:4]], dtype=np.int64).T
-        values = np.array(fields[3::4], dtype=np.float64)
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"malformed score row near line {first_line}: {exc}") from exc
-    return index, values
-
-
-def scores_from_csv(text: str) -> ScoreTensor:
+def scores_from_csv(data: bytes | str) -> ScoreTensor:
     """Parse the interchange CSV back into a ScoreTensor.
 
     The ``#`` comment lines and the ``i,j,k,score`` header come first, then
     one row per cell; every cell of the tensor must appear exactly once.
-    Rows are parsed in blocks of about ``_BLOCK_CHARS`` characters, so only
-    one block's field strings are alive at a time.
+    ``data`` is the file's bytes (text is encoded first).  One ``np.loadtxt``
+    call parses the rows; a line that is not a row, blank or not ASCII, is
+    an error naming it.  Line breaks after the last row are ignored.
     """
+    data = data.encode() if isinstance(data, str) else data
     meta: dict[str, str] = {}
     pos = 0
     line_no = 1
-    while text.startswith("#", pos):
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
-        key, _, value = text[pos + 1 : end].strip().partition("=")
+    while data.startswith(b"#", pos):
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        try:
+            key, _, value = data[pos + 1 : end].decode().strip().partition("=")
+        except UnicodeDecodeError:
+            raise DataError(f"score file line {line_no} is not UTF-8") from None
         meta[key.strip()] = value
         pos, line_no = end + 1, line_no + 1
     if meta.get("format") != SCORES_FORMAT:
@@ -292,35 +281,40 @@ def scores_from_csv(text: str) -> ScoreTensor:
     except (KeyError, json.JSONDecodeError) as exc:
         raise DataError(f"score file header incomplete: {exc}") from exc
 
-    header_end = text.find("\n", pos)
-    header_end = len(text) if header_end < 0 else header_end
-    if text[pos:header_end] != "i,j,k,score":
+    header_end = data.find(b"\n", pos)
+    header_end = len(data) if header_end < 0 else header_end
+    if data[pos:header_end].rstrip(b"\r") != b"i,j,k,score":
         raise DataError("score file missing i,j,k,score header row")
     pos, line_no = header_end + 1, line_no + 1
-    stop = len(text)
-    while stop > pos and text[stop - 1].isspace():
+    stop = len(data)
+    while stop > pos and data[stop - 1] in b"\r\n":
         stop -= 1
 
-    indices: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    while pos < stop:
-        end = text.find("\n", min(pos + _BLOCK_CHARS, stop), stop)
-        end = stop if end < 0 else end
-        block_index, block_values = _parse_rows(text[pos:end] + "\n", line_no)
-        indices.append(block_index)
-        values.append(block_values)
-        line_no += block_values.size
-        pos = end + 1
-    index = np.concatenate(indices) if indices else np.empty((0, 3), dtype=np.int64)
-    del indices
-    max_k = int(index[:, 2].max()) if index.size else -1
+    if stop <= pos:
+        raise DataError("score file has no rows")
+    buf = io.BytesIO(data)
+    buf.seek(pos)
+    try:
+        rows = np.loadtxt(buf, _ROW_DTYPE, delimiter=",", comments=None, ndmin=1, encoding="ascii")
+    except ValueError:  # UnicodeDecodeError included
+        rows = None
+    # loadtxt skips blank lines, so a blank line leaves a row short
+    if rows is None or rows.size != data.count(b"\n", pos, stop) + 1:
+        lines = data[pos:stop].split(b"\n")
+        bad = next(n for n, line in enumerate(lines) if not _ROW.fullmatch(line))
+        raise DataError(
+            f"malformed score row at line {line_no + bad}: "
+            f"{lines[bad][:80].decode('ascii', 'replace')!r} (expected i,j,k,score)"
+        )
+    index = np.stack([rows["i"], rows["j"], rows["k"]], axis=1)
+    max_k = int(index[:, 2].max())
     shape = (len(probe_subjects), len(gallery_subjects), max_k + 1)
     expected = shape[0] * shape[1] * shape[2]
     outside = np.flatnonzero(np.any((index < 0) | (index >= shape), axis=1))
     if outside.size:
         i, j, k = index[outside[0]].tolist()
         raise DataError(f"score cell index ({i},{j},{k}) out of bounds {shape}")
-    flat = np.ravel_multi_index(tuple(index.T), shape) if index.size else np.empty(0, np.intp)
+    flat = np.ravel_multi_index(tuple(index.T), shape)
     del index
     seen = np.bincount(flat, minlength=expected)
     if np.any(seen > 1):
@@ -331,7 +325,7 @@ def scores_from_csv(text: str) -> ScoreTensor:
             f"score file has {flat.size} cells, expected {expected} for shape {shape}"
         )
     scores = np.empty(expected)
-    scores[flat] = np.concatenate(values)
+    scores[flat] = rows["score"]
     try:
         return ScoreTensor(
             tuple(probe_subjects), tuple(gallery_subjects), scores.reshape(shape), metric
@@ -345,4 +339,4 @@ def save_scores_csv(tensor: ScoreTensor, path: str | Path) -> None:
 
 
 def load_scores_csv(path: str | Path) -> ScoreTensor:
-    return scores_from_csv(Path(path).read_text())
+    return scores_from_csv(Path(path).read_bytes())

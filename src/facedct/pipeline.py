@@ -9,7 +9,7 @@ from pathlib import Path
 from .errors import DataError
 from .features import DEFAULT_DIM, FeatureVector, extract_features
 from .gallery import Gallery
-from .imageio import PnmError, prepare_plane, read_pnm_file
+from .imageio import prepare_plane, read_pnm_file
 from .matching import (
     IdentificationResult,
     ScoreTensor,
@@ -21,30 +21,35 @@ from .verification import DcfParams, TrialScores, eer, min_dcf, split_intra_inte
 DEFAULT_WINDOW = 64
 
 
+def featurize_image(
+    path: str | Path, channel: str, dim: int, window: int, subject: str | None = None
+) -> FeatureVector:
+    """Read, prepare and featurize one image, labelled ``subject``.  An image
+    that cannot be read or decoded is a DataError naming its path, and its
+    subject when given; decode errors keep their class."""
+    whose = "" if subject is None else f"subject {subject!r}"
+    try:
+        plane = prepare_plane(read_pnm_file(path), channel, window)
+    except FileNotFoundError:
+        raise DataError(f"{whose}: missing image {path}".removeprefix(": ")) from None
+    except OSError as exc:
+        raise DataError(f"{whose}, image {path}: {exc.strerror or exc}".removeprefix(", ")) from exc
+    except DataError as exc:
+        raise type(exc)(f"{whose}, image {path}: {exc}".removeprefix(", ")) from exc
+    return extract_features(plane, dim, channel, subject)
+
+
 def extract_subject_features(
     subjects: dict[str, list[Path]],
     channel: str = "gray",
     dim: int = DEFAULT_DIM,
     window: int = DEFAULT_WINDOW,
 ) -> dict[str, list[FeatureVector]]:
-    """Read, prepare and featurize every listed image, keyed by subject.
-
-    File-level failures are re-raised with subject and path context.
-    """
-    out: dict[str, list[FeatureVector]] = {}
-    for subject in sorted(subjects):
-        vectors = []
-        for path in subjects[subject]:
-            try:
-                img = read_pnm_file(path)
-                plane = prepare_plane(img, channel, window)
-            except FileNotFoundError:
-                raise DataError(f"subject {subject!r}: missing image {path}") from None
-            except (PnmError, DataError) as exc:
-                raise type(exc)(f"subject {subject!r}, image {path}: {exc}") from exc
-            vectors.append(extract_features(plane, dim, channel, subject))
-        out[subject] = vectors
-    return out
+    """Read, prepare and featurize every listed image, keyed by subject."""
+    return {
+        subject: [featurize_image(p, channel, dim, window, subject) for p in subjects[subject]]
+        for subject in sorted(subjects)
+    }
 
 
 def enroll_subjects(features: dict[str, list[FeatureVector]]) -> Gallery:

@@ -425,3 +425,35 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in err
         assert str(gallery) in err
+
+    def test_missing_probe_image_is_data_error(self, gallery_dir, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.pgm"
+        code, _, err = run_cli(
+            capsys, "identify", "--gallery", str(gallery_dir / "gal"), "--image", str(missing)
+        )
+        assert code == 2
+        assert "data error" in err
+        assert str(missing) in err
+
+    def test_truncated_probe_image_names_the_file(self, gallery_dir, tmp_path, capsys):
+        probe = tmp_path / "truncated.pgm"
+        probe.write_bytes(b"P5\n4 4\n255\nxx")
+        code, _, err = run_cli(
+            capsys, "identify", "--gallery", str(gallery_dir / "gal"), "--image", str(probe)
+        )
+        assert code == 2
+        assert "data error" in err
+        assert str(probe) in err
+
+    def test_directory_listed_as_image_is_data_error(self, tmp_path, capsys):
+        root = tmp_path / "ds"
+        (root / "s0" / "1.pgm").mkdir(parents=True)
+        manifest = root / "manifest.json"
+        manifest.write_text(json.dumps({"s0": ["s0/1.pgm"]}))
+        cfg = write_config(tmp_path / "cfg.json", manifest, train_indices=[1], test_indices=[2])
+        code, _, err = run_cli(
+            capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g")
+        )
+        assert code == 2
+        assert "data error" in err
+        assert str(root / "s0" / "1.pgm") in err

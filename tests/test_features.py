@@ -15,6 +15,7 @@ from facedct.features import (
     extract_features,
     feature_from_row,
     feature_matrix_from_csv,
+    feature_matrix_to_csv,
     feature_to_row,
     features_from_csv,
     features_to_csv,
@@ -226,6 +227,27 @@ class TestFeatureMatrixCsv:
         assert channel == "b"
         assert matrix.shape == (len(oracle), 3)
         assert matrix.tobytes() == np.array([v.coeffs for v in oracle]).tobytes()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet=',"\n ab', max_size=5),
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=3,
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=100)
+    def test_writer_matches_row_writer(self, rows):
+        vecs = [FeatureVector(np.array(c), "r", s) for s, c in rows]
+        labels = [s for s, _ in rows]
+        matrix = np.array([c for _, c in rows])
+        assert feature_matrix_to_csv(labels, "r", matrix) == features_to_csv(vecs)
 
     def test_empty_text(self):
         labels, channel, matrix = feature_matrix_from_csv("")

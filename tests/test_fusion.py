@@ -147,8 +147,8 @@ class TestRunChannelPipeline:
         run_y = run_channel_pipeline(manifest, SPLIT, "y", "mse", 64, 32)
         run_g = run_channel_pipeline(manifest, SPLIT, "g", "mse", 64, 32)
         assert np.array_equal(run_y.tensor.scores, run_g.tensor.scores)
-        assert run_y.identification == run_g.identification
-        assert run_y.min_dcf == run_g.min_dcf
+        assert run_y.summary.identification == run_g.summary.identification
+        assert run_y.summary.min_dcf == run_g.summary.min_dcf
 
     def test_signal_channel_beats_noise_channels(self, tmp_path):
         manifest_path = generate_dataset(
@@ -157,7 +157,7 @@ class TestRunChannelPipeline:
         )
         manifest = load_manifest(manifest_path)
         rate = {
-            ch: run_channel_pipeline(manifest, SPLIT, ch, "mad", 64, 32).identification.rate
+            ch: run_channel_pipeline(manifest, SPLIT, ch, "mad", 64, 32).summary.identification.rate
             for ch in ("r", "g", "b")
         }
         assert rate["r"] > rate["g"]
@@ -167,13 +167,13 @@ class TestRunChannelPipeline:
         run = run_channel_pipeline(color_dataset, SPLIT, "r", "mad", 64, 32)
         fused = fuse_scores_weighted([run.tensor], [1.0])
         s = summarize_tensor(fused)
-        assert s.identification == run.identification
-        assert s.min_dcf == run.min_dcf
+        assert s.identification == run.summary.identification
+        assert s.min_dcf == run.summary.min_dcf
 
     def test_reported_summary_matches_tensor(self, color_dataset):
         run = run_channel_pipeline(color_dataset, SPLIT, "b", "mse", 64, 32)
         again = summarize_tensor(run.tensor)
-        assert again.identification == run.identification
+        assert again.identification == run.summary.identification
         assert again.eer == run.summary.eer
 
     def test_feature_and_score_level_routes_coexist(self, color_dataset):

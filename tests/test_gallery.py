@@ -219,6 +219,29 @@ class TestPersistence:
             tmp_path / "b" / "vectors.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("subject", ["cr\rhere", "a\r\nb"])
+    def test_carriage_return_subject_ids_round_trip_byte_identical(self, tmp_path, subject):
+        g = Gallery()
+        g.enroll(subject, vec([1.0, -2.5, 3e-300]))
+        g.enroll("plain", vec([4.0, 5.0, 6.0]))
+        save_gallery(g, tmp_path / "a")
+        loaded, _ = load_gallery(tmp_path / "a")
+        assert loaded == g
+        assert loaded.subject_ids == sorted([subject, "plain"])
+        save_gallery(loaded, tmp_path / "b")
+        assert (tmp_path / "a" / "vectors.csv").read_bytes() == (
+            tmp_path / "b" / "vectors.csv"
+        ).read_bytes()
+
+    def test_utf8_subject_id_round_trips(self, tmp_path):
+        g = Gallery()
+        g.enroll("Zoë Ångström 李", vec([1.0, 2.0]))
+        save_gallery(g, tmp_path)
+        assert "Zoë Ångström 李".encode() in (tmp_path / "vectors.csv").read_bytes()
+        loaded, _ = load_gallery(tmp_path)
+        assert loaded == g
+        assert loaded.subject_ids == ["Zoë Ångström 李"]
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facedct import matching
 from facedct.errors import DataError, MismatchError
 from facedct.features import FeatureVector
 from facedct.gallery import Gallery
@@ -328,17 +327,22 @@ class TestScoresCsv:
             (["1,2,0,1"], "out of bounds"),  # index beyond the gallery
             (["1,0,0,nan"], "invalid score tensor"),  # non-finite score
             (["1,0,0,-1"], "invalid score tensor"),  # negative distance
+            (["1,0,0,\uff11"], "malformed"),  # non-ASCII (a fullwidth digit one)
+            (["  ", "1,0,0,1"], "malformed"),  # whitespace-only line within the rows
         ],
     )
     def test_bad_row_rejected(self, rows, error):
         tensor = ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse")
         lines = scores_to_csv(tensor).splitlines()
         lines[-2:-1] = rows  # in place of the row of cell (1,0,0)
-        with pytest.raises(DataError, match=error):
+        with pytest.raises(DataError, match=error) as info:
             scores_from_csv("\n".join(lines) + "\n")
+        if error == "malformed":
+            # four comment lines and the column header come first, so the
+            # first replacement row is line 8
+            assert "at line 8:" in str(info.value)
 
-    def test_round_trip_across_many_blocks(self, monkeypatch):
-        monkeypatch.setattr(matching, "_BLOCK_CHARS", 64)
+    def test_round_trip_across_many_blocks(self):
         rng = np.random.default_rng(22)
         tensor = ScoreTensor(("a", "b", "c"), ("a", "b", "c"), rng.random((3, 3, 7)), "mse")
         text = scores_to_csv(tensor)
