@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -218,10 +219,9 @@ def cmd_enroll(args) -> int:
     """Enroll the training samples; the test indices need not exist."""
     cfg = load_config(args.config, args)
     out = Path(args.out)
-    manifest = load_manifest(cfg.manifest)
-    train = select_samples(manifest, cfg.split().train_indices)
-    features = extract_subject_features(train, cfg.channel, cfg.dim, cfg.window)
-    gallery = enroll_subjects(features)
+    train = select_samples(load_manifest(cfg.manifest), cfg.split().train_indices)
+    features = extract_subject_features(train, (cfg.channel,), cfg.dim, cfg.window)
+    gallery = enroll_subjects(features[cfg.channel])
     meta = {
         "window": cfg.window,
         "tool_version": __version__,
@@ -256,9 +256,9 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out) if args.out else (cfg.output_dir or Path("results"))
     out.mkdir(parents=True, exist_ok=True)
 
-    manifest = load_manifest(cfg.manifest)
-    test = select_samples(manifest, cfg.split().test_indices)
-    probes = extract_subject_features(test, gallery.channel, gallery.feature_dim, window)
+    test = select_samples(load_manifest(cfg.manifest), cfg.split().test_indices)
+    features = extract_subject_features(test, (gallery.channel,), gallery.feature_dim, window)
+    probes = features[gallery.channel]
 
     single = len(cfg.metrics) == 1
     rows = []
@@ -309,7 +309,7 @@ def cmd_identify(args) -> int:
     gallery, meta = load_gallery(args.gallery)
     window = meta.get("window", DEFAULT_WINDOW)
     metric = args.metric
-    probe = featurize_image(args.image, gallery.channel, gallery.feature_dim, window)
+    (probe,) = featurize_image(args.image, (gallery.channel,), gallery.feature_dim, window)
     dists = subject_distances(probe.coeffs, gallery, metric)
     best = int(np.argmin(dists))
     print(
@@ -337,25 +337,18 @@ _CHANNEL_ROW_ORDER = {"r": 0, "g": 1, "b": 2, "y": 3, "gray": 4}
 def cmd_fuse_eval(args) -> int:
     cfg = load_config(args.config, args)
     specs = [parse_fusion_spec(s) for s in args.fusion]
-    metric = cfg.metrics[0]
     out = Path(args.out) if args.out else (cfg.output_dir or Path("results"))
     out.mkdir(parents=True, exist_ok=True)
 
     channels = {c for spec in specs for c in spec.channels}
     if args.include_y:
         channels.add("y")
-    manifest = load_manifest(cfg.manifest)
-    split = cfg.split()
-
-    runs = {}
-    for channel in sorted(channels, key=lambda c: _CHANNEL_ROW_ORDER.get(c, 9)):
-        runs[channel] = run_channel_pipeline(
-            manifest, split, channel, metric, cfg.dim, cfg.window, cfg.c_miss, cfg.c_fa
-        )
-
-    table = []
-    for channel, run in runs.items():
-        table.append((channel.upper(), run.summary))
+    channels = tuple(sorted(channels, key=lambda c: _CHANNEL_ROW_ORDER.get(c, 9)))
+    runs = run_channel_pipeline(
+        load_manifest(cfg.manifest), cfg.split(), channels, cfg.metrics[0],
+        cfg.dim, cfg.window, cfg.c_miss, cfg.c_fa,
+    )
+    table = [(channel.upper(), run.summary) for channel, run in runs.items()]
     tensors = {c: r.tensor for c, r in runs.items()}
     for spec in specs:
         fused = apply_fusion(spec, tensors)
@@ -443,6 +436,7 @@ def cmd_synth_data(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="facedct", description=__doc__)
     parser.add_argument("--version", action="version", version=f"facedct {__version__}")

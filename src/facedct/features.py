@@ -208,6 +208,11 @@ def feature_matrix_to_csv(labels: list[str], channel: str, matrix: np.ndarray) -
 _FIRST_LINE = re.compile(rb'[\r\n]*("(?:[^"]|"")*"|[^,\r\n]*)([^\r\n]*)')
 
 
+def _load_rows(data: bytes, row: list) -> np.ndarray:
+    opts = dict(delimiter=",", quotechar='"', comments=None, ndmin=1, encoding="utf-8")
+    return np.loadtxt(io.BytesIO(data), row, **opts)
+
+
 def feature_matrix_from_csv(data: bytes | str) -> tuple[list[str], str | None, np.ndarray]:
     """Rows of :func:`features_to_csv`, UTF-8 bytes or text, as ``(labels,
     channel, matrix)``: each row's subject id (``""`` for none), the channel
@@ -226,12 +231,16 @@ def feature_matrix_from_csv(data: bytes | str) -> tuple[list[str], str | None, n
         raise DataError(f"feature row 1 too short ({dim + 3} fields)")
     row = [("label", object), ("channel", object), ("dim", np.int64), ("coeffs", np.float64, dim)]
     try:
-        rows = np.loadtxt(
-            io.BytesIO(data), row, delimiter=",", quotechar='"', comments=None, ndmin=1,
-            encoding="utf-8",
-        )
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise DataError(f"malformed feature row: {exc}") from exc
+        rows = _load_rows(data, row)
+    except ValueError:  # UnicodeDecodeError included
+        # loadtxt's row numbers mix 0- and 1-based; name the 1-based row
+        for n, match in enumerate(_FIRST_LINE.finditer(data), 1):
+            try:
+                _load_rows(match.group(0), row)
+            except ValueError as exc:
+                reason = str(exc).partition(" at row ")[0]
+                raise DataError(f"malformed feature row {n}: {reason}") from None
+        raise DataError("malformed feature rows") from None
     channels = sorted(set(rows["channel"]))
     if len(channels) > 1:
         raise DataError(f"feature rows mix channels {channels}")

@@ -1,5 +1,5 @@
-"""Color-channel experiments: run one pipeline per input signal (R, G, B,
-luminance) and combine channel score tensors at the score level.
+"""Color-channel experiments: one pass over R, G, B and luminance, decoding
+each image once, and score-level fusion of the channel score tensors.
 
 Score fusion adds raw distance tensors cellwise, without per-channel
 normalization, so channels with a larger dynamic range weigh more by
@@ -118,9 +118,8 @@ def apply_fusion(spec: FusionSpec, tensors: dict[str, ScoreTensor]) -> ScoreTens
 
 @dataclass(frozen=True)
 class ChannelRunResult:
-    """Outcome of one single-channel end-to-end run."""
+    """Outcome of one channel's end-to-end run."""
 
-    channel: str
     tensor: ScoreTensor
     summary: TensorSummary
 
@@ -128,19 +127,21 @@ class ChannelRunResult:
 def run_channel_pipeline(
     manifest: dict[str, list[Path]],
     split: SplitSpec,
-    channel: str,
+    channels: tuple[str, ...],
     metric: str = "mse",
     dim: int = DEFAULT_DIM,
     window: int = DEFAULT_WINDOW,
     c_miss: float = 1.0,
     c_fa: float = 1.0,
-    priors: dict[str, float] | None = None,
-) -> ChannelRunResult:
-    """Single-channel experiment: select/convert channel, extract features,
-    enroll the training split, score the test split, evaluate."""
+) -> dict[str, ChannelRunResult]:
+    """Per-channel experiments in one pass: featurize every image of the
+    split once for all ``channels``, then per channel enroll the training
+    split, score the test split and evaluate.  Keyed by channel, in order."""
     train, test = apply_split(manifest, split)
-    gallery = enroll_subjects(extract_subject_features(train, channel, dim, window))
-    probes = extract_subject_features(test, channel, dim, window)
-    tensor = build_score_tensor(probes, gallery, metric)
-    summary = summarize_tensor(tensor, c_miss, c_fa, priors)
-    return ChannelRunResult(channel, tensor, summary)
+    enrolled = extract_subject_features(train, channels, dim, window)
+    probes = extract_subject_features(test, channels, dim, window)
+    runs = {}
+    for channel in channels:
+        tensor = build_score_tensor(probes[channel], enroll_subjects(enrolled[channel]), metric)
+        runs[channel] = ChannelRunResult(tensor, summarize_tensor(tensor, c_miss, c_fa))
+    return runs

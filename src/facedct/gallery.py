@@ -65,19 +65,6 @@ class SplitSpec:
     def from_iterables(cls, train, test) -> "SplitSpec":
         return cls(frozenset(int(i) for i in train), frozenset(int(i) for i in test))
 
-    @property
-    def max_index(self) -> int:
-        return max(self.train_indices | self.test_indices)
-
-
-def _check_samples(manifest: dict[str, list[Path]], needed: int, what: str) -> None:
-    for subject in sorted(manifest):
-        n = len(manifest[subject])
-        if n < needed:
-            raise SplitError(
-                f"subject {subject!r} has {n} samples but {what} needs index {needed}"
-            )
-
 
 def select_samples(
     manifest: dict[str, list[Path]], indices: frozenset[int]
@@ -88,7 +75,13 @@ def select_samples(
     samples than the largest index is an error naming it; indices outside
     the given set need not exist.
     """
-    _check_samples(manifest, max(indices), "the selection")
+    needed = max(indices)
+    for subject in sorted(manifest):
+        if len(manifest[subject]) < needed:
+            raise SplitError(
+                f"subject {subject!r} has {len(manifest[subject])} samples "
+                f"but the selection needs index {needed}"
+            )
     order = sorted(indices)
     return {s: [manifest[s][i - 1] for i in order] for s in sorted(manifest)}
 
@@ -99,9 +92,8 @@ def apply_split(
     """Partition each subject's ordered samples by 1-based index.
 
     Subjects are returned in lexicographic order.  A subject with fewer
-    samples than the largest requested index is an error naming it.
+    samples than the largest index of either set is an error naming it.
     """
-    _check_samples(manifest, split.max_index, "the split")
     return (
         select_samples(manifest, split.train_indices),
         select_samples(manifest, split.test_indices),

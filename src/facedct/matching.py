@@ -280,6 +280,9 @@ def scores_from_csv(data: bytes | str) -> ScoreTensor:
         metric = meta["metric"]
     except (KeyError, json.JSONDecodeError) as exc:
         raise DataError(f"score file header incomplete: {exc}") from exc
+    for key, subjects in (("probe_subjects", probe_subjects), ("gallery_subjects", gallery_subjects)):
+        if not isinstance(subjects, list) or not all(isinstance(s, str) for s in subjects):
+            raise DataError(f"score file header {key} is not a JSON list of strings")
 
     header_end = data.find(b"\n", pos)
     header_end = len(data) if header_end < 0 else header_end

@@ -1,5 +1,6 @@
 """End-to-end plumbing shared by the channel pipelines and the CLI:
-manifest -> features -> gallery -> score tensor -> summary metrics."""
+manifest -> features (one decode per image, for every channel) -> gallery
+-> score tensor -> summary metrics."""
 
 from __future__ import annotations
 
@@ -22,34 +23,39 @@ DEFAULT_WINDOW = 64
 
 
 def featurize_image(
-    path: str | Path, channel: str, dim: int, window: int, subject: str | None = None
-) -> FeatureVector:
-    """Read, prepare and featurize one image, labelled ``subject``.  An image
-    that cannot be read or decoded is a DataError naming its path, and its
-    subject when given; decode errors keep their class."""
+    path: str | Path, channels: tuple[str, ...], dim: int, window: int, subject: str | None = None
+) -> list[FeatureVector]:
+    """Decode one image once and featurize it for each of ``channels``, in
+    order, labelled ``subject``.  An image that cannot be read, decoded or
+    converted is a DataError naming its path, and its subject when given;
+    decode errors keep their class."""
     whose = "" if subject is None else f"subject {subject!r}"
     try:
-        plane = prepare_plane(read_pnm_file(path), channel, window)
+        image = read_pnm_file(path)
+        planes = [prepare_plane(image, channel, window) for channel in channels]
     except FileNotFoundError:
         raise DataError(f"{whose}: missing image {path}".removeprefix(": ")) from None
     except OSError as exc:
         raise DataError(f"{whose}, image {path}: {exc.strerror or exc}".removeprefix(", ")) from exc
     except DataError as exc:
         raise type(exc)(f"{whose}, image {path}: {exc}".removeprefix(", ")) from exc
-    return extract_features(plane, dim, channel, subject)
+    return [extract_features(p, dim, c, subject) for c, p in zip(channels, planes)]
 
 
 def extract_subject_features(
     subjects: dict[str, list[Path]],
-    channel: str = "gray",
+    channels: tuple[str, ...] = ("gray",),
     dim: int = DEFAULT_DIM,
     window: int = DEFAULT_WINDOW,
-) -> dict[str, list[FeatureVector]]:
-    """Read, prepare and featurize every listed image, keyed by subject."""
-    return {
-        subject: [featurize_image(p, channel, dim, window, subject) for p in subjects[subject]]
-        for subject in sorted(subjects)
-    }
+) -> dict[str, dict[str, list[FeatureVector]]]:
+    """Featurize every listed image for each of ``channels``, decoding it
+    once: channel -> subject -> vectors, subjects in lexicographic order."""
+    features: dict[str, dict] = {c: {} for c in channels}
+    for subject in sorted(subjects):
+        vectors = [featurize_image(p, channels, dim, window, subject) for p in subjects[subject]]
+        for i, channel in enumerate(channels):
+            features[channel][subject] = [v[i] for v in vectors]
+    return features
 
 
 def enroll_subjects(features: dict[str, list[FeatureVector]]) -> Gallery:
@@ -77,28 +83,23 @@ def summarize_tensor(
     tensor: ScoreTensor,
     c_miss: float = 1.0,
     c_fa: float = 1.0,
-    priors: dict[str, float] | None = None,
     trials: TrialScores | None = None,
 ) -> TensorSummary:
     """Identification rate plus verification metrics for a tensor.
 
-    ``priors`` maps a label to a target prior; by default min-DCF is
-    reported both at 0.5 and at the empirical genuine-trial fraction,
-    since either reading of the cost model's prior is defensible.
-    ``trials`` is ``split_intra_inter(tensor)`` when the caller already has
-    it; passing it shares the split and its staircase with the caller.
+    min-DCF is reported both at a target prior of 0.5 and at the empirical
+    genuine-trial fraction, since either reading of the cost model's prior
+    is defensible.  ``trials`` is ``split_intra_inter(tensor)`` when the
+    caller already has it; passing it shares the split and its staircase
+    with the caller.
     """
     if trials is None:
         trials = split_intra_inter(tensor)
-    if priors is None:
-        empirical = trials.n_genuine / (trials.n_genuine + trials.n_impostor)
-        priors = {"0.5": 0.5, "empirical": empirical}
+    empirical = trials.n_genuine / (trials.n_genuine + trials.n_impostor)
     values: dict[str, float] = {}
     arg: dict[str, float] = {}
-    for label, p_true in priors.items():
-        value, threshold = min_dcf(trials, DcfParams(c_miss, c_fa, p_true))
-        values[label] = value
-        arg[label] = threshold
+    for label, p_true in (("0.5", 0.5), ("empirical", empirical)):
+        values[label], arg[label] = min_dcf(trials, DcfParams(c_miss, c_fa, p_true))
     return TensorSummary(
         metric=tensor.metric,
         identification=identification_rate(tensor),

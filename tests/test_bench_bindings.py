@@ -1,0 +1,40 @@
+"""The benchmark's tracer (``perfbench/tracer.py``) patches facedct functions
+by module and name, and its self-test checks two ``facedct.cli`` bindings.
+A rename must fail here, not only under ``perfbench/run.py --trace 1``."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer_under_test", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look up their module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_traced_layer_resolves_to_a_callable(tracer):
+    assert tracer.LAYERS
+    for layer in tracer.LAYERS:
+        target = getattr(importlib.import_module(layer.module), layer.function, None)
+        assert callable(target), f"{layer.module}.{layer.function}"
+
+
+def test_cli_binds_the_names_the_selftest_checks():
+    import facedct.cli
+    import facedct.matching
+    import facedct.verification
+
+    assert facedct.cli.build_score_tensor is facedct.matching.build_score_tensor
+    assert facedct.cli.eer_of is facedct.verification.eer

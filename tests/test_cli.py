@@ -8,8 +8,8 @@ import pytest
 from facedct.cli import main
 from facedct.features import FeatureVector, extract_features
 from facedct.gallery import Gallery, save_gallery
-from facedct.imageio import RasterImage, prepare_plane, write_pnm_file
-from facedct.matching import build_score_tensor
+from facedct.imageio import RasterImage, prepare_plane, read_pnm_file, write_pnm_file
+from facedct.matching import ScoreTensor, build_score_tensor, scores_to_csv
 
 
 def run_cli(capsys, *argv):
@@ -341,6 +341,94 @@ class TestFuseEval:
         assert code == 1
 
 
+@pytest.fixture(scope="module")
+def rgb_dataset(tmp_path_factory):
+    # the dataset of TestFuseEval.test_table_rows: 4 subjects x 4 RGB samples
+    root = tmp_path_factory.mktemp("rgb")
+    code = main(
+        [
+            "synth-data", "--subjects", "4", "--samples", "4", "--noise", "0.4",
+            "--seed", "13", "--width", "16", "--height", "16",
+            "--placement", "rgb", "--out", str(root),
+        ]
+    )
+    assert code == 0
+    return root / "manifest.json"
+
+
+class TestFeaturizeOnce:
+    """Every command featurizes through ``pipeline.featurize_image``, which
+    decodes each listed image once, however many channels it feeds."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        import facedct.pipeline as pipeline_mod
+
+        paths = []
+
+        def counting(path):
+            paths.append(str(path))
+            return read_pnm_file(path)
+
+        monkeypatch.setattr(pipeline_mod, "read_pnm_file", counting)
+        return paths
+
+    @pytest.fixture
+    def cfg(self, rgb_dataset, tmp_path):
+        return write_config(
+            tmp_path / "cfg.json", rgb_dataset,
+            train_indices=[1, 2], test_indices=[3, 4], window=16, dim=36,
+            metrics=["mad"], channel="r",
+        )
+
+    def test_fuse_eval_reads_each_listed_image_once(self, cfg, tmp_path, capsys, reads):
+        code, _, _ = run_cli(
+            capsys,
+            "fuse-eval", "--config", str(cfg), "--fusion", "sum:R,G,B",
+            "--include-y", "--out", str(tmp_path / "fres"),
+        )
+        assert code == 0
+        assert len(reads) == len(set(reads)) == 16
+
+    def test_enroll_evaluate_and_identify_read_through_it(
+        self, rgb_dataset, cfg, tmp_path, capsys, reads
+    ):
+        gallery = str(tmp_path / "gal")
+        assert run_cli(capsys, "enroll", "--config", str(cfg), "--out", gallery)[0] == 0
+        assert len(reads) == 8
+        out = str(tmp_path / "res")
+        code = run_cli(capsys, "evaluate", "--config", str(cfg), "--gallery", gallery, "--out", out)[0]
+        assert code == 0
+        assert len(reads) == len(set(reads)) == 16
+        probe = rgb_dataset.parent / "s000" / "01.ppm"
+        assert run_cli(capsys, "identify", "--gallery", gallery, "--image", str(probe))[0] == 0
+        assert reads[-1] == str(probe) and len(reads) == 17
+
+    def test_gray_image_in_rgb_fuse_eval_names_path_and_subject(
+        self, rgb_dataset, tmp_path, capsys
+    ):
+        base = rgb_dataset.parent
+        manifest = {
+            s: [str(base / p) for p in paths]
+            for s, paths in json.loads(rgb_dataset.read_text()).items()
+        }
+        gray = tmp_path / "03.pgm"
+        write_pnm_file(RasterImage(16, 16, 1, 255, np.zeros(256, dtype=np.int64)), gray)
+        manifest["s001"][2] = str(gray)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        cfg = write_config(
+            tmp_path / "cfg.json", tmp_path / "manifest.json",
+            train_indices=[1, 2], test_indices=[3, 4], window=16, dim=36, channel="r",
+        )
+        code, _, err = run_cli(
+            capsys, "fuse-eval", "--config", str(cfg), "--fusion", "sum:R,G,B",
+            "--out", str(tmp_path / "fres"),
+        )
+        assert code == 2
+        assert f"subject 's001', image {gray}: " in err
+        assert "requires an RGB image" in err
+
+
 class TestSigsize:
     def test_solve_for_n(self, capsys):
         code, out, err = run_cli(capsys, "sigsize", "--p", "0.0125")
@@ -377,6 +465,16 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_malformed_subject_header_is_data_error(self, tmp_path, capsys):
+        text = scores_to_csv(ScoreTensor(("a",), ("a",), np.ones((1, 1, 1)), "mse"))
+        scores = tmp_path / "scores.csv"
+        scores.write_text(text.replace('# probe_subjects=["a"]', "# probe_subjects=5"))
+        code, _, err = run_cli(
+            capsys, "det-export", "--scores", str(scores), "--out", str(tmp_path / "d.csv")
+        )
+        assert code == 2
+        assert "probe_subjects" in err
+
     def test_internal_error_maps_to_three(self, monkeypatch, capsys):
         import facedct.cli as cli_mod
 
@@ -386,7 +484,7 @@ class TestExitCodes:
         monkeypatch.setitem(
             cli_mod.__dict__, "cmd_sigsize", boom
         )
-        parser_backed = cli_mod.build_parser()
+        parser_backed = cli_mod.build_parser.__wrapped__()
         # rebuild dispatch through main with the patched command
         monkeypatch.setattr(cli_mod, "build_parser", lambda: parser_backed)
         for action in parser_backed._subparsers._group_actions[0].choices.values():

@@ -279,6 +279,19 @@ class TestFeatureMatrixCsv:
         with pytest.raises(DataError):
             feature_matrix_from_csv(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,gray,1,1.0\nb,gray,x,2.0\n",  # bad dim
+            "a,gray,1,1.0\nb,gray,1,2.0,3.0\n",  # extra field
+            '"a\nb",gray,1,1.0\nc,gray,1,2.0,3.0\n',  # row 2 starts on line 3
+            "a,gray,1,1.0\n\nb,gray,1,2.0,3.0\n",  # a blank line is not a row
+        ],
+    )
+    def test_bad_row_is_named_by_its_one_based_row(self, text):
+        with pytest.raises(DataError, match=r"^malformed feature row 2: "):
+            feature_matrix_from_csv(text)
+
 
 class TestFeatureVector:
     def test_rejects_non_finite(self):

@@ -15,7 +15,7 @@ from facedct.fusion import (
     parse_fusion_spec,
     run_channel_pipeline,
 )
-from facedct.pipeline import summarize_tensor
+from facedct.pipeline import extract_subject_features, summarize_tensor
 from facedct.synth import SynthSpec, generate_dataset
 
 SPLIT = SplitSpec.from_iterables([1, 2, 3], [4, 5, 6])
@@ -144,8 +144,8 @@ class TestRunChannelPipeline:
             tmp_path,
         )
         manifest = load_manifest(manifest_path)
-        run_y = run_channel_pipeline(manifest, SPLIT, "y", "mse", 64, 32)
-        run_g = run_channel_pipeline(manifest, SPLIT, "g", "mse", 64, 32)
+        run_y = run_channel_pipeline(manifest, SPLIT, ("y",), "mse", 64, 32)["y"]
+        run_g = run_channel_pipeline(manifest, SPLIT, ("g",), "mse", 64, 32)["g"]
         assert np.array_equal(run_y.tensor.scores, run_g.tensor.scores)
         assert run_y.summary.identification == run_g.summary.identification
         assert run_y.summary.min_dcf == run_g.summary.min_dcf
@@ -157,21 +157,21 @@ class TestRunChannelPipeline:
         )
         manifest = load_manifest(manifest_path)
         rate = {
-            ch: run_channel_pipeline(manifest, SPLIT, ch, "mad", 64, 32).summary.identification.rate
+            ch: run_channel_pipeline(manifest, SPLIT, (ch,), "mad", 64, 32)[ch].summary.identification.rate
             for ch in ("r", "g", "b")
         }
         assert rate["r"] > rate["g"]
         assert rate["r"] > rate["b"]
 
     def test_single_tensor_weight_one_is_identity_end_to_end(self, color_dataset):
-        run = run_channel_pipeline(color_dataset, SPLIT, "r", "mad", 64, 32)
+        run = run_channel_pipeline(color_dataset, SPLIT, ("r",), "mad", 64, 32)["r"]
         fused = fuse_scores_weighted([run.tensor], [1.0])
         s = summarize_tensor(fused)
         assert s.identification == run.summary.identification
         assert s.min_dcf == run.summary.min_dcf
 
     def test_reported_summary_matches_tensor(self, color_dataset):
-        run = run_channel_pipeline(color_dataset, SPLIT, "b", "mse", 64, 32)
+        run = run_channel_pipeline(color_dataset, SPLIT, ("b",), "mse", 64, 32)["b"]
         again = summarize_tensor(run.tensor)
         assert again.identification == run.summary.identification
         assert again.eer == run.summary.eer
@@ -179,9 +179,9 @@ class TestRunChannelPipeline:
     def test_feature_and_score_level_routes_coexist(self, color_dataset):
         # the luminance row and the weighted score fusion row are different
         # pipelines over the same data and both must run
-        run_y = run_channel_pipeline(color_dataset, SPLIT, "y", "mad", 64, 32)
+        run_y = run_channel_pipeline(color_dataset, SPLIT, ("y",), "mad", 64, 32)["y"]
         runs = {
-            ch: run_channel_pipeline(color_dataset, SPLIT, ch, "mad", 64, 32)
+            ch: run_channel_pipeline(color_dataset, SPLIT, (ch,), "mad", 64, 32)[ch]
             for ch in ("r", "g", "b")
         }
         fused = apply_fusion(
@@ -190,3 +190,26 @@ class TestRunChannelPipeline:
         )
         assert fused.scores.shape == run_y.tensor.scores.shape
         assert not np.array_equal(fused.scores, run_y.tensor.scores)
+
+
+class TestExtractSubjectFeatures:
+    @pytest.mark.parametrize(
+        "placement, channels", [("gray", ("gray",)), ("rgb", ("r", "g", "b", "y"))]
+    )
+    def test_one_call_for_all_channels_equals_one_call_each(self, tmp_path, placement, channels):
+        manifest = load_manifest(
+            generate_dataset(
+                SynthSpec(3, 2, 0.4, seed=5, width=20, height=24, placement=placement), tmp_path
+            )
+        )
+        together = extract_subject_features(manifest, channels, 30, 16)
+        assert list(together) == list(channels)
+        for channel in channels:
+            (alone,) = extract_subject_features(manifest, (channel,), 30, 16).values()
+            assert list(together[channel]) == sorted(manifest)
+            for subject, vectors in alone.items():
+                got = together[channel][subject]
+                assert [v.coeffs.tobytes() for v in got] == [v.coeffs.tobytes() for v in vectors]
+                assert [(v.source_channel, v.subject_id) for v in got] == [
+                    (channel, subject)
+                ] * len(vectors)

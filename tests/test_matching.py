@@ -360,6 +360,15 @@ class TestScoresCsv:
         with pytest.raises(DataError, match="out of bounds"):
             scores_from_csv("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("key", ["probe_subjects", "gallery_subjects"])
+    @pytest.mark.parametrize("value", ["5", '"ab"', "[1, 2]"])
+    def test_subject_header_must_be_a_json_list_of_strings(self, key, value):
+        tensor = ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse")
+        text = scores_to_csv(tensor)
+        assert f'# {key}=["a", "b"]\n' in text
+        with pytest.raises(DataError, match=key):
+            scores_from_csv(text.replace(f'# {key}=["a", "b"]', f"# {key}={value}"))
+
     def test_duplicate_cell_rejected(self):
         tensor = ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse")
         lines = scores_to_csv(tensor).splitlines()
