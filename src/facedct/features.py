@@ -4,14 +4,14 @@ A normalized gray plane is mapped to a D-dimensional feature vector by
 taking the orthonormal 2-D DCT and keeping the first D coefficients in
 zigzag (low-frequency-first) order, DC included.  D defaults to 100.
 
-A CSV row holds subject id, channel, dim and the coefficients.  A whole
-matrix is read back with one ``np.loadtxt`` call (``feature_matrix_from_csv``);
-the per-vector ``features_to_csv``/``features_from_csv`` are the reference.
+A CSV row holds subject id (csv-quoted when needed), channel, dim and the
+coefficients at 17 significant digits, so a float64 round-trips exactly.
+``feature_matrix_to_csv`` writes a matrix as rows, and
+``feature_matrix_from_csv`` reads them back with one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import re
 from dataclasses import dataclass, field
@@ -142,50 +142,6 @@ def extract_features(
     return FeatureVector(dct2(plane)[rows, cols], source_channel, subject_id)
 
 
-def feature_to_row(vec: FeatureVector) -> list[str]:
-    """CSV row: subjectId, sourceChannel, dim, then coefficients at 17 sig digits."""
-    return [
-        vec.subject_id if vec.subject_id is not None else "",
-        vec.source_channel,
-        str(vec.dim),
-        *(f"{c:.17g}" for c in vec.coeffs),
-    ]
-
-
-def feature_from_row(row: list[str]) -> FeatureVector:
-    """Inverse of :func:`feature_to_row`; round-trip exact for 64-bit floats."""
-    if len(row) < 4:
-        raise DataError(f"feature row too short ({len(row)} fields)")
-    subject = row[0] or None
-    channel = row[1]
-    try:
-        dim = int(row[2])
-        coeffs = np.array([float(v) for v in row[3:]], dtype=np.float64)
-    except ValueError as exc:
-        raise DataError(f"malformed feature row: {exc}") from exc
-    if coeffs.size != dim:
-        raise DataError(f"feature row declares dim={dim} but carries {coeffs.size} coefficients")
-    try:
-        return FeatureVector(coeffs, channel, subject)
-    except ValueError as exc:
-        raise DataError(f"malformed feature row: {exc}") from exc
-
-
-def features_to_csv(vectors: list[FeatureVector]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for vec in vectors:
-        writer.writerow(feature_to_row(vec))
-    return buf.getvalue()
-
-
-def features_from_csv(text: str) -> list[FeatureVector]:
-    """Row-by-row reader of :func:`features_to_csv`; the reference that
-    :func:`feature_matrix_from_csv` is tested against."""
-    reader = csv.reader(io.StringIO(text))
-    return [feature_from_row(row) for row in reader if row]
-
-
 def _csv_field(text: str) -> str:
     # as csv.writer quotes it, and also on a carriage return, which
     # np.loadtxt would otherwise take for a line break
@@ -195,8 +151,10 @@ def _csv_field(text: str) -> str:
 
 
 def feature_matrix_to_csv(labels: list[str], channel: str, matrix: np.ndarray) -> str:
-    """Inverse of :func:`feature_matrix_from_csv`: the text of
-    :func:`features_to_csv`, but with an id holding a carriage return quoted."""
+    """Inverse of :func:`feature_matrix_from_csv`: one row per matrix row,
+    ``label,channel,dim,c1,...,cD`` with each coefficient as ``{:.17g}`` and
+    each label quoted as ``csv.writer`` quotes it, and also when it holds a
+    carriage return."""
     head = f",{channel},{matrix.shape[1]},"
     return "".join(
         _csv_field(label) + head + ",".join(map("{:.17g}".format, row)) + "\n"
@@ -214,13 +172,14 @@ def _load_rows(data: bytes, row: list) -> np.ndarray:
 
 
 def feature_matrix_from_csv(data: bytes | str) -> tuple[list[str], str | None, np.ndarray]:
-    """Rows of :func:`features_to_csv`, UTF-8 bytes or text, as ``(labels,
-    channel, matrix)``: each row's subject id (``""`` for none), the channel
-    all rows share and the float64 ``(N, D)`` coefficients, D being the first
-    row's count.  One ``np.loadtxt`` call parses every row, csv-quoted ids
-    included.  Every row :func:`feature_from_row` rejects is a DataError here
-    too, and so are rows that differ in dim or channel.  An empty text gives
-    no labels, channel None and a ``(0, 0)`` matrix.
+    """Feature rows, UTF-8 bytes or text, as ``(labels, channel, matrix)``:
+    each row's subject id (``""`` for none), the channel all rows share and
+    the float64 ``(N, D)`` coefficients, D being the first row's count.  One
+    ``np.loadtxt`` call parses every row, csv-quoted ids included.  A row
+    that is short, declares a dim other than its coefficient count, names an
+    unknown channel or holds a non-numeric or non-finite coefficient is a
+    DataError, and so are rows that differ in dim or channel.  An empty text
+    gives no labels, channel None and a ``(0, 0)`` matrix.
     """
     data = data.encode() if isinstance(data, str) else data
     if not data.strip(b"\r\n"):

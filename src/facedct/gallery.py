@@ -1,17 +1,34 @@
 """Enrollment store: subjects -> ordered template vectors, plus the
-train/test split rule and on-disk persistence (gallery.json + vectors.csv).
+train/test split rule and on-disk persistence.
 
 A gallery holds its M templates as one contiguous, read-only float64
 ``(M, D)`` matrix with CSR-style subject offsets: subjects in lexicographic
 order, each subject's templates in enrollment order, and subject
 ``subject_ids[j]`` owning rows ``offsets[j]:offsets[j + 1]``.  Matching
 reduces one distance kernel over that matrix (see ``matching``).
-``vectors.csv`` stores the rows in the same order, formatted from the matrix
-and read back from its bytes with one ``np.loadtxt`` call.
+
+A saved gallery (format ``facedct-gallery`` v1) is a directory of three
+files, written in this order, each under a temporary name renamed into place:
+
+1. ``templates.npy``: the matrix as ``'<f8'``, C order, no pickle.  This is
+   what :func:`load_gallery` reads.
+2. ``vectors.csv``: the same rows as text, one ``label,channel,dim,coeffs``
+   row per template, for exchange; its bytes do not depend on the sidecar.
+3. ``gallery.json``: the subjects with their template counts, the feature
+   dim, the channel, the meta, and the sha256 of the other two files.
+
+``gallery.json`` is the commit point.  A save cut before it leaves the old
+``gallery.json``, whose digests the new files do not match.  On load,
+``vectors.csv`` must match its digest or the gallery is rejected;
+``templates.npy`` is used only when it matches its digest, and otherwise
+``vectors.csv`` is parsed.  A ``gallery.json`` without digests (written
+before they were) loads from ``vectors.csv`` alone.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -21,12 +38,14 @@ import numpy as np
 
 from .errors import DataError, MismatchError
 from .features import FeatureVector, feature_matrix_from_csv, feature_matrix_to_csv
+from .imageio import CHANNELS
 
 GALLERY_FORMAT = "facedct-gallery"
 GALLERY_VERSION = 1
 
 GALLERY_JSON = "gallery.json"
 VECTORS_CSV = "vectors.csv"
+TEMPLATES_NPY = "templates.npy"
 
 
 class GalleryError(DataError):
@@ -119,12 +138,15 @@ class Gallery:
         self._staged: list[tuple[str, np.ndarray]] = []
 
     @classmethod
-    def _of_rows(cls, labels: list[str], channel: str, matrix: np.ndarray) -> "Gallery":
-        """Gallery of matrix rows labelled by subject, in any subject order."""
+    def _of_subjects(
+        cls, ids: list[str], counts: list[int], channel: str, matrix: np.ndarray
+    ) -> "Gallery":
+        """Gallery of a matrix whose rows are grouped by subject, ``counts[j]``
+        rows for ``ids[j]``; the ids must be in strictly increasing order."""
         gallery = cls()
         gallery._feature_dim = int(matrix.shape[1])
         gallery._channel = channel
-        gallery._merge(labels, matrix)
+        gallery._hold(ids, counts, np.ascontiguousarray(matrix))
         return gallery
 
     def _merge(self, labels: list[str], rows: np.ndarray) -> None:
@@ -138,10 +160,14 @@ class Gallery:
         for i, subject in enumerate(labels):
             rows_of.setdefault(subject, []).append(i)
         ids = sorted(rows_of)
-        matrix = rows[[i for s in ids for i in rows_of[s]]]
+        counts = [len(rows_of[s]) for s in ids]
+        self._hold(ids, counts, rows[[i for s in ids for i in rows_of[s]]])
+
+    def _hold(self, ids: list[str], counts: list[int], matrix: np.ndarray) -> None:
+        """Take ``matrix``, rows grouped by subject in ``ids`` order, read-only."""
         matrix.flags.writeable = False
         offsets = np.zeros(len(ids) + 1, dtype=np.intp)
-        np.cumsum([len(rows_of[s]) for s in ids], out=offsets[1:])
+        np.cumsum(counts, out=offsets[1:])
         offsets.flags.writeable = False
         self._ids = ids
         self._index = {s: j for j, s in enumerate(ids)}
@@ -233,23 +259,31 @@ class Gallery:
         )
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in the same
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
     directory, so that a failed write leaves the old file (or none) in place."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8", newline="")
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = None) -> None:
-    """Persist as gallery.json + vectors.csv; load is bit-exact.
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
-    Each file is written under a temporary name and renamed into place,
-    vectors.csv first, so a failed save leaves no partial file behind.
+
+def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = None) -> None:
+    """Persist as templates.npy + vectors.csv + gallery.json; load is bit-exact.
+
+    Each file is written under a temporary name and renamed into place, in
+    that order.  gallery.json, written last, records the sha256 of the bytes
+    written to the other two, so it is the commit point: until it is renamed
+    into place the directory still holds the old gallery.json, which the new
+    vectors.csv does not match (see :func:`load_gallery`).  A failed save
+    leaves no partial file behind.
     """
     if gallery.n_templates == 0:
         raise GalleryError("refusing to save an empty gallery (nothing enrolled)")
@@ -268,82 +302,168 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
     if meta:
         manifest["meta"] = meta
     labels = [entry["id"] for entry in manifest["subjects"] for _ in range(entry["templates"])]
-    vectors_text = feature_matrix_to_csv(labels, gallery.channel, gallery.matrix)
-    manifest_text = json.dumps(manifest, indent=1) + "\n"
-    _write_atomic(directory / VECTORS_CSV, vectors_text)
-    _write_atomic(directory / GALLERY_JSON, manifest_text)
+    npy = io.BytesIO()
+    np.save(npy, np.ascontiguousarray(gallery.matrix, dtype="<f8"), allow_pickle=False)
+    files = {
+        TEMPLATES_NPY: npy.getvalue(),
+        VECTORS_CSV: feature_matrix_to_csv(labels, gallery.channel, gallery.matrix).encode(),
+    }
+    manifest["sha256"] = {name: _sha256(data) for name, data in files.items()}
+    for name, data in files.items():
+        _write_atomic(directory / name, data)
+    _write_atomic(directory / GALLERY_JSON, (json.dumps(manifest, indent=1) + "\n").encode())
 
 
 def _check_window(window, feature_dim: int, directory: Path) -> None:
     # bool is an int subclass, but true/false is no window size
-    if (
-        not isinstance(window, int)
-        or isinstance(window, bool)
-        or window < 1
-        or window * window < feature_dim
-    ):
+    if type(window) is not int or window < 1 or window * window < feature_dim:
         raise GalleryCorruptError(
             f"gallery {directory}: meta.window {window!r} must be an integer >= 1 "
             f"whose square covers feature_dim {feature_dim}"
         )
 
 
-def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
-    """Load a persisted gallery; returns (gallery, meta dict).
-
-    ``meta["window"]``, when present, is checked against the feature dim.
-    """
-    directory = Path(directory)
+def _read(path: Path) -> bytes:
     try:
-        manifest = json.loads((directory / GALLERY_JSON).read_text())
+        return path.read_bytes()
     except FileNotFoundError:
-        raise GalleryCorruptError(f"missing {GALLERY_JSON} in {directory}") from None
-    except json.JSONDecodeError as exc:
-        raise GalleryCorruptError(f"unreadable {GALLERY_JSON}: {exc}") from exc
+        raise GalleryCorruptError(f"missing {path.name} in {path.parent}") from None
+    except OSError as exc:
+        raise GalleryCorruptError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _check_manifest(manifest, directory: Path) -> tuple[list[str], list[int], int, str, dict]:
+    """The subject ids, their template counts, the feature dim, the channel
+    and the meta that gallery.json lists, each checked; every source of the
+    template matrix shares this check.  As :func:`save_gallery` writes them,
+    the ids must be strictly increasing and each count at least 1."""
     if not isinstance(manifest, dict) or manifest.get("format") != GALLERY_FORMAT:
         raise GalleryVersionError(f"not a {GALLERY_FORMAT} payload")
     if manifest.get("version") != GALLERY_VERSION:
         raise GalleryVersionError(
             f"gallery version {manifest.get('version')!r} != supported {GALLERY_VERSION}"
         )
-    try:
-        # bytes, so that no line ending inside a quoted subject id is translated
-        csv_data = (directory / VECTORS_CSV).read_bytes()
-    except FileNotFoundError:
-        raise GalleryCorruptError(f"missing {VECTORS_CSV} in {directory}") from None
-    try:
-        labels, channel, matrix = feature_matrix_from_csv(csv_data)
-    except DataError as exc:
-        raise GalleryCorruptError(f"corrupt {directory / VECTORS_CSV}: {exc}") from exc
-
-    listed: list = []
-    for entry in manifest.get("subjects", []):
+    subjects = manifest.get("subjects", [])
+    if not isinstance(subjects, list):
+        raise GalleryCorruptError(f"{GALLERY_JSON} subjects is not a list")
+    ids: list[str] = []
+    counts: list[int] = []
+    for entry in subjects:
         if not isinstance(entry, dict):
             raise GalleryCorruptError(f"{GALLERY_JSON} subject entry {entry!r} is not an object")
-        subject, count = entry.get("id"), entry.get("templates", 0)
-        if not isinstance(count, int) or count < 0:
-            raise GalleryCorruptError(f"subject {subject!r} lists {count!r} templates")
-        if len(listed) + count > len(labels):
+        subject, count = entry.get("id"), entry.get("templates")
+        if not isinstance(subject, str):
+            raise GalleryCorruptError(f"{GALLERY_JSON} subject id {subject!r} is not a string")
+        if ids and not ids[-1] < subject:
             raise GalleryCorruptError(
-                f"vectors.csv truncated: subject {subject!r} expects {count} rows"
+                f"{GALLERY_JSON} lists subject {subject!r} after {ids[-1]!r}"
             )
-        listed.extend([subject] * count)
-    if len(listed) != len(labels):
-        raise GalleryCorruptError(
-            f"vectors.csv carries {len(labels) - len(listed)} rows beyond the manifest"
-        )
-    if labels != listed:
-        # the row format writes no label and the label "" alike
-        label, subject = next((a, b) for a, b in zip(labels, listed) if a != b)
-        raise GalleryCorruptError(f"row labelled {label!r} listed under subject {subject!r}")
-    feature_dim = int(matrix.shape[1]) if labels else None
-    if feature_dim != manifest.get("feature_dim") or channel != manifest.get("channel"):
-        raise GalleryCorruptError("gallery.json metadata disagrees with vectors.csv")
-    if not labels:
+        if type(count) is not int or count < 1:
+            raise GalleryCorruptError(f"subject {subject!r} lists {count!r} templates")
+        ids.append(subject)
+        counts.append(count)
+    if not ids:
         raise GalleryCorruptError("persisted gallery holds no templates")
+    feature_dim, channel = manifest.get("feature_dim"), manifest.get("channel")
+    if type(feature_dim) is not int or feature_dim < 1:
+        raise GalleryCorruptError(f"{GALLERY_JSON} feature_dim {feature_dim!r} is no dimension")
+    if channel not in CHANNELS:
+        raise GalleryCorruptError(f"{GALLERY_JSON} channel {channel!r} is unknown")
     meta = manifest.get("meta", {})
     if not isinstance(meta, dict):
         raise GalleryCorruptError(f"gallery {directory}: meta is not an object")
     if "window" in meta:
         _check_window(meta["window"], feature_dim, directory)
-    return Gallery._of_rows(labels, channel, matrix), meta
+    return ids, counts, feature_dim, channel, meta
+
+
+def _matrix_of_csv(
+    data: bytes, path: Path, ids: list[str], counts: list[int], feature_dim: int, channel: str
+) -> np.ndarray:
+    """The templates of vectors.csv, whose rows must be the ones listed."""
+    labels = [s for s, count in zip(ids, counts) for _ in range(count)]
+    try:
+        csv_labels, csv_channel, matrix = feature_matrix_from_csv(data)
+    except DataError as exc:
+        raise GalleryCorruptError(f"corrupt {path}: {exc}") from exc
+    if len(csv_labels) != len(labels):
+        raise GalleryCorruptError(
+            f"{path} holds {len(csv_labels)} rows but {GALLERY_JSON} lists {len(labels)}"
+        )
+    if csv_labels != labels:
+        # the row format writes no label and the label "" alike
+        label, subject = next((a, b) for a, b in zip(csv_labels, labels) if a != b)
+        raise GalleryCorruptError(f"row labelled {label!r} listed under subject {subject!r}")
+    if matrix.shape[1] != feature_dim or csv_channel != channel:
+        raise GalleryCorruptError(f"{GALLERY_JSON} metadata disagrees with {path}")
+    return matrix
+
+
+def _matrix_of_npy(data: bytes, path: Path, n_rows: int, feature_dim: int) -> np.ndarray:
+    """The templates of templates.npy, read by np.load's .npy reader, which
+    loads no pickle; it must be a finite '<f8' array of the listed shape."""
+    try:
+        matrix = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+    except ValueError as exc:
+        raise GalleryCorruptError(f"corrupt {path}: {exc}") from None
+    if matrix.dtype != np.dtype("<f8") or matrix.shape != (n_rows, feature_dim):
+        raise GalleryCorruptError(
+            f"{path} holds a {matrix.dtype.str} array of shape {matrix.shape}, "
+            f"not <f8 of shape {(n_rows, feature_dim)}"
+        )
+    if not np.isfinite(matrix).all():
+        raise GalleryCorruptError(f"{path} has a non-finite coefficient")
+    return matrix
+
+
+def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
+    """Load a persisted gallery; returns (gallery, meta dict).
+
+    gallery.json is checked first: its subject entries (ids strictly
+    increasing, each with at least one template), the feature dim, the
+    channel, and ``meta["window"]`` against the feature dim.  The template
+    matrix then comes from one of two files:
+
+    - gallery.json without a ``sha256`` key (written before the digests
+      were): vectors.csv is parsed.
+    - vectors.csv does not match its digest (a torn save or an edited file):
+      GalleryCorruptError.
+    - templates.npy matches its digest: its matrix is used, and must be a
+      finite '<f8' array of shape (templates listed, feature_dim).
+    - templates.npy is missing or does not match: the verified vectors.csv
+      is parsed.  A save cut right after writing templates.npy thus still
+      loads the old gallery.
+
+    The subjects, offsets and channel always come from gallery.json, so
+    every source gives the same gallery; only the vectors.csv path also
+    checks them against the rows.  A gallery file that cannot be read is a
+    GalleryCorruptError naming it.
+    """
+    directory = Path(directory)
+    try:
+        manifest = json.loads(_read(directory / GALLERY_JSON))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise GalleryCorruptError(f"unreadable {directory / GALLERY_JSON}: {exc}") from exc
+    ids, counts, feature_dim, channel, meta = _check_manifest(manifest, directory)
+    # bytes, so that no line ending inside a quoted subject id is translated
+    csv_data = _read(directory / VECTORS_CSV)
+    matrix = None
+    if "sha256" in manifest:
+        digests = manifest["sha256"]
+        if not isinstance(digests, dict):
+            raise GalleryCorruptError(f"{GALLERY_JSON} sha256 is not an object")
+        if _sha256(csv_data) != digests.get(VECTORS_CSV):
+            raise GalleryCorruptError(
+                f"{directory / VECTORS_CSV} does not match its sha256 in {GALLERY_JSON} "
+                "(torn save or edited file)"
+            )
+        npy_path = directory / TEMPLATES_NPY
+        if npy_path.exists():
+            npy = _read(npy_path)
+            if _sha256(npy) == digests.get(TEMPLATES_NPY):
+                matrix = _matrix_of_npy(npy, npy_path, sum(counts), feature_dim)
+    if matrix is None:
+        matrix = _matrix_of_csv(
+            csv_data, directory / VECTORS_CSV, ids, counts, feature_dim, channel
+        )
+    return Gallery._of_subjects(ids, counts, channel, matrix), meta

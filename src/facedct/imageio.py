@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -209,22 +210,34 @@ def normalize(img: RasterImage) -> np.ndarray:
     return img.samples[:, :, 0].astype(np.float64) / img.maxval
 
 
+@lru_cache(maxsize=None)
 def _axis_interp(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (lo, hi, weight of hi) source pixels of each output pixel."""
     # pixel-center mapping: src = (dst + 0.5) * (in/out) - 0.5, clamped
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     lo = np.floor(src).astype(np.intp)
     hi = np.minimum(lo + 1, n_in - 1)
-    return lo, hi, src - lo
+    interp = lo, hi, src - lo
+    for arr in interp:
+        arr.flags.writeable = False
+    return interp
 
 
 def resize_bilinear(plane: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Bilinear resize of a 2-D plane with pixel-center alignment."""
+    """Bilinear resize of a 2-D plane with pixel-center alignment.
+
+    A plane already of the output size comes back as a copy.  That is what
+    the interpolation gives for a finite plane: every weight is exactly 0
+    and ``x * 1.0 + y * 0.0 == x``, except that it turns -0.0 into 0.0.
+    """
     plane = np.asarray(plane, dtype=np.float64)
     if plane.ndim != 2:
         raise ValueError("plane must be 2-D")
     if out_w < 1 or out_h < 1:
         raise ValueError("output dimensions must be >= 1")
+    if plane.shape == (out_h, out_w):
+        return plane.copy()
     in_h, in_w = plane.shape
     ylo, yhi, wy = _axis_interp(in_h, out_h)
     xlo, xhi, wx = _axis_interp(in_w, out_w)

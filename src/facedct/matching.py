@@ -342,4 +342,8 @@ def save_scores_csv(tensor: ScoreTensor, path: str | Path) -> None:
 
 
 def load_scores_csv(path: str | Path) -> ScoreTensor:
-    return scores_from_csv(Path(path).read_bytes())
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read score file {path}: {exc.strerror or exc}") from None
+    return scores_from_csv(data)

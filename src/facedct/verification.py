@@ -235,11 +235,6 @@ _PROBIT_D = (
 _PROBIT_SPLIT = 0.02425
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via erfc (accurate deep into both tails)."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
 

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, determinism, exit-code contract."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -555,3 +556,31 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in err
         assert str(root / "s0" / "1.pgm") in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_scores_path_is_data_error(self, tmp_path, capsys, kind):
+        scores = tmp_path / "scores.csv"
+        if kind == "directory":
+            scores.mkdir()
+        code, _, err = run_cli(
+            capsys, "det-export", "--scores", str(scores), "--out", str(tmp_path / "d.csv")
+        )
+        assert code == 2
+        assert "data error" in err
+        assert str(scores) in err
+
+    @pytest.mark.parametrize("name", ["gallery.json", "vectors.csv", "templates.npy"])
+    def test_unreadable_gallery_file_is_data_error(
+        self, gallery_dir, dataset, tmp_path, capsys, name
+    ):
+        gallery = tmp_path / "gal"
+        shutil.copytree(gallery_dir / "gal", gallery)
+        (gallery / name).unlink()
+        (gallery / name).mkdir()
+        probe = dataset.parent / next(iter(json.loads(dataset.read_text()).values()))[0]
+        code, _, err = run_cli(
+            capsys, "identify", "--gallery", str(gallery), "--image", str(probe)
+        )
+        assert code == 2
+        assert "data error" in err
+        assert str(gallery / name) in err

@@ -1,5 +1,7 @@
 """DCT transform, zigzag traversal, feature extraction, CSV round trip."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -13,15 +15,58 @@ from facedct.features import (
     _zigzag_index,
     dct2,
     extract_features,
-    feature_from_row,
     feature_matrix_from_csv,
     feature_matrix_to_csv,
-    feature_to_row,
-    features_from_csv,
-    features_to_csv,
     idct2,
     zigzag_order,
 )
+
+# The per-vector CSV writer and reader: the reference that
+# feature_matrix_to_csv and feature_matrix_from_csv are tested against.
+
+
+def feature_to_row(vec: FeatureVector) -> list[str]:
+    """CSV row: subjectId, sourceChannel, dim, then coefficients at 17 sig digits."""
+    return [
+        vec.subject_id if vec.subject_id is not None else "",
+        vec.source_channel,
+        str(vec.dim),
+        *(f"{c:.17g}" for c in vec.coeffs),
+    ]
+
+
+def feature_from_row(row: list[str]) -> FeatureVector:
+    """Inverse of :func:`feature_to_row`; round-trip exact for 64-bit floats."""
+    if len(row) < 4:
+        raise DataError(f"feature row too short ({len(row)} fields)")
+    subject = row[0] or None
+    channel = row[1]
+    try:
+        dim = int(row[2])
+        coeffs = np.array([float(v) for v in row[3:]], dtype=np.float64)
+    except ValueError as exc:
+        raise DataError(f"malformed feature row: {exc}") from exc
+    if coeffs.size != dim:
+        raise DataError(f"feature row declares dim={dim} but carries {coeffs.size} coefficients")
+    try:
+        return FeatureVector(coeffs, channel, subject)
+    except ValueError as exc:
+        raise DataError(f"malformed feature row: {exc}") from exc
+
+
+def features_to_csv(vectors: list[FeatureVector]) -> str:
+    """Rows of :func:`feature_to_row` through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for vec in vectors:
+        writer.writerow(feature_to_row(vec))
+    return buf.getvalue()
+
+
+def features_from_csv(text: str) -> list[FeatureVector]:
+    """Row-by-row reader of :func:`features_to_csv`."""
+    reader = csv.reader(io.StringIO(text))
+    return [feature_from_row(row) for row in reader if row]
 
 
 def dct2_direct(plane):

@@ -1,5 +1,6 @@
 """Enrollment, split rule, gallery persistence."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facedct.errors import MismatchError
-from facedct.features import FeatureVector
+from facedct.features import FeatureVector, feature_matrix_from_csv
 from facedct.gallery import (
     Gallery,
     GalleryCorruptError,
@@ -27,6 +28,41 @@ ORL_SPLIT = SplitSpec.from_iterables(range(1, 6), range(6, 11))
 
 def vec(values, channel="gray", subject=None):
     return FeatureVector(np.asarray(values, dtype=float), channel, subject)
+
+
+def strip_digests(directory):
+    """Make a saved gallery one written before gallery.json held digests."""
+    path = directory / "gallery.json"
+    manifest = json.loads(path.read_text())
+    del manifest["sha256"]
+    path.write_text(json.dumps(manifest, indent=1) + "\n")
+
+
+def assert_csv_rejected(directory, reason):
+    """The edited vectors.csv fails its digest; without the digests the
+    vectors.csv check itself rejects it, for ``reason``."""
+    with pytest.raises(GalleryCorruptError, match="does not match its sha256"):
+        load_gallery(directory)
+    strip_digests(directory)
+    with pytest.raises(GalleryCorruptError, match=reason):
+        load_gallery(directory)
+
+
+def fail_write(monkeypatch, n):
+    """Make the n-th ``Path.write_bytes`` call write half its data and fail;
+    returns the list of paths written to."""
+    real_write_bytes = Path.write_bytes
+    calls = []
+
+    def write_bytes(path, data):
+        calls.append(path)
+        if len(calls) == n:
+            real_write_bytes(path, data[: len(data) // 2])
+            raise OSError("no space left on device")
+        return real_write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    return calls
 
 
 def make_manifest(n_subjects, n_samples):
@@ -171,8 +207,7 @@ class TestPersistence:
         csv_path = tmp_path / "vectors.csv"
         lines = csv_path.read_text().splitlines()
         csv_path.write_text("\n".join(lines[:100]) + "\n")
-        with pytest.raises(GalleryCorruptError):
-            load_gallery(tmp_path)
+        assert_csv_rejected(tmp_path, "holds 100 rows but gallery.json lists 200")
 
     def test_extra_rows_detected(self, tmp_path):
         g = self.orl_like_gallery()
@@ -180,8 +215,7 @@ class TestPersistence:
         csv_path = tmp_path / "vectors.csv"
         text = csv_path.read_text()
         csv_path.write_text(text + text.splitlines()[0].replace("s00", "zz") + "\n")
-        with pytest.raises(GalleryCorruptError):
-            load_gallery(tmp_path)
+        assert_csv_rejected(tmp_path, "holds 201 rows but gallery.json lists 200")
 
     def test_version_mismatch_detected(self, tmp_path):
         save_gallery(self.orl_like_gallery(), tmp_path)
@@ -243,17 +277,17 @@ class TestPersistence:
         assert loaded.subject_ids == ["Zoë Ångström 李"]
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, reason",
         [
-            (3, "nan"),  # non-finite coefficient
-            (4, "abc"),  # non-numeric coefficient
-            (2, "101"),  # declared dim disagrees with the coefficients
-            (1, "r"),  # channel differs from the other rows'
-            (0, "s01"),  # label differs from the manifest subject s00
+            (3, "nan", "row 2 has a non-finite coefficient"),
+            (4, "abc", "malformed feature row 2"),
+            (2, "101", "row 2 declares dim=101"),
+            (1, "r", "mix channels"),  # channel differs from the other rows'
+            (0, "s01", "row labelled 's01' listed under subject 's00'"),
         ],
         ids=["non-finite", "non-numeric", "dim", "channel", "label"],
     )
-    def test_bad_row_detected(self, tmp_path, field, value):
+    def test_bad_row_detected(self, tmp_path, field, value, reason):
         save_gallery(self.orl_like_gallery(), tmp_path)
         csv_path = tmp_path / "vectors.csv"
         lines = csv_path.read_text().splitlines()
@@ -261,31 +295,25 @@ class TestPersistence:
         fields[field] = value
         lines[1] = ",".join(fields)
         csv_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(GalleryCorruptError):
-            load_gallery(tmp_path)
+        assert_csv_rejected(tmp_path, reason)
 
     def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch):
         save_gallery(self.orl_like_gallery(), tmp_path, meta={"window": 64})
         old_manifest = (tmp_path / "gallery.json").read_bytes()
-        real_write_text = Path.write_text
-        calls = []
-
-        def write_text(path, text, *args, **kwargs):
-            calls.append(path)
-            if len(calls) == 2:
-                real_write_text(path, text[: len(text) // 2], *args, **kwargs)
-                raise OSError("no space left on device")
-            return real_write_text(path, text, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "write_text", write_text)
+        calls = fail_write(monkeypatch, 3)
         new = Gallery()
         new.enroll("x", vec(np.ones(100)))
         with pytest.raises(OSError, match="no space"):
             save_gallery(new, tmp_path, meta={"window": 32})
         monkeypatch.undo()
-        assert len(calls) == 2
+        assert len(calls) == 3
         assert (tmp_path / "gallery.json").read_bytes() == old_manifest
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["gallery.json", "vectors.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "gallery.json", "templates.npy", "vectors.csv"
+        ]
+        # the new vectors.csv is in place, but not the gallery.json that commits it
+        with pytest.raises(GalleryCorruptError, match="torn save"):
+            load_gallery(tmp_path)
 
 
 class TestMatrixLayout:
@@ -315,3 +343,162 @@ class TestMatrixLayout:
             loaded.enroll(s, v)
         assert loaded == whole
         assert loaded.n_templates == 6
+
+
+def gallery_of(ids, dim=5, seed=4):
+    g = Gallery()
+    rng = np.random.default_rng(seed)
+    for s in ids:
+        for _ in range(2):
+            g.enroll(s, vec(rng.standard_normal(dim)))
+    return g
+
+
+def pin_templates(directory, matrix, **save_kwargs):
+    """Replace templates.npy by ``matrix`` and record its digest in gallery.json."""
+    npy = directory / "templates.npy"
+    np.save(npy, matrix, **save_kwargs)
+    path = directory / "gallery.json"
+    manifest = json.loads(path.read_text())
+    manifest["sha256"]["templates.npy"] = hashlib.sha256(npy.read_bytes()).hexdigest()
+    path.write_text(json.dumps(manifest, indent=1) + "\n")
+
+
+class TestTemplatesSidecar:
+    """templates.npy is trusted only when gallery.json pins it by digest."""
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [f"s{i:02d}" for i in range(40)],
+            ["plain", "a,b", 'say "hi"', "line\nbreak", ""],
+            ["cr\rhere", "a\r\nb", "plain"],
+            ["Zoë Ångström 李", "plain"],
+        ],
+        ids=["plain", "quoted", "carriage-return", "utf-8"],
+    )
+    def test_sidecar_equals_the_csv_bit_for_bit(self, tmp_path, ids):
+        g = gallery_of(ids, dim=100)
+        save_gallery(g, tmp_path)
+        manifest = json.loads((tmp_path / "gallery.json").read_text())
+        for name in ["templates.npy", "vectors.csv"]:
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert manifest["sha256"][name] == digest
+        sidecar = np.load(tmp_path / "templates.npy", allow_pickle=False)
+        assert sidecar.dtype.str == "<f8" and sidecar.flags.c_contiguous
+        labels, _, parsed = feature_matrix_from_csv((tmp_path / "vectors.csv").read_bytes())
+        assert sidecar.tobytes() == parsed.tobytes() == g.matrix.tobytes()
+        from_npy, _ = load_gallery(tmp_path)
+        (tmp_path / "templates.npy").unlink()
+        from_csv, _ = load_gallery(tmp_path)
+        assert from_npy == from_csv == g
+        assert from_npy.matrix.tobytes() == from_csv.matrix.tobytes()
+        assert from_npy.subject_ids == sorted(set(labels))
+
+    def test_torn_save_is_rejected(self, tmp_path):
+        save_gallery(gallery_of(["a", "b"]), tmp_path / "old")
+        save_gallery(gallery_of(["a", "b"], seed=5), tmp_path / "new")
+        # a save cut after renaming vectors.csv, before writing gallery.json
+        for name in ["templates.npy", "vectors.csv"]:
+            (tmp_path / "old" / name).write_bytes((tmp_path / "new" / name).read_bytes())
+        with pytest.raises(GalleryCorruptError, match="vectors.csv does not match"):
+            load_gallery(tmp_path / "old")
+
+    def test_save_cut_after_the_sidecar_loads_the_old_gallery(self, tmp_path, monkeypatch):
+        old = gallery_of(["a", "b"])
+        save_gallery(old, tmp_path, meta={"window": 16})
+        old_npy = (tmp_path / "templates.npy").read_bytes()
+        calls = fail_write(monkeypatch, 2)
+        with pytest.raises(OSError, match="no space"):
+            save_gallery(gallery_of(["a", "b"], seed=5), tmp_path, meta={"window": 16})
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert (tmp_path / "templates.npy").read_bytes() != old_npy
+        loaded, meta = load_gallery(tmp_path)
+        assert loaded == old
+        assert meta == {"window": 16}
+
+    @pytest.mark.parametrize("sidecar", ["missing", "stale"])
+    def test_missing_or_stale_sidecar_falls_back_to_the_csv(self, tmp_path, sidecar):
+        g = gallery_of(["a", "b", "c"])
+        save_gallery(g, tmp_path)
+        npy = tmp_path / "templates.npy"
+        if sidecar == "missing":
+            npy.unlink()
+        else:
+            np.save(npy, g.matrix + 1.0)
+        loaded, _ = load_gallery(tmp_path)
+        assert loaded == g
+
+    @pytest.mark.parametrize(
+        "make, save_kwargs, reason",
+        [
+            (lambda m: m.astype(object), {"allow_pickle": True}, "corrupt .*templates.npy"),
+            (lambda m: m.astype(np.float32), {}, "holds a <f4 array"),
+            (lambda m: m.astype(">f8"), {}, "holds a >f8 array"),
+            (lambda m: m[:-1], {}, r"of shape \(5, 5\)"),
+            (lambda m: m.T, {}, r"of shape \(5, 6\)"),
+            (lambda m: m.reshape(-1), {}, r"of shape \(30,\)"),
+            (lambda m: np.where(m == m[2, 3], np.inf, m), {}, "non-finite"),
+        ],
+        ids=["pickled", "float32", "big-endian", "rows", "transposed", "1-d", "non-finite"],
+    )
+    def test_pinned_bad_sidecar_is_rejected(self, tmp_path, make, save_kwargs, reason):
+        g = gallery_of(["a", "b", "c"])
+        save_gallery(g, tmp_path)
+        pin_templates(tmp_path, make(np.array(g.matrix)), **save_kwargs)
+        with pytest.raises(GalleryCorruptError, match=reason):
+            load_gallery(tmp_path)
+
+    def test_legacy_gallery_without_digests_loads(self, tmp_path):
+        g = gallery_of(["a", "b", "c"])
+        save_gallery(g, tmp_path, meta={"window": 8})
+        strip_digests(tmp_path)
+        # a gallery saved before the digests has no templates.npy; one is ignored
+        (tmp_path / "templates.npy").write_bytes(b"not an array")
+        loaded, meta = load_gallery(tmp_path)
+        assert loaded == g
+        assert meta == {"window": 8}
+        (tmp_path / "templates.npy").unlink()
+        assert load_gallery(tmp_path)[0] == g
+
+    @pytest.mark.parametrize(
+        "digests", [["not", "an", "object"], {"templates.npy": "0" * 64}], ids=["list", "no-csv"]
+    )
+    def test_malformed_digests_are_rejected(self, tmp_path, digests):
+        save_gallery(gallery_of(["a"]), tmp_path)
+        path = tmp_path / "gallery.json"
+        manifest = json.loads(path.read_text())
+        manifest["sha256"] = digests
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(GalleryCorruptError):
+            load_gallery(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda m: m["subjects"][0].update(templates=3), r"not <f8 of shape \(5, 5\)"),
+            (lambda m: m["subjects"][0].update(templates=True), "lists True templates"),
+            (lambda m: m["subjects"][0].update(templates=0), "lists 0 templates"),
+            (lambda m: m["subjects"][0].update(id=7), "subject id 7 is not a string"),
+            (lambda m: m["subjects"].reverse(), "lists subject 'a' after 'b'"),
+            (lambda m: m["subjects"][1].update(id="a"), "lists subject 'a' after 'a'"),
+            (lambda m: m.update(subjects={"a": 2}), "subjects is not a list"),
+            (lambda m: m.update(feature_dim=4), r"not <f8 of shape \(4, 4\)"),
+            (lambda m: m.update(feature_dim="5"), "feature_dim '5'"),
+            (lambda m: m.update(channel="purple"), "channel 'purple' is unknown"),
+            (lambda m: m.update(meta={"window": 2}), "meta.window 2"),
+        ],
+        ids=[
+            "count", "bool-count", "zero-count", "id", "order", "duplicate", "subjects",
+            "dim", "dim-type", "channel", "window",
+        ],
+    )
+    def test_manifest_is_checked_when_the_sidecar_is_trusted(self, tmp_path, edit, reason):
+        save_gallery(gallery_of(["a", "b"]), tmp_path)
+        path = tmp_path / "gallery.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(GalleryCorruptError, match=reason):
+            load_gallery(tmp_path)

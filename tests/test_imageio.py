@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facedct import imageio
 from facedct.errors import MismatchError
 from facedct.imageio import (
     ManifestError,
@@ -197,6 +198,29 @@ class TestResizeBilinear:
         plane = rng.random((5, 9))
         out = resize_bilinear(plane, 9, 5)
         assert np.abs(out - plane).max() < 1e-12
+
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_size_gives_back_the_interpolated_bits(self, h, w, seed):
+        plane = np.random.default_rng(seed).standard_normal((h, w))
+        plane[0, 0] = 0.0
+        out = resize_bilinear(plane, w, h)
+        # the interpolation the equal-size shortcut skips
+        ylo, yhi, wy = imageio._axis_interp(h, h)
+        xlo, xhi, wx = imageio._axis_interp(w, w)
+        rows = plane[ylo, :] * (1.0 - wy)[:, None] + plane[yhi, :] * wy[:, None]
+        interpolated = rows[:, xlo] * (1.0 - wx) + rows[:, xhi] * wx
+        assert out.tobytes() == interpolated.tobytes() == plane.tobytes()
+        assert out is not plane
+
+    @pytest.mark.parametrize("n_in, n_out", [(1, 1), (1, 5), (5, 1), (64, 64), (80, 64), (7, 96)])
+    def test_cached_axis_interp_equals_an_uncached_call(self, n_in, n_out):
+        cached = imageio._axis_interp(n_in, n_out)
+        assert imageio._axis_interp(n_in, n_out) is cached
+        fresh = imageio._axis_interp.__wrapped__(n_in, n_out)
+        for a, b in zip(cached, fresh):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
 
     @given(
         st.integers(1, 6), st.integers(1, 6), st.integers(1, 9), st.integers(1, 9),

@@ -28,13 +28,17 @@ from facedct.verification import (
     eer,
     far_frr_at,
     min_dcf,
-    normal_cdf,
     normal_deviate,
     _probit,
     render_det_svg,
     split_intra_inter,
     trial_counts,
 )
+
+
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF via erfc (accurate deep into both tails)."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def brute_force_sweep(genuine, impostor):
