@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ValidationError(
                 f"dim must be in [1, window^2] = [1, {self.window * self.window}]"
             )
+        if not self.metrics:
+            raise ValidationError(f"config field 'metrics' names no metric (choose from {METRICS})")
         for m in self.metrics:
             if m not in METRICS:
                 raise ValidationError(f"unknown metric {m!r} (choose from {METRICS})")
@@ -141,6 +143,13 @@ def _as_indices(value, name: str) -> tuple[int, ...]:
         raise ValidationError(f"{name} must be a list of integers: {exc}") from exc
 
 
+def _convert(convert, value, name: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"config field {name!r}: {exc}") from None
+
+
 def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentConfig:
     """Read the JSON config, apply flag overrides, validate."""
     path = Path(path)
@@ -163,28 +172,35 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentCo
 
     base = path.parent
 
-    def resolve(p) -> Path:
-        p = Path(p)
+    def resolve(name: str) -> Path:
+        p = _convert(Path, raw[name], name)
         return p if p.is_absolute() else base / p
 
     if "manifest" not in raw:
         raise ValidationError("config is missing the 'manifest' field")
-    metrics = raw.get("metrics", raw.get("metric", "mse"))
+    metrics_field = "metrics" if "metrics" in raw else "metric"
+    metrics = raw.get(metrics_field, "mse")
     if isinstance(metrics, str):
         metrics = [m for m in metrics.split(",") if m.strip()]
+    elif not isinstance(metrics, list):
+        raise ValidationError(
+            f"config field {metrics_field!r} must be a list or a comma-separated string"
+        )
     dcf_raw = raw.get("dcf", {})
+    if not isinstance(dcf_raw, dict):
+        raise ValidationError("config field 'dcf' must be an object with c_miss and c_fa")
 
     cfg = ExperimentConfig(
-        manifest=resolve(raw["manifest"]),
+        manifest=resolve("manifest"),
         train_indices=_as_indices(raw.get("train_indices", [1, 2, 3, 4, 5]), "train_indices"),
         test_indices=_as_indices(raw.get("test_indices", [6, 7, 8, 9, 10]), "test_indices"),
-        window=int(raw.get("window", DEFAULT_WINDOW)),
-        dim=int(raw.get("dim", DEFAULT_DIM)),
+        window=_convert(int, raw.get("window", DEFAULT_WINDOW), "window"),
+        dim=_convert(int, raw.get("dim", DEFAULT_DIM), "dim"),
         metrics=tuple(str(m).lower() for m in metrics),
         channel=str(raw.get("channel", "gray")).lower(),
-        c_miss=float(dcf_raw.get("c_miss", 1.0)),
-        c_fa=float(dcf_raw.get("c_fa", 1.0)),
-        output_dir=resolve(raw["output_dir"]) if raw.get("output_dir") else None,
+        c_miss=_convert(float, dcf_raw.get("c_miss", 1.0), "dcf.c_miss"),
+        c_fa=_convert(float, dcf_raw.get("c_fa", 1.0), "dcf.c_fa"),
+        output_dir=resolve("output_dir") if raw.get("output_dir") else None,
     )
 
     for name in ("window", "dim"):
@@ -270,10 +286,8 @@ def cmd_evaluate(args) -> int:
 
         tag = "" if single else f"_{metric}"
         save_scores_csv(tensor, out / f"scores{tag}.csv")
-        points = det_curve(trials)
-        save_det_csv(points, out / f"det{tag}.csv")
-        if args.svg:
-            (out / f"det{tag}.svg").write_text(render_det_svg(points, summary.eer))
+        svg = out / f"det{tag}.svg" if args.svg else None
+        _write_det(trials, out / f"det{tag}.csv", svg, summary.eer)
         print(
             f"[{metric}] identification rate {summary.identification.rate:.4f} "
             f"({summary.identification.successes}/{summary.identification.trials}), "
@@ -320,14 +334,21 @@ def cmd_identify(args) -> int:
     return EXIT_OK
 
 
-def cmd_det_export(args) -> int:
-    tensor = load_scores_csv(args.scores)
-    trials = split_intra_inter(tensor)
+def _write_det(trials, csv_path, svg_path, eer_value: float | None) -> int:
+    """Write the DET staircase of ``trials`` to ``csv_path`` and, when
+    ``svg_path`` is given, its plot with ``eer_value`` marked; returns the
+    number of points."""
     points = det_curve(trials)
-    save_det_csv(points, args.out)
-    if args.svg:
-        Path(args.svg).write_text(render_det_svg(points, eer_of(trials)))
-    print(f"det curve ({len(points)} points) -> {args.out}")
+    save_det_csv(points, csv_path)
+    if svg_path:
+        Path(svg_path).write_text(render_det_svg(points, eer_value))
+    return len(points)
+
+
+def cmd_det_export(args) -> int:
+    trials = split_intra_inter(load_scores_csv(args.scores))
+    n_points = _write_det(trials, args.out, args.svg, eer_of(trials) if args.svg else None)
+    print(f"det curve ({n_points} points) -> {args.out}")
     return EXIT_OK
 
 
@@ -336,6 +357,11 @@ _CHANNEL_ROW_ORDER = {"r": 0, "g": 1, "b": 2, "y": 3, "gray": 4}
 
 def cmd_fuse_eval(args) -> int:
     cfg = load_config(args.config, args)
+    # fusion_results.csv has no metric column, so it holds one metric's rows
+    if len(cfg.metrics) != 1:
+        raise ValidationError(
+            f"fuse-eval scores one metric, got {len(cfg.metrics)}: {', '.join(cfg.metrics)}"
+        )
     specs = [parse_fusion_spec(s) for s in args.fusion]
     out = Path(args.out) if args.out else (cfg.output_dir or Path("results"))
     out.mkdir(parents=True, exist_ok=True)

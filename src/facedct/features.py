@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import re
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -163,12 +164,29 @@ def feature_matrix_to_csv(labels: list[str], channel: str, matrix: np.ndarray) -
 
 
 #: a row's subject id, csv-quoted or bare, then the rest of its first line
-_FIRST_LINE = re.compile(rb'[\r\n]*("(?:[^"]|"")*"|[^,\r\n]*)([^\r\n]*)')
+_FIRST_LINE = re.compile(rb'[\r\n]*(?=[^\r\n])("(?:[^"]|"")*"|[^,\r\n]*)([^\r\n]*)')
 
 
 def _load_rows(data: bytes, row: list) -> np.ndarray:
     opts = dict(delimiter=",", quotechar='"', comments=None, ndmin=1, encoding="utf-8")
     return np.loadtxt(io.BytesIO(data), row, **opts)
+
+
+def first_bad_row(pieces: Iterable[bytes], load: Callable) -> tuple[int, str] | None:
+    """Index of the first of ``pieces`` from which ``load`` (``np.loadtxt``)
+    does not read exactly one row, and why, or None.  A blank piece is one;
+    it is not loaded, as ``np.loadtxt`` would skip it with a warning."""
+    for n, piece in enumerate(pieces):
+        if not piece.strip():
+            return n, "blank line"
+        try:
+            count = load(piece).size
+        except ValueError as exc:  # UnicodeDecodeError included
+            # loadtxt's row numbers mix 0- and 1-based; the caller names the row
+            return n, str(exc).partition(" at row ")[0]
+        if count != 1:
+            return n, f"{count} rows in one line"
+    return None
 
 
 def feature_matrix_from_csv(data: bytes | str) -> tuple[list[str], str | None, np.ndarray]:
@@ -192,14 +210,11 @@ def feature_matrix_from_csv(data: bytes | str) -> tuple[list[str], str | None, n
     try:
         rows = _load_rows(data, row)
     except ValueError:  # UnicodeDecodeError included
-        # loadtxt's row numbers mix 0- and 1-based; name the 1-based row
-        for n, match in enumerate(_FIRST_LINE.finditer(data), 1):
-            try:
-                _load_rows(match.group(0), row)
-            except ValueError as exc:
-                reason = str(exc).partition(" at row ")[0]
-                raise DataError(f"malformed feature row {n}: {reason}") from None
-        raise DataError("malformed feature rows") from None
+        pieces = (match.group(0) for match in _FIRST_LINE.finditer(data))
+        bad = first_bad_row(pieces, lambda piece: _load_rows(piece, row))
+        if bad is None:
+            raise DataError("malformed feature rows") from None
+        raise DataError(f"malformed feature row {bad[0] + 1}: {bad[1]}") from None
     channels = sorted(set(rows["channel"]))
     if len(channels) > 1:
         raise DataError(f"feature rows mix channels {channels}")

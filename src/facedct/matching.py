@@ -10,25 +10,27 @@ minimum over that subject's rows, taken with ``np.minimum.reduceat`` over
 the gallery's matrix and subject offsets (:func:`subject_distances`).
 ``build_score_tensor``, the ``identify`` command and the channel fusion
 runs all score through it, and ``mse``, ``mad`` and ``person_score`` are
-thin calls into it, so every route gives the same bits.
+thin calls into it, so every route gives the same bits, and
+:meth:`ScoreTensor.partition` is the one genuine/impostor split of a tensor.
 
 A tensor is exchanged as ``facedct-scores-v1`` CSV, one ``i,j,k,score`` row
 per cell, which ``load_scores_csv`` reads as bytes with one ``np.loadtxt``
-call.
+call.  A score row is what ``np.loadtxt`` reads as one row.  If the rows do
+not load, or a blank line leaves them short, the line named is the first
+from which ``np.loadtxt`` alone does not read one row (``first_bad_row``).
 """
 
 from __future__ import annotations
 
 import io
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, MismatchError
-from .features import FeatureVector
+from .features import FeatureVector, first_bad_row
 from .gallery import Gallery
 
 METRICS = ("mse", "mad")
@@ -131,10 +133,17 @@ class ScoreTensor:
     def n_trials(self) -> int:
         return int(self.scores.shape[2])
 
-    def genuine_columns(self) -> np.ndarray:
-        """For each probe row, the gallery column of the same subject."""
+    def partition(self) -> tuple[np.ndarray, np.ndarray]:
+        """Genuine cells ``(P, T)``, each probe row's own-subject column, and
+        impostor cells ``(P, G-1, T)``, its other columns in gallery order."""
+        n_probes, n_gallery, n_trials = self.scores.shape
         lookup = {s: j for j, s in enumerate(self.gallery_subjects)}
-        return np.array([lookup[s] for s in self.probe_subjects], dtype=np.intp)
+        own = np.zeros((n_probes, n_gallery, 1), dtype=bool)
+        own[np.arange(n_probes), [lookup[s] for s in self.probe_subjects]] = True
+        # a full-shape mask picks single cells, ~10x faster than (P, G) rows
+        own = np.broadcast_to(own, self.scores.shape)
+        impostor = self.scores[~own].reshape(n_probes, n_gallery - 1, n_trials)
+        return self.scores[own].reshape(n_probes, n_trials), impostor
 
     def with_scores(self, scores: np.ndarray) -> "ScoreTensor":
         return ScoreTensor(self.probe_subjects, self.gallery_subjects, scores, self.metric)
@@ -202,17 +211,9 @@ def identification_rate(tensor: ScoreTensor) -> IdentificationResult:
 
     A tie between the genuine cell and any other subject counts as an error.
     """
-    scores = tensor.scores
-    n_probes = scores.shape[0]
-    rows = np.arange(n_probes)
-    gcols = tensor.genuine_columns()
-    diag = scores[rows, gcols, :]
-    masked = scores.copy()
-    masked[rows, gcols, :] = np.inf
-    min_others = masked.min(axis=1)
-    successes = int(np.sum(diag < min_others))
-    total = n_probes * tensor.n_trials
-    return IdentificationResult(successes, total - successes)
+    genuine, impostor = tensor.partition()
+    successes = int(np.count_nonzero(genuine < impostor.min(axis=1, initial=np.inf)))
+    return IdentificationResult(successes, genuine.size - successes)
 
 
 SCORES_FORMAT = "facedct-scores-v1"
@@ -241,13 +242,11 @@ def scores_to_csv(tensor: ScoreTensor) -> str:
 
 
 _ROW_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("score", np.float64)])
-#: a data row that ``np.loadtxt`` reads; every line it rejects fails this
-#: too, so the error path names the first line that fails it
-_ROW = re.compile(
-    rb"(?:[ \t]*[+-]?\d{1,18}[ \t]*,){3}"
-    rb"[ \t]*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)[ \t]*\r?",
-    re.IGNORECASE,
-)
+
+
+def _load_score_rows(data: bytes) -> np.ndarray:
+    opts = dict(delimiter=",", comments=None, ndmin=1, encoding="ascii")
+    return np.loadtxt(io.BytesIO(data), _ROW_DTYPE, **opts)
 
 
 def scores_from_csv(data: bytes | str) -> ScoreTensor:
@@ -256,8 +255,8 @@ def scores_from_csv(data: bytes | str) -> ScoreTensor:
     The ``#`` comment lines and the ``i,j,k,score`` header come first, then
     one row per cell; every cell of the tensor must appear exactly once.
     ``data`` is the file's bytes (text is encoded first).  One ``np.loadtxt``
-    call parses the rows; a line that is not a row, blank or not ASCII, is
-    an error naming it.  Line breaks after the last row are ignored.
+    call parses the rows; a line it does not read as one row, blank or not
+    ASCII, is an error naming it.  Line breaks after the last row are ignored.
     """
     data = data.encode() if isinstance(data, str) else data
     meta: dict[str, str] = {}
@@ -295,19 +294,20 @@ def scores_from_csv(data: bytes | str) -> ScoreTensor:
 
     if stop <= pos:
         raise DataError("score file has no rows")
-    buf = io.BytesIO(data)
-    buf.seek(pos)
+    body = data[pos:stop]
     try:
-        rows = np.loadtxt(buf, _ROW_DTYPE, delimiter=",", comments=None, ndmin=1, encoding="ascii")
+        rows = _load_score_rows(body)
     except ValueError:  # UnicodeDecodeError included
         rows = None
     # loadtxt skips blank lines, so a blank line leaves a row short
-    if rows is None or rows.size != data.count(b"\n", pos, stop) + 1:
-        lines = data[pos:stop].split(b"\n")
-        bad = next(n for n, line in enumerate(lines) if not _ROW.fullmatch(line))
+    if rows is None or rows.size != body.count(b"\n") + 1:
+        lines = body.split(b"\n")
+        bad = first_bad_row(lines, _load_score_rows)
+        if bad is None:
+            raise DataError("malformed score rows")
         raise DataError(
-            f"malformed score row at line {line_no + bad}: "
-            f"{lines[bad][:80].decode('ascii', 'replace')!r} (expected i,j,k,score)"
+            f"malformed score row at line {line_no + bad[0]}: "
+            f"{lines[bad[0]][:80].decode('ascii', 'replace')!r} (expected i,j,k,score)"
         )
     index = np.stack([rows["i"], rows["j"], rows["k"]], axis=1)
     max_k = int(index[:, 2].max())
@@ -317,16 +317,17 @@ def scores_from_csv(data: bytes | str) -> ScoreTensor:
     if outside.size:
         i, j, k = index[outside[0]].tolist()
         raise DataError(f"score cell index ({i},{j},{k}) out of bounds {shape}")
+    # before the tensor-sized bincount, which one huge k index would inflate
+    if rows.size != expected:
+        raise DataError(
+            f"score file has {rows.size} cells, expected {expected} for shape {shape}"
+        )
     flat = np.ravel_multi_index(tuple(index.T), shape)
     del index
     seen = np.bincount(flat, minlength=expected)
     if np.any(seen > 1):
         i, j, k = np.unravel_index(int(np.argmax(seen > 1)), shape)
         raise DataError(f"score cell ({i},{j},{k}) appears more than once")
-    if flat.size != expected:
-        raise DataError(
-            f"score file has {flat.size} cells, expected {expected} for shape {shape}"
-        )
     scores = np.empty(expected)
     scores[flat] = rows["score"]
     try:

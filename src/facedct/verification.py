@@ -8,8 +8,10 @@ the exact candidate set (midpoints of the pooled sorted distinct scores
 plus -inf/+inf sentinels), on which the error staircase attains every value
 it takes anywhere on the real line.
 
-The staircase is built once per :class:`TrialScores` and shared by
-:func:`det_curve`, :func:`eer` and :func:`min_dcf`.  DET data is
+The genuine and impostor populations are the two arrays of
+:meth:`ScoreTensor.partition`, flattened.  The staircase is built once per
+:class:`TrialScores`, when :func:`det_curve`, :func:`eer` or :func:`min_dcf`
+first asks, and sorts both populations inside that build only.  DET data is
 array-backed: :func:`det_curve` returns a :class:`DetCurve`, a sequence of
 :class:`DetPoint` over three read-only arrays, and the CSV and SVG exports
 read those arrays without building points.
@@ -56,13 +58,6 @@ class TrialScores:
                 raise ValueError(f"{name} scores must be finite")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        # sorted copies are computed once and shared read-only
-        gs = np.sort(self.genuine)
-        is_ = np.sort(self.impostor)
-        gs.flags.writeable = False
-        is_.flags.writeable = False
-        object.__setattr__(self, "_genuine_sorted", gs)
-        object.__setattr__(self, "_impostor_sorted", is_)
 
     @property
     def n_genuine(self) -> int:
@@ -75,12 +70,12 @@ class TrialScores:
     @cached_property
     def _staircase(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(thresholds asc, p_fa, p_miss) over the exact candidate set."""
-        thresholds = _candidate_thresholds(self)
-        gs: np.ndarray = self._genuine_sorted  # type: ignore[attr-defined]
-        is_: np.ndarray = self._impostor_sorted  # type: ignore[attr-defined]
-        p_fa = np.searchsorted(is_, thresholds, side="right") / self.n_impostor
+        pooled = np.unique(np.concatenate([self.genuine, self.impostor]))
+        mids = (pooled[:-1] + pooled[1:]) / 2.0
+        thresholds = np.concatenate(([-np.inf], mids, [np.inf]))
+        p_fa = np.searchsorted(np.sort(self.impostor), thresholds, side="right") / self.n_impostor
         # (n - hits) / n rounds once, as far_frr_at does; 1 - hits/n rounds twice
-        hits = np.searchsorted(gs, thresholds, side="right")
+        hits = np.searchsorted(np.sort(self.genuine), thresholds, side="right")
         p_miss = (self.n_genuine - hits) / self.n_genuine
         for arr in (thresholds, p_fa, p_miss):
             arr.flags.writeable = False
@@ -143,15 +138,8 @@ class DcfParams:
 
 
 def split_intra_inter(tensor: ScoreTensor) -> TrialScores:
-    """Split tensor cells into genuine (own-subject) and impostor scores."""
-    scores = tensor.scores
-    n_probes = scores.shape[0]
-    rows = np.arange(n_probes)
-    gcols = tensor.genuine_columns()
-    genuine = scores[rows, gcols, :].reshape(-1)
-    mask = np.ones(scores.shape[:2], dtype=bool)
-    mask[rows, gcols] = False
-    impostor = scores[mask, :].reshape(-1)
+    """Genuine and impostor scores: :meth:`ScoreTensor.partition`, flattened."""
+    genuine, impostor = tensor.partition()
     if impostor.size == 0:
         raise DegenerateScoresError("tensor has no impostor trials (single subject)")
     return TrialScores(genuine, impostor)
@@ -162,12 +150,6 @@ def far_frr_at(trials: TrialScores, threshold: float) -> tuple[float, float]:
     p_fa = float(np.count_nonzero(trials.impostor <= threshold)) / trials.n_impostor
     p_miss = float(np.count_nonzero(trials.genuine > threshold)) / trials.n_genuine
     return p_fa, p_miss
-
-
-def _candidate_thresholds(trials: TrialScores) -> np.ndarray:
-    pooled = np.unique(np.concatenate([trials.genuine, trials.impostor]))
-    mids = (pooled[:-1] + pooled[1:]) / 2.0
-    return np.concatenate(([-np.inf], mids, [np.inf]))
 
 
 def det_curve(trials: TrialScores) -> DetCurve:

@@ -1,12 +1,13 @@
 """CLI behavior: subcommands, determinism, exit-code contract."""
 
+import argparse
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from facedct.cli import main
+from facedct.cli import load_config, main
 from facedct.features import FeatureVector, extract_features
 from facedct.gallery import Gallery, save_gallery
 from facedct.imageio import RasterImage, prepare_plane, read_pnm_file, write_pnm_file
@@ -332,6 +333,21 @@ class TestFuseEval:
             "score-fusion:R+G+B", "score-fusion:0.3R+0.59G+0.11B",
         ]
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_more_than_one_metric_is_validation_error(self, dataset, tmp_path, capsys, source):
+        # fusion_results.csv has no metric column: a second metric would be dropped
+        metrics = ["mse", "mad"] if source == "config" else ["mse"]
+        cfg = write_config(tmp_path / "cfg.json", dataset, metrics=metrics)
+        flags = ["--metric", "mse", "--metric", "mad"] if source == "flags" else []
+        code, _, err = run_cli(
+            capsys,
+            "fuse-eval", "--config", str(cfg), "--fusion", "sum:gray", *flags,
+            "--out", str(tmp_path / "fres"),
+        )
+        assert code == 1
+        assert "validation error" in err and "mse, mad" in err
+        assert not (tmp_path / "fres").exists()
+
     def test_bad_fusion_spec(self, dataset, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dataset)
         code, _, err = run_cli(
@@ -494,6 +510,51 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sigsize", "--p", "0.1")
         assert code == 3
         assert "internal error" in err
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("dcf", 5),
+            ("dcf", {"c_miss": None}),
+            ("window", None),
+            ("dim", None),
+            ("metrics", 5),
+            ("metrics", []),
+            ("output_dir", 7),
+            ("manifest", 5),
+        ],
+    )
+    def test_config_field_of_the_wrong_type_is_validation_error(
+        self, dataset, tmp_path, capsys, name, value
+    ):
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        payload = json.loads(cfg.read_text())
+        payload[name] = value
+        cfg.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g"))
+        assert code == 1
+        assert err.startswith("validation error: ")
+        assert f"'{name}" in err
+
+    @pytest.mark.parametrize(
+        "name, value, loaded",
+        [
+            ("window", "32", 32),
+            ("dim", 64.0, 64),
+            ("metrics", "mse,mad", ("mse", "mad")),
+            ("metric", ["MAD"], ("mad",)),
+            ("dcf", {"c_miss": "2"}, 2.0),
+            ("output_dir", "", None),
+        ],
+    )
+    def test_config_values_of_a_lenient_type_still_load(self, dataset, tmp_path, name, value, loaded):
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        payload = json.loads(cfg.read_text())
+        payload.pop("metrics")
+        payload[name] = value
+        cfg.write_text(json.dumps(payload))
+        attr = {"metric": "metrics", "dcf": "c_miss"}.get(name, name)
+        assert getattr(load_config(cfg, argparse.Namespace()), attr) == loaded
 
     @pytest.fixture(scope="class")
     def gallery_dir(self, dataset, tmp_path_factory):

@@ -21,6 +21,27 @@ from facedct.features import (
     zigzag_order,
 )
 
+#: what a byte edit writes: line breaks, whitespace, separators, a sign, an
+#: exponent, a quote, digits, a non-ASCII byte and a run past int64
+EDIT_PIECES = [b"\r", b" ", b"\n", b"\x0b", b"\x0c", b",", b"-", b".", b"e", b'"', b"0", b"9",
+               b"\xff", b"1" * 25]
+#: (kind, offset from the end, piece, repeats); counting from the end makes
+#: the last row's line break as likely a target as the first byte
+byte_edits = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 400),
+              st.sampled_from(EDIT_PIECES), st.integers(1, 3)),
+    min_size=1, max_size=3,
+)
+
+
+def apply_byte_edits(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for kind, back, piece, repeats in edits:
+        pos = max(len(out) - back, 0)
+        out[pos : pos + repeats * (kind != "insert")] = b"" if kind == "delete" else piece * repeats
+    return bytes(out)
+
+
 # The per-vector CSV writer and reader: the reference that
 # feature_matrix_to_csv and feature_matrix_from_csv are tested against.
 
@@ -336,6 +357,17 @@ class TestFeatureMatrixCsv:
     def test_bad_row_is_named_by_its_one_based_row(self, text):
         with pytest.raises(DataError, match=r"^malformed feature row 2: "):
             feature_matrix_from_csv(text)
+
+    @given(byte_edits)
+    @settings(max_examples=400, deadline=None)
+    def test_byte_edits_load_or_raise_data_error(self, edits):
+        labels = ["a", 'q"x', "c\rd", "e,f"]
+        matrix = np.arange(12.0).reshape(4, 3) / 7
+        data = apply_byte_edits(feature_matrix_to_csv(labels, "gray", matrix).encode(), edits)
+        try:
+            feature_matrix_from_csv(data)
+        except DataError:
+            pass
 
 
 class TestFeatureVector:

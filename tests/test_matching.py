@@ -1,5 +1,7 @@
 """Distance kernels, score tensor construction, identification rate."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,26 @@ def brute_force_identification(tensor):
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+
+#: what a byte edit writes: line breaks, whitespace, separators, a sign, an
+#: exponent, a quote, digits, a non-ASCII byte and a run past int64
+EDIT_PIECES = [b"\r", b" ", b"\n", b"\x0b", b"\x0c", b",", b"-", b".", b"e", b'"', b"0", b"9",
+               b"\xff", b"1" * 25]
+#: (kind, offset from the end, piece, repeats); counting from the end makes
+#: the last row's line break as likely a target as the first byte
+byte_edits = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 400),
+              st.sampled_from(EDIT_PIECES), st.integers(1, 3)),
+    min_size=1, max_size=3,
+)
+
+
+def apply_byte_edits(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for kind, back, piece, repeats in edits:
+        pos = max(len(out) - back, 0)
+        out[pos : pos + repeats * (kind != "insert")] = b"" if kind == "delete" else piece * repeats
+    return bytes(out)
 
 
 class TestMetrics:
@@ -263,6 +285,32 @@ class TestIdentificationRate:
         assert (result.successes, result.errors) == brute_force_identification(tensor)
 
     @given(st.integers(0, 2**31))
+    @settings(max_examples=40)
+    def test_partition_matches_brute_force_and_scores_stay(self, seed):
+        # probe subjects: a permuted subset of the gallery's, so the tensor
+        # need not be square and a probe's own column need not be its row
+        rng = np.random.default_rng(seed)
+        n_gallery, n_trials = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        gallery = tuple(f"s{j}" for j in rng.permutation(n_gallery))
+        probes = tuple(rng.permutation(gallery)[: int(rng.integers(1, n_gallery + 1))])
+        tensor = ScoreTensor(probes, gallery, rng.random((len(probes), n_gallery, n_trials)))
+        before = tensor.scores.tobytes()
+        genuine, impostor = tensor.partition()
+        own = [gallery.index(s) for s in probes]
+        assert genuine.tobytes() == np.array(
+            [tensor.scores[i, own[i]] for i in range(len(probes))]
+        ).tobytes()
+        others = [
+            [tensor.scores[i, j] for j in range(n_gallery) if j != own[i]]
+            for i in range(len(probes))
+        ]
+        assert impostor.shape == (len(probes), n_gallery - 1, n_trials)
+        assert impostor.tobytes() == np.array(others).tobytes()
+        result = identification_rate(tensor)
+        assert (result.successes, result.errors) == brute_force_identification(tensor)
+        assert tensor.scores.tobytes() == before
+
+    @given(st.integers(0, 2**31))
     @settings(max_examples=30)
     def test_strictly_increasing_transform_invariance(self, seed):
         rng = np.random.default_rng(seed)
@@ -329,18 +377,46 @@ class TestScoresCsv:
             (["1,0,0,-1"], "invalid score tensor"),  # negative distance
             (["1,0,0,\uff11"], "malformed"),  # non-ASCII (a fullwidth digit one)
             (["  ", "1,0,0,1"], "malformed"),  # whitespace-only line within the rows
+            (["1,0,0,1\r\r"], "malformed"),  # a row ending in two carriage returns
+            (["1,0,1000000000000000,1"], "4 cells, expected"),  # k sizing a 4e15-cell tensor
         ],
     )
     def test_bad_row_rejected(self, rows, error):
         tensor = ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse")
         lines = scores_to_csv(tensor).splitlines()
         lines[-2:-1] = rows  # in place of the row of cell (1,0,0)
-        with pytest.raises(DataError, match=error) as info:
+        with pytest.raises(DataError, match=error) as info, warnings.catch_warnings():
+            warnings.simplefilter("error")  # a blank line must not reach loadtxt's warning
             scores_from_csv("\n".join(lines) + "\n")
         if error == "malformed":
             # four comment lines and the column header come first, so the
             # first replacement row is line 8
             assert "at line 8:" in str(info.value)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r\r\n", "\r\r", "\n\r\n\n"])
+    def test_line_breaks_after_the_last_row_are_ignored(self, ending):
+        tensor = ScoreTensor(("a", "b"), ("a", "b"), np.random.default_rng(23).random((2, 2, 1)))
+        text = scores_to_csv(tensor).removesuffix("\n") + ending
+        assert scores_from_csv(text).scores.tobytes() == tensor.scores.tobytes()
+
+    @pytest.mark.parametrize("tail", ["\x0c", "\x0b"])
+    def test_a_row_loadtxt_reads_is_not_blamed_for_a_later_one(self, tail):
+        tensor = ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse")
+        lines = scores_to_csv(tensor).splitlines()
+        lines[5] += tail  # line 6, which loadtxt reads as a row
+        lines[7] = "1,0,0"  # line 8
+        with pytest.raises(DataError, match="malformed score row at line 8:"):
+            scores_from_csv("\n".join(lines) + "\n")
+
+    @given(byte_edits)
+    @settings(max_examples=400, deadline=None)
+    def test_byte_edits_load_or_raise_data_error(self, edits):
+        tensor = ScoreTensor(("a", "b"), ("a", "b", "c"), np.arange(12.0).reshape(2, 3, 2) / 7)
+        data = apply_byte_edits(scores_to_csv(tensor).encode(), edits)
+        try:
+            scores_from_csv(data)
+        except DataError:
+            pass
 
     def test_round_trip_across_many_blocks(self):
         rng = np.random.default_rng(22)
