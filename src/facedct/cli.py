@@ -2,8 +2,11 @@
 
 Subcommands: enroll, evaluate, identify, det-export, fuse-eval, sigsize,
 synth-data.  Experiments are driven by a JSON config file; flags override
-config fields.  Exit codes are stable: 0 success, 1 validation error,
-2 data error, 3 internal error.
+config fields (see :func:`load_config`).  Exit codes are stable:
+0 success, 1 validation error, 2 data error, 3 internal error.  An input
+that cannot be read or decoded exits 1 when it is the config and 2 when it
+is a manifest, image, score or gallery file; an output that cannot be
+written exits 1.  Each message names the file.
 
 Each command needs only the sample indices it reads: enroll the training
 indices, evaluate the test indices, fuse-eval both.  A subject with fewer
@@ -13,7 +16,6 @@ samples than the largest index a command needs is a data error naming it.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -24,11 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, read_bytes, write_atomic
 from .features import DEFAULT_DIM
 from .fusion import apply_fusion, parse_fusion_spec, run_channel_pipeline
 from .gallery import SplitSpec, load_gallery, save_gallery, select_samples
-from .imageio import CHANNELS, load_manifest
+from .imageio import CHANNELS, MAX_WINDOW, load_manifest, write_json
 from .matching import (
     METRICS,
     build_score_tensor,
@@ -77,7 +79,8 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class ExperimentConfig:
-    """Aggregated experiment parameters; see README for the JSON schema."""
+    """Aggregated experiment parameters; :func:`load_config` gives the JSON
+    schema."""
 
     manifest: Path
     train_indices: tuple[int, ...] = (1, 2, 3, 4, 5)
@@ -94,19 +97,22 @@ class ExperimentConfig:
         return SplitSpec.from_iterables(self.train_indices, self.test_indices)
 
     def validate(self) -> None:
-        if not self.manifest.is_file():
+        # a manifest that exists but cannot be read is a data error (exit 2)
+        if not self.manifest.exists():
             raise ValidationError(f"manifest file does not exist: {self.manifest}")
-        if self.window < 1:
-            raise ValidationError("window must be >= 1")
+        if not 1 <= self.window <= MAX_WINDOW:
+            raise ValidationError(f"'window' {self.window} is outside [1, {MAX_WINDOW}]")
         if not 1 <= self.dim <= self.window * self.window:
             raise ValidationError(
                 f"dim must be in [1, window^2] = [1, {self.window * self.window}]"
             )
         if not self.metrics:
             raise ValidationError(f"config field 'metrics' names no metric (choose from {METRICS})")
-        for m in self.metrics:
+        for i, m in enumerate(self.metrics):
             if m not in METRICS:
                 raise ValidationError(f"unknown metric {m!r} (choose from {METRICS})")
+            if m in self.metrics[:i]:
+                raise ValidationError(f"'metrics' lists {m!r} more than once")
         if self.channel not in CHANNELS:
             raise ValidationError(f"unknown channel {self.channel!r} (choose from {CHANNELS})")
         if self.c_miss < 0 or self.c_fa < 0:
@@ -151,13 +157,41 @@ def _convert(convert, value, name: str):
 
 
 def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentConfig:
-    """Read the JSON config, apply flag overrides, validate."""
+    """Read the JSON config, apply flag overrides, validate.
+
+    The config is a JSON object with these fields; any other field is an
+    error, and so is a field of the wrong type:
+
+    - ``manifest`` (required): path of the dataset manifest, relative to
+      the config's directory.
+    - ``train_indices``, ``test_indices``: disjoint, non-empty lists of
+      1-based sample indices, or comma-separated strings of them; default
+      ``[1, 2, 3, 4, 5]`` and ``[6, 7, 8, 9, 10]``.
+    - ``window``: integer side of the analysis window in
+      ``[1, MAX_WINDOW]``; default 64.
+    - ``dim``: integer count of DCT coefficients kept, in ``[1, window²]``;
+      default 100.
+    - ``metrics``: list of distinct metric names from ``METRICS``, or a
+      comma-separated string of them; default ``"mse"``.  ``metric`` is an
+      alias, read when ``metrics`` is absent.
+    - ``channel``: one of ``CHANNELS``; default ``"gray"``.
+    - ``dcf``: object with the costs ``c_miss`` and ``c_fa``, numbers
+      >= 0; each defaults to 1.0.
+    - ``output_dir``: results directory of ``evaluate`` and ``fuse-eval``,
+      relative to the config's directory; default ``results`` in the
+      working directory.
+
+    Names of metrics and channels are case-insensitive.  The flags
+    ``--window``, ``--dim``, ``--channel``, ``--train-indices`` and
+    ``--test-indices`` replace the field of the same name, ``--metric``
+    (repeatable) replaces ``metrics``, and ``--out`` replaces
+    ``output_dir``.  A config that cannot be read or is not JSON is a
+    ValidationError naming it.
+    """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"config file does not exist: {path}") from None
-    except json.JSONDecodeError as exc:
+        raw = json.loads(read_bytes(path, ValidationError))
+    except ValueError as exc:  # UnicodeDecodeError included
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
@@ -227,10 +261,6 @@ def _provenance(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-
-
 def cmd_enroll(args) -> int:
     """Enroll the training samples; the test indices need not exist."""
     cfg = load_config(args.config, args)
@@ -244,7 +274,7 @@ def cmd_enroll(args) -> int:
         "config_sha256": cfg.sha256(),
     }
     save_gallery(gallery, out, meta=meta)
-    _write_json(out / "provenance.json", _provenance(cfg))
+    write_json(out / "provenance.json", _provenance(cfg))
     print(
         f"enrolled {gallery.n_templates} templates for {gallery.n_subjects} subjects "
         f"(dim={gallery.feature_dim}, channel={gallery.channel}) -> {out}"
@@ -270,7 +300,6 @@ def cmd_evaluate(args) -> int:
     gallery, meta = load_gallery(args.gallery)
     window = meta.get("window", cfg.window)
     out = Path(args.out) if args.out else (cfg.output_dir or Path("results"))
-    out.mkdir(parents=True, exist_ok=True)
 
     test = select_samples(load_manifest(cfg.manifest), cfg.split().test_indices)
     features = extract_subject_features(test, (gallery.channel,), gallery.feature_dim, window)
@@ -308,7 +337,7 @@ def cmd_evaluate(args) -> int:
         "min_resolvable_error_rate_simplified": min_resolvable_error_rate(counts.total),
         "rows": rows,
     }
-    _write_json(out / "results.json", results)
+    write_json(out / "results.json", results)
     print(f"results -> {out / 'results.json'}")
     return EXIT_OK
 
@@ -341,7 +370,7 @@ def _write_det(trials, csv_path, svg_path, eer_value: float | None) -> int:
     points = det_curve(trials)
     save_det_csv(points, csv_path)
     if svg_path:
-        Path(svg_path).write_text(render_det_svg(points, eer_value))
+        write_atomic(svg_path, render_det_svg(points, eer_value).encode())
     return len(points)
 
 
@@ -364,7 +393,6 @@ def cmd_fuse_eval(args) -> int:
         )
     specs = [parse_fusion_spec(s) for s in args.fusion]
     out = Path(args.out) if args.out else (cfg.output_dir or Path("results"))
-    out.mkdir(parents=True, exist_ok=True)
 
     channels = {c for spec in specs for c in spec.channels}
     if args.include_y:
@@ -381,21 +409,14 @@ def cmd_fuse_eval(args) -> int:
         table.append((f"score-fusion:{spec.label()}", summarize_tensor(fused, cfg.c_miss, cfg.c_fa)))
 
     csv_path = out / "fusion_results.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["input_signal", "identification_rate", "eer", "min_dcf_ptrue_0.5", "min_dcf_ptrue_empirical"]
+    # no label holds a comma, quote or newline, so csv.writer would quote none
+    lines = ["input_signal,identification_rate,eer,min_dcf_ptrue_0.5,min_dcf_ptrue_empirical"]
+    for label, summary in table:
+        lines.append(
+            f"{label},{summary.identification.rate:.6f},{summary.eer:.6f},"
+            f"{summary.min_dcf['0.5']:.6f},{summary.min_dcf['empirical']:.6f}"
         )
-        for label, summary in table:
-            writer.writerow(
-                [
-                    label,
-                    f"{summary.identification.rate:.6f}",
-                    f"{summary.eer:.6f}",
-                    f"{summary.min_dcf['0.5']:.6f}",
-                    f"{summary.min_dcf['empirical']:.6f}",
-                ]
-            )
+    write_atomic(csv_path, ("\n".join(lines) + "\n").encode())
     for label, summary in table:
         print(
             f"{label}: rate {summary.identification.rate:.4f}, eer {summary.eer:.4f}, "
@@ -552,6 +573,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:  # a write to an output path the caller gave
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except KeyboardInterrupt:
         raise
     except Exception as exc:  # pragma: no cover - defensive

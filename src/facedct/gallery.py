@@ -30,15 +30,14 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MismatchError
+from .errors import DataError, MismatchError, read_bytes, write_atomic
 from .features import FeatureVector, feature_matrix_from_csv, feature_matrix_to_csv
-from .imageio import CHANNELS
+from .imageio import CHANNELS, MAX_WINDOW
 
 GALLERY_FORMAT = "facedct-gallery"
 GALLERY_VERSION = 1
@@ -259,18 +258,6 @@ class Gallery:
         )
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file in the same
-    directory, so that a failed write leaves the old file (or none) in place."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -288,7 +275,6 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
     if gallery.n_templates == 0:
         raise GalleryError("refusing to save an empty gallery (nothing enrolled)")
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": GALLERY_FORMAT,
         "version": GALLERY_VERSION,
@@ -310,26 +296,17 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
     }
     manifest["sha256"] = {name: _sha256(data) for name, data in files.items()}
     for name, data in files.items():
-        _write_atomic(directory / name, data)
-    _write_atomic(directory / GALLERY_JSON, (json.dumps(manifest, indent=1) + "\n").encode())
+        write_atomic(directory / name, data)
+    write_atomic(directory / GALLERY_JSON, (json.dumps(manifest, indent=1) + "\n").encode())
 
 
 def _check_window(window, feature_dim: int, directory: Path) -> None:
     # bool is an int subclass, but true/false is no window size
-    if type(window) is not int or window < 1 or window * window < feature_dim:
+    if type(window) is not int or not 1 <= window <= MAX_WINDOW or window * window < feature_dim:
         raise GalleryCorruptError(
-            f"gallery {directory}: meta.window {window!r} must be an integer >= 1 "
-            f"whose square covers feature_dim {feature_dim}"
+            f"gallery {directory}: meta.window {window!r} must be an integer in "
+            f"[1, {MAX_WINDOW}] whose square covers feature_dim {feature_dim}"
         )
-
-
-def _read(path: Path) -> bytes:
-    try:
-        return path.read_bytes()
-    except FileNotFoundError:
-        raise GalleryCorruptError(f"missing {path.name} in {path.parent}") from None
-    except OSError as exc:
-        raise GalleryCorruptError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _check_manifest(manifest, directory: Path) -> tuple[list[str], list[int], int, str, dict]:
@@ -441,12 +418,12 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
     """
     directory = Path(directory)
     try:
-        manifest = json.loads(_read(directory / GALLERY_JSON))
+        manifest = json.loads(read_bytes(directory / GALLERY_JSON, GalleryCorruptError))
     except ValueError as exc:  # UnicodeDecodeError included
         raise GalleryCorruptError(f"unreadable {directory / GALLERY_JSON}: {exc}") from exc
     ids, counts, feature_dim, channel, meta = _check_manifest(manifest, directory)
     # bytes, so that no line ending inside a quoted subject id is translated
-    csv_data = _read(directory / VECTORS_CSV)
+    csv_data = read_bytes(directory / VECTORS_CSV, GalleryCorruptError)
     matrix = None
     if "sha256" in manifest:
         digests = manifest["sha256"]
@@ -459,7 +436,7 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
             )
         npy_path = directory / TEMPLATES_NPY
         if npy_path.exists():
-            npy = _read(npy_path)
+            npy = read_bytes(npy_path, GalleryCorruptError)
             if _sha256(npy) == digests.get(TEMPLATES_NPY):
                 matrix = _matrix_of_npy(npy, npy_path, sum(counts), feature_dim)
     if matrix is None:

@@ -16,10 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MismatchError
+from .errors import DataError, MismatchError, read_bytes, write_atomic
 
 #: Single-channel sources a feature vector can come from.
 CHANNELS = ("gray", "r", "g", "b", "y")
+
+#: Largest analysis window side.  Each image is resized to a float64 plane
+#: of window² cells; this bound keeps it at most 128 MiB, far above the
+#: default window of 64 and the 80×96 FERET images, so that a mistyped
+#: window is rejected instead of exhausting memory.
+MAX_WINDOW = 4096
 
 #: RGB -> luminance weights.
 LUMA_WEIGHTS = (0.3, 0.59, 0.11)
@@ -172,7 +178,7 @@ def write_pnm(img: RasterImage) -> bytes:
 
 
 def read_pnm_file(path: str | Path) -> RasterImage:
-    return read_pnm(Path(path).read_bytes())
+    return read_pnm(read_bytes(path, DataError))
 
 
 def write_pnm_file(img: RasterImage, path: str | Path) -> None:
@@ -277,8 +283,8 @@ def load_manifest(path: str | Path) -> dict[str, list[Path]]:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(read_bytes(path, ManifestError))
+    except ValueError as exc:  # UnicodeDecodeError included
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(raw, dict) or not raw:
         raise ManifestError("manifest must be a non-empty JSON object")
@@ -321,5 +327,10 @@ def save_manifest(manifest: dict[str, list[Path]], path: str | Path) -> None:
         except ValueError:
             return str(p)
 
-    payload = {subject: [entry(p) for p in paths] for subject, paths in manifest.items()}
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_json(path, {subject: [entry(p) for p in paths] for subject, paths in manifest.items()})
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as key-sorted JSON indented by one space; the format
+    of the manifest and of the CLI's JSON artifacts."""
+    write_atomic(path, (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode())

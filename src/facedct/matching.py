@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MismatchError
+from .errors import DataError, MismatchError, read_bytes, write_atomic
 from .features import FeatureVector, first_bad_row
 from .gallery import Gallery
 
@@ -339,12 +339,8 @@ def scores_from_csv(data: bytes | str) -> ScoreTensor:
 
 
 def save_scores_csv(tensor: ScoreTensor, path: str | Path) -> None:
-    Path(path).write_text(scores_to_csv(tensor))
+    write_atomic(path, scores_to_csv(tensor).encode())
 
 
 def load_scores_csv(path: str | Path) -> ScoreTensor:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read score file {path}: {exc.strerror or exc}") from None
-    return scores_from_csv(data)
+    return scores_from_csv(read_bytes(path, DataError))

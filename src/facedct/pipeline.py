@@ -33,10 +33,6 @@ def featurize_image(
     try:
         image = read_pnm_file(path)
         planes = [prepare_plane(image, channel, window) for channel in channels]
-    except FileNotFoundError:
-        raise DataError(f"{whose}: missing image {path}".removeprefix(": ")) from None
-    except OSError as exc:
-        raise DataError(f"{whose}, image {path}: {exc.strerror or exc}".removeprefix(", ")) from exc
     except DataError as exc:
         raise type(exc)(f"{whose}, image {path}: {exc}".removeprefix(", ")) from exc
     return [extract_features(p, dim, c, subject) for c, p in zip(channels, planes)]

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, write_atomic
 from .matching import ScoreTensor
 
 
@@ -332,7 +332,7 @@ def det_to_csv(points: DetCurve) -> str:
 
 
 def save_det_csv(points: DetCurve, path: str | Path) -> None:
-    Path(path).write_text(det_to_csv(points))
+    write_atomic(path, det_to_csv(points).encode())
 
 
 _DET_TICKS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +236,17 @@ class TestEvaluate:
         exported = (tmp_path / "det.csv").read_text()
         original = (evaluated / "res" / "det_mse.csv").read_text()
         assert exported == original
+
+    def test_det_export_creates_missing_directories(self, evaluated, tmp_path, capsys):
+        csv_path, svg_path = tmp_path / "a" / "det.csv", tmp_path / "b" / "c" / "det.svg"
+        code, _, _ = run_cli(
+            capsys,
+            "det-export", "--scores", str(evaluated / "res" / "scores_mse.csv"),
+            "--out", str(csv_path), "--svg", str(svg_path),
+        )
+        assert code == 0
+        assert csv_path.read_bytes() == (evaluated / "res" / "det_mse.csv").read_bytes()
+        assert svg_path.read_bytes() == (evaluated / "res" / "det_mse.svg").read_bytes()
 
     def test_identify_returns_true_subject(self, evaluated, dataset, capsys):
         manifest = json.loads(dataset.read_text())
@@ -522,6 +534,8 @@ class TestExitCodes:
             ("metrics", []),
             ("output_dir", 7),
             ("manifest", 5),
+            ("window", 10**6),
+            ("metrics", ["mse", "mse"]),
         ],
     )
     def test_config_field_of_the_wrong_type_is_validation_error(
@@ -556,6 +570,36 @@ class TestExitCodes:
         attr = {"metric": "metrics", "dcf": "c_miss"}.get(name, name)
         assert getattr(load_config(cfg, argparse.Namespace()), attr) == loaded
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--window", str(10**6)], "'window'"), (["--metric", "mse", "--metric", "mse"], "'mse'")],
+        ids=["window", "repeated-metric"],
+    )
+    def test_bad_flag_value_is_validation_error(self, dataset, tmp_path, capsys, flags, named):
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        code, _, err = run_cli(
+            capsys, "enroll", "--config", str(cfg), *flags, "--out", str(tmp_path / "g")
+        )
+        assert code == 1
+        assert err.startswith("validation error: ") and named in err
+
+    @pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+    @pytest.mark.parametrize("which, expected", [("config", 1), ("manifest", 2)])
+    def test_unreadable_config_or_manifest_names_it(
+        self, dataset, tmp_path, capsys, which, expected, kind
+    ):
+        manifest = tmp_path / "manifest.json"
+        cfg = write_config(tmp_path / "cfg.json", manifest)
+        bad = {"config": cfg, "manifest": manifest}[which]
+        bad.unlink(missing_ok=True)
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"s0": ["\xff.pgm"]}')
+        code, _, err = run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g"))
+        assert code == expected
+        assert str(bad) in err
+
     @pytest.fixture(scope="class")
     def gallery_dir(self, dataset, tmp_path_factory):
         root = tmp_path_factory.mktemp("window")
@@ -563,7 +607,7 @@ class TestExitCodes:
         assert main(["enroll", "--config", str(cfg), "--out", str(root / "gal")]) == 0
         return root
 
-    @pytest.mark.parametrize("window", [4, "abc"])
+    @pytest.mark.parametrize("window", [4, "abc", 10**6])
     @pytest.mark.parametrize("command", ["identify", "evaluate"])
     def test_inconsistent_gallery_window_is_data_error(
         self, gallery_dir, dataset, tmp_path, capsys, command, window
@@ -645,3 +689,48 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in err
         assert str(gallery / name) in err
+
+    @pytest.mark.parametrize("command", ["enroll", "evaluate", "fuse-eval"])
+    def test_output_directory_that_is_a_file_names_it(
+        self, gallery_dir, tmp_path, capsys, command
+    ):
+        out = tmp_path / "taken"
+        out.write_text("")
+        cfg = str(gallery_dir / "cfg.json")
+        args = {
+            "enroll": ["enroll", "--config", cfg],
+            "evaluate": ["evaluate", "--config", cfg, "--gallery", str(gallery_dir / "gal")],
+            "fuse-eval": ["fuse-eval", "--config", cfg, "--fusion", "sum:gray"],
+        }[command]
+        code, _, err = run_cli(capsys, *args, "--out", str(out))
+        assert code == 1
+        assert err.startswith(f"output error: cannot write {out}/")
+        assert out.read_text() == ""
+
+    def test_failed_write_leaves_no_partial_artifact(
+        self, gallery_dir, tmp_path, capsys, monkeypatch
+    ):
+        args = ["evaluate", "--config", str(gallery_dir / "cfg.json"),
+                "--gallery", str(gallery_dir / "gal"), "--out"]
+        real_write_bytes = Path.write_bytes
+        calls = []
+
+        def write_bytes(path, data):  # the second write (det.csv) fails half-way
+            calls.append(path)
+            if len(calls) == 2:
+                real_write_bytes(path, data[: len(data) // 2])
+                raise OSError("no space left on device")
+            return real_write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        code, _, err = run_cli(capsys, *args, str(tmp_path / "res"))
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert code == 1
+        assert f"cannot write {tmp_path / 'res' / 'det.csv'}: no space" in err
+        # scores.csv was written whole before the failure; det.csv not at all
+        assert [p.name for p in (tmp_path / "res").iterdir()] == ["scores.csv"]
+        assert run_cli(capsys, *args, str(tmp_path / "whole"))[0] == 0
+        assert (tmp_path / "res" / "scores.csv").read_bytes() == (
+            tmp_path / "whole" / "scores.csv"
+        ).read_bytes()
