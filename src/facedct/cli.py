@@ -11,6 +11,11 @@ written exits 1.  Each message names the file.
 Each command needs only the sample indices it reads: enroll the training
 indices, evaluate the test indices, fuse-eval both.  A subject with fewer
 samples than the largest index a command needs is a data error naming it.
+
+``results.json`` (evaluate) and ``provenance.json`` (enroll) record a run.
+Each command removes the old one from its output directory before its first
+write and writes the new one last, so a run that fails half-way leaves no
+record that its files could be mistaken for.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DataError, ValidationError, read_bytes, write_atomic
+from .errors import DataError, ValidationError, read_bytes, remove_file, write_atomic
 from .features import DEFAULT_DIM
 from .fusion import apply_fusion, parse_fusion_spec, run_channel_pipeline
 from .gallery import SplitSpec, load_gallery, save_gallery, select_samples
@@ -273,6 +278,7 @@ def cmd_enroll(args) -> int:
         "tool_version": __version__,
         "config_sha256": cfg.sha256(),
     }
+    remove_file(out / "provenance.json")
     save_gallery(gallery, out, meta=meta)
     write_json(out / "provenance.json", _provenance(cfg))
     print(
@@ -307,6 +313,7 @@ def cmd_evaluate(args) -> int:
 
     single = len(cfg.metrics) == 1
     rows = []
+    remove_file(out / "results.json")
     for metric in cfg.metrics:
         tensor = build_score_tensor(probes, gallery, metric)
         trials = split_intra_inter(tensor)
@@ -364,10 +371,10 @@ def cmd_identify(args) -> int:
 
 
 def _write_det(trials, csv_path, svg_path, eer_value: float | None) -> int:
-    """Write the DET staircase of ``trials`` to ``csv_path`` and, when
-    ``svg_path`` is given, its plot with ``eer_value`` marked; returns the
-    number of points."""
-    points = det_curve(trials)
+    """Write the vertices of the DET curve of ``trials`` to ``csv_path`` and,
+    when ``svg_path`` is given, its plot with ``eer_value`` marked; returns
+    the number of vertices."""
+    points = det_curve(trials).vertices()
     save_det_csv(points, csv_path)
     if svg_path:
         write_atomic(svg_path, render_det_svg(points, eer_value).encode())
@@ -516,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=METRICS, default="mse")
     p.set_defaults(func=cmd_identify)
 
-    p = sub.add_parser("det-export", help="DET curve CSV from a scores CSV")
+    p = sub.add_parser("det-export", help="DET curve vertices CSV from a scores CSV")
     p.add_argument("--scores", required=True, help="scores.csv written by 'evaluate'")
-    p.add_argument("--out", required=True, help="det CSV output path")
+    p.add_argument("--out", required=True, help="DET vertices CSV output path")
     p.add_argument("--svg", help="optional det SVG output path")
     p.set_defaults(func=cmd_det_export)
 

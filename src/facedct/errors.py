@@ -51,3 +51,15 @@ def write_atomic(path: str | Path, data: bytes) -> None:
             raise
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def remove_file(path: str | Path) -> None:
+    """Remove the file ``path`` if there is one.  A parent that is missing or
+    is a file leaves nothing to remove; any other failure raises OSError
+    naming ``path``."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except NotADirectoryError:
+        pass
+    except OSError as exc:
+        raise OSError(f"cannot remove {path}: {exc.strerror or exc}") from exc

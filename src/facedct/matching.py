@@ -343,4 +343,9 @@ def save_scores_csv(tensor: ScoreTensor, path: str | Path) -> None:
 
 
 def load_scores_csv(path: str | Path) -> ScoreTensor:
-    return scores_from_csv(read_bytes(path, DataError))
+    """:func:`scores_from_csv` of the file ``path``; every DataError names it."""
+    data = read_bytes(path, DataError)
+    try:
+        return scores_from_csv(data)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -16,6 +16,14 @@ array-backed: :func:`det_curve` returns a :class:`DetCurve`, a sequence of
 :class:`DetPoint` over three read-only arrays, and the CSV and SVG exports
 read those arrays without building points.
 
+:func:`det_curve` is the full staircase, one point per candidate threshold,
+and :func:`eer` and :func:`min_dcf` read all of it.  The ``det.csv`` and
+``det.svg`` files hold only :meth:`DetCurve.vertices`: a run of purely
+horizontal or purely vertical steps is one straight segment, so its interior
+points are dropped.  Each kept row has the bytes the full export gives it.
+The thresholds of the dropped points are not exported; ``scores.csv`` and
+:func:`far_frr_at` still give the error rates at any threshold.
+
 There is one probit implementation, :func:`_probit`, on arrays;
 :func:`normal_deviate` is its scalar form.  Its results must stay bit-identical
 to the scalar formula the tests keep as a reference, because ``det.csv`` and
@@ -116,6 +124,27 @@ class DetCurve(Sequence[DetPoint]):
 
     def __reversed__(self) -> Iterator[DetPoint]:
         return iter(self[::-1])
+
+    def vertices(self) -> DetCurve:
+        """The turning points of the curve, as a :class:`DetCurve` over new
+        read-only arrays.
+
+        Interior point i is dropped when the steps i-1 -> i and i -> i+1 both
+        change p_fa alone, or both change p_miss alone: it then lies on the
+        axis-parallel segment between its neighbours, in linear and probit
+        axes alike.  Both endpoints and the two ends of every diagonal (tie)
+        step are kept, so the polyline through the vertices is the curve.
+        """
+        fa_moves = np.diff(self.p_fa) != 0
+        miss_moves = np.diff(self.p_miss) != 0
+        fa_only = fa_moves & ~miss_moves
+        miss_only = miss_moves & ~fa_moves
+        keep = np.ones(len(self), dtype=bool)
+        keep[1:-1] = ~((fa_only[:-1] & fa_only[1:]) | (miss_only[:-1] & miss_only[1:]))
+        arrays = (self.thresholds[keep], self.p_fa[keep], self.p_miss[keep])
+        for arr in arrays:
+            arr.flags.writeable = False
+        return DetCurve(*arrays)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from facedct.cli import load_config, main
 from facedct.features import FeatureVector, extract_features
 from facedct.gallery import Gallery, save_gallery
 from facedct.imageio import RasterImage, prepare_plane, read_pnm_file, write_pnm_file
-from facedct.matching import ScoreTensor, build_score_tensor, scores_to_csv
+from facedct.matching import ScoreTensor, build_score_tensor, load_scores_csv, scores_to_csv
+from facedct.verification import det_curve, det_to_csv, eer, split_intra_inter
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +249,36 @@ class TestEvaluate:
         assert code == 0
         assert csv_path.read_bytes() == (evaluated / "res" / "det_mse.csv").read_bytes()
         assert svg_path.read_bytes() == (evaluated / "res" / "det_mse.svg").read_bytes()
+
+    @pytest.mark.parametrize("metric", ["mse", "mad"])
+    def test_det_exports_hold_the_curve_vertices(self, evaluated, tmp_path, capsys, metric):
+        res = evaluated / "res"
+        code, out, _ = run_cli(
+            capsys,
+            "det-export", "--scores", str(res / f"scores_{metric}.csv"),
+            "--out", str(tmp_path / "det.csv"), "--svg", str(tmp_path / "det.svg"),
+        )
+        assert code == 0
+        assert (tmp_path / "det.csv").read_bytes() == (res / f"det_{metric}.csv").read_bytes()
+        assert (tmp_path / "det.svg").read_bytes() == (res / f"det_{metric}.svg").read_bytes()
+
+        trials = split_intra_inter(load_scores_csv(res / f"scores_{metric}.csv"))
+        full = det_curve(trials)
+        rows = (res / f"det_{metric}.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(full.vertices()) < len(full)
+        assert out == f"det curve ({len(rows)} points) -> {tmp_path / 'det.csv'}\n"
+        first, last = rows[0].split(","), rows[-1].split(",")
+        assert [float(v) for v in first[:3]] == [math.inf, 1.0, 0.0]
+        assert [float(v) for v in last[:3]] == [-math.inf, 0.0, 1.0]
+        assert set(rows) <= set(det_to_csv(full).splitlines())
+
+        # EER and min-DCF still come from the full staircase
+        (row,) = [
+            r for r in json.loads((res / "results.json").read_text())["rows"]
+            if r["metric"] == metric
+        ]
+        assert row["eer"] == eer(trials)
+        assert row["min_dcf"]["0.5"] == min(0.5 * p.p_miss + 0.5 * p.p_fa for p in full)
 
     def test_identify_returns_true_subject(self, evaluated, dataset, capsys):
         manifest = json.loads(dataset.read_text())
@@ -504,6 +536,44 @@ class TestExitCodes:
         assert code == 2
         assert "probe_subjects" in err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (b"# metric=mse", b"# metric=\xff", "score file line 2 is not UTF-8"),
+            (b"format=facedct-scores-v1", b"format=other", "not a facedct-scores-v1 score file"),
+            (b"# metric=mse\n", b"", "score file header incomplete: 'metric'"),
+            (b'probe_subjects=["a", "b"]', b"probe_subjects=5",
+             "score file header probe_subjects is not a JSON list of strings"),
+            (b"i,j,k,score", b"i,j,score", "score file missing i,j,k,score header row"),
+            (b"i,j,k,score\n0,0,0,0.5\n0,1,0,1\n1,0,0,2\n1,1,0,0.25\n", b"i,j,k,score\n",
+             "score file has no rows"),
+            (b"0,1,0,1\n", b"0,1,x,1\n",
+             "malformed score row at line 7: '0,1,x,1' (expected i,j,k,score)"),
+            (b"1,1,0,", b"1,2,0,", "score cell index (1,2,0) out of bounds (2, 2, 1)"),
+            (b"1,1,0,0.25\n", b"", "score file has 3 cells, expected 4 for shape (2, 2, 1)"),
+            (b"1,1,0,", b"1,0,0,", "score cell (1,0,0) appears more than once"),
+            (b"0.25", b"-0.25", "invalid score tensor: distances must be >= 0"),
+            (b"0.25", b"nan", "invalid score tensor: scores must be finite"),
+        ],
+        ids=[
+            "not-utf8", "format", "header-incomplete", "subjects-not-list", "no-header-row",
+            "no-rows", "malformed-row", "out-of-bounds", "cell-count", "duplicate-cell",
+            "negative", "nan",
+        ],
+    )
+    def test_bad_score_file_names_it(self, tmp_path, capsys, old, new, message):
+        cells = np.array([[[0.5], [1.0]], [[2.0], [0.25]]])
+        text = scores_to_csv(ScoreTensor(("a", "b"), ("a", "b"), cells, "mse")).encode()
+        assert text.count(old) == 1
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(text.replace(old, new))
+        code, _, err = run_cli(
+            capsys, "det-export", "--scores", str(scores), "--out", str(tmp_path / "d.csv")
+        )
+        assert code == 2
+        assert err == f"data error: {scores}: {message}\n"
+        assert not (tmp_path / "d.csv").exists()
+
     def test_internal_error_maps_to_three(self, monkeypatch, capsys):
         import facedct.cli as cli_mod
 
@@ -734,3 +804,32 @@ class TestExitCodes:
         assert (tmp_path / "res" / "scores.csv").read_bytes() == (
             tmp_path / "whole" / "scores.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, record, failing",
+        [("evaluate", "results.json", "det.csv"), ("enroll", "provenance.json", "gallery.json")],
+    )
+    def test_failed_rerun_leaves_no_old_record(
+        self, gallery_dir, tmp_path, capsys, monkeypatch, command, record, failing
+    ):
+        # a first run with mse, then a mad run into the same directory that fails half-way
+        out = tmp_path / "out"
+        base = [command, "--config", str(gallery_dir / "cfg.json"), "--out", str(out)]
+        if command == "evaluate":
+            base += ["--gallery", str(gallery_dir / "gal")]
+        assert run_cli(capsys, *base, "--metric", "mse")[0] == 0
+        assert (out / record).is_file()
+        real_write_bytes = Path.write_bytes
+
+        def write_bytes(path, data):
+            if path.name.startswith(f".{failing}."):
+                raise OSError("no space left on device")
+            return real_write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        code, _, err = run_cli(capsys, *base, "--metric", "mad")
+        monkeypatch.undo()
+        assert code == 1
+        assert f"cannot write {out / failing}: no space" in err
+        assert (out / failing).is_file()  # the first run's file, left in place
+        assert not (out / record).exists()

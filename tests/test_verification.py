@@ -499,3 +499,70 @@ class TestArrayExportsMatchRowwiseReference:
     def test_scores_csv_matches_on_single_cell_tensor(self):
         tensor = ScoreTensor(("a",), ("a",), np.full((1, 1, 1), 0.1), "mad")
         assert scores_to_csv(tensor) == rowwise_scores_to_csv(tensor)
+
+
+# The exports write DetCurve.vertices(); these check that the thinning drops
+# only points that lie inside a straight run of the full staircase.
+
+tie_heavy_scores = st.lists(st.integers(0, 12).map(float), min_size=1, max_size=40)
+
+
+class TestDetVertices:
+    def test_hand_case_keeps_the_corner(self):
+        kept = det_curve(TrialScores([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])).vertices()
+        assert [(p.threshold, p.p_fa, p.p_miss) for p in kept] == [
+            (math.inf, 1.0, 0.0), (3.5, 0.0, 0.0), (-math.inf, 0.0, 1.0)
+        ]
+
+    @pytest.mark.parametrize("genuine, impostor", [([1.0], [1.0]), ([0.0], [5.0])])
+    def test_short_curve_is_kept_whole(self, genuine, impostor):
+        full = det_curve(TrialScores(genuine, impostor))
+        kept = full.vertices()
+        assert len(full) <= 3
+        assert list(kept) == list(full)
+
+    def test_arrays_are_read_only(self):
+        kept = det_curve(TrialScores([1.0, 2.0, 3.0], [2.0, 5.0, 6.0])).vertices()
+        for arr in (kept.thresholds, kept.p_fa, kept.p_miss):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+    @given(tie_heavy_scores, tie_heavy_scores, st.sampled_from([2, 3, 1 << 16]))
+    @example([4.0], [0.0, 4.0, 4.0, 7.0, 7.0, 9.0], 3)  # one genuine score, tied
+    @example([1.0, 1.0, 2.0], [1.0, 2.0, 2.0, 3.0], 2)  # every step a tie
+    @settings(max_examples=150, deadline=None)
+    def test_thinning_is_lossless(self, genuine, impostor, block):
+        trials = TrialScores(genuine, impostor)
+        full = det_curve(trials)
+        kept = full.vertices()
+        idx = np.flatnonzero(np.isin(full.thresholds, kept.thresholds))
+        assert np.array_equal(full.thresholds[idx], kept.thresholds)
+        assert np.array_equal(full.p_fa[idx], kept.p_fa)
+        assert np.array_equal(full.p_miss[idx], kept.p_miss)
+
+        # both endpoints and both ends of every diagonal step are kept
+        assert idx[0] == 0 and idx[-1] == len(full) - 1
+        diagonal = np.flatnonzero((np.diff(full.p_fa) != 0) & (np.diff(full.p_miss) != 0))
+        assert np.isin(diagonal, idx).all() and np.isin(diagonal + 1, idx).all()
+
+        # a dropped point lies on the axis-parallel segment between its kept neighbours
+        fa, miss = full.p_fa, full.p_miss
+        for i in np.setdiff1d(np.arange(len(full)), idx):
+            a, b = idx[np.searchsorted(idx, i) - 1], idx[np.searchsorted(idx, i)]
+            on_fa_run = miss[a] == miss[i] == miss[b] and fa[a] >= fa[i] >= fa[b]
+            on_miss_run = fa[a] == fa[i] == fa[b] and miss[a] <= miss[i] <= miss[b]
+            assert on_fa_run or on_miss_run
+
+        # no two consecutive kept steps move along the same single axis
+        fa_moves, miss_moves = np.diff(kept.p_fa) != 0, np.diff(kept.p_miss) != 0
+        for only in (fa_moves & ~miss_moves, miss_moves & ~fa_moves):
+            assert not (only[:-1] & only[1:]).any()
+
+        # the exports of the vertices match the row-by-row oracles, block by block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verification, "_POINTS_PER_BLOCK", block)
+            text = det_to_csv(kept)
+            assert text == rowwise_det_to_csv(list(kept))
+            assert rowwise_svg_polyline(list(kept)) in render_det_svg(kept, eer(trials))
+        assert set(text.splitlines()) <= set(det_to_csv(full).splitlines())
