@@ -15,7 +15,9 @@ samples than the largest index a command needs is a data error naming it.
 ``results.json`` (evaluate) and ``provenance.json`` (enroll) record a run.
 Each command removes the old one from its output directory before its first
 write and writes the new one last, so a run that fails half-way leaves no
-record that its files could be mistaken for.
+record that its files could be mistaken for.  ``evaluate`` also removes every
+other file name it can write, for any metric, so no file of an older run
+stays beside the new run's files.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .matching import (
 )
 from .pipeline import (
     DEFAULT_WINDOW,
-    enroll_subjects,
     extract_subject_features,
     featurize_image,
     summarize_tensor,
@@ -271,8 +272,7 @@ def cmd_enroll(args) -> int:
     cfg = load_config(args.config, args)
     out = Path(args.out)
     train = select_samples(load_manifest(cfg.manifest), cfg.split().train_indices)
-    features = extract_subject_features(train, (cfg.channel,), cfg.dim, cfg.window)
-    gallery = enroll_subjects(features[cfg.channel])
+    gallery = extract_subject_features(train, (cfg.channel,), cfg.dim, cfg.window)[cfg.channel]
     meta = {
         "window": cfg.window,
         "tool_version": __version__,
@@ -314,6 +314,9 @@ def cmd_evaluate(args) -> int:
     single = len(cfg.metrics) == 1
     rows = []
     remove_file(out / "results.json")
+    for tag in ["", *(f"_{m}" for m in METRICS)]:
+        for name in (f"scores{tag}.csv", f"det{tag}.csv", f"det{tag}.svg"):
+            remove_file(out / name)
     for metric in cfg.metrics:
         tensor = build_score_tensor(probes, gallery, metric)
         trials = split_intra_inter(tensor)

@@ -20,7 +20,6 @@ from .matching import ScoreTensor, build_score_tensor
 from .pipeline import (
     DEFAULT_WINDOW,
     TensorSummary,
-    enroll_subjects,
     extract_subject_features,
     summarize_tensor,
 )
@@ -82,7 +81,8 @@ _TERM_RE = re.compile(r"^([0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)(gray|[rgby])$", r
 
 
 def parse_fusion_spec(spec: str) -> FusionSpec:
-    """Parse "sum:R,G,B" or "w:0.3R+0.59G+0.11B" into a FusionSpec."""
+    """Parse "sum:R,G,B" or "w:0.3R+0.59G+0.11B" into a FusionSpec; a
+    channel may be named once."""
     kind, sep, body = spec.partition(":")
     kind = kind.strip().lower()
     if not sep or kind not in ("sum", "w"):
@@ -93,18 +93,22 @@ def parse_fusion_spec(spec: str) -> FusionSpec:
         channels = tuple(c.strip().lower() for c in body.split(",") if c.strip())
         if not channels:
             raise ValidationError(f"fusion spec {spec!r} lists no channels")
-        return FusionSpec("sum", channels)
-    channels = []
-    weights = []
-    for term in body.split("+"):
-        m = _TERM_RE.match(term.strip())
-        if not m:
-            raise ValidationError(f"bad fusion term {term.strip()!r} in {spec!r}")
-        weights.append(float(m.group(1)))
-        channels.append(m.group(2).lower())
-    if not any(weights):
-        raise ValidationError(f"fusion spec {spec!r} has all-zero weights")
-    return FusionSpec("weighted", tuple(channels), tuple(weights))
+        parsed = FusionSpec("sum", channels)
+    else:
+        channels, weights = [], []
+        for term in body.split("+"):
+            m = _TERM_RE.match(term.strip())
+            if not m:
+                raise ValidationError(f"bad fusion term {term.strip()!r} in {spec!r}")
+            weights.append(float(m.group(1)))
+            channels.append(m.group(2).lower())
+        if not any(weights):
+            raise ValidationError(f"fusion spec {spec!r} has all-zero weights")
+        parsed = FusionSpec("weighted", tuple(channels), tuple(weights))
+    for i, channel in enumerate(parsed.channels):
+        if channel in parsed.channels[:i]:
+            raise ValidationError(f"fusion spec {spec!r} names channel {channel!r} twice")
+    return parsed
 
 
 def apply_fusion(spec: FusionSpec, tensors: dict[str, ScoreTensor]) -> ScoreTensor:
@@ -142,6 +146,6 @@ def run_channel_pipeline(
     probes = extract_subject_features(test, channels, dim, window)
     runs = {}
     for channel in channels:
-        tensor = build_score_tensor(probes[channel], enroll_subjects(enrolled[channel]), metric)
+        tensor = build_score_tensor(probes[channel], enrolled[channel], metric)
         runs[channel] = ChannelRunResult(tensor, summarize_tensor(tensor, c_miss, c_fa))
     return runs

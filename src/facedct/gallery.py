@@ -5,7 +5,9 @@ A gallery holds its M templates as one contiguous, read-only float64
 ``(M, D)`` matrix with CSR-style subject offsets: subjects in lexicographic
 order, each subject's templates in enrollment order, and subject
 ``subject_ids[j]`` owning rows ``offsets[j]:offsets[j + 1]``.  Matching
-reduces one distance kernel over that matrix (see ``matching``).
+reduces one distance kernel over that matrix (see ``matching``).  The same
+grouped matrix also carries a probe set: ``pipeline.extract_subject_features``
+returns one per channel, and ``build_score_tensor`` scores its rows in order.
 
 A saved gallery (format ``facedct-gallery`` v1) is a directory of three
 files, written in this order, each under a temporary name renamed into place:

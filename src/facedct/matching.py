@@ -13,6 +13,18 @@ runs all score through it, and ``mse``, ``mad`` and ``person_score`` are
 thin calls into it, so every route gives the same bits, and
 :meth:`ScoreTensor.partition` is the one genuine/impostor split of a tensor.
 
+``build_score_tensor`` takes its probes in one of two forms:
+
+- a grouped matrix, a :class:`~facedct.gallery.Gallery` whose row
+  ``i * T + k`` is trial ``k`` of probe subject ``i``, as
+  ``pipeline.extract_subject_features`` returns it.  The CLI and the
+  channel fusion runs pass this form.  It is checked once as a whole:
+  every subject enrolled, ``T`` rows for each, and the gallery's dim and
+  channel.
+- subject -> list of :class:`FeatureVector`, the public form.  It is
+  enrolled into a grouped matrix first through ``Gallery.enroll``, which
+  checks each vector's dim, channel and label.
+
 A tensor is exchanged as ``facedct-scores-v1`` CSV, one ``i,j,k,score`` row
 per cell, which ``load_scores_csv`` reads as bytes with one ``np.loadtxt``
 call.  A score row is what ``np.loadtxt`` reads as one row.  If the rows do
@@ -164,45 +176,49 @@ class IdentificationResult:
 
 
 def build_score_tensor(
-    probes: dict[str, list[FeatureVector]], gallery: Gallery, metric: str
+    probes: Gallery | dict[str, list[FeatureVector]], gallery: Gallery, metric: str
 ) -> ScoreTensor:
     """Score every probe against every enrolled person's nearest template.
 
-    Probe subjects must be enrolled and must all carry the same number of
-    trials; dimensions and source channel must match the gallery.
+    ``probes`` is a grouped matrix, or subject -> vectors enrolled into one
+    first.  Probe subjects must be enrolled and must all carry the same
+    number of trials; dimensions and source channel must match the gallery.
     """
     metric = check_metric(metric)
-    if not probes:
+    if isinstance(probes, dict):
+        probes, vectors = Gallery(), probes
+        for subject in sorted(vectors):
+            if not vectors[subject]:
+                raise MatchingError(f"probe subject {subject!r} has no trials")
+            try:
+                for vec in vectors[subject]:
+                    probes.enroll(subject, vec)
+            except DataError as exc:
+                raise type(exc)(f"probe subject {subject!r}: {exc}") from exc
+    probe_subjects = tuple(probes.subject_ids)
+    if not probe_subjects:
         raise MatchingError("no probe subjects supplied")
-    probe_subjects = tuple(sorted(probes))
     for subject in probe_subjects:
         if subject not in gallery:
             raise MatchingError(f"probe subject {subject!r} is not enrolled")
-        if not probes[subject]:
-            raise MatchingError(f"probe subject {subject!r} has no trials")
-    n_trials = len(probes[probe_subjects[0]])
-    for subject in probe_subjects:
-        if len(probes[subject]) != n_trials:
-            raise MatchingError(
-                f"ragged trial counts: subject {subject!r} has {len(probes[subject])} "
-                f"test samples, expected {n_trials}"
-            )
+    counts = np.diff(probes.offsets)
+    n_trials = int(counts[0])
+    i = int(np.argmax(counts != n_trials))  # the first ragged subject, if any
+    if counts[i] != n_trials:
+        raise MatchingError(
+            f"ragged trial counts: subject {probe_subjects[i]!r} has {counts[i]} "
+            f"test samples, expected {n_trials}"
+        )
+    if (probes.feature_dim, probes.channel) != (gallery.feature_dim, gallery.channel):
+        raise MismatchError(
+            f"probe {probe_subjects[0]!r} has dim {probes.feature_dim}, channel {probes.channel!r}; "
+            f"gallery has dim {gallery.feature_dim}, channel {gallery.channel!r}"
+        )
 
     gallery_subjects = tuple(gallery.subject_ids)
-    dim = gallery.feature_dim
     scores = np.empty((len(probe_subjects), len(gallery_subjects), n_trials))
-    for i, subject in enumerate(probe_subjects):
-        for k, vec in enumerate(probes[subject]):
-            if vec.dim != dim:
-                raise MismatchError(
-                    f"probe {subject!r}[{k}] has dim {vec.dim}, gallery dim is {dim}"
-                )
-            if vec.source_channel != gallery.channel:
-                raise MismatchError(
-                    f"probe {subject!r}[{k}] channel {vec.source_channel!r} != "
-                    f"gallery channel {gallery.channel!r}"
-                )
-            scores[i, :, k] = subject_distances(vec.coeffs, gallery, metric)
+    for row, coeffs in enumerate(probes.matrix):
+        scores[row // n_trials, :, row % n_trials] = subject_distances(coeffs, gallery, metric)
     return ScoreTensor(probe_subjects, gallery_subjects, scores, metric)
 
 

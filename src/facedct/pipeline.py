@@ -1,11 +1,19 @@
 """End-to-end plumbing shared by the channel pipelines and the CLI:
 manifest -> features (one decode per image, for every channel) -> gallery
--> score tensor -> summary metrics."""
+-> score tensor -> summary metrics.
+
+:func:`extract_subject_features` returns, per channel, one
+:class:`~facedct.gallery.Gallery`: an ``(N, D)`` float64 matrix with rows
+grouped by subject.  The training split's is the gallery that ``enroll``
+saves, and the test split's is the probe set that ``build_score_tensor``
+scores, so features are never regrouped or enrolled one vector at a time."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError
 from .features import DEFAULT_DIM, FeatureVector, extract_features
@@ -43,23 +51,18 @@ def extract_subject_features(
     channels: tuple[str, ...] = ("gray",),
     dim: int = DEFAULT_DIM,
     window: int = DEFAULT_WINDOW,
-) -> dict[str, dict[str, list[FeatureVector]]]:
+) -> dict[str, Gallery]:
     """Featurize every listed image for each of ``channels``, decoding it
-    once: channel -> subject -> vectors, subjects in lexicographic order."""
-    features: dict[str, dict] = {c: {} for c in channels}
-    for subject in sorted(subjects):
-        vectors = [featurize_image(p, channels, dim, window, subject) for p in subjects[subject]]
-        for i, channel in enumerate(channels):
-            features[channel][subject] = [v[i] for v in vectors]
-    return features
-
-
-def enroll_subjects(features: dict[str, list[FeatureVector]]) -> Gallery:
-    gallery = Gallery()
-    for subject in sorted(features):
-        for vec in features[subject]:
-            gallery.enroll(subject, vec)
-    return gallery
+    once: channel -> one ``(N, dim)`` matrix grouped by subject, subjects in
+    lexicographic order and each subject's rows in listed order.  Every
+    subject lists at least one image, as ``load_manifest`` ensures."""
+    ids = sorted(subjects)
+    counts = [len(subjects[s]) for s in ids]
+    matrices = {c: np.empty((sum(counts), dim)) for c in channels}
+    for row, (subject, path) in enumerate((s, p) for s in ids for p in subjects[s]):
+        for channel, vec in zip(channels, featurize_image(path, channels, dim, window, subject)):
+            matrices[channel][row] = vec.coeffs
+    return {c: Gallery._of_subjects(ids, counts, c, m) for c, m in matrices.items()}
 
 
 @dataclass(frozen=True)

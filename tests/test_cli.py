@@ -192,6 +192,23 @@ class TestEvaluate:
             evaluated / "res2" / "results.json"
         ).read_bytes()
 
+    def test_rerun_into_the_same_directory_leaves_no_file_of_an_older_run(
+        self, evaluated, capsys
+    ):
+        out = evaluated / "rerun"
+        base = ["evaluate", "--config", str(evaluated / "cfg.json"),
+                "--gallery", str(evaluated / "gal"), "--out", str(out)]
+        runs = [
+            ([], ["det_mad.csv", "det_mse.csv", "scores_mad.csv", "scores_mse.csv"]),
+            (["--svg", "--metric", "mse"], ["det.csv", "det.svg", "scores.csv"]),
+            (["--metric", "mad"], ["det.csv", "scores.csv"]),
+        ]
+        for flags, written in runs:
+            assert main([*base, *flags]) == 0
+            assert sorted(p.name for p in out.iterdir()) == sorted(written + ["results.json"])
+        capsys.readouterr()
+        assert (out / "scores.csv").read_text().splitlines()[1] == "# metric=mad"
+
     def test_single_metric_uses_plain_names(self, dataset, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dataset)
         assert main(["enroll", "--config", str(cfg), "--out", str(tmp_path / "gal")]) == 0
@@ -518,6 +535,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sigsize", "--bogus")
         assert code == 1
 
+    def test_fusion_spec_naming_a_channel_twice_is_validation_error(
+        self, dataset, tmp_path, capsys
+    ):
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        code, _, err = run_cli(
+            capsys,
+            "fuse-eval", "--config", str(cfg), "--fusion", "sum:r,r",
+            "--out", str(tmp_path / "fres"),
+        )
+        assert code == 1
+        assert "names channel 'r' twice" in err
+        assert not (tmp_path / "fres").exists()
+
     def test_unreadable_scores_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "scores.csv"
         bad.write_text("not a scores file")
@@ -831,5 +861,7 @@ class TestExitCodes:
         monkeypatch.undo()
         assert code == 1
         assert f"cannot write {out / failing}: no space" in err
-        assert (out / failing).is_file()  # the first run's file, left in place
+        # enroll's atomic write leaves the first run's file in place; evaluate
+        # removed every file of the first run before its first write
+        assert (out / failing).is_file() == (command == "enroll")
         assert not (out / record).exists()

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from facedct.errors import ValidationError
-from facedct.gallery import SplitSpec
+from facedct.gallery import Gallery, SplitSpec, apply_split
 from facedct.imageio import load_manifest
-from facedct.matching import ScoreTensor, identification_rate
+from facedct.matching import (
+    ScoreTensor,
+    build_score_tensor,
+    identification_rate,
+    subject_distances,
+)
 from facedct.fusion import (
     FusionSpec,
     apply_fusion,
@@ -15,7 +20,7 @@ from facedct.fusion import (
     parse_fusion_spec,
     run_channel_pipeline,
 )
-from facedct.pipeline import extract_subject_features, summarize_tensor
+from facedct.pipeline import extract_subject_features, featurize_image, summarize_tensor
 from facedct.synth import SynthSpec, generate_dataset
 
 SPLIT = SplitSpec.from_iterables([1, 2, 3], [4, 5, 6])
@@ -131,6 +136,11 @@ class TestParseFusionSpec:
         with pytest.raises(ValidationError):
             parse_fusion_spec(bad)
 
+    @pytest.mark.parametrize("spec", ["sum:r,g,R", "w:0.3R+0.59G+0.11r"])
+    def test_repeated_channel_rejected_naming_it(self, spec):
+        with pytest.raises(ValidationError, match="names channel 'r' twice"):
+            parse_fusion_spec(spec)
+
     def test_apply_fusion_requires_channels(self):
         spec = parse_fusion_spec("sum:R,G")
         with pytest.raises(ValidationError):
@@ -204,12 +214,76 @@ class TestExtractSubjectFeatures:
         )
         together = extract_subject_features(manifest, channels, 30, 16)
         assert list(together) == list(channels)
+        offsets = np.cumsum([0] + [len(manifest[s]) for s in sorted(manifest)]).tolist()
         for channel in channels:
             (alone,) = extract_subject_features(manifest, (channel,), 30, 16).values()
-            assert list(together[channel]) == sorted(manifest)
-            for subject, vectors in alone.items():
-                got = together[channel][subject]
-                assert [v.coeffs.tobytes() for v in got] == [v.coeffs.tobytes() for v in vectors]
-                assert [(v.source_channel, v.subject_id) for v in got] == [
-                    (channel, subject)
-                ] * len(vectors)
+            got = together[channel]
+            assert got.subject_ids == alone.subject_ids == sorted(manifest)
+            assert got.offsets.tolist() == alone.offsets.tolist() == offsets
+            assert got.matrix.tobytes() == alone.matrix.tobytes()
+            assert (got.channel, got.feature_dim) == (alone.channel, 30)
+            assert alone.channel == channel
+
+
+# The per-vector route that extract_subject_features and the grouped form of
+# build_score_tensor replaced: the reference they are tested against.
+
+
+def reference_features(subjects, channels, dim, window):
+    """channel -> subject -> vectors, one featurize_image call per image."""
+    features = {channel: {} for channel in channels}
+    for subject in sorted(subjects):
+        vectors = [featurize_image(p, channels, dim, window, subject) for p in subjects[subject]]
+        for i, channel in enumerate(channels):
+            features[channel][subject] = [v[i] for v in vectors]
+    return features
+
+
+def reference_gallery(features):
+    gallery = Gallery()
+    for subject in sorted(features):
+        for vec in features[subject]:
+            gallery.enroll(subject, vec)
+    return gallery
+
+
+def reference_tensor(probes, gallery, metric):
+    """One subject_distances call per probe vector, trial k of subject i."""
+    subjects = tuple(sorted(probes))
+    scores = np.empty((len(subjects), gallery.n_subjects, len(probes[subjects[0]])))
+    for i, subject in enumerate(subjects):
+        for k, vec in enumerate(probes[subject]):
+            assert (vec.dim, vec.source_channel) == (gallery.feature_dim, gallery.channel)
+            scores[i, :, k] = subject_distances(vec.coeffs, gallery, metric)
+    return ScoreTensor(subjects, tuple(gallery.subject_ids), scores, metric)
+
+
+class TestGroupedFeaturesOracle:
+    @pytest.mark.parametrize(
+        "placement, channels", [("gray", ("gray",)), ("rgb", ("r", "g", "b", "y"))]
+    )
+    def test_grouped_path_equals_the_per_vector_route(self, tmp_path, placement, channels):
+        spec = SynthSpec(4, 5, 0.4, seed=7, width=20, height=24, placement=placement)
+        generated = load_manifest(generate_dataset(spec, tmp_path))
+        # lexicographic order (s1, s10, s2, s30) is not numeric order
+        manifest = dict(zip(["s2", "s10", "s1", "s30"], (generated[s] for s in sorted(generated))))
+        train, test = apply_split(manifest, SplitSpec.from_iterables([1, 2, 3], [4, 5]))
+        enrolled = extract_subject_features(train, channels, 30, 16)
+        probes = extract_subject_features(test, channels, 30, 16)
+        reference_enrolled = reference_features(train, channels, 30, 16)
+        reference_probes = reference_features(test, channels, 30, 16)
+        for channel in channels:
+            gallery, expected = enrolled[channel], reference_gallery(reference_enrolled[channel])
+            assert gallery.subject_ids == expected.subject_ids == ["s1", "s10", "s2", "s30"]
+            assert gallery.offsets.tolist() == expected.offsets.tolist() == [0, 3, 6, 9, 12]
+            assert gallery.matrix.tobytes() == expected.matrix.tobytes()
+            assert (gallery.channel, gallery.feature_dim) == (expected.channel, 30)
+            for metric in ("mse", "mad"):
+                tensor = build_score_tensor(probes[channel], gallery, metric)
+                reference = reference_tensor(reference_probes[channel], expected, metric)
+                assert tensor.probe_subjects == reference.probe_subjects
+                assert tensor.gallery_subjects == reference.gallery_subjects
+                assert tensor.scores.tobytes() == reference.scores.tobytes()
+                # the dict form, enrolled through Gallery.enroll, gives the same bits
+                dict_form = build_score_tensor(reference_probes[channel], expected, metric)
+                assert dict_form.scores.tobytes() == reference.scores.tobytes()

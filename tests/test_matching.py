@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from facedct.errors import DataError, MismatchError
 from facedct.features import FeatureVector
-from facedct.gallery import Gallery
+from facedct.gallery import Gallery, GalleryError
 from facedct.matching import (
     MatchingError,
     ScoreTensor,
@@ -21,6 +21,8 @@ from facedct.matching import (
     scores_from_csv,
     scores_to_csv,
 )
+
+from byte_edit_strategy import apply_byte_edits, byte_edits
 
 
 def vec(values, channel="gray", subject=None):
@@ -48,26 +50,6 @@ def brute_force_identification(tensor):
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
-
-#: what a byte edit writes: line breaks, whitespace, separators, a sign, an
-#: exponent, a quote, digits, a non-ASCII byte and a run past int64
-EDIT_PIECES = [b"\r", b" ", b"\n", b"\x0b", b"\x0c", b",", b"-", b".", b"e", b'"', b"0", b"9",
-               b"\xff", b"1" * 25]
-#: (kind, offset from the end, piece, repeats); counting from the end makes
-#: the last row's line break as likely a target as the first byte
-byte_edits = st.lists(
-    st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 400),
-              st.sampled_from(EDIT_PIECES), st.integers(1, 3)),
-    min_size=1, max_size=3,
-)
-
-
-def apply_byte_edits(data: bytes, edits) -> bytes:
-    out = bytearray(data)
-    for kind, back, piece, repeats in edits:
-        pos = max(len(out) - back, 0)
-        out[pos : pos + repeats * (kind != "insert")] = b"" if kind == "delete" else piece * repeats
-    return bytes(out)
 
 
 class TestMetrics:
@@ -216,6 +198,46 @@ class TestBuildScoreTensor:
         probes, gallery = build_orl_like(n_subjects=2, dim=5)
         probes["s00"] = [vec(np.zeros(5), channel="r")] * 5
         with pytest.raises(MismatchError):
+            build_score_tensor(probes, gallery, "mse")
+
+
+def grouped(probes):
+    """The grouped form of a dict-form probe set."""
+    matrix = Gallery()
+    for subject, vectors in probes.items():
+        for v in vectors:
+            matrix.enroll(subject, v)
+    return matrix
+
+
+class TestBuildScoreTensorGroupedForm:
+    def test_unknown_probe_subject_rejected(self):
+        probes, gallery = build_orl_like(n_subjects=2, dim=5)
+        probes["stranger"] = probes["s00"]
+        with pytest.raises(MatchingError, match="probe subject 'stranger' is not enrolled"):
+            build_score_tensor(grouped(probes), gallery, "mse")
+
+    def test_ragged_trials_rejected_naming_subject(self):
+        probes, gallery = build_orl_like(n_subjects=3, n_test=2, dim=5, seed=2)
+        probes["s01"] = probes["s01"][:1]
+        with pytest.raises(MatchingError, match="subject 's01' has 1 test samples, expected 2"):
+            build_score_tensor(grouped(probes), gallery, "mse")
+
+    @pytest.mark.parametrize(
+        "probe, message",
+        [(vec(np.zeros(4)), "dim 4, channel 'gray'"), (vec(np.zeros(5), "r"), "dim 5, channel 'r'")],
+    )
+    def test_dim_or_channel_mismatch_rejected_naming_subject(self, probe, message):
+        probes, gallery = build_orl_like(n_subjects=2, dim=5)
+        probes = {subject: [probe] * 5 for subject in probes}
+        with pytest.raises(MismatchError, match=f"probe 's00' has {message}; gallery has dim 5"):
+            build_score_tensor(grouped(probes), gallery, "mse")
+
+    def test_dict_form_rejects_a_vector_labelled_with_another_subject(self):
+        # the dict form is enrolled through Gallery.enroll, which checks labels
+        probes, gallery = build_orl_like(n_subjects=2, dim=5)
+        probes["s00"] = [vec(np.zeros(5), subject="s01")] * 5
+        with pytest.raises(GalleryError, match="subject 's00': vector labelled 's01' enrolled under"):
             build_score_tensor(probes, gallery, "mse")
 
 
