@@ -1,8 +1,20 @@
 """Command-line front door.
 
 Subcommands: enroll, evaluate, identify, det-export, fuse-eval, sigsize,
-synth-data.  Experiments are driven by a JSON config file; flags override
-config fields (see :func:`load_config`).  Exit codes are stable:
+synth-data.  Experiments are driven by a JSON config file, one file for
+``enroll``, ``evaluate`` and ``fuse-eval``; each accepts and validates every
+field (see :func:`load_config`).  Each command takes only the config flags
+it reads:
+
+- ``enroll``: ``--window --dim --channel --train-indices``;
+- ``evaluate``: ``--window --metric --test-indices``; ``--window`` is read
+  only for a gallery without ``meta.window``, and the dim and channel are
+  the gallery's;
+- ``fuse-eval``: ``--window --dim --metric --train-indices --test-indices``.
+
+A flag replaces its config field before the one conversion and validation
+of the config, so a flag and a field with the same value give the same
+setting or the same error.  Exit codes are stable:
 0 success, 1 validation error, 2 data error, 3 internal error.  An input
 that cannot be read or decoded exits 1 when it is the config and 2 when it
 is a manifest, image, score or gallery file; an output that cannot be
@@ -64,7 +76,6 @@ from .verification import (
     render_det_svg,
     save_det_csv,
     split_intra_inter,
-    trial_counts,
 )
 
 EXIT_OK = 0
@@ -187,12 +198,17 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentCo
       relative to the config's directory; default ``results`` in the
       working directory.
 
-    Names of metrics and channels are case-insensitive.  The flags
-    ``--window``, ``--dim``, ``--channel``, ``--train-indices`` and
-    ``--test-indices`` replace the field of the same name, ``--metric``
-    (repeatable) replaces ``metrics``, and ``--out`` replaces
-    ``output_dir``.  A config that cannot be read or is not JSON is a
-    ValidationError naming it.
+    Names of metrics and channels are case-insensitive.  Each attribute of
+    ``overrides`` named like a field and not None replaces that field before
+    the one conversion and validation, so a flag is read exactly as the
+    field would be.  The flags are ``--window``, ``--dim``, ``--channel``,
+    ``--train-indices`` and ``--test-indices``, each replacing the field of
+    the same name, and ``--metric`` (repeatable), replacing ``metrics``
+    (and so the ``metric`` alias); ``enroll`` takes ``--window --dim
+    --channel --train-indices``, ``evaluate`` ``--window --metric
+    --test-indices``, and ``fuse-eval`` all but ``--channel``.  ``--out``
+    of ``evaluate`` and ``fuse-eval`` replaces ``output_dir``.  A config
+    that cannot be read or is not JSON is a ValidationError naming it.
     """
     path = Path(path)
     try:
@@ -209,6 +225,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentCo
     unknown = set(raw) - known
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
+    raw.update((k, v) for k, v in vars(overrides).items() if k in known and v is not None)
 
     base = path.parent
 
@@ -243,18 +260,6 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentCo
         output_dir=resolve("output_dir") if raw.get("output_dir") else None,
     )
 
-    for name in ("window", "dim"):
-        value = getattr(overrides, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if getattr(overrides, "channel", None):
-        cfg.channel = overrides.channel.lower()
-    if getattr(overrides, "metric", None):
-        cfg.metrics = tuple(m.lower() for m in overrides.metric)
-    if getattr(overrides, "train_indices", None):
-        cfg.train_indices = _as_indices(overrides.train_indices, "train_indices")
-    if getattr(overrides, "test_indices", None):
-        cfg.test_indices = _as_indices(overrides.test_indices, "test_indices")
     cfg.validate()
     return cfg
 
@@ -333,18 +338,18 @@ def cmd_evaluate(args) -> int:
             f"EER {summary.eer:.4f}, min DCF {summary.min_dcf}"
         )
 
-    counts = trial_counts(
-        len(tensor.probe_subjects), len(tensor.gallery_subjects), tensor.n_trials
-    )
+    total = summary.n_genuine + summary.n_impostor
     results = {
         **_provenance(cfg),
         "window": window,
+        "dim": gallery.feature_dim,
+        "channel": gallery.channel,
         "trial_counts": {
-            "genuine": counts.genuine,
-            "impostor": counts.impostor,
-            "total": counts.total,
+            "genuine": summary.n_genuine,
+            "impostor": summary.n_impostor,
+            "total": total,
         },
-        "min_resolvable_error_rate_simplified": min_resolvable_error_rate(counts.total),
+        "min_resolvable_error_rate_simplified": min_resolvable_error_rate(total),
         "rows": rows,
     }
     write_json(out / "results.json", results)
@@ -499,22 +504,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"facedct {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p):
+    # each dest is the config field the flag replaces; load_config converts it
+    config_flags = {
+        "--window": dict(help="canonical analysis window side (evaluate: read only "
+                              "for a gallery without meta.window)"),
+        "--dim": dict(help="retained DCT coefficients per face"),
+        "--channel": dict(help=f"input signal, one of {', '.join(CHANNELS)}"),
+        "--metric": dict(dest="metrics", action="append", metavar="METRIC",
+                         help=f"distance metric, one of {', '.join(METRICS)} (repeatable)"),
+        "--train-indices": dict(dest="train_indices", help="comma-separated 1-based sample indices"),
+        "--test-indices": dict(dest="test_indices", help="comma-separated 1-based sample indices"),
+    }
+
+    def add_config_flags(p, *flags):
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--window", type=int, help="canonical analysis window side")
-        p.add_argument("--dim", type=int, help="retained DCT coefficients per face")
-        p.add_argument("--channel", choices=CHANNELS, help="input signal")
-        p.add_argument("--metric", action="append", choices=METRICS, help="distance metric (repeatable)")
-        p.add_argument("--train-indices", dest="train_indices", help="comma-separated 1-based sample indices")
-        p.add_argument("--test-indices", dest="test_indices", help="comma-separated 1-based sample indices")
+        for flag in flags:
+            p.add_argument(flag, **config_flags[flag])
 
     p = sub.add_parser("enroll", help="build and persist a gallery from the training split")
-    add_config_flags(p)
+    add_config_flags(p, "--window", "--dim", "--channel", "--train-indices")
     p.add_argument("--out", required=True, help="gallery output directory")
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("evaluate", help="score the test split against a gallery")
-    add_config_flags(p)
+    add_config_flags(p, "--window", "--metric", "--test-indices")
     p.add_argument("--gallery", required=True, help="gallery directory from 'enroll'")
     p.add_argument("--out", help="results directory (default: config output_dir)")
     p.add_argument("--svg", action="store_true", help="also render det.svg")
@@ -523,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="identify a single probe image")
     p.add_argument("--gallery", required=True)
     p.add_argument("--image", required=True, help="probe PGM/PPM file")
-    p.add_argument("--metric", choices=METRICS, default="mse")
+    p.add_argument("--metric", type=str.lower, choices=METRICS, default="mse")
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("det-export", help="DET curve vertices CSV from a scores CSV")
@@ -533,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_det_export)
 
     p = sub.add_parser("fuse-eval", help="per-channel runs plus score-level fusion")
-    add_config_flags(p)
+    add_config_flags(p, "--window", "--dim", "--metric", "--train-indices", "--test-indices")
     p.add_argument(
         "--fusion",
         action="append",

@@ -17,14 +17,19 @@ files, written in this order, each under a temporary name renamed into place:
 2. ``vectors.csv``: the same rows as text, one ``label,channel,dim,coeffs``
    row per template, for exchange; its bytes do not depend on the sidecar.
 3. ``gallery.json``: the subjects with their template counts, the feature
-   dim, the channel, the meta, and the sha256 of the other two files.
+   dim, the channel, the meta, the sha256 of the other two files, and
+   ``fields_sha256``, the sha256 of its own subjects, counts, dim, channel
+   and meta.
 
 ``gallery.json`` is the commit point.  A save cut before it leaves the old
 ``gallery.json``, whose digests the new files do not match.  On load,
 ``vectors.csv`` must match its digest or the gallery is rejected;
 ``templates.npy`` is used only when it matches its digest, and otherwise
-``vectors.csv`` is parsed.  A ``gallery.json`` without digests (written
-before they were) loads from ``vectors.csv`` alone.
+``vectors.csv`` is parsed.  Either way the listed fields must then match
+``fields_sha256``, since ``templates.npy`` carries no labels to check them
+against.  A ``gallery.json`` without digests (written before they were)
+loads from ``vectors.csv`` alone, and one without ``fields_sha256`` skips
+that check.
 """
 
 from __future__ import annotations
@@ -264,6 +269,12 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _fields_sha256(ids: list[str], counts: list[int], dim: int, channel: str, meta: dict) -> str:
+    """sha256 of the gallery.json fields that the templates.npy path trusts."""
+    fields = json.dumps([ids, counts, dim, channel, meta], separators=(",", ":"))
+    return _sha256(fields.encode())
+
+
 def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = None) -> None:
     """Persist as templates.npy + vectors.csv + gallery.json; load is bit-exact.
 
@@ -271,8 +282,9 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
     that order.  gallery.json, written last, records the sha256 of the bytes
     written to the other two, so it is the commit point: until it is renamed
     into place the directory still holds the old gallery.json, which the new
-    vectors.csv does not match (see :func:`load_gallery`).  A failed save
-    leaves no partial file behind.
+    vectors.csv does not match (see :func:`load_gallery`).  gallery.json also
+    records ``fields_sha256``, the sha256 of its listed fields.  A failed
+    save leaves no partial file behind.
     """
     if gallery.n_templates == 0:
         raise GalleryError("refusing to save an empty gallery (nothing enrolled)")
@@ -297,6 +309,10 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
         VECTORS_CSV: feature_matrix_to_csv(labels, gallery.channel, gallery.matrix).encode(),
     }
     manifest["sha256"] = {name: _sha256(data) for name, data in files.items()}
+    manifest["fields_sha256"] = _fields_sha256(
+        gallery.subject_ids, np.diff(gallery.offsets).tolist(), gallery.feature_dim,
+        gallery.channel, meta or {},
+    )
     for name, data in files.items():
         write_atomic(directory / name, data)
     write_atomic(directory / GALLERY_JSON, (json.dumps(manifest, indent=1) + "\n").encode())
@@ -415,8 +431,11 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
 
     The subjects, offsets and channel always come from gallery.json, so
     every source gives the same gallery; only the vectors.csv path also
-    checks them against the rows.  A gallery file that cannot be read is a
-    GalleryCorruptError naming it.
+    checks them against the rows.  Last, the subject ids, counts, feature
+    dim, channel and meta must match ``fields_sha256`` when gallery.json
+    has it (galleries saved before it was added do not), so an edit of them
+    is a GalleryCorruptError on the templates.npy path too.  A gallery file
+    that cannot be read is a GalleryCorruptError naming it.
     """
     directory = Path(directory)
     try:
@@ -444,5 +463,11 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
     if matrix is None:
         matrix = _matrix_of_csv(
             csv_data, directory / VECTORS_CSV, ids, counts, feature_dim, channel
+        )
+    if "fields_sha256" in manifest and manifest["fields_sha256"] != _fields_sha256(
+        ids, counts, feature_dim, channel, meta
+    ):
+        raise GalleryCorruptError(
+            f"{directory / GALLERY_JSON} does not match its fields_sha256 (edited file)"
         )
     return Gallery._of_subjects(ids, counts, channel, matrix), meta

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facedct.cli import load_config, main
+from facedct.cli import build_parser, load_config, main
+from facedct.errors import ValidationError
 from facedct.features import FeatureVector, extract_features
 from facedct.gallery import Gallery, save_gallery
 from facedct.imageio import RasterImage, prepare_plane, read_pnm_file, write_pnm_file
@@ -309,6 +310,38 @@ class TestEvaluate:
         assert payload["subject"] == subject
         assert payload["distance"] >= 0.0
 
+    def test_identify_metric_is_case_insensitive(self, evaluated, dataset, capsys):
+        manifest = json.loads(dataset.read_text())
+        probe = dataset.parent / manifest[sorted(manifest)[1]][3]
+        base = ["identify", "--gallery", str(evaluated / "gal"), "--image", str(probe)]
+        answers = [json.loads(run_cli(capsys, *base, "--metric", m)[1]) for m in ("MAD", "mad")]
+        assert answers[0]["metric"] == "mad"
+        assert answers[0] == answers[1]
+
+    def test_results_record_the_gallery_dim_and_channel(self, tmp_path, capsys):
+        # the config says gray at dim 64; the gallery was enrolled from y at dim 36
+        main(
+            [
+                "synth-data", "--subjects", "3", "--samples", "4", "--noise", "0.4",
+                "--seed", "2", "--width", "16", "--height", "16",
+                "--placement", "rgb", "--out", str(tmp_path / "cds"),
+            ]
+        )
+        cfg = write_config(
+            tmp_path / "cfg.json", tmp_path / "cds" / "manifest.json",
+            train_indices=[1, 2], test_indices=[3, 4], window=16, channel="gray",
+        )
+        enroll = ["enroll", "--config", str(cfg), "--out", str(tmp_path / "gal")]
+        assert run_cli(capsys, *enroll, "--channel", "y", "--dim", "36")[0] == 0
+        code, _, _ = run_cli(
+            capsys, "evaluate", "--config", str(cfg), "--gallery", str(tmp_path / "gal"),
+            "--out", str(tmp_path / "res"),
+        )
+        assert code == 0
+        results = json.loads((tmp_path / "res" / "results.json").read_text())
+        assert (results["channel"], results["dim"], results["window"]) == ("y", 36, 16)
+        assert results["config"]["channel"] == "gray"
+
 
 class TestIdentifyContract:
     """identify answers the lexicographically first argmin of the probe's row
@@ -530,6 +563,69 @@ class TestSigsize:
         assert code == 1
 
 
+class TestConfigFlags:
+    """A flag replaces its config field before the one conversion, and each
+    command takes only the config flags it reads."""
+
+    REQUIRED = {"enroll": [], "evaluate": ["--gallery", "gal"], "fuse-eval": ["--fusion", "sum:gray"]}
+
+    @pytest.mark.parametrize(
+        "command, flag, value, expected",
+        [
+            ("enroll", "--window", "32", 32),
+            ("enroll", "--window", "abc", "error: config field 'window'"),
+            ("enroll", "--dim", "36", 36),
+            ("enroll", "--channel", "Y", "y"),
+            ("fuse-eval", "--metric", "MAD", ("mad",)),
+            ("enroll", "--train-indices", "", "error: bad split"),
+            ("fuse-eval", "--test-indices", "4,5", (4, 5)),
+        ],
+        ids=["window", "window-abc", "dim", "channel-Y", "metric-MAD", "train-indices-empty",
+             "test-indices"],
+    )
+    def test_flag_and_field_load_alike(self, dataset, tmp_path, command, flag, value, expected):
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        args = build_parser().parse_args(
+            [command, "--config", str(cfg), *self.REQUIRED[command], "--out", "out", flag, value]
+        )
+        dest = {"--metric": "metrics"}.get(flag, flag[2:].replace("-", "_"))
+        as_field = write_config(tmp_path / "field.json", dataset, **{dest: getattr(args, dest)})
+        outcomes = []
+        for path, overrides in [(cfg, args), (as_field, argparse.Namespace())]:
+            try:
+                outcomes.append(load_config(path, overrides))
+            except ValidationError as exc:
+                outcomes.append(f"error: {exc}")
+        assert outcomes[0] == outcomes[1]
+        if str(expected).startswith("error: "):
+            assert outcomes[0].startswith(expected)
+        else:
+            assert getattr(outcomes[0], dest) == expected
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("enroll", "--metric", "mse"),
+            ("enroll", "--test-indices", "4"),
+            ("evaluate", "--dim", "36"),
+            ("evaluate", "--channel", "gray"),
+            ("evaluate", "--train-indices", "1"),
+            ("fuse-eval", "--channel", "gray"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(
+        self, dataset, tmp_path, capsys, command, flag, value
+    ):
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        code, _, err = run_cli(
+            capsys, command, "--config", str(cfg), *self.REQUIRED[command],
+            "--out", str(tmp_path / "out"), flag, value,
+        )
+        assert code == 1
+        assert err.startswith("usage error: ") and flag in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestExitCodes:
     def test_unknown_flag_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "sigsize", "--bogus")
@@ -671,14 +767,19 @@ class TestExitCodes:
         assert getattr(load_config(cfg, argparse.Namespace()), attr) == loaded
 
     @pytest.mark.parametrize(
-        "flags, named",
-        [(["--window", str(10**6)], "'window'"), (["--metric", "mse", "--metric", "mse"], "'mse'")],
+        "command, flags, named",
+        [
+            (["enroll"], ["--window", str(10**6)], "'window'"),
+            (["fuse-eval", "--fusion", "sum:gray"], ["--metric", "mse", "--metric", "mse"], "'mse'"),
+        ],
         ids=["window", "repeated-metric"],
     )
-    def test_bad_flag_value_is_validation_error(self, dataset, tmp_path, capsys, flags, named):
+    def test_bad_flag_value_is_validation_error(
+        self, dataset, tmp_path, capsys, command, flags, named
+    ):
         cfg = write_config(tmp_path / "cfg.json", dataset)
         code, _, err = run_cli(
-            capsys, "enroll", "--config", str(cfg), *flags, "--out", str(tmp_path / "g")
+            capsys, *command, "--config", str(cfg), *flags, "--out", str(tmp_path / "g")
         )
         assert code == 1
         assert err.startswith("validation error: ") and named in err
@@ -836,18 +937,23 @@ class TestExitCodes:
         ).read_bytes()
 
     @pytest.mark.parametrize(
-        "command, record, failing",
-        [("evaluate", "results.json", "det.csv"), ("enroll", "provenance.json", "gallery.json")],
+        "command, record, failing, flag, first, second",
+        [
+            ("evaluate", "results.json", "det.csv", "--metric", "mse", "mad"),
+            ("enroll", "provenance.json", "gallery.json", "--dim", "64", "36"),
+        ],
+        ids=["evaluate-results.json-det.csv", "enroll-provenance.json-gallery.json"],
     )
     def test_failed_rerun_leaves_no_old_record(
-        self, gallery_dir, tmp_path, capsys, monkeypatch, command, record, failing
+        self, gallery_dir, tmp_path, capsys, monkeypatch, command, record, failing,
+        flag, first, second,
     ):
-        # a first run with mse, then a mad run into the same directory that fails half-way
+        # a first run, then a differing run into the same directory that fails half-way
         out = tmp_path / "out"
         base = [command, "--config", str(gallery_dir / "cfg.json"), "--out", str(out)]
         if command == "evaluate":
             base += ["--gallery", str(gallery_dir / "gal")]
-        assert run_cli(capsys, *base, "--metric", "mse")[0] == 0
+        assert run_cli(capsys, *base, flag, first)[0] == 0
         assert (out / record).is_file()
         real_write_bytes = Path.write_bytes
 
@@ -857,7 +963,7 @@ class TestExitCodes:
             return real_write_bytes(path, data)
 
         monkeypatch.setattr(Path, "write_bytes", write_bytes)
-        code, _, err = run_cli(capsys, *base, "--metric", "mad")
+        code, _, err = run_cli(capsys, *base, flag, second)
         monkeypatch.undo()
         assert code == 1
         assert f"cannot write {out / failing}: no space" in err

@@ -502,3 +502,33 @@ class TestTemplatesSidecar:
         path.write_text(json.dumps(manifest))
         with pytest.raises(GalleryCorruptError, match=reason):
             load_gallery(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["subjects"][0].update(id="a0"),
+            lambda m: m.update(channel="y"),
+            lambda m: m.update(meta={"window": 16}),
+        ],
+        ids=["rename", "channel", "meta"],
+    )
+    def test_edited_fields_are_rejected_when_the_sidecar_is_trusted(self, tmp_path, edit):
+        # each edit passes every other check: "a0" still sorts before "b"
+        save_gallery(gallery_of(["a", "b"]), tmp_path, meta={"window": 8})
+        path = tmp_path / "gallery.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(GalleryCorruptError, match="json does not match its fields_sha256"):
+            load_gallery(tmp_path)
+
+    def test_gallery_without_the_fields_digest_loads(self, tmp_path):
+        g = gallery_of(["a", "b"])
+        save_gallery(g, tmp_path, meta={"window": 8})
+        path = tmp_path / "gallery.json"
+        manifest = json.loads(path.read_text())
+        del manifest["fields_sha256"]
+        path.write_text(json.dumps(manifest))
+        loaded, meta = load_gallery(tmp_path)
+        assert loaded == g
+        assert meta == {"window": 8}
