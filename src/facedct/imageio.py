@@ -9,7 +9,6 @@ Planes are plain 2-D float64 numpy arrays.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -271,10 +270,6 @@ def prepare_plane(img: RasterImage, channel: str, window: int) -> np.ndarray:
     return resize_bilinear(normalize(gray), window, window)
 
 
-def _natural_key(name: str) -> tuple:
-    return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name))
-
-
 def load_manifest(path: str | Path) -> dict[str, list[Path]]:
     """Load a dataset manifest: JSON mapping subject-id -> ordered image paths.
 
@@ -296,23 +291,6 @@ def load_manifest(path: str | Path) -> dict[str, list[Path]]:
         if not all(isinstance(e, str) for e in entries):
             raise ManifestError(f"subject {subject!r}: paths must be strings")
         manifest[str(subject)] = [base / e for e in entries]
-    return manifest
-
-
-def build_manifest_from_tree(root: str | Path) -> dict[str, list[Path]]:
-    """Scan ``root``, treating each subdirectory as a subject.
-
-    Image files (*.pgm, *.ppm, *.pnm) are ordered by natural numeric sort,
-    so "2.pgm" precedes "10.pgm".
-    """
-    root = Path(root)
-    manifest: dict[str, list[Path]] = {}
-    for sub in sorted((d for d in root.iterdir() if d.is_dir()), key=lambda d: _natural_key(d.name)):
-        files = [f for f in sub.iterdir() if f.suffix.lower() in (".pgm", ".ppm", ".pnm")]
-        if files:
-            manifest[sub.name] = sorted(files, key=lambda f: _natural_key(f.name))
-    if not manifest:
-        raise ManifestError(f"no subject directories with PNM images under {root}")
     return manifest
 
 

@@ -26,10 +26,12 @@ thin calls into it, so every route gives the same bits, and
   checks each vector's dim, channel and label.
 
 A tensor is exchanged as ``facedct-scores-v1`` CSV, one ``i,j,k,score`` row
-per cell, which ``load_scores_csv`` reads as bytes with one ``np.loadtxt``
-call.  A score row is what ``np.loadtxt`` reads as one row.  If the rows do
-not load, or a blank line leaves them short, the line named is the first
-from which ``np.loadtxt`` alone does not read one row (``first_bad_row``).
+per cell.  ``scores_to_csv`` writes each probe row's cells with one ``%``
+operation on a template of the row's indices and ``%.17g`` fields, and
+``load_scores_csv`` reads the file as bytes with one ``np.loadtxt`` call.
+A score row is what ``np.loadtxt`` reads as one row.  If the rows do not
+load, or a blank line leaves them short, the line named is the first from
+which ``np.loadtxt`` alone does not read one row (``first_bad_row``).
 """
 
 from __future__ import annotations
@@ -236,7 +238,13 @@ SCORES_FORMAT = "facedct-scores-v1"
 
 
 def scores_to_csv(tensor: ScoreTensor) -> str:
-    """Interchange CSV: provenance comments, then i,j,k,score rows."""
+    """Interchange CSV: provenance comments, then i,j,k,score rows.
+
+    The rows of probe ``i`` come from one ``%`` operation: a template of
+    its ``i,j,k,%.17g`` lines, built from the tensor's indices alone, is
+    applied to the row's scores.  The header lines are joined apart from
+    it, so a ``%`` in a subject id is written as it is.
+    """
     head = [
         f"# format={SCORES_FORMAT}",
         f"# metric={tensor.metric}",
@@ -245,15 +253,15 @@ def scores_to_csv(tensor: ScoreTensor) -> str:
         "i,j,k,score",
     ]
     n_probe, n_gallery, n_trials = tensor.scores.shape
-    jk_strings = [f"{j},{k}," for j in range(n_gallery) for k in range(n_trials)]
+    cells = [f",{j},{k},%.17g" for j in range(n_gallery) for k in range(n_trials)]
     blocks = ["\n".join(head) + "\n"]
     # one block per probe row, in C order of the tensor, so that only one
-    # row's strings are alive at a time; no field holds a comma, quote or
-    # newline, so csv.writer would quote none
+    # row's strings are alive at a time; "%.17g" % x gives the same text as
+    # format(x, ".17g"), and no field holds a comma, quote or newline, so
+    # csv.writer would quote none
     for i, row in enumerate(tensor.scores.reshape(n_probe, -1).tolist()):
-        cells = [f"{i}," + jk for jk in jk_strings]
-        values = map("{:.17g}".format, row)
-        blocks.append("\n".join(map(str.__add__, cells, values)) + "\n")
+        s = str(i)
+        blocks.append((s + ("\n" + s).join(cells) + "\n") % tuple(row))
     return "".join(blocks)
 
 

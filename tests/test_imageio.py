@@ -1,6 +1,8 @@
 """PNM parsing/writing, channel handling, resize, normalization."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from facedct.imageio import (
     PnmTruncatedError,
     PnmUnsupportedMagicError,
     RasterImage,
-    build_manifest_from_tree,
     load_manifest,
     normalize,
     read_pnm,
@@ -27,6 +28,26 @@ from facedct.imageio import (
     to_luminance,
     write_pnm,
 )
+
+
+def _natural_key(name: str) -> tuple:
+    return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name))
+
+
+def build_manifest_from_tree(root: Path) -> dict[str, list[Path]]:
+    """Scan ``root``, treating each subdirectory as a subject.
+
+    Image files (*.pgm, *.ppm, *.pnm) are ordered by natural numeric sort,
+    so "2.pgm" precedes "10.pgm".
+    """
+    manifest: dict[str, list[Path]] = {}
+    for sub in sorted((d for d in root.iterdir() if d.is_dir()), key=lambda d: _natural_key(d.name)):
+        files = [f for f in sub.iterdir() if f.suffix.lower() in (".pgm", ".ppm", ".pnm")]
+        if files:
+            manifest[sub.name] = sorted(files, key=lambda f: _natural_key(f.name))
+    if not manifest:
+        raise ManifestError(f"no subject directories with PNM images under {root}")
+    return manifest
 
 
 def gray(w, h, samples, maxval=255):

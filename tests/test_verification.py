@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facedct import verification
-from facedct.matching import ScoreTensor, scores_to_csv
+from facedct.matching import ScoreTensor, scores_from_csv, scores_to_csv
 from facedct.verification import (
     _PROBIT_A,
     _PROBIT_B,
@@ -451,6 +451,27 @@ def tie_heavy_tensor(seed, n_subjects=12, n_trials=3):
     return square_tensor(scores)
 
 
+# Scores whose .17g text is easy to get wrong: signed zero, subnormals, the
+# largest exponents, 0.1, integers past 2**53 and neighbours of powers of ten.
+EDGE_SCORES = [
+    0.0, -0.0, 5e-324, 2.5e-320, np.finfo(np.float64).tiny,
+    float(np.nextafter(np.finfo(np.float64).tiny, 0.0)), 1e300, 0.1, 7.0, 1e16,
+    *(float(np.nextafter(10.0**e, side)) for e in range(-5, 21) for side in (-np.inf, np.inf)),
+]
+score_cells = st.one_of(
+    st.sampled_from(EDGE_SCORES),
+    st.integers(0, 10**20).map(float),
+    st.builds(
+        lambda e, side: float(np.nextafter(10.0**e, side)),
+        st.integers(-5, 20), st.sampled_from([-np.inf, np.inf]),
+    ),
+)
+# (P, G, T): every probe subject is enrolled, so P <= G
+score_shapes = st.integers(1, 12).flatmap(
+    lambda g: st.tuples(st.integers(1, g), st.just(g), st.integers(1, 11))
+)
+
+
 class TestArrayExportsMatchRowwiseReference:
     def test_probit_is_bit_identical_to_scalar_formula(self):
         tiny = np.finfo(np.float64).tiny
@@ -499,6 +520,41 @@ class TestArrayExportsMatchRowwiseReference:
     def test_scores_csv_matches_on_single_cell_tensor(self):
         tensor = ScoreTensor(("a",), ("a",), np.full((1, 1, 1), 0.1), "mad")
         assert scores_to_csv(tensor) == rowwise_scores_to_csv(tensor)
+
+    @given(score_shapes, st.integers(0, 2**32 - 1), st.lists(score_cells, max_size=24))
+    @example((1, 1, 1), 0, [-0.0])
+    @example((12, 12, 11), 0, EDGE_SCORES)  # i, j and k reach two digits
+    @example((3, 10, 10), 1, [5e-324, 1e300, 0.1, 1e17, 2.0**53 + 2])
+    @settings(max_examples=40, deadline=None)
+    def test_scores_csv_matches_the_oracle(self, shape, seed, cells):
+        rng = np.random.default_rng(seed)
+        scores = rng.uniform(0.0, 100.0, shape)
+        flat = scores.reshape(-1)
+        n = min(len(cells), flat.size)
+        flat[rng.choice(flat.size, n, replace=False)] = cells[:n]
+        subjects = tuple(f"s{j}" for j in range(shape[1]))
+        tensor = ScoreTensor(subjects[: shape[0]], subjects, scores, "mse")
+        assert scores_to_csv(tensor) == rowwise_scores_to_csv(tensor)
+
+    def test_scores_csv_keeps_subject_text_out_of_the_row_template(self):
+        # ids that a % or str.format template would read as directives
+        subjects = ("%", "%s", "{}", "%.17g", "a,b", 'q"t')
+        scores = np.random.default_rng(4).uniform(0.0, 9.0, (6, 6, 2))
+        tensor = ScoreTensor(subjects[:4], subjects, scores[:4], "mad")
+        text = scores_to_csv(tensor)
+        oracle = rowwise_scores_to_csv(tensor)
+        assert text.split("\n")[:5] == oracle.split("\n")[:5]
+        back = scores_from_csv(text)
+        assert back.probe_subjects == tensor.probe_subjects
+        assert back.gallery_subjects == tensor.gallery_subjects
+        assert back.scores.tobytes() == tensor.scores.tobytes()
+
+    @pytest.mark.parametrize("n_gallery", [0, 2])
+    def test_scores_csv_of_a_tensor_without_probes_is_an_error(self, n_gallery):
+        gallery = tuple(f"s{j}" for j in range(n_gallery))
+        tensor = ScoreTensor((), gallery, np.zeros((0, n_gallery, 1)), "mse")
+        with pytest.raises(ValueError):
+            scores_to_csv(tensor)
 
 
 # The exports write DetCurve.vertices(); these check that the thinning drops
