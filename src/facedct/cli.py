@@ -7,9 +7,9 @@ field (see :func:`load_config`).  Each command takes only the config flags
 it reads:
 
 - ``enroll``: ``--window --dim --channel --train-indices``;
-- ``evaluate``: ``--window --metric --test-indices``; ``--window`` is read
-  only for a gallery without ``meta.window``, and the dim and channel are
-  the gallery's;
+- ``evaluate``: ``--metric --test-indices``; the window, dim and channel
+  are the gallery's, and the config's ``window`` is read only for a gallery
+  without ``meta.window``;
 - ``fuse-eval``: ``--window --dim --metric --train-indices --test-indices``.
 
 A flag replaces its config field before the one conversion and validation
@@ -185,7 +185,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentCo
       1-based sample indices, or comma-separated strings of them; default
       ``[1, 2, 3, 4, 5]`` and ``[6, 7, 8, 9, 10]``.
     - ``window``: integer side of the analysis window in
-      ``[1, MAX_WINDOW]``; default 64.
+      ``[1, MAX_WINDOW]``; default 64.  ``evaluate`` reads it only for a
+      gallery without ``meta.window``.
     - ``dim``: integer count of DCT coefficients kept, in ``[1, window²]``;
       default 100.
     - ``metrics``: list of distinct metric names from ``METRICS``, or a
@@ -205,10 +206,10 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentCo
     ``--train-indices`` and ``--test-indices``, each replacing the field of
     the same name, and ``--metric`` (repeatable), replacing ``metrics``
     (and so the ``metric`` alias); ``enroll`` takes ``--window --dim
-    --channel --train-indices``, ``evaluate`` ``--window --metric
-    --test-indices``, and ``fuse-eval`` all but ``--channel``.  ``--out``
-    of ``evaluate`` and ``fuse-eval`` replaces ``output_dir``.  A config
-    that cannot be read or is not JSON is a ValidationError naming it.
+    --channel --train-indices``, ``evaluate`` ``--metric --test-indices``,
+    and ``fuse-eval`` all but ``--channel``.  ``--out`` of ``evaluate`` and
+    ``fuse-eval`` replaces ``output_dir``.  A config that cannot be read or
+    is not JSON is a ValidationError naming it.
     """
     path = Path(path)
     try:
@@ -361,8 +362,10 @@ def cmd_identify(args) -> int:
     """Nearest enrolled subject of one probe image.
 
     Subjects are in lexicographic order and argmin takes the first minimum,
-    so a tie goes to the lexicographically first subject.  The distance is
-    the probe's ``scores.csv`` cell, bit for bit.
+    so a tie goes to the lexicographically first subject.  For a gallery
+    that records ``meta.window`` the distance is the probe's ``scores.csv``
+    cell, bit for bit; without it, identify uses the default window, and
+    evaluate the config's.
     """
     gallery, meta = load_gallery(args.gallery)
     window = meta.get("window", DEFAULT_WINDOW)
@@ -506,8 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each dest is the config field the flag replaces; load_config converts it
     config_flags = {
-        "--window": dict(help="canonical analysis window side (evaluate: read only "
-                              "for a gallery without meta.window)"),
+        "--window": dict(help="canonical analysis window side"),
         "--dim": dict(help="retained DCT coefficients per face"),
         "--channel": dict(help=f"input signal, one of {', '.join(CHANNELS)}"),
         "--metric": dict(dest="metrics", action="append", metavar="METRIC",
@@ -527,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("evaluate", help="score the test split against a gallery")
-    add_config_flags(p, "--window", "--metric", "--test-indices")
+    add_config_flags(p, "--metric", "--test-indices")
     p.add_argument("--gallery", required=True, help="gallery directory from 'enroll'")
     p.add_argument("--out", help="results directory (default: config output_dir)")
     p.add_argument("--svg", action="store_true", help="also render det.svg")
@@ -599,8 +601,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # a write to an output path the caller gave
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except KeyboardInterrupt:
-        raise
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -11,10 +11,9 @@ it takes anywhere on the real line.
 The genuine and impostor populations are the two arrays of
 :meth:`ScoreTensor.partition`, flattened.  The staircase is built once per
 :class:`TrialScores`, when :func:`det_curve`, :func:`eer` or :func:`min_dcf`
-first asks, and sorts both populations inside that build only.  DET data is
-array-backed: :func:`det_curve` returns a :class:`DetCurve`, a sequence of
-:class:`DetPoint` over three read-only arrays, and the CSV and SVG exports
-read those arrays without building points.
+first asks, and sorts both populations inside that build only.
+:func:`det_curve` returns a :class:`DetCurve`, a sequence of
+:class:`DetPoint` over three read-only arrays.
 
 :func:`det_curve` is the full staircase, one point per candidate threshold,
 and :func:`eer` and :func:`min_dcf` read all of it.  The ``det.csv`` and
@@ -24,18 +23,17 @@ points are dropped.  Each kept row has the bytes the full export gives it.
 The thresholds of the dropped points are not exported; ``scores.csv`` and
 :func:`far_frr_at` still give the error rates at any threshold.
 
-There is one probit implementation, :func:`_probit`, on arrays;
-:func:`normal_deviate` is its scalar form.  Its results must stay bit-identical
-to the scalar formula the tests keep as a reference, because ``det.csv`` and
-``det.svg`` print them: numpy does the correctly rounded ``+ - * /`` and
-``sqrt`` in the formula's order, and ``log``, ``exp`` and ``erfc`` come from
-:mod:`math`, since numpy's versions need not match libm bit for bit.
+Each kept interior point ends or begins a step that moves p_miss, and one
+that moves p_fa, so there are at most 2 * min(#distinct genuine, #distinct
+impostor) + 2 vertices: about 2,000 for a thousand genuine trials.  The
+exports write them point by point, through the one probit,
+:func:`normal_deviate`, a scalar formula on :mod:`math`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -246,47 +244,28 @@ _PROBIT_D = (
 _PROBIT_SPLIT = 0.02425
 
 
-def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
-
-
-def _horner(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:
-    """((c0*t + c1)*t + c2)... in that order of operations."""
-    acc = coeffs[0] * t
-    for c in coeffs[1:-1]:
-        acc = (acc + c) * t
-    return acc + coeffs[-1]
-
-
-def _probit(p: np.ndarray) -> np.ndarray:
-    """Probit of each element of a 1-D float64 array inside (0, 1).
-
-    Rational approximation in three regions, then one Newton step; every
-    element goes through the same IEEE operations, in the same order, as the
-    scalar formula, so results do not depend on the array they came in.
-    """
-    x = np.empty_like(p)
-    low = p < _PROBIT_SPLIT
-    high = p > 1.0 - _PROBIT_SPLIT
-    mid = ~(low | high)
-    den_c = _PROBIT_D + (1.0,)
-    q = np.sqrt(-2.0 * _libm(math.log, p[low]))
-    x[low] = _horner(_PROBIT_C, q) / _horner(den_c, q)
-    q = p[mid] - 0.5
-    r = q * q
-    x[mid] = _horner(_PROBIT_A, r) * q / _horner(_PROBIT_B + (1.0,), r)
-    q = np.sqrt(-2.0 * _libm(math.log, 1.0 - p[high]))
-    x[high] = -_horner(_PROBIT_C, q) / _horner(den_c, q)
-    pdf = _libm(math.exp, -0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    cdf = 0.5 * _libm(math.erfc, -x / math.sqrt(2.0))
-    return x - (cdf - p) / pdf
-
-
 def normal_deviate(p: float) -> float:
     """Inverse standard normal CDF (probit), for p strictly inside (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"probit requires 0 < p < 1, got {p}")
-    return float(_probit(np.array([p], dtype=np.float64))[0])
+    a, b, c, d = _PROBIT_A, _PROBIT_B, _PROBIT_C, _PROBIT_D
+    if _PROBIT_SPLIT <= p <= 1.0 - _PROBIT_SPLIT:
+        q = p - 0.5
+        r = q * q
+        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
+            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+        )
+    else:
+        # the upper tail mirrors the lower one; negation is exact
+        q = math.sqrt(-2.0 * math.log(p if p < _PROBIT_SPLIT else 1.0 - p))
+        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+        )
+        if p > 0.5:
+            x = -x
+    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    cdf = 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return x - (cdf - p) / pdf
 
 
 @dataclass(frozen=True)
@@ -316,48 +295,20 @@ def trial_counts(n_clients: int, n_gallery_subjects: int, trials_per_client: int
 PROBIT_CLAMP = 1e-6
 
 
-def _formatted(values: np.ndarray, spec: str) -> list[str]:
-    return list(map(spec.format, values.tolist()))
-
-
-def _formatted_distinct(
-    values: np.ndarray, spec: str, fn: Callable[[np.ndarray], np.ndarray]
-) -> list[str]:
-    """``spec``-formatted ``fn(values)``, computing and formatting each distinct
-    value once; ``fn`` must act element by element."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    strings = np.array(_formatted(fn(distinct), spec), dtype=object)
-    return strings[inverse].tolist()
-
-
-def _probit_clamped(p: np.ndarray) -> np.ndarray:
-    return _probit(np.clip(p, PROBIT_CLAMP, 1.0 - PROBIT_CLAMP))
-
-
-#: DET points formatted per block, which bounds the strings alive at once
-_POINTS_PER_BLOCK = 1 << 16
-
-
-def _blocks(points: DetCurve) -> Iterator[DetCurve]:
-    for start in range(0, len(points), _POINTS_PER_BLOCK):
-        yield points[start : start + _POINTS_PER_BLOCK]
+def _probit_clamped(p: float) -> float:
+    return normal_deviate(min(max(p, PROBIT_CLAMP), 1.0 - PROBIT_CLAMP))
 
 
 def det_to_csv(points: DetCurve) -> str:
     """DET export: threshold, p_fa, p_miss, plus probit axes for plotting."""
-    blocks = ["threshold,p_fa,p_miss,probit_p_fa,probit_p_miss\n"]
-    for part in _blocks(points):
-        # p_miss takes at most n_genuine + 1 distinct values
-        columns = (
-            _formatted(part.thresholds, "{:.17g}"),
-            _formatted(part.p_fa, "{:.17g}"),
-            _formatted_distinct(part.p_miss, "{:.17g}", lambda p: p),
-            _formatted(_probit_clamped(part.p_fa), "{:.9g}"),
-            _formatted_distinct(part.p_miss, "{:.9g}", _probit_clamped),
+    # no field holds a comma, quote or newline, so csv.writer would quote none
+    rows = ["threshold,p_fa,p_miss,probit_p_fa,probit_p_miss\n"]
+    for pt in points:
+        rows.append(
+            f"{pt.threshold:.17g},{pt.p_fa:.17g},{pt.p_miss:.17g},"
+            f"{_probit_clamped(pt.p_fa):.9g},{_probit_clamped(pt.p_miss):.9g}\n"
         )
-        # no field holds a comma, quote or newline, so csv.writer would quote none
-        blocks.append("\n".join(map(",".join, zip(*columns))) + "\n")
-    return "".join(blocks)
+    return "".join(rows)
 
 
 def save_det_csv(points: DetCurve, path: str | Path) -> None:
@@ -374,21 +325,14 @@ def render_det_svg(points: DetCurve, eer_value: float | None = None) -> str:
     size, margin = 480, 60
     span = size - 2 * margin
 
-    def offset(p: np.ndarray) -> np.ndarray:
-        z = _probit(np.clip(p, lo, hi))
-        return (z - zlo) / (zhi - zlo) * span
-
-    def xs(p: np.ndarray) -> np.ndarray:
-        return margin + offset(p)
-
-    def ys(p: np.ndarray) -> np.ndarray:
-        return size - margin - offset(p)
+    def offset(p: float) -> float:
+        return (normal_deviate(min(max(p, lo), hi)) - zlo) / (zhi - zlo) * span
 
     def sx(p: float) -> float:
-        return float(xs(np.array([p]))[0])
+        return margin + offset(p)
 
     def sy(p: float) -> float:
-        return float(ys(np.array([p]))[0])
+        return size - margin - offset(p)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -423,13 +367,7 @@ def render_det_svg(points: DetCurve, eer_value: float | None = None) -> str:
         'stroke="gray" stroke-dasharray="4 3"/>'
     )
 
-    def coords(part: DetCurve) -> str:
-        # clamping first leaves fewer distinct values to map and format
-        x_strings = _formatted_distinct(np.clip(part.p_fa, lo, hi), "{:.2f}", xs)
-        y_strings = _formatted_distinct(np.clip(part.p_miss, lo, hi), "{:.2f}", ys)
-        return " ".join(map("{},{}".format, x_strings, y_strings))
-
-    polyline = " ".join(map(coords, _blocks(points)))
+    polyline = " ".join(f"{sx(pt.p_fa):.2f},{sy(pt.p_miss):.2f}" for pt in points)
     parts.append(f'<polyline points="{polyline}" fill="none" stroke="crimson" stroke-width="1.5"/>')
     if eer_value is not None and lo < eer_value < hi:
         parts.append(

@@ -1,21 +1,27 @@
 """CLI behavior: subcommands, determinism, exit-code contract."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from facedct.cli import build_parser, load_config, main
 from facedct.errors import ValidationError
 from facedct.features import FeatureVector, extract_features
-from facedct.gallery import Gallery, save_gallery
+from facedct.gallery import Gallery, load_gallery, save_gallery
 from facedct.imageio import RasterImage, prepare_plane, read_pnm_file, write_pnm_file
 from facedct.matching import ScoreTensor, build_score_tensor, load_scores_csv, scores_to_csv
 from facedct.verification import det_curve, det_to_csv, eer, split_intra_inter
+
+from byte_edit_strategy import apply_byte_edits, byte_edits
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +231,29 @@ class TestEvaluate:
         capsys.readouterr()
         assert (tmp_path / "res" / "scores.csv").is_file()
         assert (tmp_path / "res" / "det.csv").is_file()
+
+    def test_a_gallery_without_meta_window_takes_the_config_window(
+        self, dataset, tmp_path, capsys
+    ):
+        cfg = write_config(tmp_path / "cfg.json", dataset, window=16)
+        assert main(["enroll", "--config", str(cfg), "--out", str(tmp_path / "gal")]) == 0
+        gallery, meta = load_gallery(tmp_path / "gal")
+        assert meta["window"] == 16
+        save_gallery(gallery, tmp_path / "bare")
+        scored = {}
+        for window in (16, 32):
+            cfg = write_config(tmp_path / "cfg.json", dataset, window=window)
+            for name in ("gal", "bare"):
+                out = tmp_path / f"{name}{window}"
+                assert main(["evaluate", "--config", str(cfg), "--gallery",
+                             str(tmp_path / name), "--out", str(out)]) == 0
+                results = json.loads((out / "results.json").read_text())
+                scored[name, window] = (results["window"], (out / "scores.csv").read_bytes())
+        capsys.readouterr()
+        # meta.window wins over the config; without it the config's window is scored
+        assert [scored[k][0] for k in sorted(scored)] == [16, 32, 16, 16]
+        assert scored["gal", 32][1] == scored["gal", 16][1] == scored["bare", 16][1]
+        assert scored["bare", 32][1] != scored["bare", 16][1]
 
     def test_training_indices_beyond_the_samples_are_not_needed(
         self, evaluated, dataset, tmp_path, capsys
@@ -610,6 +639,7 @@ class TestConfigFlags:
             ("evaluate", "--dim", "36"),
             ("evaluate", "--channel", "gray"),
             ("evaluate", "--train-indices", "1"),
+            ("evaluate", "--window", "16"),
             ("fuse-eval", "--channel", "gray"),
         ],
     )
@@ -630,6 +660,31 @@ class TestExitCodes:
     def test_unknown_flag_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "sigsize", "--bogus")
         assert code == 1
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
+        def interrupted(params):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("facedct.cli.required_n", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sigsize", "--p", "0.1", "--iid"])
+
+    @given(byte_edits)
+    @settings(max_examples=150, deadline=None)
+    def test_det_export_of_a_byte_edited_score_file_writes_or_names_it(self, edits):
+        tensor = ScoreTensor(("a", "b"), ("a", "b", "c"), np.arange(12.0).reshape(2, 3, 2) / 7)
+        with tempfile.TemporaryDirectory() as tmp:
+            scores, det_csv, det_svg = (Path(tmp) / n for n in ("scores.csv", "d.csv", "d.svg"))
+            scores.write_bytes(apply_byte_edits(scores_to_csv(tensor).encode(), edits))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["det-export", "--scores", str(scores),
+                             "--out", str(det_csv), "--svg", str(det_svg)])
+            if code == 0:
+                assert det_csv.is_file() and det_svg.is_file()
+            else:
+                assert code == 2
+                assert err.getvalue().startswith(f"data error: {scores}: ")
 
     def test_fusion_spec_naming_a_channel_twice_is_validation_error(
         self, dataset, tmp_path, capsys
