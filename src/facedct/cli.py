@@ -24,11 +24,19 @@ Each command needs only the sample indices it reads: enroll the training
 indices, evaluate the test indices, fuse-eval both.  A subject with fewer
 samples than the largest index a command needs is a data error naming it.
 
+``evaluate`` writes, for each metric, ``scores{tag}.npy``,
+``scores{tag}.csv`` and ``scores{tag}.json`` (the score file and its pinned
+sidecars, see ``matching``), ``det{tag}.csv`` and, with ``--svg``,
+``det{tag}.svg``; the tag is empty for one metric and ``_<metric>``
+otherwise.  It writes ``results.json`` last.  ``enroll`` writes the three
+gallery files, then ``provenance.json``.  ``det-export`` reads the cells
+from the sidecars of its ``--scores`` file when they match it.
+
 ``results.json`` (evaluate) and ``provenance.json`` (enroll) record a run.
 Each command removes the old one from its output directory before its first
 write and writes the new one last, so a run that fails half-way leaves no
 record that its files could be mistaken for.  ``evaluate`` also removes every
-other file name it can write, for any metric, so no file of an older run
+other file name listed above, for every tag, so no file of an older run
 stays beside the new run's files.
 """
 
@@ -321,7 +329,8 @@ def cmd_evaluate(args) -> int:
     rows = []
     remove_file(out / "results.json")
     for tag in ["", *(f"_{m}" for m in METRICS)]:
-        for name in (f"scores{tag}.csv", f"det{tag}.csv", f"det{tag}.svg"):
+        for name in (f"scores{tag}.npy", f"scores{tag}.csv", f"scores{tag}.json",
+                     f"det{tag}.csv", f"det{tag}.svg"):
             remove_file(out / name)
     for metric in cfg.metrics:
         tensor = build_score_tensor(probes, gallery, metric)
@@ -542,7 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("det-export", help="DET curve vertices CSV from a scores CSV")
-    p.add_argument("--scores", required=True, help="scores.csv written by 'evaluate'")
+    p.add_argument(
+        "--scores", required=True,
+        help="scores.csv written by 'evaluate'; the scores.npy beside it is read instead "
+        "of its rows when scores.json pins both by sha256",
+    )
     p.add_argument("--out", required=True, help="DET vertices CSV output path")
     p.add_argument("--svg", help="optional det SVG output path")
     p.set_defaults(func=cmd_det_export)

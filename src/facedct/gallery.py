@@ -10,7 +10,9 @@ grouped matrix also carries a probe set: ``pipeline.extract_subject_features``
 returns one per channel, and ``build_score_tensor`` scores its rows in order.
 
 A saved gallery (format ``facedct-gallery`` v1) is a directory of three
-files, written in this order, each under a temporary name renamed into place:
+files, written in this order through one :class:`~facedct.pinned.PinnedTable`,
+which holds the write order and the trust rules it shares with the score
+table:
 
 1. ``templates.npy``: the matrix as ``'<f8'``, C order, no pickle.  This is
    what :func:`load_gallery` reads.
@@ -21,30 +23,27 @@ files, written in this order, each under a temporary name renamed into place:
    ``fields_sha256``, the sha256 of its own subjects, counts, dim, channel
    and meta.
 
-``gallery.json`` is the commit point.  A save cut before it leaves the old
-``gallery.json``, whose digests the new files do not match.  On load,
-``vectors.csv`` must match its digest or the gallery is rejected;
-``templates.npy`` is used only when it matches its digest, and otherwise
-``vectors.csv`` is parsed.  Either way the listed fields must then match
-``fields_sha256``, since ``templates.npy`` carries no labels to check them
-against.  A ``gallery.json`` without digests (written before they were)
-loads from ``vectors.csv`` alone, and one without ``fields_sha256`` skips
-that check.
+The table is strict: ``gallery.json`` is the commit point, and
+``vectors.csv`` must match its digest or the gallery is rejected, while a
+``templates.npy`` that does not match its digest leaves ``vectors.csv`` to
+be parsed.  Either way the listed fields must then match ``fields_sha256``,
+since ``templates.npy`` carries no labels to check them against.  A
+``gallery.json`` without digests (written before they were) loads from
+``vectors.csv`` alone, and one without ``fields_sha256`` skips that check.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MismatchError, read_bytes, write_atomic
+from .errors import DataError, MismatchError, read_bytes
 from .features import FeatureVector, feature_matrix_from_csv, feature_matrix_to_csv
 from .imageio import CHANNELS, MAX_WINDOW
+from .pinned import PinnedTable, sha256
 
 GALLERY_FORMAT = "facedct-gallery"
 GALLERY_VERSION = 1
@@ -265,14 +264,17 @@ class Gallery:
         )
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _fields_sha256(ids: list[str], counts: list[int], dim: int, channel: str, meta: dict) -> str:
     """sha256 of the gallery.json fields that the templates.npy path trusts."""
     fields = json.dumps([ids, counts, dim, channel, meta], separators=(",", ":"))
-    return _sha256(fields.encode())
+    return sha256(fields.encode())
+
+
+def _files(directory: Path) -> PinnedTable:
+    return PinnedTable(
+        directory / TEMPLATES_NPY, directory / VECTORS_CSV, directory / GALLERY_JSON,
+        GalleryCorruptError, strict=True, noun="coefficient",
+    )
 
 
 def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = None) -> None:
@@ -288,7 +290,6 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
     """
     if gallery.n_templates == 0:
         raise GalleryError("refusing to save an empty gallery (nothing enrolled)")
-    directory = Path(directory)
     manifest = {
         "format": GALLERY_FORMAT,
         "version": GALLERY_VERSION,
@@ -302,20 +303,15 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
     if meta:
         manifest["meta"] = meta
     labels = [entry["id"] for entry in manifest["subjects"] for _ in range(entry["templates"])]
-    npy = io.BytesIO()
-    np.save(npy, np.ascontiguousarray(gallery.matrix, dtype="<f8"), allow_pickle=False)
-    files = {
-        TEMPLATES_NPY: npy.getvalue(),
-        VECTORS_CSV: feature_matrix_to_csv(labels, gallery.channel, gallery.matrix).encode(),
-    }
-    manifest["sha256"] = {name: _sha256(data) for name, data in files.items()}
-    manifest["fields_sha256"] = _fields_sha256(
+    fields = _fields_sha256(
         gallery.subject_ids, np.diff(gallery.offsets).tolist(), gallery.feature_dim,
         gallery.channel, meta or {},
     )
-    for name, data in files.items():
-        write_atomic(directory / name, data)
-    write_atomic(directory / GALLERY_JSON, (json.dumps(manifest, indent=1) + "\n").encode())
+    _files(Path(directory)).save(
+        gallery.matrix,
+        lambda: feature_matrix_to_csv(labels, gallery.channel, gallery.matrix).encode(),
+        lambda digests: {**manifest, "sha256": digests, "fields_sha256": fields},
+    )
 
 
 def _check_window(window, feature_dim: int, directory: Path) -> None:
@@ -394,23 +390,6 @@ def _matrix_of_csv(
     return matrix
 
 
-def _matrix_of_npy(data: bytes, path: Path, n_rows: int, feature_dim: int) -> np.ndarray:
-    """The templates of templates.npy, read by np.load's .npy reader, which
-    loads no pickle; it must be a finite '<f8' array of the listed shape."""
-    try:
-        matrix = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
-    except ValueError as exc:
-        raise GalleryCorruptError(f"corrupt {path}: {exc}") from None
-    if matrix.dtype != np.dtype("<f8") or matrix.shape != (n_rows, feature_dim):
-        raise GalleryCorruptError(
-            f"{path} holds a {matrix.dtype.str} array of shape {matrix.shape}, "
-            f"not <f8 of shape {(n_rows, feature_dim)}"
-        )
-    if not np.isfinite(matrix).all():
-        raise GalleryCorruptError(f"{path} has a non-finite coefficient")
-    return matrix
-
-
 def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
     """Load a persisted gallery; returns (gallery, meta dict).
 
@@ -438,32 +417,16 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
     that cannot be read is a GalleryCorruptError naming it.
     """
     directory = Path(directory)
-    try:
-        manifest = json.loads(read_bytes(directory / GALLERY_JSON, GalleryCorruptError))
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise GalleryCorruptError(f"unreadable {directory / GALLERY_JSON}: {exc}") from exc
+    files = _files(directory)
+    manifest = files.read_manifest()
     ids, counts, feature_dim, channel, meta = _check_manifest(manifest, directory)
     # bytes, so that no line ending inside a quoted subject id is translated
-    csv_data = read_bytes(directory / VECTORS_CSV, GalleryCorruptError)
+    csv_data = read_bytes(files.text, GalleryCorruptError)
     matrix = None
     if "sha256" in manifest:
-        digests = manifest["sha256"]
-        if not isinstance(digests, dict):
-            raise GalleryCorruptError(f"{GALLERY_JSON} sha256 is not an object")
-        if _sha256(csv_data) != digests.get(VECTORS_CSV):
-            raise GalleryCorruptError(
-                f"{directory / VECTORS_CSV} does not match its sha256 in {GALLERY_JSON} "
-                "(torn save or edited file)"
-            )
-        npy_path = directory / TEMPLATES_NPY
-        if npy_path.exists():
-            npy = read_bytes(npy_path, GalleryCorruptError)
-            if _sha256(npy) == digests.get(TEMPLATES_NPY):
-                matrix = _matrix_of_npy(npy, npy_path, sum(counts), feature_dim)
+        matrix = files.load(manifest["sha256"], csv_data, (sum(counts), feature_dim))
     if matrix is None:
-        matrix = _matrix_of_csv(
-            csv_data, directory / VECTORS_CSV, ids, counts, feature_dim, channel
-        )
+        matrix = _matrix_of_csv(csv_data, files.text, ids, counts, feature_dim, channel)
     if "fields_sha256" in manifest and manifest["fields_sha256"] != _fields_sha256(
         ids, counts, feature_dim, channel, meta
     ):

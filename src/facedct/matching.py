@@ -28,10 +28,29 @@ thin calls into it, so every route gives the same bits, and
 A tensor is exchanged as ``facedct-scores-v1`` CSV, one ``i,j,k,score`` row
 per cell.  ``scores_to_csv`` writes each probe row's cells with one ``%``
 operation on a template of the row's indices and ``%.17g`` fields, and
-``load_scores_csv`` reads the file as bytes with one ``np.loadtxt`` call.
-A score row is what ``np.loadtxt`` reads as one row.  If the rows do not
-load, or a blank line leaves them short, the line named is the first from
-which ``np.loadtxt`` alone does not read one row (``first_bad_row``).
+``scores_from_csv`` reads the rows with one ``np.loadtxt`` call.  A score row
+is what ``np.loadtxt`` reads as one row.  If the rows do not load, or a blank
+line leaves them short, the line named is the first from which
+``np.loadtxt`` alone does not read one row (``first_bad_row``).
+
+On disk, :func:`save_scores_csv` writes a score file ``scores.csv`` as a
+lenient :class:`~facedct.pinned.PinnedTable` of three files, in this order:
+
+1. ``scores.npy``: the tensor as ``'<f8'``, C order, no pickle;
+2. ``scores.csv``: the CSV, whose bytes do not depend on the other two;
+3. ``scores.json``: ``{"format": "facedct-scores-v1", "sha256": {...}}``,
+   the sha256 of the other two under their file names, written last as the
+   commit point.
+
+The names beside the CSV are its own with the suffix replaced.  The CSV is
+always the truth.  :func:`load_scores_csv` reads its bytes and parses its
+header, then takes the cells from ``scores.npy`` only when ``scores.json``
+is a ``facedct-scores-v1`` manifest whose digests match both the CSV and
+``scores.npy``.  Such a ``scores.npy`` must be a finite ``'<f8'`` array of
+shape (probe subjects, gallery subjects, trials) that makes a valid
+:class:`ScoreTensor`, or it is a DataError naming it.  A missing,
+unreadable, stale or malformed manifest or ``scores.npy`` leaves the CSV
+rows to be parsed, so the result is always the CSV's tensor.
 """
 
 from __future__ import annotations
@@ -43,9 +62,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MismatchError, read_bytes, write_atomic
+from .errors import DataError, MismatchError, read_bytes
 from .features import FeatureVector, first_bad_row
 from .gallery import Gallery
+from .pinned import PinnedTable
 
 METRICS = ("mse", "mad")
 
@@ -273,16 +293,9 @@ def _load_score_rows(data: bytes) -> np.ndarray:
     return np.loadtxt(io.BytesIO(data), _ROW_DTYPE, **opts)
 
 
-def scores_from_csv(data: bytes | str) -> ScoreTensor:
-    """Parse the interchange CSV back into a ScoreTensor.
-
-    The ``#`` comment lines and the ``i,j,k,score`` header come first, then
-    one row per cell; every cell of the tensor must appear exactly once.
-    ``data`` is the file's bytes (text is encoded first).  One ``np.loadtxt``
-    call parses the rows; a line it does not read as one row, blank or not
-    ASCII, is an error naming it.  Line breaks after the last row are ignored.
-    """
-    data = data.encode() if isinstance(data, str) else data
+def _score_header(data: bytes) -> tuple[list[str], list[str], str, int, int]:
+    """The probe and gallery subjects and the metric of a score file's
+    header, and the offset and line number of its first row."""
     meta: dict[str, str] = {}
     pos = 0
     line_no = 1
@@ -311,7 +324,12 @@ def scores_from_csv(data: bytes | str) -> ScoreTensor:
     header_end = len(data) if header_end < 0 else header_end
     if data[pos:header_end].rstrip(b"\r") != b"i,j,k,score":
         raise DataError("score file missing i,j,k,score header row")
-    pos, line_no = header_end + 1, line_no + 1
+    return probe_subjects, gallery_subjects, metric, header_end + 1, line_no + 1
+
+
+def _score_rows(data: bytes, pos: int, line_no: int, n_probe: int, n_gallery: int) -> np.ndarray:
+    """The ``(n_probe, n_gallery, T)`` cells of the rows from offset ``pos``,
+    line ``line_no``, on."""
     stop = len(data)
     while stop > pos and data[stop - 1] in b"\r\n":
         stop -= 1
@@ -335,7 +353,7 @@ def scores_from_csv(data: bytes | str) -> ScoreTensor:
         )
     index = np.stack([rows["i"], rows["j"], rows["k"]], axis=1)
     max_k = int(index[:, 2].max())
-    shape = (len(probe_subjects), len(gallery_subjects), max_k + 1)
+    shape = (n_probe, n_gallery, max_k + 1)
     expected = shape[0] * shape[1] * shape[2]
     outside = np.flatnonzero(np.any((index < 0) | (index >= shape), axis=1))
     if outside.size:
@@ -354,22 +372,73 @@ def scores_from_csv(data: bytes | str) -> ScoreTensor:
         raise DataError(f"score cell ({i},{j},{k}) appears more than once")
     scores = np.empty(expected)
     scores[flat] = rows["score"]
+    return scores.reshape(shape)
+
+
+def _score_tensor(
+    probe_subjects: list[str], gallery_subjects: list[str], scores: np.ndarray, metric: str
+) -> ScoreTensor:
     try:
-        return ScoreTensor(
-            tuple(probe_subjects), tuple(gallery_subjects), scores.reshape(shape), metric
-        )
+        return ScoreTensor(tuple(probe_subjects), tuple(gallery_subjects), scores, metric)
     except ValueError as exc:
         raise DataError(f"invalid score tensor: {exc}") from exc
 
 
+def scores_from_csv(data: bytes | str) -> ScoreTensor:
+    """Parse the interchange CSV back into a ScoreTensor.
+
+    The ``#`` comment lines and the ``i,j,k,score`` header come first, then
+    one row per cell; every cell of the tensor must appear exactly once.
+    ``data`` is the file's bytes (text is encoded first).  One ``np.loadtxt``
+    call parses the rows; a line it does not read as one row, blank or not
+    ASCII, is an error naming it.  Line breaks after the last row are ignored.
+    """
+    data = data.encode() if isinstance(data, str) else data
+    probe_subjects, gallery_subjects, metric, pos, line_no = _score_header(data)
+    scores = _score_rows(data, pos, line_no, len(probe_subjects), len(gallery_subjects))
+    return _score_tensor(probe_subjects, gallery_subjects, scores, metric)
+
+
+def _files(path: Path) -> PinnedTable:
+    return PinnedTable(
+        path.with_suffix(".npy"), path, path.with_suffix(".json"),
+        DataError, strict=False, noun="score",
+    )
+
+
 def save_scores_csv(tensor: ScoreTensor, path: str | Path) -> None:
-    write_atomic(path, scores_to_csv(tensor).encode())
+    """Write ``tensor`` to the score file ``path`` and its two sidecars
+    (module docstring): ``scores.npy``, then the CSV of :func:`scores_to_csv`,
+    then ``scores.json`` last, each atomically.  The CSV's bytes are the same
+    as without the sidecars."""
+    _files(Path(path)).save(
+        tensor.scores,
+        lambda: scores_to_csv(tensor).encode(),
+        lambda digests: {"format": SCORES_FORMAT, "sha256": digests},
+    )
 
 
 def load_scores_csv(path: str | Path) -> ScoreTensor:
-    """:func:`scores_from_csv` of the file ``path``; every DataError names it."""
+    """The tensor of the score file ``path``: its header always, and its
+    cells from the pinned ``scores.npy`` beside it when the manifest pins
+    both files, or else from its rows (module docstring).  Every DataError
+    names the file it is about: the CSV, or a pinned ``scores.npy``."""
+    path = Path(path)
     data = read_bytes(path, DataError)
     try:
-        return scores_from_csv(data)
+        probe_subjects, gallery_subjects, metric, pos, line_no = _score_header(data)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    files = _files(path)
+    manifest = files.read_manifest()
+    scores = None
+    if isinstance(manifest, dict) and manifest.get("format") == SCORES_FORMAT:
+        shape = (len(probe_subjects), len(gallery_subjects), None)
+        scores = files.load(manifest.get("sha256"), data, shape)
+    source = path if scores is None else files.npy
+    try:
+        if scores is None:
+            scores = _score_rows(data, pos, line_no, len(probe_subjects), len(gallery_subjects))
+        return _score_tensor(probe_subjects, gallery_subjects, scores, metric)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from exc

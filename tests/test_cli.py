@@ -2,23 +2,33 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from facedct import matching
 from facedct.cli import build_parser, load_config, main
 from facedct.errors import ValidationError
 from facedct.features import FeatureVector, extract_features
 from facedct.gallery import Gallery, load_gallery, save_gallery
 from facedct.imageio import RasterImage, prepare_plane, read_pnm_file, write_pnm_file
-from facedct.matching import ScoreTensor, build_score_tensor, load_scores_csv, scores_to_csv
+from facedct.matching import (
+    ScoreTensor,
+    build_score_tensor,
+    load_scores_csv,
+    save_scores_csv,
+    scores_to_csv,
+)
 from facedct.verification import det_curve, det_to_csv, eer, split_intra_inter
 
 from byte_edit_strategy import apply_byte_edits, byte_edits
@@ -43,6 +53,25 @@ def write_config(path, manifest, **extra):
     payload.update(extra)
     path.write_text(json.dumps(payload))
     return path
+
+
+def pin(path, name, data):
+    """Write ``data`` to the sidecar ``name`` beside the score file ``path``
+    and record its digest in the manifest, as a save would."""
+    (path.parent / name).write_bytes(data)
+    manifest_path = path.with_suffix(".json")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sha256"][name] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def det_export(scores, out):
+    """Run det-export quietly; returns its exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["det-export", "--scores", str(scores),
+                     "--out", str(out.with_suffix(".csv")), "--svg", str(out.with_suffix(".svg"))])
+    return code, err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -205,10 +234,12 @@ class TestEvaluate:
         out = evaluated / "rerun"
         base = ["evaluate", "--config", str(evaluated / "cfg.json"),
                 "--gallery", str(evaluated / "gal"), "--out", str(out)]
+        scores = ["scores{}.npy", "scores{}.csv", "scores{}.json"]
         runs = [
-            ([], ["det_mad.csv", "det_mse.csv", "scores_mad.csv", "scores_mse.csv"]),
-            (["--svg", "--metric", "mse"], ["det.csv", "det.svg", "scores.csv"]),
-            (["--metric", "mad"], ["det.csv", "scores.csv"]),
+            ([], ["det_mad.csv", "det_mse.csv"]
+             + [n.format(tag) for tag in ("_mad", "_mse") for n in scores]),
+            (["--svg", "--metric", "mse"], ["det.csv", "det.svg"] + [n.format("") for n in scores]),
+            (["--metric", "mad"], ["det.csv"] + [n.format("") for n in scores]),
         ]
         for flags, written in runs:
             assert main([*base, *flags]) == 0
@@ -326,6 +357,76 @@ class TestEvaluate:
         ]
         assert row["eer"] == eer(trials)
         assert row["min_dcf"]["0.5"] == min(0.5 * p.p_miss + 0.5 * p.p_fa for p in full)
+
+    def test_det_export_takes_the_cells_from_the_sidecar_evaluate_wrote(
+        self, evaluated, tmp_path, capsys, monkeypatch
+    ):
+        res = evaluated / "res"
+        spy = mock.Mock(wraps=matching._load_score_rows)
+        monkeypatch.setattr(matching, "_load_score_rows", spy)
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        shutil.copyfile(res / "scores_mse.csv", bare / "scores_mse.csv")
+        for scores, parses in [(res, 0), (bare, 1)]:
+            code, _, _ = run_cli(
+                capsys, "det-export", "--scores", str(scores / "scores_mse.csv"),
+                "--out", str(tmp_path / "det.csv"),
+            )
+            assert code == 0
+            assert spy.call_count == parses
+            assert (tmp_path / "det.csv").read_bytes() == (res / "det_mse.csv").read_bytes()
+
+    def test_det_export_of_a_score_file_copied_over_another_follows_the_copy(
+        self, evaluated, tmp_path, capsys
+    ):
+        res = tmp_path / "res"
+        shutil.copytree(evaluated / "res", res)
+        # the mse sidecars stay, and no longer match the score file beside them
+        shutil.copyfile(res / "scores_mad.csv", res / "scores_mse.csv")
+        code, _, _ = run_cli(
+            capsys, "det-export", "--scores", str(res / "scores_mse.csv"),
+            "--out", str(tmp_path / "det.csv"),
+        )
+        assert code == 0
+        assert (res / "det_mad.csv").read_bytes() != (res / "det_mse.csv").read_bytes()
+        assert (tmp_path / "det.csv").read_bytes() == (res / "det_mad.csv").read_bytes()
+
+    @given(
+        name=st.sampled_from(["scores_mse.npy", "scores_mse.json", "scores_mse.csv"]),
+        edits=byte_edits,
+    )
+    # the strategy edits the last 400 bytes; these reach the first byte of
+    # the CSV header and of the .npy magic
+    @example(name="scores_mse.csv", edits=[("replace", 10**6, b"\xff", 1)])
+    @example(name="scores_mse.npy", edits=[("delete", 10**6, b"0", 1)])
+    @settings(max_examples=150, deadline=None)
+    def test_det_export_of_a_byte_edited_score_set_matches_the_csv_alone(
+        self, evaluated, name, edits
+    ):
+        res = evaluated / "res"
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for suffix in (".npy", ".csv", ".json"):
+                shutil.copyfile(res / f"scores_mse{suffix}", tmp / f"scores_mse{suffix}")
+            (tmp / name).write_bytes(apply_byte_edits((tmp / name).read_bytes(), edits))
+            code, err = det_export(tmp / "scores_mse.csv", tmp / "pinned")
+            if name != "scores_mse.csv":
+                # an edited sidecar is not trusted, and the CSV is intact
+                assert (code, err) == (0, "")
+                for suffix in (".csv", ".svg"):
+                    assert (tmp / f"pinned{suffix}").read_bytes() == (
+                        res / f"det_mse{suffix}"
+                    ).read_bytes()
+                return
+            (tmp / "scores_mse.npy").unlink()
+            (tmp / "scores_mse.json").unlink()
+            assert det_export(tmp / "scores_mse.csv", tmp / "bare") == (code, err)
+            assert code in (0, 2)
+            if code == 0:
+                for suffix in (".csv", ".svg"):
+                    assert (tmp / f"pinned{suffix}").read_bytes() == (
+                        tmp / f"bare{suffix}"
+                    ).read_bytes()
 
     def test_identify_returns_true_subject(self, evaluated, dataset, capsys):
         manifest = json.loads(dataset.read_text())
@@ -946,6 +1047,19 @@ class TestExitCodes:
         assert "data error" in err
         assert str(gallery / name) in err
 
+    def test_gallery_json_nested_past_the_parser_limit_is_data_error(
+        self, gallery_dir, dataset, tmp_path, capsys
+    ):
+        gallery = tmp_path / "gal"
+        shutil.copytree(gallery_dir / "gal", gallery)
+        (gallery / "gallery.json").write_text("[" * 100_000)
+        probe = dataset.parent / next(iter(json.loads(dataset.read_text()).values()))[0]
+        code, _, err = run_cli(
+            capsys, "identify", "--gallery", str(gallery), "--image", str(probe)
+        )
+        assert code == 2
+        assert err.startswith(f"data error: unreadable {gallery / 'gallery.json'}: ")
+
     @pytest.mark.parametrize("command", ["enroll", "evaluate", "fuse-eval"])
     def test_output_directory_that_is_a_file_names_it(
         self, gallery_dir, tmp_path, capsys, command
@@ -971,9 +1085,9 @@ class TestExitCodes:
         real_write_bytes = Path.write_bytes
         calls = []
 
-        def write_bytes(path, data):  # the second write (det.csv) fails half-way
+        def write_bytes(path, data):  # the det.csv write fails half-way
             calls.append(path)
-            if len(calls) == 2:
+            if path.name.startswith(".det.csv."):
                 real_write_bytes(path, data[: len(data) // 2])
                 raise OSError("no space left on device")
             return real_write_bytes(path, data)
@@ -981,15 +1095,81 @@ class TestExitCodes:
         monkeypatch.setattr(Path, "write_bytes", write_bytes)
         code, _, err = run_cli(capsys, *args, str(tmp_path / "res"))
         monkeypatch.undo()
-        assert len(calls) == 2
+        # the temporary names show the write order: the sidecar, the CSV, the manifest
+        assert [p.name.rsplit(".", 2)[0] for p in calls] == [
+            ".scores.npy", ".scores.csv", ".scores.json", ".det.csv"
+        ]
         assert code == 1
         assert f"cannot write {tmp_path / 'res' / 'det.csv'}: no space" in err
-        # scores.csv was written whole before the failure; det.csv not at all
-        assert [p.name for p in (tmp_path / "res").iterdir()] == ["scores.csv"]
+        # the score file and its sidecars were written whole before the
+        # failure; det.csv not at all
+        written = ["scores.csv", "scores.json", "scores.npy"]
+        assert sorted(p.name for p in (tmp_path / "res").iterdir()) == written
         assert run_cli(capsys, *args, str(tmp_path / "whole"))[0] == 0
-        assert (tmp_path / "res" / "scores.csv").read_bytes() == (
-            tmp_path / "whole" / "scores.csv"
-        ).read_bytes()
+        for name in written:
+            assert (tmp_path / "res" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+    @pytest.mark.parametrize("failing", ["scores.csv", "scores.json"])
+    def test_evaluate_cut_before_its_manifest_leaves_no_trusted_sidecar(
+        self, gallery_dir, tmp_path, capsys, monkeypatch, failing
+    ):
+        args = ["evaluate", "--config", str(gallery_dir / "cfg.json"),
+                "--gallery", str(gallery_dir / "gal"), "--out"]
+        out = tmp_path / "res"
+        assert run_cli(capsys, *args, str(out), "--metric", "mad")[0] == 0
+        real_write_bytes = Path.write_bytes
+
+        def write_bytes(path, data):
+            if path.name.startswith(f".{failing}."):
+                raise OSError("no space left on device")
+            return real_write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        code, _, err = run_cli(capsys, *args, str(out), "--metric", "mse")
+        monkeypatch.undo()
+        assert code == 1
+        assert f"cannot write {out / failing}: no space" in err
+        # the new scores.npy is in place, and no manifest pins it
+        assert sorted(p.name for p in out.iterdir())[-1] == "scores.npy"
+        assert not (out / "scores.json").exists()
+        spy = mock.Mock(wraps=matching._load_score_rows)
+        monkeypatch.setattr(matching, "_load_score_rows", spy)
+        code, err = det_export(out / "scores.csv", tmp_path / "det")
+        if failing == "scores.csv":
+            assert code == 2
+            assert err.startswith(f"data error: cannot read {out / 'scores.csv'}: ")
+            return
+        assert (code, spy.call_count) == (0, 1)
+        assert run_cli(capsys, *args, str(tmp_path / "whole"), "--metric", "mse")[0] == 0
+        assert (tmp_path / "det.csv").read_bytes() == (tmp_path / "whole" / "det.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "make, save_kwargs, reason",
+        [
+            (lambda m: m.astype(object), {"allow_pickle": True},
+             "corrupt {npy}: Object arrays cannot be loaded when allow_pickle=False"),
+            (lambda m: m.astype(np.float32), {}, "{npy} holds a <f4 array of shape (2, 3, 2)"),
+            (lambda m: m.astype(">f8"), {}, "{npy} holds a >f8 array of shape (2, 3, 2)"),
+            (lambda m: m[:, :2], {},
+             "{npy} holds a <f8 array of shape (2, 2, 2), not <f8 of shape (2, 3, *)"),
+            (lambda m: m[..., 0], {}, "{npy} holds a <f8 array of shape (2, 3), not"),
+            (lambda m: np.where(m == m[1, 2, 0], np.inf, m), {}, "{npy} has a non-finite score"),
+            (lambda m: m - 1, {}, "{npy}: invalid score tensor: distances must be >= 0"),
+        ],
+        ids=["pickled", "float32", "big-endian", "shape", "2-d", "non-finite", "negative"],
+    )
+    def test_pinned_bad_score_sidecar_names_it(self, tmp_path, capsys, make, save_kwargs, reason):
+        scores = tmp_path / "scores.csv"
+        tensor = ScoreTensor(("a", "b"), ("a", "b", "c"), np.arange(12.0).reshape(2, 3, 2) / 7)
+        save_scores_csv(tensor, scores)
+        npy = io.BytesIO()
+        np.save(npy, make(np.array(tensor.scores)), **save_kwargs)
+        pin(scores, "scores.npy", npy.getvalue())
+        code, err = det_export(scores, tmp_path / "d")
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert reason.format(npy=tmp_path / "scores.npy") in err
+        assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize(
         "command, record, failing, flag, first, second",

@@ -1,11 +1,20 @@
 """Distance kernels, score tensor construction, identification rate."""
 
+import contextlib
+import hashlib
+import json
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from facedct import matching
 
 from facedct.errors import DataError, MismatchError
 from facedct.features import FeatureVector
@@ -17,7 +26,9 @@ from facedct.matching import (
     identification_rate,
     mad,
     mse,
+    load_scores_csv,
     person_score,
+    save_scores_csv,
     scores_from_csv,
     scores_to_csv,
 )
@@ -474,3 +485,145 @@ class TestScoresCsv:
         lines[-1] = "0,0,0,2"
         with pytest.raises(DataError, match="more than once"):
             scores_from_csv("\n".join(lines) + "\n")
+
+
+def _decades(e):
+    """10^e and its two float neighbours."""
+    x = 10.0**e
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+#: distances, with the ones a 17-digit text form could get wrong weighted in
+score_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                     1e300, 1.7976931348623157e308]),
+    st.integers(-320, 300).flatmap(lambda e: st.sampled_from(_decades(e))),
+    st.floats(0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def score_tensors(draw):
+    n_gallery = draw(st.integers(1, 12))
+    n_probe = draw(st.integers(1, n_gallery))
+    n_trials = draw(st.integers(1, 11))
+    gallery = [f"s{j}" for j in range(n_gallery)]
+    probes = sorted(draw(st.permutations(gallery))[:n_probe])
+    scores = draw(hnp.arrays(np.float64, (n_probe, n_gallery, n_trials), elements=score_values))
+    return ScoreTensor(probes, gallery, scores, draw(st.sampled_from(["mse", "mad"])))
+
+
+@contextlib.contextmanager
+def row_parses():
+    """Count the calls of the one CSV row parser."""
+    with mock.patch.object(matching, "_load_score_rows", wraps=matching._load_score_rows) as spy:
+        yield spy
+
+
+def same_tensor(a, b):
+    return (a.probe_subjects, a.gallery_subjects, a.metric, a.scores.tobytes()) == (
+        b.probe_subjects, b.gallery_subjects, b.metric, b.scores.tobytes()
+    )
+
+
+class TestScoreSidecar:
+    @given(score_tensors())
+    @settings(max_examples=100, deadline=None)
+    def test_sidecar_equals_the_csv_parse_bit_for_bit(self, tensor):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.csv"
+            save_scores_csv(tensor, path)
+            assert path.read_bytes() == scores_to_csv(tensor).encode()
+            with row_parses() as spy:
+                from_npy = load_scores_csv(path)
+            assert spy.call_count == 0
+            path.with_suffix(".npy").unlink()
+            from_csv = load_scores_csv(path)
+        bits = tensor.scores.view(np.uint64)
+        assert np.array_equal(from_npy.scores.view(np.uint64), bits)
+        assert np.array_equal(from_csv.scores.view(np.uint64), bits)
+        for back in (from_npy, from_csv):
+            assert back.probe_subjects == tensor.probe_subjects
+            assert back.gallery_subjects == tensor.gallery_subjects
+            assert back.metric == tensor.metric
+
+    def test_the_manifest_pins_both_files_by_name(self, tmp_path):
+        tensor = ScoreTensor(("a",), ("a", "b"), np.ones((1, 2, 1)), "mse")
+        save_scores_csv(tensor, tmp_path / "scores_mse.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "scores_mse.csv", "scores_mse.json", "scores_mse.npy"
+        ]
+        manifest = json.loads((tmp_path / "scores_mse.json").read_text())
+        assert manifest == {
+            "format": "facedct-scores-v1",
+            "sha256": {
+                name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("scores_mse.npy", "scores_mse.csv")
+            },
+        }
+        npy = np.load(tmp_path / "scores_mse.npy", allow_pickle=False)
+        assert npy.dtype.str == "<f8" and npy.flags.c_contiguous
+
+    @pytest.mark.parametrize("failing, loads", [(2, "old"), (3, "new")], ids=["csv", "manifest"])
+    def test_save_cut_before_the_manifest_falls_back_to_the_csv(
+        self, tmp_path, monkeypatch, failing, loads
+    ):
+        path = tmp_path / "scores.csv"
+        old = ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse")
+        new = old.with_scores(old.scores * 2)
+        save_scores_csv(old, path)
+        real_write_bytes = Path.write_bytes
+        calls = []
+
+        def write_bytes(target, data):  # the n-th write fails half-way
+            calls.append(target)
+            if len(calls) == failing:
+                real_write_bytes(target, data[: len(data) // 2])
+                raise OSError("no space left on device")
+            return real_write_bytes(target, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        with pytest.raises(OSError, match="no space"):
+            save_scores_csv(new, path)
+        monkeypatch.undo()
+        # the new scores.npy is in place, beside the old manifest
+        assert np.array_equal(np.load(path.with_suffix(".npy")), new.scores)
+        with row_parses() as spy:
+            loaded = load_scores_csv(path)
+        assert spy.call_count == 1
+        assert same_tensor(loaded, {"old": old, "new": new}[loads])
+
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("scores.json", None),
+            ("scores.json", "directory"),
+            ("scores.json", b'{"format": "facedct-scores-v1", "sha256": '),
+            ("scores.json", b"\xff"),
+            ("scores.json", b"[1, 2]"),
+            ("scores.json", b"[" * 100_000),
+            ("scores.json", b'{"format": "other", "sha256": {}}'),
+            ("scores.json", b'{"format": "facedct-scores-v1", "sha256": ["scores.csv"]}'),
+            ("scores.json", b'{"format": "facedct-scores-v1"}'),
+            ("scores.npy", None),
+            ("scores.npy", "directory"),
+            ("scores.npy", b"not an array"),
+        ],
+        ids=[
+            "no-manifest", "manifest-directory", "manifest-not-json", "manifest-not-utf8",
+            "manifest-list", "manifest-nested", "manifest-format", "digests-list", "no-digests",
+            "no-npy", "npy-directory", "npy-stale",
+        ],
+    )
+    def test_sidecar_that_cannot_be_trusted_falls_back_to_the_csv(self, tmp_path, name, make):
+        path = tmp_path / "scores.csv"
+        tensor = ScoreTensor(("a", "b"), ("a", "b", "c"), np.arange(12.0).reshape(2, 3, 2), "mad")
+        save_scores_csv(tensor, path)
+        (tmp_path / name).unlink()
+        if make == "directory":
+            (tmp_path / name).mkdir()
+        elif make is not None:
+            (tmp_path / name).write_bytes(make)
+        with row_parses() as spy:
+            assert same_tensor(load_scores_csv(path), tensor)
+        assert spy.call_count == 1
