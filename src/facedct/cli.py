@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DataError, ValidationError, read_bytes, remove_file, write_atomic
+from .errors import DataError, ValidationError, parse_json, read_bytes, remove_file, write_atomic
 from .features import DEFAULT_DIM
 from .fusion import apply_fusion, parse_fusion_spec, run_channel_pipeline
 from .gallery import SplitSpec, load_gallery, save_gallery, select_samples
@@ -220,10 +220,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentCo
     is not JSON is a ValidationError naming it.
     """
     path = Path(path)
-    try:
-        raw = json.loads(read_bytes(path, ValidationError))
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    raw = parse_json(read_bytes(path, ValidationError), f"config {path}", ValidationError)
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
 

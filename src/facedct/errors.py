@@ -2,11 +2,19 @@
 
 The CLI maps these onto stable exit codes: ValidationError -> 1,
 DataError -> 2, OSError (a failed write) -> 1, anything else -> 3.
+
+Every file is written by :func:`write_atomic`, which streams its data,
+bytes or an iterable of byte chunks, into a temporary file and one
+incremental sha256, and returns the digest, so that no caller holds a
+second copy of what it writes to hash it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
+from collections.abc import Iterable
 from pathlib import Path
 
 
@@ -35,22 +43,51 @@ def read_bytes(path: str | Path, error: type[FacedctError]) -> bytes:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path``, creating its directory if need be, through
-    a temporary file in that directory, so that a failed write leaves the old
-    file (or none) in place.  A failure raises OSError naming ``path``."""
+def parse_json(data: bytes | str, source: object, error: type[FacedctError]) -> object:
+    """The JSON value of ``data``, read from ``source`` (a path, or the words
+    that name where the text came from).  Text that is not UTF-8, not JSON,
+    or nested past the parser's limit raises ``error`` naming ``source``."""
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
+        raise error(f"unreadable {source}: {exc}") from None
+
+
+def _write_chunks(path: Path, chunks: Iterable[bytes | memoryview]) -> str:
+    """Write ``chunks`` in order to the new file ``path``; the sha256 of
+    their bytes.  Every file write goes through here."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def write_atomic(path: str | Path, data: bytes | Iterable[bytes | memoryview]) -> str:
+    """Write ``data``, bytes or an iterable of byte chunks, to ``path`` and
+    return the sha256 hex digest of the bytes written.
+
+    The directory is created if need be.  Each chunk goes to a temporary
+    file in that directory and into one incremental sha256, and the file is
+    renamed onto ``path`` only when every chunk is written, so a failed
+    write, or an iterable that raises, leaves the old file (or none) in
+    place and no temporary file.  An OSError, of the write or of the
+    iterable, is raised as one naming ``path``; any other error passes
+    through."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.write_bytes(data)
+            digest = _write_chunks(tmp, [data] if isinstance(data, bytes) else data)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return digest
 
 
 def remove_file(path: str | Path) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MismatchError, read_bytes, write_atomic
+from .errors import DataError, MismatchError, parse_json, read_bytes, write_atomic
 
 #: Single-channel sources a feature vector can come from.
 CHANNELS = ("gray", "r", "g", "b", "y")
@@ -274,13 +274,11 @@ def load_manifest(path: str | Path) -> dict[str, list[Path]]:
     """Load a dataset manifest: JSON mapping subject-id -> ordered image paths.
 
     Relative paths are resolved against the manifest's directory.  The
-    list order defines the 1-based sample indices used by split rules.
+    list order defines the 1-based sample indices used by split rules.  A
+    manifest that cannot be read or is not JSON is a ManifestError naming it.
     """
     path = Path(path)
-    try:
-        raw = json.loads(read_bytes(path, ManifestError))
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    raw = parse_json(read_bytes(path, ManifestError), f"manifest {path}", ManifestError)
     if not isinstance(raw, dict) or not raw:
         raise ManifestError("manifest must be a non-empty JSON object")
     base = path.parent

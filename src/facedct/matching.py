@@ -57,12 +57,13 @@ from __future__ import annotations
 
 import io
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MismatchError, read_bytes
+from .errors import DataError, MismatchError, parse_json, read_bytes
 from .features import FeatureVector, first_bad_row
 from .gallery import Gallery
 from .pinned import PinnedTable
@@ -257,8 +258,9 @@ def identification_rate(tensor: ScoreTensor) -> IdentificationResult:
 SCORES_FORMAT = "facedct-scores-v1"
 
 
-def scores_to_csv(tensor: ScoreTensor) -> str:
-    """Interchange CSV: provenance comments, then i,j,k,score rows.
+def _score_blocks(tensor: ScoreTensor) -> Iterator[str]:
+    """The text of :func:`scores_to_csv` in blocks: the header lines, then
+    one block per probe row, in C order of the tensor.
 
     The rows of probe ``i`` come from one ``%`` operation: a template of
     its ``i,j,k,%.17g`` lines, built from the tensor's indices alone, is
@@ -272,17 +274,24 @@ def scores_to_csv(tensor: ScoreTensor) -> str:
         f"# gallery_subjects={json.dumps(list(tensor.gallery_subjects))}",
         "i,j,k,score",
     ]
+    yield "\n".join(head) + "\n"
     n_probe, n_gallery, n_trials = tensor.scores.shape
     cells = [f",{j},{k},%.17g" for j in range(n_gallery) for k in range(n_trials)]
-    blocks = ["\n".join(head) + "\n"]
-    # one block per probe row, in C order of the tensor, so that only one
-    # row's strings are alive at a time; "%.17g" % x gives the same text as
-    # format(x, ".17g"), and no field holds a comma, quote or newline, so
-    # csv.writer would quote none
-    for i, row in enumerate(tensor.scores.reshape(n_probe, -1).tolist()):
+    # "%.17g" % x gives the same text as format(x, ".17g"), and no field
+    # holds a comma, quote or newline, so csv.writer would quote none
+    for i, row in enumerate(tensor.scores.reshape(n_probe, -1)):
         s = str(i)
-        blocks.append((s + ("\n" + s).join(cells) + "\n") % tuple(row))
-    return "".join(blocks)
+        yield (s + ("\n" + s).join(cells) + "\n") % tuple(row.tolist())
+
+
+def scores_to_csv(tensor: ScoreTensor) -> str:
+    """Interchange CSV: provenance comments, then i,j,k,score rows.
+
+    The text is the join of the blocks that :func:`save_scores_csv` encodes
+    and streams into the file one probe row at a time, so the two share one
+    formatter; only this whole string holds more than one row's text.
+    """
+    return "".join(_score_blocks(tensor))
 
 
 _ROW_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("score", np.float64)])
@@ -310,21 +319,20 @@ def _score_header(data: bytes) -> tuple[list[str], list[str], str, int, int]:
         pos, line_no = end + 1, line_no + 1
     if meta.get("format") != SCORES_FORMAT:
         raise DataError(f"not a {SCORES_FORMAT} score file")
-    try:
-        probe_subjects = json.loads(meta["probe_subjects"])
-        gallery_subjects = json.loads(meta["gallery_subjects"])
-        metric = meta["metric"]
-    except (KeyError, json.JSONDecodeError) as exc:
-        raise DataError(f"score file header incomplete: {exc}") from exc
-    for key, subjects in (("probe_subjects", probe_subjects), ("gallery_subjects", gallery_subjects)):
-        if not isinstance(subjects, list) or not all(isinstance(s, str) for s in subjects):
+    for key in ("probe_subjects", "gallery_subjects", "metric"):
+        if key not in meta:
+            raise DataError(f"score file header incomplete: {key!r}")
+    subjects = []
+    for key in ("probe_subjects", "gallery_subjects"):
+        subjects.append(parse_json(meta[key], f"score file header {key}", DataError))
+        if not isinstance(subjects[-1], list) or not all(isinstance(s, str) for s in subjects[-1]):
             raise DataError(f"score file header {key} is not a JSON list of strings")
 
     header_end = data.find(b"\n", pos)
     header_end = len(data) if header_end < 0 else header_end
     if data[pos:header_end].rstrip(b"\r") != b"i,j,k,score":
         raise DataError("score file missing i,j,k,score header row")
-    return probe_subjects, gallery_subjects, metric, header_end + 1, line_no + 1
+    return subjects[0], subjects[1], meta["metric"], header_end + 1, line_no + 1
 
 
 def _score_rows(data: bytes, pos: int, line_no: int, n_probe: int, n_gallery: int) -> np.ndarray:
@@ -409,11 +417,12 @@ def _files(path: Path) -> PinnedTable:
 def save_scores_csv(tensor: ScoreTensor, path: str | Path) -> None:
     """Write ``tensor`` to the score file ``path`` and its two sidecars
     (module docstring): ``scores.npy``, then the CSV of :func:`scores_to_csv`,
-    then ``scores.json`` last, each atomically.  The CSV's bytes are the same
-    as without the sidecars."""
+    then ``scores.json`` last, each atomically.  The CSV is streamed into its
+    file and its digest one probe row's block at a time, so its text is never
+    held whole.  Its bytes are the same as without the sidecars."""
     _files(Path(path)).save(
         tensor.scores,
-        lambda: scores_to_csv(tensor).encode(),
+        lambda: (block.encode() for block in _score_blocks(tensor)),
         lambda digests: {"format": SCORES_FORMAT, "sha256": digests},
     )
 

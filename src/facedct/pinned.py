@@ -1,15 +1,20 @@
 """A text table with a digest-pinned ``.npy`` copy: the one write order and
 the one set of trust rules that the gallery and the score table share.
 
-A pinned table is three files, written in this order, each through
-:func:`~facedct.errors.write_atomic`:
+A pinned table is three files, written in this order, each streamed through
+:func:`~facedct.errors.write_atomic`, which returns the sha256 of the bytes
+it wrote:
 
-1. the ``.npy``: the array as ``'<f8'``, C order, no pickle;
-2. the text: the same table in its exchange format;
+1. the ``.npy``: the array as ``'<f8'``, C order, no pickle, written as its
+   header and then the array's own buffer, with the bytes ``np.save``
+   gives;
+2. the text: the same table in its exchange format, written as the byte
+   chunks its producer yields, one per probe row for the score table;
 3. the manifest: JSON that records the sha256 of the other two under their
    file names.
 
-The manifest is written last, so it is the commit point: a write cut before
+So no file is copied or held whole in memory to be written or hashed,
+except the gallery's text, which is built whole.  The manifest is written last, so it is the commit point: a write cut before
 it leaves the old manifest, whose digests the new files do not match.  On
 read, the ``.npy`` is used only when the manifest pins both the text as read
 and the ``.npy``.  It is read by ``np.load``'s reader, which loads no
@@ -32,28 +37,27 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, read_bytes, write_atomic
+from .errors import DataError, parse_json, read_bytes, write_atomic
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write(path: Path, data: bytes) -> str:
-    write_atomic(path, data)
-    return sha256(data)
-
-
-def _npy_bytes(array: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(array, dtype="<f8"), allow_pickle=False)
-    return buf.getvalue()
+def _npy_chunks(array: np.ndarray) -> tuple[bytes, memoryview]:
+    """The bytes of ``np.save(array as '<f8', allow_pickle=False)`` as two
+    chunks: the format 1.0 header, then the C-order array's own buffer."""
+    array = np.ascontiguousarray(array, dtype="<f8")
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
+    return header.getvalue(), memoryview(array)
 
 
 @dataclass(frozen=True)
@@ -72,24 +76,26 @@ class PinnedTable:
     noun: str
 
     def save(
-        self, array: np.ndarray, text: Callable[[], bytes], manifest: Callable[[dict], dict]
+        self,
+        array: np.ndarray,
+        text: Callable[[], bytes | Iterable[bytes]],
+        manifest: Callable[[dict], dict],
     ) -> None:
-        """Write ``array`` as the ``.npy``, then the bytes ``text()`` returns,
-        then the JSON of ``manifest(digests)``, where ``digests`` maps each of
-        the two file names to the sha256 of its bytes.  The ``.npy`` bytes are
-        freed before ``text()`` is called, so the two never share memory."""
-        digests = {self.npy.name: _write(self.npy, _npy_bytes(array))}
-        digests[self.text.name] = _write(self.text, text())
+        """Write ``array`` as the ``.npy``, then what ``text()`` returns, its
+        bytes or its byte chunks in order, then the JSON of
+        ``manifest(digests)``, where ``digests`` maps each of the two file
+        names to the sha256 of its bytes, as :func:`write_atomic` returns
+        them.  ``text()`` is called once the ``.npy`` is written."""
+        digests = {self.npy.name: write_atomic(self.npy, _npy_chunks(array))}
+        digests[self.text.name] = write_atomic(self.text, text())
         write_atomic(self.manifest, (json.dumps(manifest(digests), indent=1) + "\n").encode())
 
     def read_manifest(self) -> object:
         """The JSON value of the manifest; one that cannot be read or parsed
         is an error naming it when strict, and None otherwise."""
-        data = self._read(self.manifest)
-        try:
-            return None if data is None else json.loads(data)
-        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
-            return self._broken(f"unreadable {self.manifest}: {exc}")
+        return self._lenient(
+            lambda: parse_json(read_bytes(self.manifest, self.error), self.manifest, self.error)
+        )
 
     def load(self, digests: object, text: bytes, shape: tuple[int | None, ...]) -> np.ndarray | None:
         """The array of the ``.npy`` when ``digests``, the manifest's sha256
@@ -104,7 +110,9 @@ class PinnedTable:
                 f"{self.text} does not match its sha256 in {self.manifest.name} "
                 "(torn save or edited file)"
             )
-        data = self._read(self.npy) if self.npy.exists() else None
+        data = None
+        if self.npy.exists():
+            data = self._lenient(lambda: read_bytes(self.npy, self.error))
         if data is None or sha256(data) != digests.get(self.npy.name):
             return None
         try:
@@ -123,9 +131,11 @@ class PinnedTable:
             raise self.error(f"{self.npy} has a non-finite {self.noun}")
         return array
 
-    def _read(self, path: Path) -> bytes | None:
+    def _lenient(self, read: Callable[[], object]) -> object:
+        """What ``read()`` returns; when it raises the table's error, None if
+        the table is lenient."""
         try:
-            return read_bytes(path, self.error)
+            return read()
         except self.error:
             if self.strict:
                 raise

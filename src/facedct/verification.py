@@ -4,9 +4,11 @@ sweep, DET staircase, EER, and the detection cost function.
 Convention: scores are distances and a trial is ACCEPTED iff score <=
 threshold, so FAR falls and FRR rises as the threshold decreases.  The
 score = threshold boundary counts as acceptance.  All threshold sweeps use
-the exact candidate set (midpoints of the pooled sorted distinct scores
-plus -inf/+inf sentinels), on which the error staircase attains every value
-it takes anywhere on the real line.
+the exact candidate set: -inf, a threshold between each two adjacent
+pooled distinct scores, and +inf.  That threshold is their midpoint, or the
+lower score where the midpoint of two adjacent doubles rounds onto the
+upper one, so the error staircase attains on the set every value it takes
+anywhere on the real line.
 
 The genuine and impostor populations are the two arrays of
 :meth:`ScoreTensor.partition`, flattened.  The staircase is built once per
@@ -75,14 +77,30 @@ class TrialScores:
 
     @cached_property
     def _staircase(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(thresholds asc, p_fa, p_miss) over the exact candidate set."""
-        pooled = np.unique(np.concatenate([self.genuine, self.impostor]))
-        mids = (pooled[:-1] + pooled[1:]) / 2.0
-        thresholds = np.concatenate(([-np.inf], mids, [np.inf]))
+        """(thresholds asc, p_fa, p_miss) over the exact candidate set.
+
+        Built in place: its peak is about four arrays of the pooled cells,
+        the three results and one transient.
+        """
+        pooled = np.concatenate([self.genuine, self.impostor])
+        pooled.sort()
+        distinct = np.empty(pooled.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(pooled[1:], pooled[:-1], out=distinct[1:])
+        pooled = pooled[distinct]
+        thresholds = np.empty(pooled.size + 1)
+        thresholds[0], thresholds[-1] = -np.inf, np.inf
+        mids = thresholds[1:-1]
+        np.add(pooled[:-1], pooled[1:], out=mids)
+        mids /= 2.0
+        # the midpoint of two adjacent doubles can round onto the upper one,
+        # a threshold that accepts both; the lower one accepts only itself
+        np.copyto(mids, pooled[:-1], where=mids == pooled[1:])
+        del distinct, pooled, mids
         p_fa = np.searchsorted(np.sort(self.impostor), thresholds, side="right") / self.n_impostor
         # (n - hits) / n rounds once, as far_frr_at does; 1 - hits/n rounds twice
         hits = np.searchsorted(np.sort(self.genuine), thresholds, side="right")
-        p_miss = (self.n_genuine - hits) / self.n_genuine
+        p_miss = np.subtract(self.n_genuine, hits, out=hits) / self.n_genuine
         for arr in (thresholds, p_fa, p_miss):
             arr.flags.writeable = False
         return thresholds, p_fa, p_miss

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facedct import matching
+from facedct import errors, matching
 from facedct.cli import build_parser, load_config, main
 from facedct.errors import ValidationError
 from facedct.features import FeatureVector, extract_features
@@ -1060,6 +1060,30 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"data error: unreadable {gallery / 'gallery.json'}: ")
 
+    @pytest.mark.parametrize("which, expected", [("config", 1), ("manifest", 2)])
+    def test_config_or_manifest_nested_past_the_parser_limit_names_it(
+        self, dataset, tmp_path, capsys, which, expected
+    ):
+        manifest = tmp_path / "manifest.json"
+        cfg = write_config(tmp_path / "cfg.json", manifest)
+        bad = {"config": cfg, "manifest": manifest}[which]
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g"))
+        assert code == expected
+        assert f"unreadable {which} {bad}: " in err
+
+    def test_score_header_nested_past_the_parser_limit_is_data_error(self, tmp_path, capsys):
+        text = scores_to_csv(ScoreTensor(("a",), ("a",), np.ones((1, 1, 1)), "mse"))
+        scores = tmp_path / "scores.csv"
+        nested = "[" * 100_000 + "]" * 100_000
+        scores.write_text(text.replace('# probe_subjects=["a"]', f"# probe_subjects={nested}"))
+        code, _, err = run_cli(
+            capsys, "det-export", "--scores", str(scores), "--out", str(tmp_path / "d.csv")
+        )
+        assert code == 2
+        assert err.startswith(f"data error: {scores}: unreadable score file header probe_subjects: ")
+        assert not (tmp_path / "d.csv").exists()
+
     @pytest.mark.parametrize("command", ["enroll", "evaluate", "fuse-eval"])
     def test_output_directory_that_is_a_file_names_it(
         self, gallery_dir, tmp_path, capsys, command
@@ -1082,17 +1106,18 @@ class TestExitCodes:
     ):
         args = ["evaluate", "--config", str(gallery_dir / "cfg.json"),
                 "--gallery", str(gallery_dir / "gal"), "--out"]
-        real_write_bytes = Path.write_bytes
+        real_write_chunks = errors._write_chunks
         calls = []
 
-        def write_bytes(path, data):  # the det.csv write fails half-way
+        def write_chunks(path, chunks):  # the det.csv write fails half-way
             calls.append(path)
             if path.name.startswith(".det.csv."):
-                real_write_bytes(path, data[: len(data) // 2])
+                data = b"".join(chunks)
+                real_write_chunks(path, [data[: len(data) // 2]])
                 raise OSError("no space left on device")
-            return real_write_bytes(path, data)
+            return real_write_chunks(path, chunks)
 
-        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        monkeypatch.setattr(errors, "_write_chunks", write_chunks)
         code, _, err = run_cli(capsys, *args, str(tmp_path / "res"))
         monkeypatch.undo()
         # the temporary names show the write order: the sidecar, the CSV, the manifest
@@ -1117,14 +1142,14 @@ class TestExitCodes:
                 "--gallery", str(gallery_dir / "gal"), "--out"]
         out = tmp_path / "res"
         assert run_cli(capsys, *args, str(out), "--metric", "mad")[0] == 0
-        real_write_bytes = Path.write_bytes
+        real_write_chunks = errors._write_chunks
 
-        def write_bytes(path, data):
+        def write_chunks(path, chunks):
             if path.name.startswith(f".{failing}."):
                 raise OSError("no space left on device")
-            return real_write_bytes(path, data)
+            return real_write_chunks(path, chunks)
 
-        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        monkeypatch.setattr(errors, "_write_chunks", write_chunks)
         code, _, err = run_cli(capsys, *args, str(out), "--metric", "mse")
         monkeypatch.undo()
         assert code == 1
@@ -1190,14 +1215,14 @@ class TestExitCodes:
             base += ["--gallery", str(gallery_dir / "gal")]
         assert run_cli(capsys, *base, flag, first)[0] == 0
         assert (out / record).is_file()
-        real_write_bytes = Path.write_bytes
+        real_write_chunks = errors._write_chunks
 
-        def write_bytes(path, data):
+        def write_chunks(path, chunks):
             if path.name.startswith(f".{failing}."):
                 raise OSError("no space left on device")
-            return real_write_bytes(path, data)
+            return real_write_chunks(path, chunks)
 
-        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        monkeypatch.setattr(errors, "_write_chunks", write_chunks)
         code, _, err = run_cli(capsys, *base, flag, second)
         monkeypatch.undo()
         assert code == 1

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facedct import errors
 from facedct.errors import MismatchError
 from facedct.features import FeatureVector, feature_matrix_from_csv
 from facedct.gallery import (
@@ -49,19 +50,20 @@ def assert_csv_rejected(directory, reason):
 
 
 def fail_write(monkeypatch, n):
-    """Make the n-th ``Path.write_bytes`` call write half its data and fail;
-    returns the list of paths written to."""
-    real_write_bytes = Path.write_bytes
+    """Make the n-th file write (``errors._write_chunks``) write half its
+    data and fail; returns the list of paths written to."""
+    real_write_chunks = errors._write_chunks
     calls = []
 
-    def write_bytes(path, data):
+    def write_chunks(path, chunks):
         calls.append(path)
         if len(calls) == n:
-            real_write_bytes(path, data[: len(data) // 2])
+            data = b"".join(chunks)
+            real_write_chunks(path, [data[: len(data) // 2]])
             raise OSError("no space left on device")
-        return real_write_bytes(path, data)
+        return real_write_chunks(path, chunks)
 
-    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    monkeypatch.setattr(errors, "_write_chunks", write_chunks)
     return calls
 
 

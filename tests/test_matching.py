@@ -2,8 +2,10 @@
 
 import contextlib
 import hashlib
+import io
 import json
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from facedct import matching
+from facedct import errors, matching
 
 from facedct.errors import DataError, MismatchError
 from facedct.features import FeatureVector
@@ -547,6 +549,31 @@ class TestScoreSidecar:
             assert back.gallery_subjects == tensor.gallery_subjects
             assert back.metric == tensor.metric
 
+    @given(score_tensors())
+    @settings(max_examples=30, deadline=None)
+    def test_sidecar_has_the_bytes_of_np_save(self, tensor):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.csv"
+            save_scores_csv(tensor, path)
+            expected = io.BytesIO()
+            np.save(expected, tensor.scores, allow_pickle=False)
+            assert path.with_suffix(".npy").read_bytes() == expected.getvalue()
+
+    def test_save_holds_less_than_the_score_file_it_writes(self, tmp_path):
+        # the CSV is streamed a probe row at a time, the .npy from the
+        # tensor's own buffer
+        subjects = [f"s{j:03d}" for j in range(300)]
+        scores = np.random.default_rng(3).random((300, 300, 1))
+        tensor = ScoreTensor(subjects, subjects, scores, "mse")
+        path = tmp_path / "scores.csv"
+        tracemalloc.start()
+        try:
+            save_scores_csv(tensor, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * path.stat().st_size
+
     def test_the_manifest_pins_both_files_by_name(self, tmp_path):
         tensor = ScoreTensor(("a",), ("a", "b"), np.ones((1, 2, 1)), "mse")
         save_scores_csv(tensor, tmp_path / "scores_mse.csv")
@@ -572,17 +599,18 @@ class TestScoreSidecar:
         old = ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse")
         new = old.with_scores(old.scores * 2)
         save_scores_csv(old, path)
-        real_write_bytes = Path.write_bytes
+        real_write_chunks = errors._write_chunks
         calls = []
 
-        def write_bytes(target, data):  # the n-th write fails half-way
+        def write_chunks(target, chunks):  # the n-th write fails half-way
             calls.append(target)
             if len(calls) == failing:
-                real_write_bytes(target, data[: len(data) // 2])
+                data = b"".join(chunks)
+                real_write_chunks(target, [data[: len(data) // 2]])
                 raise OSError("no space left on device")
-            return real_write_bytes(target, data)
+            return real_write_chunks(target, chunks)
 
-        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        monkeypatch.setattr(errors, "_write_chunks", write_chunks)
         with pytest.raises(OSError, match="no space"):
             save_scores_csv(new, path)
         monkeypatch.undo()

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,26 +41,42 @@ def normal_cdf(x: float) -> float:
 
 
 def brute_force_sweep(genuine, impostor):
-    """All attainable (p_fa, p_miss) pairs via exhaustive midpoint thresholds."""
-    pooled = sorted(set(genuine) | set(impostor))
-    candidates = [-math.inf] + [
-        (a + b) / 2 for a, b in zip(pooled, pooled[1:])
-    ] + [math.inf]
+    """Every attainable (v, p_fa, p_miss), ascending: accept the scores <= v,
+    for v = -inf and each distinct pooled score.  No midpoint is formed, so
+    the oracle does not share the staircase's threshold rule."""
+    values = [-math.inf] + sorted(set(genuine) | set(impostor))
     points = []
-    for t in candidates:
-        p_fa = sum(1 for s in impostor if s <= t) / len(impostor)
-        p_miss = sum(1 for s in genuine if s > t) / len(genuine)
-        points.append((t, p_fa, p_miss))
+    for v in values:
+        p_fa = sum(1 for s in impostor if s <= v) / len(impostor)
+        p_miss = sum(1 for s in genuine if s > v) / len(genuine)
+        points.append((v, p_fa, p_miss))
     return points
 
 
 def brute_force_min_dcf(genuine, impostor, params):
+    """The least cost over the sweep, and the least v that attains it."""
     best_value, best_threshold = math.inf, None
     for t, p_fa, p_miss in brute_force_sweep(genuine, impostor):
         value = params.c_miss * p_miss * params.p_true + params.c_fa * p_fa * params.p_false
         if value < best_value:
             best_value, best_threshold = value, t
     return best_value, best_threshold
+
+
+def assert_staircase_matches_oracle(trials):
+    """The ascending staircase visits the oracle's operating points in
+    order, each at a threshold that attains it."""
+    points = list(reversed(det_curve(trials)))
+    sweep = brute_force_sweep(trials.genuine.tolist(), trials.impostor.tolist())
+    assert [(p.p_fa, p.p_miss) for p in points] == [(p_fa, p_miss) for _, p_fa, p_miss in sweep]
+    for p in points:
+        assert far_frr_at(trials, p.threshold) == (p.p_fa, p.p_miss)
+
+
+def ulps_above(base, steps):
+    """``base`` (a double >= 0) moved up by each of ``steps`` units in the
+    last place: scores that are adjacent doubles or tied."""
+    return (np.array([base]).view(np.int64) + np.array(steps, dtype=np.int64)).view(np.float64)
 
 
 def square_tensor(scores, metric="mse"):
@@ -128,11 +145,36 @@ class TestDetCurve:
         assert all(p.p_fa + p.p_miss == pytest.approx(1.0, abs=0) for p in points)
 
     def test_hand_case_matches_exhaustive_oracle(self):
-        genuine, impostor = [1.0, 3.0], [2.0, 4.0]
-        points = det_curve(TrialScores(genuine, impostor))
-        expected = brute_force_sweep(genuine, impostor)
-        got = [(p.threshold, p.p_fa, p.p_miss) for p in reversed(points)]
-        assert got == expected
+        assert_staircase_matches_oracle(TrialScores([1.0, 3.0], [2.0, 4.0]))
+
+    def test_adjacent_doubles_reach_the_separating_point(self):
+        # their midpoint rounds onto b, which accepts both scores
+        a = float(np.nextafter(1.0, 2.0))
+        b = float(np.nextafter(a, 2.0))
+        trials = TrialScores([a], [b])
+        assert far_frr_at(trials, a) == (0.0, 0.0)
+        assert (0.0, 0.0) in [(p.p_fa, p.p_miss) for p in det_curve(trials)]
+        assert eer(trials) == 0.0
+        assert min_dcf(trials) == (0.0, a)
+
+    @given(
+        st.floats(0.0, 1e300),
+        st.lists(st.integers(0, 8), min_size=1, max_size=20),
+        st.lists(st.integers(0, 8), min_size=1, max_size=20),
+    )
+    @example(1.0, [1], [2])  # the adjacent pair of the hand case above
+    @example(0.0, [0, 2], [1, 3])  # subnormals
+    @settings(max_examples=150, deadline=None)
+    def test_runs_of_adjacent_doubles_match_the_oracle(self, base, genuine_steps, impostor_steps):
+        genuine, impostor = ulps_above(base, genuine_steps), ulps_above(base, impostor_steps)
+        trials = TrialScores(genuine, impostor)
+        assert_staircase_matches_oracle(trials)
+        params = DcfParams(1.0, 2.0, 0.4)
+        value, threshold = min_dcf(trials, params)
+        b_value, b_threshold = brute_force_min_dcf(genuine.tolist(), impostor.tolist(), params)
+        assert value == b_value
+        assert b_threshold <= threshold
+        assert far_frr_at(trials, threshold) == far_frr_at(trials, b_threshold)
 
     @given(
         st.lists(st.integers(0, 30), min_size=1, max_size=25),
@@ -148,6 +190,18 @@ class TestDetCurve:
             assert a.p_miss <= b.p_miss
         assert (points[0].p_fa, points[0].p_miss) == (1.0, 0.0)
         assert (points[-1].p_fa, points[-1].p_miss) == (0.0, 1.0)
+
+
+    def test_build_holds_less_than_five_arrays_of_the_pooled_cells(self):
+        rng = np.random.default_rng(8)
+        trials = TrialScores(rng.random(300), rng.random(89_700) + 0.2)
+        tracemalloc.start()
+        try:
+            trials._staircase
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * (trials.n_genuine + trials.n_impostor)
 
 
 class TestEer:
@@ -226,7 +280,9 @@ class TestMinDcf:
         value, threshold = min_dcf(trials, params)
         b_value, b_threshold = brute_force_min_dcf(genuine.tolist(), impostor.tolist(), params)
         assert value == b_value
-        assert threshold == b_threshold
+        # the staircase's threshold accepts what the least attaining score does
+        assert b_threshold <= threshold
+        assert far_frr_at(trials, threshold) == far_frr_at(trials, b_threshold)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
