@@ -56,11 +56,12 @@ from . import __version__
 from .errors import DataError, ValidationError, parse_json, read_bytes, remove_file, write_atomic
 from .features import DEFAULT_DIM
 from .fusion import apply_fusion, parse_fusion_spec, run_channel_pipeline
-from .gallery import SplitSpec, load_gallery, save_gallery, select_samples
-from .imageio import CHANNELS, MAX_WINDOW, load_manifest, write_json
+from .gallery import SplitSpec, check_window, load_gallery, save_gallery, select_samples
+from .imageio import CHANNELS, load_manifest, write_json
 from .matching import (
     METRICS,
     build_score_tensor,
+    check_metric,
     load_scores_csv,
     save_scores_csv,
     subject_distances,
@@ -79,6 +80,7 @@ from .significance import (
 )
 from .synth import PLACEMENTS, SynthSpec, generate_dataset
 from .verification import (
+    DcfParams,
     det_curve,
     eer as eer_of,
     render_det_svg,
@@ -105,7 +107,7 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class ExperimentConfig:
     """Aggregated experiment parameters; :func:`load_config` gives the JSON
-    schema."""
+    schema, and these defaults are its defaults."""
 
     manifest: Path
     train_indices: tuple[int, ...] = (1, 2, 3, 4, 5)
@@ -122,26 +124,20 @@ class ExperimentConfig:
         return SplitSpec.from_iterables(self.train_indices, self.test_indices)
 
     def validate(self) -> None:
+        """The config's own rules; each other rule is asked of its module."""
         # a manifest that exists but cannot be read is a data error (exit 2)
         if not self.manifest.exists():
             raise ValidationError(f"manifest file does not exist: {self.manifest}")
-        if not 1 <= self.window <= MAX_WINDOW:
-            raise ValidationError(f"'window' {self.window} is outside [1, {MAX_WINDOW}]")
-        if not 1 <= self.dim <= self.window * self.window:
-            raise ValidationError(
-                f"dim must be in [1, window^2] = [1, {self.window * self.window}]"
-            )
+        _ask("fields 'window' and 'dim'", check_window, self.window, self.dim)
         if not self.metrics:
             raise ValidationError(f"config field 'metrics' names no metric (choose from {METRICS})")
         for i, m in enumerate(self.metrics):
-            if m not in METRICS:
-                raise ValidationError(f"unknown metric {m!r} (choose from {METRICS})")
+            _ask("field 'metrics'", check_metric, m)
             if m in self.metrics[:i]:
                 raise ValidationError(f"'metrics' lists {m!r} more than once")
         if self.channel not in CHANNELS:
-            raise ValidationError(f"unknown channel {self.channel!r} (choose from {CHANNELS})")
-        if self.c_miss < 0 or self.c_fa < 0:
-            raise ValidationError("DCF costs must be >= 0")
+            raise ValidationError(f"config field 'channel': {self.channel!r} is none of {CHANNELS}")
+        _ask("field 'dcf'", DcfParams, self.c_miss, self.c_fa)
         try:
             self.split()
         except ValueError as exc:
@@ -165,107 +161,103 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _as_indices(value, name: str) -> tuple[int, ...]:
-    if isinstance(value, str):
-        value = [v for v in value.split(",") if v.strip()]
-    try:
-        return tuple(int(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a list of integers: {exc}") from exc
+#: Each config field: the setting it gives and the kind it is read as; a
+#: ``[kind]`` field is a list of that kind or a comma-separated string.
+_FIELDS = {
+    "manifest": ("manifest", Path), "output_dir": ("output_dir", Path),
+    "train_indices": ("train_indices", [int]), "test_indices": ("test_indices", [int]),
+    "window": ("window", int), "dim": ("dim", int), "channel": ("channel", str),
+    "metrics": ("metrics", [str]), "metric": ("metrics", [str]),
+    "dcf.c_miss": ("c_miss", float), "dcf.c_fa": ("c_fa", float),
+}
 
 
-def _convert(convert, value, name: str):
+def _convert(kind, value):
+    """``value`` read as ``kind``, see :data:`_FIELDS`.  A bool is no
+    number, a name (``str``, lowercased) or path must be a string, and an
+    int has no fractional part."""
+    if isinstance(kind, list):
+        if isinstance(value, str):
+            value = [v for v in value.split(",") if v.strip()]
+        elif not isinstance(value, list):
+            raise TypeError(f"expected a list or a comma-separated string, got {value!r}")
+        return tuple(_convert(kind[0], v) for v in value)
+    if (
+        isinstance(value, bool)
+        or (kind in (str, Path) and not isinstance(value, str))
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+    ):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value.lower() if kind is str else kind(value)
+
+
+def _ask(name: str, rule, *args):
+    """``rule(*args)``, its failure raised as a ValidationError naming the
+    config ``name``."""
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config field {name!r}: {exc}") from None
+        return rule(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"config {name}: {exc}") from None
 
 
 def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentConfig:
-    """Read the JSON config, apply flag overrides, validate.
+    """Read the JSON config, apply flag overrides, convert, validate.
 
     The config is a JSON object with these fields; any other field is an
-    error, and so is a field of the wrong type:
+    error:
 
-    - ``manifest`` (required): path of the dataset manifest, relative to
-      the config's directory.
+    - ``manifest`` (required): path of the dataset manifest.
     - ``train_indices``, ``test_indices``: disjoint, non-empty lists of
-      1-based sample indices, or comma-separated strings of them; default
-      ``[1, 2, 3, 4, 5]`` and ``[6, 7, 8, 9, 10]``.
-    - ``window``: integer side of the analysis window in
-      ``[1, MAX_WINDOW]``; default 64.  ``evaluate`` reads it only for a
-      gallery without ``meta.window``.
-    - ``dim``: integer count of DCT coefficients kept, in ``[1, window²]``;
-      default 100.
-    - ``metrics``: list of distinct metric names from ``METRICS``, or a
-      comma-separated string of them; default ``"mse"``.  ``metric`` is an
-      alias, read when ``metrics`` is absent.
+      1-based sample indices; default ``[1, 2, 3, 4, 5]`` and
+      ``[6, 7, 8, 9, 10]``.
+    - ``window``: side of the analysis window; default 64.  ``evaluate``
+      reads it only for a gallery without ``meta.window``.
+    - ``dim``: count of DCT coefficients kept; default 100.  Both are
+      bounded by :func:`~facedct.gallery.check_window`.
+    - ``metrics``: distinct names from ``METRICS``; default ``["mse"]``.
+      ``metric`` is an alias, read when ``metrics`` is absent.
     - ``channel``: one of ``CHANNELS``; default ``"gray"``.
-    - ``dcf``: object with the costs ``c_miss`` and ``c_fa``, numbers
+    - ``dcf``: object with the costs ``c_miss`` and ``c_fa``, finite and
       >= 0; each defaults to 1.0.
-    - ``output_dir``: results directory of ``evaluate`` and ``fuse-eval``,
-      relative to the config's directory; default ``results`` in the
-      working directory.
+    - ``output_dir``: results directory of ``evaluate`` and ``fuse-eval``;
+      absent, null or ``""`` means ``results`` in the working directory.
 
-    Names of metrics and channels are case-insensitive.  Each attribute of
-    ``overrides`` named like a field and not None replaces that field before
-    the one conversion and validation, so a flag is read exactly as the
-    field would be.  The flags are ``--window``, ``--dim``, ``--channel``,
-    ``--train-indices`` and ``--test-indices``, each replacing the field of
-    the same name, and ``--metric`` (repeatable), replacing ``metrics``
-    (and so the ``metric`` alias); ``enroll`` takes ``--window --dim
-    --channel --train-indices``, ``evaluate`` ``--metric --test-indices``,
-    and ``fuse-eval`` all but ``--channel``.  ``--out`` of ``evaluate`` and
-    ``fuse-eval`` replaces ``output_dir``.  A config that cannot be read or
-    is not JSON is a ValidationError naming it.
+    Every field is converted one way.  A list field may also be a
+    comma-separated string.  An integer is a whole number or its digits, a
+    cost is a number or its digits, and a bool is neither.  A path or a name
+    must be a string; names are case-insensitive, and a path is relative to
+    the config's directory.  Each attribute of ``overrides`` named like a
+    field and not None replaces that field before the conversion, so a flag
+    is read exactly as the field would be.  Every failure, and a config that
+    cannot be read or is not JSON, is a ValidationError naming the field or
+    the file.
     """
     path = Path(path)
     raw = parse_json(read_bytes(path, ValidationError), f"config {path}", ValidationError)
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
-
-    known = {
-        "manifest", "train_indices", "test_indices", "window", "dim",
-        "metric", "metrics", "channel", "dcf", "output_dir",
-    }
+    known = {name.partition(".")[0] for name in _FIELDS}
     unknown = set(raw) - known
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
     raw.update((k, v) for k, v in vars(overrides).items() if k in known and v is not None)
-
-    base = path.parent
-
-    def resolve(name: str) -> Path:
-        p = _convert(Path, raw[name], name)
-        return p if p.is_absolute() else base / p
-
     if "manifest" not in raw:
         raise ValidationError("config is missing the 'manifest' field")
-    metrics_field = "metrics" if "metrics" in raw else "metric"
-    metrics = raw.get(metrics_field, "mse")
-    if isinstance(metrics, str):
-        metrics = [m for m in metrics.split(",") if m.strip()]
-    elif not isinstance(metrics, list):
-        raise ValidationError(
-            f"config field {metrics_field!r} must be a list or a comma-separated string"
-        )
-    dcf_raw = raw.get("dcf", {})
-    if not isinstance(dcf_raw, dict):
+    dcf = raw.pop("dcf", {})
+    if not isinstance(dcf, dict):
         raise ValidationError("config field 'dcf' must be an object with c_miss and c_fa")
+    raw.update((f"dcf.{k}", v) for k, v in dcf.items() if f"dcf.{k}" in _FIELDS)
+    if "metrics" in raw:
+        raw.pop("metric", None)
+    if raw.get("output_dir") in (None, ""):
+        raw.pop("output_dir", None)
 
-    cfg = ExperimentConfig(
-        manifest=resolve("manifest"),
-        train_indices=_as_indices(raw.get("train_indices", [1, 2, 3, 4, 5]), "train_indices"),
-        test_indices=_as_indices(raw.get("test_indices", [6, 7, 8, 9, 10]), "test_indices"),
-        window=_convert(int, raw.get("window", DEFAULT_WINDOW), "window"),
-        dim=_convert(int, raw.get("dim", DEFAULT_DIM), "dim"),
-        metrics=tuple(str(m).lower() for m in metrics),
-        channel=str(raw.get("channel", "gray")).lower(),
-        c_miss=_convert(float, dcf_raw.get("c_miss", 1.0), "dcf.c_miss"),
-        c_fa=_convert(float, dcf_raw.get("c_fa", 1.0), "dcf.c_fa"),
-        output_dir=resolve("output_dir") if raw.get("output_dir") else None,
-    )
-
+    settings = {}
+    for name, value in raw.items():
+        setting, kind = _FIELDS[name]
+        value = _ask(f"field {name!r}", _convert, kind, value)
+        settings[setting] = path.parent / value if kind is Path else value
+    cfg = ExperimentConfig(**settings)
     cfg.validate()
     return cfg
 
@@ -405,9 +397,6 @@ def cmd_det_export(args) -> int:
     return EXIT_OK
 
 
-_CHANNEL_ROW_ORDER = {"r": 0, "g": 1, "b": 2, "y": 3, "gray": 4}
-
-
 def cmd_fuse_eval(args) -> int:
     cfg = load_config(args.config, args)
     # fusion_results.csv has no metric column, so it holds one metric's rows
@@ -421,7 +410,8 @@ def cmd_fuse_eval(args) -> int:
     channels = {c for spec in specs for c in spec.channels}
     if args.include_y:
         channels.add("y")
-    channels = tuple(sorted(channels, key=lambda c: _CHANNEL_ROW_ORDER.get(c, 9)))
+    # rows in CHANNELS order, but gray after the colour channels
+    channels = tuple(sorted(channels, key=lambda c: (c == "gray", CHANNELS.index(c))))
     runs = run_channel_pipeline(
         load_manifest(cfg.manifest), cfg.split(), channels, cfg.metrics[0],
         cfg.dim, cfg.window, cfg.c_miss, cfg.c_fa,

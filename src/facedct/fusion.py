@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .features import DEFAULT_DIM
 from .gallery import SplitSpec, apply_split
+from .imageio import CHANNELS
 from .matching import ScoreTensor, build_score_tensor
 from .pipeline import (
     DEFAULT_WINDOW,
@@ -77,12 +78,12 @@ class FusionSpec:
         return "+".join(f"{w:g}{c.upper()}" for w, c in zip(self.weights, self.channels))
 
 
-_TERM_RE = re.compile(r"^([0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)(gray|[rgby])$", re.IGNORECASE)
+_TERM_RE = re.compile(r"^([0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)([a-z]+)$", re.IGNORECASE)
 
 
 def parse_fusion_spec(spec: str) -> FusionSpec:
-    """Parse "sum:R,G,B" or "w:0.3R+0.59G+0.11B" into a FusionSpec; a
-    channel may be named once."""
+    """Parse "sum:R,G,B" or "w:0.3R+0.59G+0.11B" into a FusionSpec; each
+    channel is one of ``CHANNELS``, case-insensitive, named once."""
     kind, sep, body = spec.partition(":")
     kind = kind.strip().lower()
     if not sep or kind not in ("sum", "w"):
@@ -106,6 +107,8 @@ def parse_fusion_spec(spec: str) -> FusionSpec:
             raise ValidationError(f"fusion spec {spec!r} has all-zero weights")
         parsed = FusionSpec("weighted", tuple(channels), tuple(weights))
     for i, channel in enumerate(parsed.channels):
+        if channel not in CHANNELS:
+            raise ValidationError(f"fusion spec {spec!r}: {channel!r} is none of {CHANNELS}")
         if channel in parsed.channels[:i]:
             raise ValidationError(f"fusion spec {spec!r} names channel {channel!r} twice")
     return parsed

@@ -314,12 +314,12 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
     )
 
 
-def _check_window(window, feature_dim: int, directory: Path) -> None:
+def check_window(window, dim: int) -> None:
+    """ValueError unless ``window`` is an int in [1, MAX_WINDOW] and ``dim`` in [1, window²]."""
     # bool is an int subclass, but true/false is no window size
-    if type(window) is not int or not 1 <= window <= MAX_WINDOW or window * window < feature_dim:
-        raise GalleryCorruptError(
-            f"gallery {directory}: meta.window {window!r} must be an integer in "
-            f"[1, {MAX_WINDOW}] whose square covers feature_dim {feature_dim}"
+    if type(window) is not int or not 1 <= window <= MAX_WINDOW or not 1 <= dim <= window * window:
+        raise ValueError(
+            f"{window!r} must be an integer in [1, {MAX_WINDOW}] and dim {dim} in [1, window²]"
         )
 
 
@@ -364,7 +364,10 @@ def _check_manifest(manifest, directory: Path) -> tuple[list[str], list[int], in
     if not isinstance(meta, dict):
         raise GalleryCorruptError(f"gallery {directory}: meta is not an object")
     if "window" in meta:
-        _check_window(meta["window"], feature_dim, directory)
+        try:
+            check_window(meta["window"], feature_dim)
+        except ValueError as exc:
+            raise GalleryCorruptError(f"gallery {directory}: meta.window {exc}") from None
     return ids, counts, feature_dim, channel, meta
 
 

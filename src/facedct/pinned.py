@@ -14,13 +14,13 @@ it wrote:
    file names.
 
 So no file is copied or held whole in memory to be written or hashed,
-except the gallery's text, which is built whole.  The manifest is written last, so it is the commit point: a write cut before
-it leaves the old manifest, whose digests the new files do not match.  On
-read, the ``.npy`` is used only when the manifest pins both the text as read
-and the ``.npy``.  It is read by ``np.load``'s reader, which loads no
-pickle, and must then be a finite ``'<f8'`` array of the expected shape, or
-the read is an error naming it.  In every other case the caller parses the
-text.
+except the gallery's text, which is built whole.  The manifest is written
+last, so it is the commit point: a write cut before it leaves the old
+manifest, whose digests the new files do not match.  On read, the ``.npy``
+is used only when the manifest pins both the text as read and the ``.npy``.
+It is read by ``np.load``'s reader, which loads no pickle, and must then be
+a finite ``'<f8'`` array of the expected shape, or the read is an error
+naming it.  In every other case the caller parses the text.
 
 The two tables differ in what a broken pin means:
 

@@ -6,9 +6,10 @@ threshold, so FAR falls and FRR rises as the threshold decreases.  The
 score = threshold boundary counts as acceptance.  All threshold sweeps use
 the exact candidate set: -inf, a threshold between each two adjacent
 pooled distinct scores, and +inf.  That threshold is their midpoint, or the
-lower score where the midpoint of two adjacent doubles rounds onto the
-upper one, so the error staircase attains on the set every value it takes
-anywhere on the real line.
+lower score where the midpoint falls outside [lower, upper): where the
+midpoint of two adjacent doubles rounds onto the upper one, or their sum
+overflows to +-inf.  So the error staircase attains on the set every value
+it takes anywhere on the real line.
 
 The genuine and impostor populations are the two arrays of
 :meth:`ScoreTensor.partition`, flattened.  The staircase is built once per
@@ -91,11 +92,13 @@ class TrialScores:
         thresholds = np.empty(pooled.size + 1)
         thresholds[0], thresholds[-1] = -np.inf, np.inf
         mids = thresholds[1:-1]
-        np.add(pooled[:-1], pooled[1:], out=mids)
+        with np.errstate(over="ignore"):
+            np.add(pooled[:-1], pooled[1:], out=mids)
         mids /= 2.0
         # the midpoint of two adjacent doubles can round onto the upper one,
-        # a threshold that accepts both; the lower one accepts only itself
-        np.copyto(mids, pooled[:-1], where=mids == pooled[1:])
+        # a threshold that accepts both, and a sum past the largest double
+        # is +-inf; in both cases the lower score accepts only itself
+        np.copyto(mids, pooled[:-1], where=(mids >= pooled[1:]) | (mids < pooled[:-1]))
         del distinct, pooled, mids
         p_fa = np.searchsorted(np.sort(self.impostor), thresholds, side="right") / self.n_impostor
         # (n - hits) / n rounds once, as far_frr_at does; 1 - hits/n rounds twice
@@ -172,8 +175,8 @@ class DcfParams:
     p_true: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.c_miss < 0 or self.c_fa < 0:
-            raise ValueError("costs must be >= 0")
+        if not (0 <= self.c_miss < math.inf and 0 <= self.c_fa < math.inf):
+            raise ValueError(f"costs {self.c_miss!r}, {self.c_fa!r} must be finite and >= 0")
         if not 0.0 < self.p_true < 1.0:
             raise ValueError("p_true must lie in (0, 1)")
 

@@ -572,14 +572,22 @@ class TestFuseEval:
         assert "validation error" in err and "mse, mad" in err
         assert not (tmp_path / "fres").exists()
 
-    def test_bad_fusion_spec(self, dataset, tmp_path, capsys):
+    def test_bad_fusion_spec(self, dataset, tmp_path, capsys, monkeypatch):
+        import facedct.cli as cli_mod
+
+        # each spec is rejected, naming it, before the manifest is read
+        load_manifest = mock.Mock(side_effect=AssertionError("manifest read"))
+        monkeypatch.setattr(cli_mod, "load_manifest", load_manifest)
         cfg = write_config(tmp_path / "cfg.json", dataset)
-        code, _, err = run_cli(
-            capsys,
-            "fuse-eval", "--config", str(cfg), "--fusion", "median:R,G",
-            "--out", str(tmp_path / "x"),
-        )
-        assert code == 1
+        for spec in ["median:R,G", "sum:q"]:
+            code, _, err = run_cli(
+                capsys,
+                "fuse-eval", "--config", str(cfg), "--fusion", spec,
+                "--out", str(tmp_path / "x"),
+            )
+            assert code == 1
+            assert err.startswith("validation error: ") and repr(spec) in err
+        assert not load_manifest.called
 
 
 @pytest.fixture(scope="module")
@@ -691,6 +699,21 @@ class TestSigsize:
         assert code == 1
         code, _, err = run_cli(capsys, "sigsize")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alpha", "2", "--p", "0.1"], "alpha must be in (0, 1)"),
+            (["--n", "0"], "n must be >= 1"),
+            (["--p", "2"], "p must be in (0, 1]"),
+        ],
+        ids=["alpha", "n", "p"],
+    )
+    def test_out_of_range_parameter_is_validation_error(self, capsys, flags, message):
+        # the parameter checks raise ValueError, which main maps to exit 1
+        code, out, err = run_cli(capsys, "sigsize", *flags, "--iid")
+        assert code == 1
+        assert err == f"validation error: {message}\n" and out == ""
 
 
 class TestConfigFlags:
@@ -888,6 +911,22 @@ class TestExitCodes:
             ("manifest", 5),
             ("window", 10**6),
             ("metrics", ["mse", "mse"]),
+            ("dim", 10**6),
+            ("metrics", ["euclid"]),
+            ("channel", "purple"),
+            ("dcf", {"c_miss": -1.0}),
+            ("train_indices", ["x"]),
+            ("bogus", 1),
+            # an integer is no bool and no fraction, a cost is finite, and a
+            # name or a path is a string
+            ("window", 32.7),
+            ("window", True),
+            ("window", math.inf),
+            ("train_indices", [1.9, 2]),
+            ("dcf", {"c_miss": math.nan}),
+            ("dcf", {"c_fa": math.inf}),
+            ("channel", None),
+            ("output_dir", False),
         ],
     )
     def test_config_field_of_the_wrong_type_is_validation_error(
@@ -901,6 +940,21 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("validation error: ")
         assert f"'{name}" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "config must be a JSON object"),
+            ('{"window": 32}', "config is missing the 'manifest' field"),
+        ],
+        ids=["not-an-object", "no-manifest"],
+    )
+    def test_config_of_the_wrong_shape_is_validation_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g"))
+        assert code == 1
+        assert err == f"validation error: {message}\n"
 
     @pytest.mark.parametrize(
         "name, value, loaded",

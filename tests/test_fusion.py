@@ -5,7 +5,7 @@ import pytest
 
 from facedct.errors import ValidationError
 from facedct.gallery import Gallery, SplitSpec, apply_split
-from facedct.imageio import load_manifest
+from facedct.imageio import CHANNELS, load_manifest
 from facedct.matching import (
     ScoreTensor,
     build_score_tensor,
@@ -129,8 +129,14 @@ class TestParseFusionSpec:
         assert spec.channels == ("r", "g", "b")
         assert spec.weights == (0.3, 0.59, 0.11)
 
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_both_forms_take_every_channel(self, channel):
+        assert parse_fusion_spec(f"sum:{channel.upper()}").channels == (channel,)
+        spec = parse_fusion_spec(f"w:2.5e-1{channel.upper()}")
+        assert (spec.channels, spec.weights) == ((channel,), (0.25,))
+
     @pytest.mark.parametrize(
-        "bad", ["", "avg:R,G", "sum:", "w:R+G", "w:0.5Q+0.5R", "w:0R+0G"]
+        "bad", ["", "avg:R,G", "sum:", "w:R+G", "w:0.5Q+0.5R", "w:0R+0G", "sum:q", "sum:R,gr"]
     )
     def test_malformed_specs(self, bad):
         with pytest.raises(ValidationError):

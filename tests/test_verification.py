@@ -157,6 +157,15 @@ class TestDetCurve:
         assert eer(trials) == 0.0
         assert min_dcf(trials) == (0.0, a)
 
+    @pytest.mark.parametrize("a, b", [(1e308, 1.5e308), (-1.5e308, -1e308)])
+    def test_a_midpoint_that_overflows_gives_way_to_the_lower_score(self, a, b):
+        # a + b is +-inf: +inf accepts both scores and -inf neither
+        trials = TrialScores([a], [b])
+        assert_staircase_matches_oracle(trials)
+        assert list(det_curve(trials).thresholds) == [math.inf, a, -math.inf]
+        assert eer(trials) == 0.0
+        assert min_dcf(trials) == (0.0, a)
+
     @given(
         st.floats(0.0, 1e300),
         st.lists(st.integers(0, 8), min_size=1, max_size=20),
@@ -255,6 +264,11 @@ class TestDcf:
             DcfParams(p_true=0.0)
         with pytest.raises(ValueError):
             DcfParams(c_miss=-1.0)
+
+    @pytest.mark.parametrize("costs", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+    def test_costs_must_be_finite(self, costs):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            DcfParams(*costs)
 
 
 class TestMinDcf:
