@@ -218,7 +218,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentCo
       ``metric`` is an alias, read when ``metrics`` is absent.
     - ``channel``: one of ``CHANNELS``; default ``"gray"``.
     - ``dcf``: object with the costs ``c_miss`` and ``c_fa``, finite and
-      >= 0; each defaults to 1.0.
+      >= 0; each defaults to 1.0.  Any other key is an unknown field
+      ``dcf.<key>``.
     - ``output_dir``: results directory of ``evaluate`` and ``fuse-eval``;
       absent, null or ``""`` means ``results`` in the working directory.
 
@@ -236,17 +237,16 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentCo
     raw = parse_json(read_bytes(path, ValidationError), f"config {path}", ValidationError)
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
-    known = {name.partition(".")[0] for name in _FIELDS}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-    raw.update((k, v) for k, v in vars(overrides).items() if k in known and v is not None)
-    if "manifest" not in raw:
-        raise ValidationError("config is missing the 'manifest' field")
     dcf = raw.pop("dcf", {})
     if not isinstance(dcf, dict):
         raise ValidationError("config field 'dcf' must be an object with c_miss and c_fa")
-    raw.update((f"dcf.{k}", v) for k, v in dcf.items() if f"dcf.{k}" in _FIELDS)
+    raw.update((f"dcf.{k}", v) for k, v in dcf.items())
+    unknown = set(raw) - set(_FIELDS)
+    if unknown:
+        raise ValidationError(f"unknown config fields: {sorted(unknown)}")
+    raw.update((k, v) for k, v in vars(overrides).items() if k in _FIELDS and v is not None)
+    if "manifest" not in raw:
+        raise ValidationError("config is missing the 'manifest' field")
     if "metrics" in raw:
         raw.pop("metric", None)
     if raw.get("output_dir") in (None, ""):

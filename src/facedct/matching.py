@@ -250,7 +250,12 @@ def identification_rate(tensor: ScoreTensor) -> IdentificationResult:
 
     A tie between the genuine cell and any other subject counts as an error.
     """
-    genuine, impostor = tensor.partition()
+    return _identification(*tensor.partition())
+
+
+def _identification(genuine: np.ndarray, impostor: np.ndarray) -> IdentificationResult:
+    """:func:`identification_rate` of the two arrays of
+    :meth:`ScoreTensor.partition`."""
     successes = int(np.count_nonzero(genuine < impostor.min(axis=1, initial=np.inf)))
     return IdentificationResult(successes, genuine.size - successes)
 

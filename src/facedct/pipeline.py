@@ -22,8 +22,8 @@ from .imageio import prepare_plane, read_pnm_file
 from .matching import (
     IdentificationResult,
     ScoreTensor,
+    _identification,
     build_score_tensor,
-    identification_rate,
 )
 from .verification import DcfParams, TrialScores, eer, min_dcf, split_intra_inter
 
@@ -90,10 +90,17 @@ def summarize_tensor(
     genuine-trial fraction, since either reading of the cost model's prior
     is defensible.  ``trials`` is ``split_intra_inter(tensor)`` when the
     caller already has it; passing it shares the split and its staircase
-    with the caller.
+    with the caller.  The identification rate reads the same split, so the
+    tensor is partitioned once per summary at most.
     """
     if trials is None:
         trials = split_intra_inter(tensor)
+    # the trials are the two arrays of the partition, flattened in C order
+    n_probes, n_gallery, n_trials = tensor.scores.shape
+    identification = _identification(
+        trials.genuine.reshape(n_probes, n_trials),
+        trials.impostor.reshape(n_probes, n_gallery - 1, n_trials),
+    )
     empirical = trials.n_genuine / (trials.n_genuine + trials.n_impostor)
     values: dict[str, float] = {}
     arg: dict[str, float] = {}
@@ -101,7 +108,7 @@ def summarize_tensor(
         values[label], arg[label] = min_dcf(trials, DcfParams(c_miss, c_fa, p_true))
     return TensorSummary(
         metric=tensor.metric,
-        identification=identification_rate(tensor),
+        identification=identification,
         eer=eer(trials),
         min_dcf=values,
         min_dcf_threshold=arg,

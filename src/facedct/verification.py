@@ -14,9 +14,13 @@ it takes anywhere on the real line.
 The genuine and impostor populations are the two arrays of
 :meth:`ScoreTensor.partition`, flattened.  The staircase is built once per
 :class:`TrialScores`, when :func:`det_curve`, :func:`eer` or :func:`min_dcf`
-first asks, and sorts both populations inside that build only.
-:func:`det_curve` returns a :class:`DetCurve`, a sequence of
-:class:`DetPoint` over three read-only arrays.
+first asks.  Every count in it comes from positions in one sort of the
+pooled cells: where each run of equal scores ends gives the cells at most
+its value, each genuine score's position among the distinct values gives
+the genuine ones, and the impostor cells are the rest.  Each threshold lies
+between its value and the next, so the counts at the values are the counts
+at the thresholds.  :func:`det_curve` returns a :class:`DetCurve`, a
+sequence of :class:`DetPoint` over three read-only arrays.
 
 :func:`det_curve` is the full staircase, one point per candidate threshold,
 and :func:`eer` and :func:`min_dcf` read all of it.  The ``det.csv`` and
@@ -80,29 +84,45 @@ class TrialScores:
     def _staircase(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(thresholds asc, p_fa, p_miss) over the exact candidate set.
 
-        Built in place: its peak is about four arrays of the pooled cells,
-        the three results and one transient.
+        Every count comes from positions in one sort of the pooled cells.
+        A run of equal scores ends at index j - 1 of the sorted pool, so j
+        cells score at most its value.  Each genuine score's position among
+        the distinct values, counted and summed, gives the genuine cells at
+        most each value, and the impostor cells are the rest.  The threshold
+        after a value lies in [that value, the next one), so it accepts
+        those cells and no others, and the rates divide the same counts as
+        :func:`far_frr_at`.
+
+        Built in place: its peak is about four arrays of the pooled cells.
         """
         pooled = np.concatenate([self.genuine, self.impostor])
         pooled.sort()
-        distinct = np.empty(pooled.size, dtype=bool)
-        distinct[0] = True
-        np.not_equal(pooled[1:], pooled[:-1], out=distinct[1:])
-        pooled = pooled[distinct]
-        thresholds = np.empty(pooled.size + 1)
+        # edge[j]: a run of equal scores ends before index j and one starts at it
+        edge = np.empty(pooled.size + 1, dtype=bool)
+        edge[0] = edge[-1] = True
+        np.not_equal(pooled[1:], pooled[:-1], out=edge[1:-1])
+        values = pooled[edge[:-1]]
+        # cells[k + 1] is the count of cells <= values[k]; cells[0] is 0
+        cells = np.flatnonzero(edge)
+        del pooled, edge
+        thresholds = np.empty(cells.size)
         thresholds[0], thresholds[-1] = -np.inf, np.inf
         mids = thresholds[1:-1]
         with np.errstate(over="ignore"):
-            np.add(pooled[:-1], pooled[1:], out=mids)
+            np.add(values[:-1], values[1:], out=mids)
         mids /= 2.0
         # the midpoint of two adjacent doubles can round onto the upper one,
         # a threshold that accepts both, and a sum past the largest double
         # is +-inf; in both cases the lower score accepts only itself
-        np.copyto(mids, pooled[:-1], where=(mids >= pooled[1:]) | (mids < pooled[:-1]))
-        del distinct, pooled, mids
-        p_fa = np.searchsorted(np.sort(self.impostor), thresholds, side="right") / self.n_impostor
+        np.copyto(mids, values[:-1], where=(mids >= values[1:]) | (mids < values[:-1]))
+        # hits[k + 1] is the count of genuine cells <= values[k]
+        hits = np.bincount(np.searchsorted(values, self.genuine) + 1, minlength=cells.size)
+        np.cumsum(hits, out=hits)
+        del values
+        np.subtract(cells, hits, out=cells)
+        p_fa = cells / self.n_impostor
+        del cells
         # (n - hits) / n rounds once, as far_frr_at does; 1 - hits/n rounds twice
-        hits = np.searchsorted(np.sort(self.genuine), thresholds, side="right")
         p_miss = np.subtract(self.n_genuine, hits, out=hits) / self.n_genuine
         for arr in (thresholds, p_fa, p_miss):
             arr.flags.writeable = False

@@ -941,6 +941,17 @@ class TestExitCodes:
         assert err.startswith("validation error: ")
         assert f"'{name}" in err
 
+    def test_unknown_dcf_key_is_named_as_an_unknown_field(self, dataset, tmp_path, capsys):
+        # a misspelt cost is an error, not a cost left at its default
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        payload = json.loads(cfg.read_text())
+        payload["dcf"] = {"c_miss": 2.0, "c_mis": 5}
+        cfg.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g"))
+        assert code == 1
+        assert err == "validation error: unknown config fields: ['dcf.c_mis']\n"
+        assert not (tmp_path / "g").exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -22,6 +22,7 @@ from facedct.fusion import (
 )
 from facedct.pipeline import extract_subject_features, featurize_image, summarize_tensor
 from facedct.synth import SynthSpec, generate_dataset
+from facedct.verification import split_intra_inter
 
 SPLIT = SplitSpec.from_iterables([1, 2, 3], [4, 5, 6])
 
@@ -115,6 +116,25 @@ class TestFuseScoresWeighted:
         assert s1.identification == s2.identification
         assert s1.eer == s2.eer
         assert s1.min_dcf == s2.min_dcf
+
+
+class TestSummarizeTensor:
+    @pytest.mark.parametrize("shape", [(5, 5, 1), (3, 6, 4)])
+    @pytest.mark.parametrize("share_trials", [False, True])
+    def test_one_partition_serves_the_whole_summary(self, monkeypatch, shape, share_trials):
+        n_probes, n_gallery, n_trials = shape
+        gallery = tuple(f"s{j}" for j in range(n_gallery))
+        # probes out of gallery order; one decimal makes genuine/impostor ties
+        scores = np.round(np.random.default_rng(3).random(shape), 1)
+        tensor = ScoreTensor(gallery[::-1][:n_probes], gallery, scores, "mad")
+        expected = identification_rate(tensor)
+        calls = []
+        partition = ScoreTensor.partition
+        monkeypatch.setattr(ScoreTensor, "partition", lambda t: calls.append(t) or partition(t))
+        trials = split_intra_inter(tensor) if share_trials else None
+        summary = summarize_tensor(tensor, trials=trials)
+        assert calls == [tensor]
+        assert summary.identification == expected
 
 
 class TestParseFusionSpec:

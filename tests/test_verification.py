@@ -74,9 +74,57 @@ def assert_staircase_matches_oracle(trials):
 
 
 def ulps_above(base, steps):
-    """``base`` (a double >= 0) moved up by each of ``steps`` units in the
-    last place: scores that are adjacent doubles or tied."""
+    """``base`` moved away from zero by each of ``steps`` units in the last
+    place (up for a double >= 0): scores that are adjacent doubles or tied."""
     return (np.array([base]).view(np.int64) + np.array(steps, dtype=np.int64)).view(np.float64)
+
+
+def searchsorted_staircase(genuine, impostor):
+    """Reference build of the staircase: its thresholds from the first of
+    each run of equal pooled scores, and each rate from a searchsorted of
+    every threshold into that population, sorted on its own."""
+    pooled = np.concatenate([genuine, impostor])
+    pooled.sort()
+    distinct = np.empty(pooled.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(pooled[1:], pooled[:-1], out=distinct[1:])
+    pooled = pooled[distinct]
+    thresholds = np.empty(pooled.size + 1)
+    thresholds[0], thresholds[-1] = -np.inf, np.inf
+    mids = thresholds[1:-1]
+    with np.errstate(over="ignore"):
+        np.add(pooled[:-1], pooled[1:], out=mids)
+    mids /= 2.0
+    np.copyto(mids, pooled[:-1], where=(mids >= pooled[1:]) | (mids < pooled[:-1]))
+    p_fa = np.searchsorted(np.sort(impostor), thresholds, side="right") / impostor.size
+    hits = np.searchsorted(np.sort(genuine), thresholds, side="right")
+    p_miss = np.subtract(genuine.size, hits, out=hits) / genuine.size
+    return thresholds, p_fa, p_miss
+
+
+def assert_same_staircase(trials):
+    """The staircase is bit for bit the reference build's."""
+    reference = searchsorted_staircase(trials.genuine, trials.impostor)
+    for got, want in zip(trials._staircase, reference, strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # the sign of a zero too
+
+
+@st.composite
+def staircase_populations(draw):
+    """Genuine and impostor scores in runs a few ulps from up to three
+    anchors: ties, adjacent doubles, signed zeros, subnormals and magnitudes
+    near the largest double, down to a single cell per population."""
+    anchor = st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, 1.7e308, -1.7e308]
+    ) | st.floats(-1.7e308, 1.7e308)
+    anchors = draw(st.lists(anchor, min_size=1, max_size=3))
+    steps = st.lists(st.integers(0, 4), min_size=1, max_size=4)
+    run = st.builds(ulps_above, st.sampled_from(anchors), steps)
+    genuine = draw(st.lists(run, min_size=1, max_size=3))
+    impostor = draw(st.lists(run, min_size=1, max_size=10))
+    return np.concatenate(genuine), np.concatenate(impostor)
 
 
 def square_tensor(scores, metric="mse"):
@@ -211,6 +259,25 @@ class TestDetCurve:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 8 * (trials.n_genuine + trials.n_impostor)
+
+
+class TestStaircaseMatchesTheSearchsortedBuild:
+    @given(staircase_populations())
+    @example(([1.0], [1.0]))  # one tied cell in each population
+    @example(([-0.0], [0.0]))  # signed zeros are one score
+    @example(([0.0, -0.0, 5e-324], [-0.0, -5e-324, 0.0]))
+    @example(([1e308], [1.5e308, -1.7e308]))  # midpoints that overflow
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_on_ties_adjacent_doubles_and_extremes(self, populations):
+        assert_same_staircase(TrialScores(*populations))
+
+    @pytest.mark.parametrize("decimals", [None, 3], ids=["distinct", "tied"])
+    def test_bit_identical_at_the_feret_shape(self, decimals):
+        rng = np.random.default_rng(18)
+        genuine, impostor = rng.normal(2.0, 1.0, 1000), rng.normal(5.0, 1.0, 999_000)
+        if decimals is not None:
+            genuine, impostor = genuine.round(decimals), impostor.round(decimals)
+        assert_same_staircase(TrialScores(genuine, impostor))
 
 
 class TestEer:
