@@ -23,13 +23,19 @@ table:
    ``fields_sha256``, the sha256 of its own subjects, counts, dim, channel
    and meta.
 
-The table is strict: ``gallery.json`` is the commit point, and
-``vectors.csv`` must match its digest or the gallery is rejected, while a
-``templates.npy`` that does not match its digest leaves ``vectors.csv`` to
-be parsed.  Either way the listed fields must then match ``fields_sha256``,
-since ``templates.npy`` carries no labels to check them against.  A
-``gallery.json`` without digests (written before they were) loads from
-``vectors.csv`` alone, and one without ``fields_sha256`` skips that check.
+The table is strict: ``gallery.json`` is the commit point, so a
+``templates.npy`` that matches its digest is the gallery's matrix, and
+``vectors.csv`` is not read.  A file is checked when it is read: only when
+``templates.npy`` is missing or does not match its digest is ``vectors.csv``
+read and parsed, and then it must match its own digest or the gallery is
+rejected.  A save cut before ``gallery.json`` leaves a ``templates.npy``
+that fails its digest, so the torn ``vectors.csv`` is still caught; an
+edited ``vectors.csv`` beside a pinned ``templates.npy`` is never read, so
+it does not matter.  Either way the listed fields must then match
+``fields_sha256``, since ``templates.npy`` carries no labels to check them
+against.  A ``gallery.json`` without digests (written before they were)
+loads from ``vectors.csv`` alone, and one without ``fields_sha256`` skips
+that check.
 """
 
 from __future__ import annotations
@@ -283,10 +289,11 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
     Each file is written under a temporary name and renamed into place, in
     that order.  gallery.json, written last, records the sha256 of the bytes
     written to the other two, so it is the commit point: until it is renamed
-    into place the directory still holds the old gallery.json, which the new
-    vectors.csv does not match (see :func:`load_gallery`).  gallery.json also
-    records ``fields_sha256``, the sha256 of its listed fields.  A failed
-    save leaves no partial file behind.
+    into place the directory still holds the old gallery.json, which neither
+    the new templates.npy nor the new vectors.csv matches (see
+    :func:`load_gallery`).  gallery.json also records ``fields_sha256``,
+    the sha256 of its listed fields.  A failed save leaves no partial file
+    behind.
     """
     if gallery.n_templates == 0:
         raise GalleryError("refusing to save an empty gallery (nothing enrolled)")
@@ -403,13 +410,15 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
 
     - gallery.json without a ``sha256`` key (written before the digests
       were): vectors.csv is parsed.
-    - vectors.csv does not match its digest (a torn save or an edited file):
-      GalleryCorruptError.
     - templates.npy matches its digest: its matrix is used, and must be a
       finite '<f8' array of shape (templates listed, feature_dim).
-    - templates.npy is missing or does not match: the verified vectors.csv
-      is parsed.  A save cut right after writing templates.npy thus still
-      loads the old gallery.
+      vectors.csv is not read, so an edited, missing or unreadable one does
+      not matter.
+    - templates.npy is missing or does not match its digest: vectors.csv is
+      read, and must match its own digest (else GalleryCorruptError: a torn
+      save or an edited file) before it is parsed.  A save cut right after
+      writing templates.npy thus still loads the old gallery, and one cut
+      after vectors.csv is rejected.
 
     The subjects, offsets and channel always come from gallery.json, so
     every source gives the same gallery; only the vectors.csv path also
@@ -423,11 +432,13 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
     files = _files(directory)
     manifest = files.read_manifest()
     ids, counts, feature_dim, channel, meta = _check_manifest(manifest, directory)
-    # bytes, so that no line ending inside a quoted subject id is translated
-    csv_data = read_bytes(files.text, GalleryCorruptError)
-    matrix = None
     if "sha256" in manifest:
-        matrix = files.load(manifest["sha256"], csv_data, (sum(counts), feature_dim))
+        matrix = files.load(manifest["sha256"], None, (sum(counts), feature_dim))
+        if matrix is None:
+            csv_data = files.read_text(manifest["sha256"])
+    else:
+        # bytes, so that no line ending inside a quoted subject id is translated
+        matrix, csv_data = None, read_bytes(files.text, GalleryCorruptError)
     if matrix is None:
         matrix = _matrix_of_csv(csv_data, files.text, ids, counts, feature_dim, channel)
     if "fields_sha256" in manifest and manifest["fields_sha256"] != _fields_sha256(

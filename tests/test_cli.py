@@ -1102,6 +1102,9 @@ class TestExitCodes:
     ):
         gallery = tmp_path / "gal"
         shutil.copytree(gallery_dir / "gal", gallery)
+        if name == "vectors.csv":
+            # read only when templates.npy is stale
+            (gallery / "templates.npy").write_bytes(b"stale")
         (gallery / name).unlink()
         (gallery / name).mkdir()
         probe = dataset.parent / next(iter(json.loads(dataset.read_text()).values()))[0]

@@ -39,9 +39,18 @@ def strip_digests(directory):
     path.write_text(json.dumps(manifest, indent=1) + "\n")
 
 
+def make_stale(directory):
+    """Replace templates.npy by a valid array that gallery.json does not pin,
+    so that the load reads vectors.csv."""
+    npy = directory / "templates.npy"
+    np.save(npy, np.load(npy) + 1.0)
+
+
 def assert_csv_rejected(directory, reason):
-    """The edited vectors.csv fails its digest; without the digests the
-    vectors.csv check itself rejects it, for ``reason``."""
+    """Once templates.npy is stale, the edited vectors.csv is read and fails
+    its digest; without the digests the vectors.csv check itself rejects it,
+    for ``reason``."""
+    make_stale(directory)
     with pytest.raises(GalleryCorruptError, match="does not match its sha256"):
         load_gallery(directory)
     strip_digests(directory)
@@ -419,6 +428,30 @@ class TestTemplatesSidecar:
         loaded, meta = load_gallery(tmp_path)
         assert loaded == old
         assert meta == {"window": 16}
+
+    @pytest.mark.parametrize("csv", ["edited", "truncated", "missing", "directory"])
+    def test_pinned_sidecar_loads_whatever_vectors_csv_holds(self, tmp_path, csv):
+        # vectors.csv is read only when templates.npy is missing or stale
+        g = gallery_of(["a", "b", "c"])
+        save_gallery(g, tmp_path, meta={"window": 8})
+        path = tmp_path / "vectors.csv"
+        saved = path.read_bytes()
+        if csv == "edited":
+            assert b"\na,gray," in saved
+            path.write_bytes(saved.replace(b"\na,gray,", b"\nzz,gray,"))
+        elif csv == "truncated":
+            path.write_bytes(saved[:40])
+        else:
+            path.unlink()
+            if csv == "directory":
+                path.mkdir()
+        loaded, meta = load_gallery(tmp_path)
+        assert loaded == g
+        assert loaded.matrix.tobytes() == g.matrix.tobytes()
+        assert meta == {"window": 8}
+        make_stale(tmp_path)
+        with pytest.raises(GalleryCorruptError, match=str(path)):
+            load_gallery(tmp_path)
 
     @pytest.mark.parametrize("sidecar", ["missing", "stale"])
     def test_missing_or_stale_sidecar_falls_back_to_the_csv(self, tmp_path, sidecar):

@@ -1,0 +1,209 @@
+"""A pinned ``.npy`` is parsed in place: both pinned tables, the gallery and
+the score file, load or reject each pinned array as ``np.load``'s reader
+would, and the loaded array is a read-only view of the bytes that were
+hashed."""
+
+import hashlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from facedct.errors import DataError
+from facedct.gallery import Gallery, load_gallery, save_gallery
+from facedct.features import FeatureVector
+from facedct.matching import ScoreTensor, load_scores_csv, save_scores_csv
+
+from byte_edit_strategy import apply_byte_edits, byte_edits
+
+
+class GalleryTable:
+    """A saved 3-subject gallery: 6 templates of dim 5."""
+
+    npy, manifest, shape, want = "templates.npy", "gallery.json", (6, 5), (6, 5)
+
+    def __init__(self, directory):
+        self.directory = directory
+        gallery = Gallery()
+        rng = np.random.default_rng(4)
+        for subject in ["a", "b", "c"]:
+            for _ in range(2):
+                gallery.enroll(subject, FeatureVector(rng.standard_normal(5), "gray"))
+        save_gallery(gallery, directory)
+        self.array = np.array(gallery.matrix)
+
+    def load(self):
+        return load_gallery(self.directory)[0].matrix
+
+    def valid(self, array):
+        return True
+
+
+class ScoreTable:
+    """A saved score file: 2 probe subjects, 3 gallery subjects, 2 trials."""
+
+    npy, manifest, shape, want = "scores.npy", "scores.json", (2, 3, 2), (2, 3, None)
+
+    def __init__(self, directory):
+        self.directory = directory
+        self.array = np.arange(12.0).reshape(self.shape) / 7
+        save_scores_csv(ScoreTensor(("a", "b"), ("a", "b", "c"), self.array), directory / "scores.csv")
+
+    def load(self):
+        return load_scores_csv(self.directory / "scores.csv").scores
+
+    def valid(self, array):
+        return array.ndim == 3 and array.shape[2] >= 1 and (array.size == 0 or array.min() >= 0)
+
+
+TABLES = [GalleryTable, ScoreTable]
+
+
+def pin(table, data):
+    """Replace the table's .npy by ``data`` and record its digest, as a save would."""
+    (table.directory / table.npy).write_bytes(data)
+    path = table.directory / table.manifest
+    manifest = json.loads(path.read_text())
+    manifest["sha256"][table.npy] = hashlib.sha256(data).hexdigest()
+    path.write_text(json.dumps(manifest))
+
+
+def npy_bytes(array, **save_kwargs):
+    out = io.BytesIO()
+    np.save(out, array, **save_kwargs)
+    return out.getvalue()
+
+
+def read_array_load(table, data):
+    """What the table loads from the pinned ``data`` when the .npy is read
+    by ``np.lib.format.read_array`` into a copy, with the same checks: the
+    array, or None when the load is to be rejected."""
+    try:
+        array = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+    except Exception:  # ValueError; or a crash, such as a shape past int64
+        return None
+    if array.dtype != np.dtype("<f8") or array.ndim != len(table.want) or not all(
+        n in (None, m) for m, n in zip(array.shape, table.want)
+    ):
+        return None
+    if not np.isfinite(array).all() or not table.valid(array):
+        return None
+    return array
+
+
+def outcome(load):
+    """What ``load()`` returns or raises, and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load()
+        except Exception as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
+def assert_loads_as_read_array(table, data):
+    """Pin ``data``; the table loads the array ``read_array`` gives, bit for
+    bit, or rejects it with a DataError naming the .npy when that load is
+    rejected, with the same warnings either way."""
+    pin(table, data)
+    expected, expected_warnings = outcome(lambda: read_array_load(table, data))
+    loaded, loaded_warnings = outcome(table.load)
+    assert loaded_warnings == expected_warnings
+    if expected is None:
+        assert isinstance(loaded, DataError) and str(table.directory / table.npy) in str(loaded)
+        return
+    assert isinstance(loaded, np.ndarray), loaded
+    assert loaded.dtype == expected.dtype and loaded.shape == expected.shape
+    assert loaded.tobytes() == expected.tobytes()
+    assert not loaded.flags.writeable
+
+
+@pytest.mark.parametrize("table_type", TABLES, ids=["gallery", "scores"])
+class TestPinnedNpyIsParsedInPlace:
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda data: data[:-8], "corrupt {npy}: EOF: reading array data, expected"),
+            (lambda data: data[:100], "corrupt {npy}: EOF: reading array header"),
+            (lambda data: data[:6] + b"\x04" + data[7:], "corrupt {npy}: we only support format"),
+            (lambda data: b"not an array", "corrupt {npy}: "),
+        ],
+        ids=["short-data", "short-header", "version", "not-npy"],
+    )
+    def test_short_or_malformed_pinned_npy_is_corrupt(self, tmp_path, table_type, edit, reason):
+        table = table_type(tmp_path)
+        data = edit((tmp_path / table.npy).read_bytes())
+        assert read_array_load(table, data) is None
+        pin(table, data)
+        with pytest.raises(DataError, match="^" + reason.format(npy=tmp_path / table.npy)):
+            table.load()
+
+    def test_object_dtype_is_corrupt(self, tmp_path, table_type):
+        table = table_type(tmp_path)
+        pin(table, npy_bytes(table.array.astype(object), allow_pickle=True))
+        with pytest.raises(DataError, match=(
+            f"^corrupt {tmp_path / table.npy}: "
+            "Object arrays cannot be loaded when allow_pickle=False$"
+        )):
+            table.load()
+
+    def test_fortran_order_loads_the_same_values(self, tmp_path, table_type):
+        table = table_type(tmp_path)
+        data = npy_bytes(np.asfortranarray(table.array))
+        assert b"'fortran_order': True" in data
+        pin(table, data)
+        loaded = table.load()
+        assert np.array_equal(loaded.view(np.uint64), table.array.view(np.uint64))
+        assert_loads_as_read_array(table, data)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda m: m[:-1], lambda m: m.reshape(-1), lambda m: m.reshape(*m.shape, 1), lambda m: m.T],
+        ids=["rows", "1-d", "3-d", "transposed"],
+    )
+    def test_wrong_shape_is_rejected_or_loads_as_read_array(self, tmp_path, table_type, make):
+        table = table_type(tmp_path)
+        assert_loads_as_read_array(table, npy_bytes(np.ascontiguousarray(make(table.array))))
+
+    def test_a_shape_past_int64_is_corrupt(self, tmp_path, table_type):
+        # np.lib.format.read_array cannot count its elements (OverflowError)
+        table = table_type(tmp_path)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (10**24,) + table.shape[1:]}
+        )
+        pin(table, header.getvalue() + table.array.tobytes())
+        with pytest.raises(DataError, match=f"^corrupt {tmp_path / table.npy}: EOF"):
+            table.load()
+
+    @pytest.mark.parametrize(
+        "tail", [b"", b"\0" * 8, b"more bytes"], ids=["exact", "padding", "trailing"]
+    )
+    def test_the_array_is_a_read_only_view_of_the_pinned_bytes(self, tmp_path, table_type, tail):
+        table = table_type(tmp_path)
+        data = (tmp_path / table.npy).read_bytes() + tail
+        pin(table, data)
+        loaded = table.load()
+        assert not loaded.flags.writeable
+        base = loaded
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert base == data
+        assert np.array_equal(loaded.view(np.uint64), table.array.view(np.uint64))
+        assert_loads_as_read_array(table, data)
+
+
+@pytest.mark.parametrize("table_type", TABLES, ids=["gallery", "scores"])
+@given(edits=byte_edits)
+@settings(max_examples=150, deadline=None)
+def test_byte_edited_pinned_npy_loads_as_read_array(table_type, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        table = table_type(Path(tmp))
+        data = apply_byte_edits((table.directory / table.npy).read_bytes(), edits)
+        assert_loads_as_read_array(table, data)
