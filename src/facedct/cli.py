@@ -369,7 +369,7 @@ def cmd_identify(args) -> int:
     window = meta.get("window", DEFAULT_WINDOW)
     metric = args.metric
     (probe,) = featurize_image(args.image, (gallery.channel,), gallery.feature_dim, window)
-    dists = subject_distances(probe.coeffs, gallery, metric)
+    dists = subject_distances(probe, gallery, metric)
     best = int(np.argmin(dists))
     print(
         json.dumps(

@@ -3,6 +3,10 @@
 A normalized gray plane is mapped to a D-dimensional feature vector by
 taking the orthonormal 2-D DCT and keeping the first D coefficients in
 zigzag (low-frequency-first) order, DC included.  D defaults to 100.
+:func:`_coefficients` is the one function that does this: it writes the
+coefficients into a caller's array, which is how ``pipeline.featurize_image``
+fills a matrix row, and :func:`extract_features` wraps its result in a
+:class:`FeatureVector`.
 
 A CSV row holds subject id (csv-quoted when needed), channel, dim and the
 coefficients at 17 significant digits, so a float64 round-trips exactly.
@@ -126,6 +130,26 @@ def _zigzag_index(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@lru_cache(maxsize=None)
+def _zigzag_flat(n: int, dim: int) -> np.ndarray:
+    """Read-only C-order flat indices of the first ``dim`` zigzag cells."""
+    rows, cols = _zigzag_index(n, dim)
+    flat = rows * n + cols
+    flat.flags.writeable = False
+    return flat
+
+
+def _coefficients(plane: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The first ``dim`` zigzag-ordered DCT coefficients of a square float64
+    plane, written into ``out`` (a new array when None) and returned."""
+    if plane.ndim != 2 or plane.shape[0] != plane.shape[1]:
+        raise ValueError("feature extraction expects the canonical square window")
+    n = plane.shape[0]
+    if not 1 <= dim <= n * n:
+        raise ValueError(f"dim must be in [1, {n * n}], got {dim}")
+    return np.take(dct2(plane), _zigzag_flat(n, dim), out=out)
+
+
 def extract_features(
     plane: np.ndarray,
     dim: int = DEFAULT_DIM,
@@ -133,14 +157,8 @@ def extract_features(
     subject_id: str | None = None,
 ) -> FeatureVector:
     """First ``dim`` zigzag-ordered DCT coefficients of a square plane."""
-    plane = np.asarray(plane, dtype=np.float64)
-    if plane.ndim != 2 or plane.shape[0] != plane.shape[1]:
-        raise ValueError("feature extraction expects the canonical square window")
-    n = plane.shape[0]
-    if not 1 <= dim <= n * n:
-        raise ValueError(f"dim must be in [1, {n * n}], got {dim}")
-    rows, cols = _zigzag_index(n, dim)
-    return FeatureVector(dct2(plane)[rows, cols], source_channel, subject_id)
+    coeffs = _coefficients(np.asarray(plane, dtype=np.float64), dim)
+    return FeatureVector(coeffs, source_channel, subject_id)
 
 
 def _csv_field(text: str) -> str:

@@ -1,14 +1,23 @@
 """Binary PNM (P5/P6) ingestion and pixel-level preparation.
 
-Images are parsed into :class:`RasterImage` (integer samples), converted to a
-single channel (gray passthrough, R/G/B selection, or luminance), normalized
-to a float plane in [0, 1], and resized to the canonical analysis window.
-Planes are plain 2-D float64 numpy arrays.
+An image's bytes are decoded once, by :func:`_decode`, into a read-only
+view of its samples in the file's own dtype (``uint8`` or ``>u2``), each
+sample checked against maxval there.  :func:`_plane` turns one channel of
+those samples (gray passthrough, R/G/B selection, or the one luminance
+formula, :func:`_luma`) straight into a float plane, samples / maxval in
+[0, 1], and :func:`_resize` brings it to the canonical analysis window,
+giving back the plane itself when it already has that size.  Planes are
+plain 2-D float64 numpy arrays.  ``pipeline.featurize_image`` runs these
+pieces on every image; the public helpers (:func:`read_pnm`,
+:func:`to_luminance`, :func:`normalize`, :func:`resize_bilinear` and
+:func:`prepare_plane`) call the same pieces on a :class:`RasterImage`,
+whose samples are int64.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -101,23 +110,16 @@ class RasterImage:
         )
 
 
+#: a header token and the whitespace and '#' comments before it; bytes
+#: ``\s`` is exactly :data:`_WHITESPACE`, and a token may hold '#'
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
+
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos : pos + 1] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
+    match = _TOKEN.match(data, pos)
+    if not match.group(1):
         raise PnmHeaderError("unexpected end of data inside header")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE:
-        pos += 1
-    return data[start:pos], pos
+    return match.group(1), match.end()
 
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -127,12 +129,14 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return int(token), pos
 
 
-def read_pnm(data: bytes) -> RasterImage:
-    """Parse a binary PGM (P5) or PPM (P6) byte string.
+def _decode(data: bytes) -> tuple[np.ndarray, int]:
+    """The samples of a binary PGM (P5) or PPM (P6) byte string, as a
+    read-only (height, width, channels) view of its body in the file's own
+    dtype (``uint8``, or ``>u2`` when maxval > 255), and its maxval.
 
     Header comments ('#' to end of line) are skipped; a single whitespace
-    byte separates maxval from the pixel body.  maxval > 255 implies
-    two-byte big-endian samples.
+    byte separates maxval from the pixel body.  Every sample is checked
+    against maxval here, once.
     """
     magic = data[:2]
     if magic in (b"P1", b"P2", b"P3", b"P4", b"P7"):
@@ -157,14 +161,25 @@ def read_pnm(data: bytes) -> RasterImage:
     count = width * height * channels
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
     need = count * dtype.itemsize
-    body = data[pos : pos + need]
-    if len(body) < need:
-        raise PnmTruncatedError(
-            f"pixel body has {len(body)} bytes, expected {need}"
-        )
-    samples = np.frombuffer(body, dtype=dtype).astype(np.int64)
-    if samples.max(initial=0) > maxval:
-        raise PnmError(f"sample value {samples.max()} exceeds maxval {maxval}")
+    if len(data) - pos < need:
+        raise PnmTruncatedError(f"pixel body has {len(data) - pos} bytes, expected {need}")
+    samples = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+    if maxval not in (255, 65535):  # else no sample of the dtype can exceed it
+        top = samples.max()
+        if top > maxval:
+            raise PnmError(f"sample value {top} exceeds maxval {maxval}")
+    return samples.reshape(height, width, channels), maxval
+
+
+def read_pnm(data: bytes) -> RasterImage:
+    """Parse a binary PGM (P5) or PPM (P6) byte string.
+
+    Header comments ('#' to end of line) are skipped; a single whitespace
+    byte separates maxval from the pixel body.  maxval > 255 implies
+    two-byte big-endian samples.
+    """
+    samples, maxval = _decode(data)
+    height, width, channels = samples.shape
     return RasterImage(width, height, channels, maxval, samples)
 
 
@@ -184,6 +199,38 @@ def write_pnm_file(img: RasterImage, path: str | Path) -> None:
     Path(path).write_bytes(write_pnm(img))
 
 
+def _luma(samples: np.ndarray, maxval: int) -> np.ndarray:
+    """The luminance of (height, width, 3) samples as a new float plane:
+    0.3R + 0.59G + 0.11B, rounded half-up and clamped to [0, maxval]."""
+    y = LUMA_WEIGHTS[0] * samples[:, :, 0]  # float64 for every sample dtype
+    y += LUMA_WEIGHTS[1] * samples[:, :, 1]
+    y += LUMA_WEIGHTS[2] * samples[:, :, 2]
+    y += 0.5
+    np.floor(y, out=y)
+    return np.minimum(y, maxval, out=y)  # y >= 0.5 before the floor
+
+
+def _plane(samples: np.ndarray, maxval: int, channel: str) -> np.ndarray:
+    """The normalized float plane, samples / maxval in [0, 1], of one of
+    :data:`CHANNELS` of (height, width, channels) samples.  "gray" requires
+    one channel, "y" is the luminance of RGB, and "r"/"g"/"b" one RGB plane.
+    """
+    channel = channel.lower()
+    if channel not in CHANNELS:
+        raise ValueError(f"unknown channel {channel!r}")
+    if channel == "gray":
+        if samples.shape[2] != 1:
+            raise MismatchError("channel 'gray' requires a single-channel image")
+        return np.divide(samples[:, :, 0], maxval, dtype=np.float64)
+    if samples.shape[2] != 3:
+        what = "luminance conversion" if channel == "y" else "channel selection"
+        raise MismatchError(f"{what} requires an RGB image")
+    if channel == "y":
+        y = _luma(samples, maxval)
+        return np.divide(y, maxval, out=y)
+    return np.divide(samples[:, :, "rgb".index(channel)], maxval, dtype=np.float64)
+
+
 def to_luminance(img: RasterImage) -> RasterImage:
     """Collapse RGB to a single luminance channel (0.3R + 0.59G + 0.11B).
 
@@ -191,10 +238,8 @@ def to_luminance(img: RasterImage) -> RasterImage:
     """
     if img.channels != 3:
         raise MismatchError("luminance conversion requires an RGB image")
-    rgb = img.samples.astype(np.float64)
-    y = LUMA_WEIGHTS[0] * rgb[:, :, 0] + LUMA_WEIGHTS[1] * rgb[:, :, 1] + LUMA_WEIGHTS[2] * rgb[:, :, 2]
-    out = np.clip(np.floor(y + 0.5), 0, img.maxval).astype(np.int64)
-    return RasterImage(img.width, img.height, 1, img.maxval, out)
+    y = _luma(img.samples, img.maxval).astype(np.int64)
+    return RasterImage(img.width, img.height, 1, img.maxval, y)
 
 
 def select_channel(img: RasterImage, channel: str) -> RasterImage:
@@ -212,7 +257,7 @@ def normalize(img: RasterImage) -> np.ndarray:
     """Map a gray image to a float plane: samples / maxval, in [0, 1]."""
     if img.channels != 1:
         raise MismatchError("normalize expects a single-channel image")
-    return img.samples[:, :, 0].astype(np.float64) / img.maxval
+    return _plane(img.samples, img.maxval, "gray")
 
 
 @lru_cache(maxsize=None)
@@ -229,6 +274,23 @@ def _axis_interp(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return interp
 
 
+def _resize(plane: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """Bilinear resize of a finite 2-D float64 plane; the plane itself when
+    it already has the output size."""
+    if out_w < 1 or out_h < 1:
+        raise ValueError("output dimensions must be >= 1")
+    in_h, in_w = plane.shape
+    if (in_h, in_w) == (out_h, out_w):
+        return plane
+    ylo, yhi, wy = _axis_interp(in_h, out_h)
+    xlo, xhi, wx = _axis_interp(in_w, out_w)
+    rows = plane[ylo, :] * (1.0 - wy)[:, None]
+    rows += plane[yhi, :] * wy[:, None]
+    out = rows[:, xlo] * (1.0 - wx)
+    out += rows[:, xhi] * wx
+    return out
+
+
 def resize_bilinear(plane: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Bilinear resize of a 2-D plane with pixel-center alignment.
 
@@ -239,15 +301,14 @@ def resize_bilinear(plane: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     plane = np.asarray(plane, dtype=np.float64)
     if plane.ndim != 2:
         raise ValueError("plane must be 2-D")
-    if out_w < 1 or out_h < 1:
-        raise ValueError("output dimensions must be >= 1")
-    if plane.shape == (out_h, out_w):
-        return plane.copy()
-    in_h, in_w = plane.shape
-    ylo, yhi, wy = _axis_interp(in_h, out_h)
-    xlo, xhi, wx = _axis_interp(in_w, out_w)
-    rows = plane[ylo, :] * (1.0 - wy)[:, None] + plane[yhi, :] * wy[:, None]
-    return rows[:, xlo] * (1.0 - wx) + rows[:, xhi] * wx
+    resized = _resize(plane, out_w, out_h)
+    return resized.copy() if resized is plane else resized
+
+
+def _prepare(samples: np.ndarray, maxval: int, channel: str, window: int) -> np.ndarray:
+    """The ``window`` x ``window`` plane of ``channel`` of decoded samples:
+    :func:`_plane`, then :func:`_resize`."""
+    return _resize(_plane(samples, maxval, channel), window, window)
 
 
 def prepare_plane(img: RasterImage, channel: str, window: int) -> np.ndarray:
@@ -256,18 +317,7 @@ def prepare_plane(img: RasterImage, channel: str, window: int) -> np.ndarray:
     ``channel`` is one of :data:`CHANNELS`.  "gray" requires a gray image,
     "y" computes luminance from RGB, "r"/"g"/"b" select one RGB plane.
     """
-    channel = channel.lower()
-    if channel not in CHANNELS:
-        raise ValueError(f"unknown channel {channel!r}")
-    if channel == "gray":
-        if img.channels != 1:
-            raise MismatchError("channel 'gray' requires a single-channel image")
-        gray = img
-    elif channel == "y":
-        gray = to_luminance(img)
-    else:
-        gray = select_channel(img, channel)
-    return resize_bilinear(normalize(gray), window, window)
+    return _prepare(img.samples, img.maxval, channel, window)
 
 
 def load_manifest(path: str | Path) -> dict[str, list[Path]]:

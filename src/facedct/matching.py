@@ -10,7 +10,9 @@ minimum over that subject's rows, taken with ``np.minimum.reduceat`` over
 the gallery's matrix and subject offsets (:func:`subject_distances`).
 ``build_score_tensor``, the ``identify`` command and the channel fusion
 runs all score through it, and ``mse``, ``mad`` and ``person_score`` are
-thin calls into it, so every route gives the same bits, and
+thin calls into it, so every route gives the same bits.
+``build_score_tensor`` hands it one ``(M, D)`` scratch array and one
+distance row, reused across all its probes.
 :meth:`ScoreTensor.partition` is the one genuine/impostor split of a tensor.
 
 ``build_score_tensor`` takes its probes in one of two forms:
@@ -80,13 +82,23 @@ def _check_dims(x: FeatureVector, y: FeatureVector) -> None:
         raise MismatchError(f"feature dims differ: {x.dim} vs {y.dim}")
 
 
-def _batched_distances(metric: str, probe: np.ndarray, templates: np.ndarray) -> np.ndarray:
+def _batched_distances(
+    metric: str,
+    probe: np.ndarray,
+    templates: np.ndarray,
+    scratch: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     # templates: (M, D); probe: (D,) -> (M,), each row reduced along its
-    # contiguous axis
-    d = templates - probe
+    # contiguous axis.  The differences go into ``scratch`` and the sums
+    # into ``out``, (M, D) and (M,) arrays a caller reuses across probes,
+    # or new arrays when None.
+    d = np.subtract(templates, probe, out=scratch)
     if metric == "mse":
-        return np.sum(d * d, axis=1)
-    return np.sum(np.abs(d), axis=1)
+        np.multiply(d, d, out=d)
+    else:
+        np.abs(d, out=d)
+    return np.add.reduce(d, axis=1, out=out)
 
 
 def mse(x: FeatureVector, y: FeatureVector) -> float:
@@ -119,10 +131,18 @@ def person_score(probe: FeatureVector, templates: list[FeatureVector], metric: s
     return float(_batched_distances(metric, probe.coeffs, matrix).min())
 
 
-def subject_distances(probe: np.ndarray, gallery: Gallery, metric: str) -> np.ndarray:
+def subject_distances(
+    probe: np.ndarray,
+    gallery: Gallery,
+    metric: str,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Distance from probe coefficients to each enrolled subject, in
-    ``gallery.subject_ids`` order: the minimum over the subject's templates."""
-    dists = _batched_distances(check_metric(metric), probe, gallery.matrix)
+    ``gallery.subject_ids`` order: the minimum over the subject's templates.
+    ``scratch``, an ``(M, D)`` and an ``(M,)`` float64 array for the M
+    templates, holds the work of a call, so that a caller scoring many
+    probes allocates it once."""
+    dists = _batched_distances(check_metric(metric), probe, gallery.matrix, *(scratch or ()))
     return np.minimum.reduceat(dists, gallery.offsets[:-1])
 
 
@@ -240,8 +260,10 @@ def build_score_tensor(
 
     gallery_subjects = tuple(gallery.subject_ids)
     scores = np.empty((len(probe_subjects), len(gallery_subjects), n_trials))
+    scratch = np.empty_like(gallery.matrix), np.empty(len(gallery.matrix))
     for row, coeffs in enumerate(probes.matrix):
-        scores[row // n_trials, :, row % n_trials] = subject_distances(coeffs, gallery, metric)
+        dists = subject_distances(coeffs, gallery, metric, scratch)
+        scores[row // n_trials, :, row % n_trials] = dists
     return ScoreTensor(probe_subjects, gallery_subjects, scores, metric)
 
 

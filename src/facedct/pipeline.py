@@ -2,11 +2,19 @@
 manifest -> features (one decode per image, for every channel) -> gallery
 -> score tensor -> summary metrics.
 
+:func:`featurize_image` is the one per-image step of every command.  It
+reads an image's bytes and decodes them once, into the file's own sample
+dtype; builds each requested channel's normalized plane straight from
+those samples and resizes it to the window; and writes the plane's first
+D zigzag DCT coefficients into the caller's row.  No ``RasterImage`` or
+``FeatureVector`` is made on the way.
+
 :func:`extract_subject_features` returns, per channel, one
 :class:`~facedct.gallery.Gallery`: an ``(N, D)`` float64 matrix with rows
-grouped by subject.  The training split's is the gallery that ``enroll``
-saves, and the test split's is the probe set that ``build_score_tensor``
-scores, so features are never regrouped or enrolled one vector at a time."""
+grouped by subject, each row written in place by :func:`featurize_image`.
+The training split's is the gallery that ``enroll`` saves, and the test
+split's is the probe set that ``build_score_tensor`` scores, so features
+are never regrouped or enrolled one vector at a time."""
 
 from __future__ import annotations
 
@@ -15,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
-from .features import DEFAULT_DIM, FeatureVector, extract_features
+from .errors import DataError, read_bytes
+from .features import DEFAULT_DIM, _coefficients
 from .gallery import Gallery
-from .imageio import prepare_plane, read_pnm_file
+from .imageio import _decode, _prepare
 from .matching import (
     IdentificationResult,
     ScoreTensor,
@@ -31,19 +39,30 @@ DEFAULT_WINDOW = 64
 
 
 def featurize_image(
-    path: str | Path, channels: tuple[str, ...], dim: int, window: int, subject: str | None = None
-) -> list[FeatureVector]:
-    """Decode one image once and featurize it for each of ``channels``, in
-    order, labelled ``subject``.  An image that cannot be read, decoded or
-    converted is a DataError naming its path, and its subject when given;
-    decode errors keep their class."""
+    path: str | Path,
+    channels: tuple[str, ...],
+    dim: int,
+    window: int,
+    subject: str | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Featurize one image for each of ``channels``, decoding it once: row
+    ``i`` of ``out``, a ``(len(channels), dim)`` float64 array (a new one
+    when None), receives the first ``dim`` zigzag DCT coefficients of
+    channel ``i`` at ``window``, and ``out`` is returned.  An image that
+    cannot be read, decoded or converted is a DataError naming its path,
+    and its subject when given; decode errors keep their class."""
     whose = "" if subject is None else f"subject {subject!r}"
     try:
-        image = read_pnm_file(path)
-        planes = [prepare_plane(image, channel, window) for channel in channels]
+        samples, maxval = _decode(read_bytes(path, DataError))
+        planes = [_prepare(samples, maxval, channel, window) for channel in channels]
     except DataError as exc:
         raise type(exc)(f"{whose}, image {path}: {exc}".removeprefix(", ")) from exc
-    return [extract_features(p, dim, c, subject) for c, p in zip(channels, planes)]
+    if out is None:
+        out = np.empty((len(channels), dim))
+    for plane, row in zip(planes, out):
+        _coefficients(plane, dim, row)
+    return out
 
 
 def extract_subject_features(
@@ -55,14 +74,15 @@ def extract_subject_features(
     """Featurize every listed image for each of ``channels``, decoding it
     once: channel -> one ``(N, dim)`` matrix grouped by subject, subjects in
     lexicographic order and each subject's rows in listed order.  Every
-    subject lists at least one image, as ``load_manifest`` ensures."""
+    subject lists at least one image, as ``load_manifest`` ensures.  Each
+    image's rows are written in place; no split is held whole in any other
+    form."""
     ids = sorted(subjects)
     counts = [len(subjects[s]) for s in ids]
-    matrices = {c: np.empty((sum(counts), dim)) for c in channels}
+    matrices = np.empty((len(channels), sum(counts), dim))
     for row, (subject, path) in enumerate((s, p) for s in ids for p in subjects[s]):
-        for channel, vec in zip(channels, featurize_image(path, channels, dim, window, subject)):
-            matrices[channel][row] = vec.coeffs
-    return {c: Gallery._of_subjects(ids, counts, c, m) for c, m in matrices.items()}
+        featurize_image(path, channels, dim, window, subject, matrices[:, row])
+    return {c: Gallery._of_subjects(ids, counts, c, m) for c, m in zip(channels, matrices)}
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,20 @@ from hypothesis import strategies as st
 
 from facedct import errors, matching
 from facedct.cli import build_parser, load_config, main
-from facedct.errors import ValidationError
+from facedct.errors import MismatchError, ValidationError, read_bytes
 from facedct.features import FeatureVector, extract_features
 from facedct.gallery import Gallery, load_gallery, save_gallery
-from facedct.imageio import RasterImage, prepare_plane, read_pnm_file, write_pnm_file
+from facedct.imageio import (
+    PnmError,
+    PnmHeaderError,
+    PnmMaxvalError,
+    PnmTruncatedError,
+    PnmUnsupportedMagicError,
+    RasterImage,
+    prepare_plane,
+    write_pnm,
+    write_pnm_file,
+)
 from facedct.matching import (
     ScoreTensor,
     build_score_tensor,
@@ -29,6 +39,7 @@ from facedct.matching import (
     save_scores_csv,
     scores_to_csv,
 )
+from facedct.pipeline import extract_subject_features
 from facedct.verification import det_curve, det_to_csv, eer, split_intra_inter
 
 from byte_edit_strategy import apply_byte_edits, byte_edits
@@ -615,11 +626,11 @@ class TestFeaturizeOnce:
 
         paths = []
 
-        def counting(path):
+        def counting(path, error):
             paths.append(str(path))
-            return read_pnm_file(path)
+            return read_bytes(path, error)
 
-        monkeypatch.setattr(pipeline_mod, "read_pnm_file", counting)
+        monkeypatch.setattr(pipeline_mod, "read_bytes", counting)
         return paths
 
     @pytest.fixture
@@ -676,6 +687,82 @@ class TestFeaturizeOnce:
         assert code == 2
         assert f"subject 's001', image {gray}: " in err
         assert "requires an RGB image" in err
+
+
+#: (bytes of an image that does not decode, its error class and message)
+UNDECODABLE = {
+    "bad magic": (b"GIF89a....", PnmHeaderError, "not a binary PNM file (magic b'GI')"),
+    "P2": (
+        b"P2\n1 1\n255\n0\n", PnmUnsupportedMagicError,
+        "unsupported netpbm variant P2; only binary P5/P6 are accepted",
+    ),
+    "truncated body": (
+        b"P5\n2 2\n255\n\x01\x02\x03", PnmTruncatedError, "pixel body has 3 bytes, expected 4"
+    ),
+    "sample above maxval": (
+        b"P5\n1 1\n100\n\xc8", PnmError, "sample value 200 exceeds maxval 100"
+    ),
+    "two-byte sample above maxval": (
+        b"P6\n1 1\n1000\n\x00\x01\x07\xd0\x00\x02", PnmError,
+        "sample value 2000 exceeds maxval 1000",
+    ),
+    "maxval 0": (b"P5\n1 1\n0\n\x00", PnmMaxvalError, "maxval 0 outside [1, 65535]"),
+}
+
+#: (channel, an image that lacks it, the message)
+WRONG_CHANNEL = {
+    "gray on a PPM": (
+        "gray", RasterImage(2, 2, 3, 255, np.arange(12)),
+        "channel 'gray' requires a single-channel image",
+    ),
+    "r on a PGM": (
+        "r", RasterImage(2, 2, 1, 255, np.arange(4)), "channel selection requires an RGB image"
+    ),
+    "y on a PGM": (
+        "y", RasterImage(2, 2, 1, 255, np.arange(4)), "luminance conversion requires an RGB image"
+    ),
+}
+
+#: every image error as (channel, image bytes, error class, message)
+IMAGE_ERRORS = {
+    **{name: ("gray", data, cls, msg) for name, (data, cls, msg) in UNDECODABLE.items()},
+    **{
+        name: (channel, write_pnm(img), MismatchError, msg)
+        for name, (channel, img, msg) in WRONG_CHANNEL.items()
+    },
+}
+
+
+class TestFeaturizeErrors:
+    """An image that cannot be decoded or converted keeps its error class, its
+    exit code and its message, prefixed by its subject and path."""
+
+    @pytest.mark.parametrize("case", sorted(IMAGE_ERRORS))
+    def test_extract_subject_features_names_subject_and_path(self, tmp_path, case):
+        channel, data, cls, message = IMAGE_ERRORS[case]
+        good = tmp_path / "good.pnm"
+        depth = 1 if channel == "gray" else 3
+        write_pnm_file(RasterImage(2, 2, depth, 255, np.arange(4 * depth)), good)
+        bad = tmp_path / "bad.pnm"
+        bad.write_bytes(data)
+        with pytest.raises(cls) as info:
+            extract_subject_features({"s0": [good], "s1": [good, bad]}, (channel,), 4, 2)
+        assert type(info.value) is cls
+        assert str(info.value) == f"subject 's1', image {bad}: {message}"
+
+    @pytest.mark.parametrize("case", sorted(IMAGE_ERRORS))
+    def test_identify_exits_2_naming_the_path(self, capsys, tmp_path, case):
+        channel, data, _, message = IMAGE_ERRORS[case]
+        gallery = Gallery()
+        gallery.enroll("a", FeatureVector(np.ones(4), channel, "a"))
+        save_gallery(gallery, tmp_path / "gal", meta={"window": 2})
+        bad = tmp_path / "bad.pnm"
+        bad.write_bytes(data)
+        code, out, err = run_cli(
+            capsys, "identify", "--gallery", str(tmp_path / "gal"), "--image", str(bad)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"data error: image {bad}: {message}\n"
 
 
 class TestSigsize:

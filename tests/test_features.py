@@ -1,8 +1,12 @@
-"""DCT transform, zigzag traversal, feature extraction, CSV round trip."""
+"""DCT transform, zigzag traversal, feature extraction, CSV round trip, and
+the one-pass featurize of an image file against the per-image chain."""
 
 import csv
 import io
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,16 @@ from facedct.features import (
     idct2,
     zigzag_order,
 )
+from facedct.imageio import (
+    load_manifest,
+    normalize,
+    read_pnm,
+    resize_bilinear,
+    select_channel,
+    to_luminance,
+)
+from facedct.pipeline import extract_subject_features, featurize_image
+from facedct.synth import SynthSpec, generate_dataset
 
 from byte_edit_strategy import apply_byte_edits, byte_edits
 
@@ -364,3 +378,97 @@ class TestFeatureVector:
         vec = FeatureVector(np.array([1.0]), "gray")
         with pytest.raises(ValueError):
             vec.coeffs[0] = 2.0
+
+
+# The per-image chain that featurize_image replaced, one throw-away object
+# per step: the reference that the one-pass path is tested against.
+
+
+def reference_featurize(path, channels, dim, window):
+    """``(len(channels), dim)`` coefficients of one image file: read_pnm ->
+    to_luminance or select_channel -> normalize -> resize_bilinear ->
+    dct2[zigzag], with the int64 samples of a RasterImage at every step."""
+    image = read_pnm(Path(path).read_bytes())
+    rows, cols = _zigzag_index(window, dim)
+    out = []
+    for channel in channels:
+        if channel == "gray":
+            gray = image
+        elif channel == "y":
+            gray = to_luminance(image)
+        else:
+            gray = select_channel(image, channel)
+        out.append(dct2(resize_bilinear(normalize(gray), window, window))[rows, cols])
+    return np.array(out)
+
+
+@st.composite
+def pnm_image(draw, color, window):
+    """A P6 (``color``) or P5 image's bytes: maxval 1, 7, 255, 256, 1000 or
+    65535, a header comment or none, and a size equal to the window or not."""
+    maxval = draw(st.sampled_from([1, 7, 255, 256, 1000, 65535]))
+    if draw(st.booleans()):
+        width = height = window
+    else:
+        width, height = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    depth = 3 if color else 1
+    samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, maxval, width * height * depth, endpoint=True
+    )
+    samples[: draw(st.integers(0, 2))] = maxval  # the extreme sample, at times
+    comment = draw(st.sampled_from([b"", b"# a comment\n"]))
+    header = f"P{6 if color else 5}\n".encode() + comment + f"{width} {height}\n{maxval}\n".encode()
+    return header + samples.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+
+
+@st.composite
+def featurize_requests(draw):
+    """One to four images of one kind, every channel of :data:`CHANNELS` it
+    allows in a drawn order, a window and a dim in [1, window**2]."""
+    color = draw(st.booleans())
+    window = draw(st.integers(1, 12))
+    images = draw(st.lists(pnm_image(color, window), min_size=1, max_size=4))
+    channels = draw(st.permutations(["r", "g", "b", "y"] if color else ["gray"]))
+    return images, tuple(channels), draw(st.integers(1, window * window)), window
+
+
+class TestFeaturizeImage:
+    @given(featurize_requests())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_matches_the_per_image_chain_bit_for_bit(self, request):
+        images, channels, dim, window = request
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / f"{n}.pnm" for n in range(len(images))]
+            for path, data in zip(paths, images):
+                path.write_bytes(data)
+            expected = [reference_featurize(p, channels, dim, window) for p in paths]
+            for path, want in zip(paths, expected):
+                got = featurize_image(path, channels, dim, window)
+                assert (got.shape, got.dtype) == ((len(channels), dim), np.float64)
+                assert got.tobytes() == want.tobytes()
+            # the images split between two subjects, "b" listed first
+            subjects = {"b": paths[1:], "a": paths[:1]} if len(paths) > 1 else {"a": paths}
+            galleries = extract_subject_features(subjects, channels, dim, window)
+            order = [paths.index(p) for s in sorted(subjects) for p in subjects[s]]
+            for i, channel in enumerate(channels):
+                want = np.array([expected[n][i] for n in order])
+                assert galleries[channel].matrix.tobytes() == want.tobytes()
+
+    def test_featurizing_a_split_holds_its_matrices_and_a_few_planes(self, tmp_path):
+        # 20 x 24 RGB images, so every channel plane is also resized
+        spec = SynthSpec(12, 5, 0.4, seed=3, width=20, height=24, placement="rgb")
+        manifest = load_manifest(generate_dataset(spec, tmp_path))
+        channels, dim, window = ("r", "g", "b", "y"), 100, 16
+        extract_subject_features(manifest, channels, dim, window)  # fill the caches
+        tracemalloc.start()
+        try:
+            extract_subject_features(manifest, channels, dim, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_images = sum(len(paths) for paths in manifest.values())
+        matrices = len(channels) * n_images * dim * 8
+        image_plane = 20 * 24 * 8
+        # holding every image of the split in any form, even its 60 files of
+        # 1,453 bytes, would exceed this
+        assert peak <= matrices + 12 * image_plane

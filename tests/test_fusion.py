@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from facedct.errors import ValidationError
+from facedct.features import FeatureVector
 from facedct.gallery import Gallery, SplitSpec, apply_split
 from facedct.imageio import CHANNELS, load_manifest
 from facedct.matching import (
@@ -261,7 +262,7 @@ def reference_features(subjects, channels, dim, window):
     for subject in sorted(subjects):
         vectors = [featurize_image(p, channels, dim, window, subject) for p in subjects[subject]]
         for i, channel in enumerate(channels):
-            features[channel][subject] = [v[i] for v in vectors]
+            features[channel][subject] = [FeatureVector(v[i], channel, subject) for v in vectors]
     return features
 
 
