@@ -10,9 +10,8 @@ grouped matrix also carries a probe set: ``pipeline.extract_subject_features``
 returns one per channel, and ``build_score_tensor`` scores its rows in order.
 
 A saved gallery (format ``facedct-gallery`` v1) is a directory of three
-files, written in this order through one :class:`~facedct.pinned.PinnedTable`,
-which holds the write order and the trust rules it shares with the score
-table:
+files, written in this order by :func:`~facedct.pinned.save_pinned`, the
+write order it shares with the score table:
 
 1. ``templates.npy``: the matrix as ``'<f8'``, C order, no pickle.  This is
    what :func:`load_gallery` reads.
@@ -23,15 +22,18 @@ table:
    ``fields_sha256``, the sha256 of its own subjects, counts, dim, channel
    and meta.
 
-The table is strict: ``gallery.json`` is the commit point, so a
+``gallery.json`` is the commit point of the whole directory, so a
 ``templates.npy`` that matches its digest is the gallery's matrix, and
 ``vectors.csv`` is not read.  A file is checked when it is read: only when
 ``templates.npy`` is missing or does not match its digest is ``vectors.csv``
 read and parsed, and then it must match its own digest or the gallery is
-rejected.  A save cut before ``gallery.json`` leaves a ``templates.npy``
-that fails its digest, so the torn ``vectors.csv`` is still caught; an
-edited ``vectors.csv`` beside a pinned ``templates.npy`` is never read, so
-it does not matter.  Either way the listed fields must then match
+rejected.  A broken pin is an error, never a fallback: a ``gallery.json``
+that cannot be read or is not JSON, digests that are not an object, and a
+``templates.npy`` that exists but cannot be read are GalleryCorruptErrors.
+A save cut before ``gallery.json`` leaves a ``templates.npy`` that fails
+its digest, so the torn ``vectors.csv`` is still caught; an edited
+``vectors.csv`` beside a pinned ``templates.npy`` is never read, so it does
+not matter.  Either way the listed fields must then match
 ``fields_sha256``, since ``templates.npy`` carries no labels to check them
 against.  A ``gallery.json`` without digests (written before they were)
 loads from ``vectors.csv`` alone, and one without ``fields_sha256`` skips
@@ -46,10 +48,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MismatchError, read_bytes
+from .errors import DataError, MismatchError, parse_json, read_bytes
 from .features import FeatureVector, feature_matrix_from_csv, feature_matrix_to_csv
 from .imageio import CHANNELS, MAX_WINDOW
-from .pinned import PinnedTable, sha256
+from .pinned import pinned_array, save_pinned, sha256
 
 GALLERY_FORMAT = "facedct-gallery"
 GALLERY_VERSION = 1
@@ -276,13 +278,6 @@ def _fields_sha256(ids: list[str], counts: list[int], dim: int, channel: str, me
     return sha256(fields.encode())
 
 
-def _files(directory: Path) -> PinnedTable:
-    return PinnedTable(
-        directory / TEMPLATES_NPY, directory / VECTORS_CSV, directory / GALLERY_JSON,
-        GalleryCorruptError, strict=True, noun="coefficient",
-    )
-
-
 def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = None) -> None:
     """Persist as templates.npy + vectors.csv + gallery.json; load is bit-exact.
 
@@ -314,9 +309,12 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
         gallery.subject_ids, np.diff(gallery.offsets).tolist(), gallery.feature_dim,
         gallery.channel, meta or {},
     )
-    _files(Path(directory)).save(
-        gallery.matrix,
-        lambda: feature_matrix_to_csv(labels, gallery.channel, gallery.matrix).encode(),
+    directory = Path(directory)
+    save_pinned(
+        directory / TEMPLATES_NPY, gallery.matrix,
+        directory / VECTORS_CSV,
+        feature_matrix_to_csv(labels, gallery.channel, gallery.matrix).encode(),
+        directory / GALLERY_JSON,
         lambda digests: {**manifest, "sha256": digests, "fields_sha256": fields},
     )
 
@@ -429,18 +427,25 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
     that cannot be read is a GalleryCorruptError naming it.
     """
     directory = Path(directory)
-    files = _files(directory)
-    manifest = files.read_manifest()
+    npy, csv, path = directory / TEMPLATES_NPY, directory / VECTORS_CSV, directory / GALLERY_JSON
+    manifest = parse_json(read_bytes(path, GalleryCorruptError), path, GalleryCorruptError)
     ids, counts, feature_dim, channel, meta = _check_manifest(manifest, directory)
+    digests, matrix = manifest.get("sha256"), None
     if "sha256" in manifest:
-        matrix = files.load(manifest["sha256"], None, (sum(counts), feature_dim))
-        if matrix is None:
-            csv_data = files.read_text(manifest["sha256"])
-    else:
-        # bytes, so that no line ending inside a quoted subject id is translated
-        matrix, csv_data = None, read_bytes(files.text, GalleryCorruptError)
+        if not isinstance(digests, dict):
+            raise GalleryCorruptError(f"{GALLERY_JSON} sha256 is not an object")
+        data = read_bytes(npy, GalleryCorruptError) if npy.exists() else None
+        if data is not None and sha256(data) == digests.get(TEMPLATES_NPY):
+            shape = (sum(counts), feature_dim)
+            matrix = pinned_array(npy, data, shape, GalleryCorruptError, "coefficient")
     if matrix is None:
-        matrix = _matrix_of_csv(csv_data, files.text, ids, counts, feature_dim, channel)
+        # bytes, so that no line ending inside a quoted subject id is translated
+        csv_data = read_bytes(csv, GalleryCorruptError)
+        if "sha256" in manifest and sha256(csv_data) != digests.get(VECTORS_CSV):
+            raise GalleryCorruptError(
+                f"{csv} does not match its sha256 in {GALLERY_JSON} (torn save or edited file)"
+            )
+        matrix = _matrix_of_csv(csv_data, csv, ids, counts, feature_dim, channel)
     if "fields_sha256" in manifest and manifest["fields_sha256"] != _fields_sha256(
         ids, counts, feature_dim, channel, meta
     ):

@@ -126,7 +126,10 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     if not token.isdigit():
         raise PnmHeaderError(f"non-numeric {what} field: {token!r}")
-    return int(token), pos
+    try:
+        return int(token), pos
+    except ValueError:  # more digits than Python converts to an int
+        raise PnmHeaderError(f"{what} field of {len(token)} digits is too large") from None
 
 
 def _decode(data: bytes) -> tuple[np.ndarray, int]:

@@ -35,8 +35,8 @@ is what ``np.loadtxt`` reads as one row.  If the rows do not load, or a blank
 line leaves them short, the line named is the first from which
 ``np.loadtxt`` alone does not read one row (``first_bad_row``).
 
-On disk, :func:`save_scores_csv` writes a score file ``scores.csv`` as a
-lenient :class:`~facedct.pinned.PinnedTable` of three files, in this order:
+On disk, :func:`save_scores_csv` writes a score file ``scores.csv`` and its
+two sidecars with :func:`~facedct.pinned.save_pinned`, in this order:
 
 1. ``scores.npy``: the tensor as ``'<f8'``, C order, no pickle;
 2. ``scores.csv``: the CSV, whose bytes do not depend on the other two;
@@ -45,7 +45,8 @@ lenient :class:`~facedct.pinned.PinnedTable` of three files, in this order:
    commit point.
 
 The names beside the CSV are its own with the suffix replaced.  The CSV is
-always the truth.  :func:`load_scores_csv` reads its bytes and parses its
+always the truth, and the sidecars are a cache of it.
+:func:`load_scores_csv` reads the CSV's bytes, hashes them and parses its
 header, then takes the cells from ``scores.npy`` only when ``scores.json``
 is a ``facedct-scores-v1`` manifest whose digests match both the CSV and
 ``scores.npy``.  Such a ``scores.npy`` must be a finite ``'<f8'`` array of
@@ -68,7 +69,7 @@ import numpy as np
 from .errors import DataError, MismatchError, parse_json, read_bytes
 from .features import FeatureVector, first_bad_row
 from .gallery import Gallery
-from .pinned import PinnedTable
+from .pinned import pinned_array, save_pinned, sha256
 
 METRICS = ("mse", "mad")
 
@@ -434,24 +435,43 @@ def scores_from_csv(data: bytes | str) -> ScoreTensor:
     return _score_tensor(probe_subjects, gallery_subjects, scores, metric)
 
 
-def _files(path: Path) -> PinnedTable:
-    return PinnedTable(
-        path.with_suffix(".npy"), path, path.with_suffix(".json"),
-        DataError, strict=False, noun="score",
-    )
-
-
 def save_scores_csv(tensor: ScoreTensor, path: str | Path) -> None:
     """Write ``tensor`` to the score file ``path`` and its two sidecars
     (module docstring): ``scores.npy``, then the CSV of :func:`scores_to_csv`,
     then ``scores.json`` last, each atomically.  The CSV is streamed into its
     file and its digest one probe row's block at a time, so its text is never
     held whole.  Its bytes are the same as without the sidecars."""
-    _files(Path(path)).save(
-        tensor.scores,
-        lambda: (block.encode() for block in _score_blocks(tensor)),
-        lambda digests: {"format": SCORES_FORMAT, "sha256": digests},
+    path = Path(path)
+    save_pinned(
+        path.with_suffix(".npy"), tensor.scores,
+        path, (block.encode() for block in _score_blocks(tensor)),
+        path.with_suffix(".json"), lambda digests: {"format": SCORES_FORMAT, "sha256": digests},
     )
+
+
+def _pinned_scores(path: Path, data: bytes, shape: tuple[int, int, None]) -> np.ndarray | None:
+    """The cells of the ``scores.npy`` beside the score file ``path``, whose
+    bytes are ``data``, when ``scores.json`` is a ``facedct-scores-v1``
+    manifest whose digests pin both files; None when the CSV rows are to be
+    parsed.  A sidecar that cannot be read or parsed counts as absent; a
+    pinned ``scores.npy`` that fails :func:`pinned_array` is an error."""
+    manifest_path, npy = path.with_suffix(".json"), path.with_suffix(".npy")
+    try:
+        manifest = parse_json(read_bytes(manifest_path, DataError), manifest_path, DataError)
+    except DataError:
+        return None
+    if not isinstance(manifest, dict) or manifest.get("format") != SCORES_FORMAT:
+        return None
+    digests = manifest.get("sha256")
+    if not isinstance(digests, dict) or sha256(data) != digests.get(path.name):
+        return None
+    try:
+        npy_data = read_bytes(npy, DataError)
+    except DataError:
+        return None
+    if sha256(npy_data) != digests.get(npy.name):
+        return None
+    return pinned_array(npy, npy_data, shape, DataError, "score")
 
 
 def load_scores_csv(path: str | Path) -> ScoreTensor:
@@ -465,13 +485,8 @@ def load_scores_csv(path: str | Path) -> ScoreTensor:
         probe_subjects, gallery_subjects, metric, pos, line_no = _score_header(data)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    files = _files(path)
-    manifest = files.read_manifest()
-    scores = None
-    if isinstance(manifest, dict) and manifest.get("format") == SCORES_FORMAT:
-        shape = (len(probe_subjects), len(gallery_subjects), None)
-        scores = files.load(manifest.get("sha256"), data, shape)
-    source = path if scores is None else files.npy
+    scores = _pinned_scores(path, data, (len(probe_subjects), len(gallery_subjects), None))
+    source = path if scores is None else path.with_suffix(".npy")
     try:
         if scores is None:
             scores = _score_rows(data, pos, line_no, len(probe_subjects), len(gallery_subjects))

@@ -69,10 +69,12 @@ def min_resolvable_error_rate(
 
     Inverse of the sizing rules: "simplified" gives 100/n, "exact" gives
     -ln(alpha) / (beta^2 * n), evaluated on the float alpha and beta as
-    given (the float 0.2 is slightly above 1/5).
+    given (the float 0.2 is slightly above 1/5).  alpha and beta must
+    satisfy :class:`SignificanceParams`, whatever the rule.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    SignificanceParams(alpha, beta)
     if rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
     if rule == "simplified":

@@ -9,6 +9,7 @@ sigma rescales one fixed realization instead of redrawing it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,8 +38,8 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.subjects < 1 or self.samples < 1:
             raise ValueError("subjects and samples must be >= 1")
-        if self.noise < 0:
-            raise ValueError("noise sigma must be >= 0")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError("noise sigma must be finite and >= 0")
         if self.width < 4 or self.height < 4:
             raise ValueError("images must be at least 4x4")
         if self.placement not in PLACEMENTS:

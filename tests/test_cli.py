@@ -8,6 +8,7 @@ import json
 import math
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -40,6 +41,7 @@ from facedct.matching import (
     scores_to_csv,
 )
 from facedct.pipeline import extract_subject_features
+from facedct.synth import SynthSpec
 from facedct.verification import det_curve, det_to_csv, eer, split_intra_inter
 
 from byte_edit_strategy import apply_byte_edits, byte_edits
@@ -121,6 +123,20 @@ class TestSynthData:
         )
         assert code == 1
         assert "validation error" in err
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_validation_error(self, tmp_path, capsys, noise):
+        with pytest.raises(ValueError, match="^noise sigma must be finite and >= 0$"):
+            SynthSpec(2, 1, float(noise), seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "synth-data", "--subjects", "2", "--samples", "1", "--noise", noise,
+                "--seed", "1", "--out", str(tmp_path / "out"),
+            )
+        assert (code, out, caught) == (1, "", [])
+        assert err == "validation error: noise sigma must be finite and >= 0\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestEnroll:
@@ -707,6 +723,10 @@ UNDECODABLE = {
         "sample value 2000 exceeds maxval 1000",
     ),
     "maxval 0": (b"P5\n1 1\n0\n\x00", PnmMaxvalError, "maxval 0 outside [1, 65535]"),
+    "width past the int digit limit": (
+        b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00", PnmHeaderError,
+        "width field of 5000 digits is too large",
+    ),
 }
 
 #: (channel, an image that lacks it, the message)
@@ -793,8 +813,14 @@ class TestSigsize:
             (["--alpha", "2", "--p", "0.1"], "alpha must be in (0, 1)"),
             (["--n", "0"], "n must be >= 1"),
             (["--p", "2"], "p must be in (0, 1]"),
+            (["--n", "100", "--beta", "0"], "beta must be in (0, 1]"),
+            (["--n", "100", "--alpha", "2"], "alpha must be in (0, 1)"),
+            (["--n", "5", "--alpha", "nan"], "alpha must be in (0, 1)"),
+            (["--n", "100", "--beta", "5"], "beta must be in (0, 1]"),
+            (["--n", "100", "--beta", "-0.5"], "beta must be in (0, 1]"),
         ],
-        ids=["alpha", "n", "p"],
+        ids=["alpha", "n", "p", "n-beta-0", "n-alpha-2", "n-alpha-nan", "n-beta-5",
+             "n-beta-negative"],
     )
     def test_out_of_range_parameter_is_validation_error(self, capsys, flags, message):
         # the parameter checks raise ValueError, which main maps to exit 1

@@ -498,7 +498,9 @@ class TestTemplatesSidecar:
         assert load_gallery(tmp_path)[0] == g
 
     @pytest.mark.parametrize(
-        "digests", [["not", "an", "object"], {"templates.npy": "0" * 64}], ids=["list", "no-csv"]
+        "digests",
+        [["not", "an", "object"], {"templates.npy": "0" * 64}, None],
+        ids=["list", "no-csv", "null"],
     )
     def test_malformed_digests_are_rejected(self, tmp_path, digests):
         save_gallery(gallery_of(["a"]), tmp_path)

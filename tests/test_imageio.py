@@ -106,6 +106,11 @@ class TestReadPnm:
         with pytest.raises(PnmHeaderError):
             read_pnm(b"P5\nab 2\n255\n\x00\x00")
 
+    def test_header_field_past_the_int_digit_limit(self):
+        # int() refuses a string of more than 4,300 digits with a bare ValueError
+        with pytest.raises(PnmHeaderError, match="^width field of 5000 digits is too large$"):
+            read_pnm(b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00")
+
     def test_sample_above_maxval(self):
         with pytest.raises(PnmError):
             read_pnm(b"P5\n1 1\n100\n" + bytes([200]))

@@ -38,6 +38,20 @@ from facedct.matching import (
 from byte_edit_strategy import apply_byte_edits, byte_edits
 
 
+def _npy_sha256(array):
+    out = io.BytesIO()
+    np.save(out, array, allow_pickle=False)
+    return hashlib.sha256(out.getvalue()).hexdigest()
+
+
+#: a scores.json that pins the valid scores.npy of the 2x3x2 tensor
+#: np.arange(12.0), as save_scores_csv writes it, but not scores.csv
+PINS_ONLY_THE_NPY = json.dumps(
+    {"format": "facedct-scores-v1",
+     "sha256": {"scores.npy": _npy_sha256(np.arange(12.0).reshape(2, 3, 2))}}
+).encode()
+
+
 def vec(values, channel="gray", subject=None):
     return FeatureVector(np.asarray(values, dtype=float), channel, subject)
 
@@ -633,6 +647,7 @@ class TestScoreSidecar:
             ("scores.json", b'{"format": "other", "sha256": {}}'),
             ("scores.json", b'{"format": "facedct-scores-v1", "sha256": ["scores.csv"]}'),
             ("scores.json", b'{"format": "facedct-scores-v1"}'),
+            ("scores.json", PINS_ONLY_THE_NPY),
             ("scores.npy", None),
             ("scores.npy", "directory"),
             ("scores.npy", b"not an array"),
@@ -640,7 +655,7 @@ class TestScoreSidecar:
         ids=[
             "no-manifest", "manifest-directory", "manifest-not-json", "manifest-not-utf8",
             "manifest-list", "manifest-nested", "manifest-format", "digests-list", "no-digests",
-            "no-npy", "npy-directory", "npy-stale",
+            "digests-without-csv", "no-npy", "npy-directory", "npy-stale",
         ],
     )
     def test_sidecar_that_cannot_be_trusted_falls_back_to_the_csv(self, tmp_path, name, make):

@@ -124,3 +124,5 @@ class TestMinResolvableErrorRate:
             min_resolvable_error_rate(0)
         with pytest.raises(ValueError):
             min_resolvable_error_rate(10, rule="guess")
+        with pytest.raises(ValueError, match="beta"):
+            min_resolvable_error_rate(10, "exact", 0.05, 0.0)
