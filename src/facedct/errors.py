@@ -1,4 +1,4 @@
-"""Shared exception hierarchy, and the one read and one write path for files.
+"""Shared exception hierarchy, and the read and write paths for files.
 
 The CLI maps these onto stable exit codes: ValidationError -> 1,
 DataError -> 2, OSError (a failed write) -> 1, anything else -> 3.
@@ -6,7 +6,9 @@ DataError -> 2, OSError (a failed write) -> 1, anything else -> 3.
 Every file is written by :func:`write_atomic`, which streams its data,
 bytes or an iterable of byte chunks, into a temporary file and one
 incremental sha256, and returns the digest, so that no caller holds a
-second copy of what it writes to hash it.
+second copy of what it writes to hash it.  Every file is read by
+:func:`read_bytes`, or in chunks by :func:`read_chunks` where the reader
+need not hold it whole; both name the file when it cannot be read.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 
@@ -39,6 +41,18 @@ def read_bytes(path: str | Path, error: type[FacedctError]) -> bytes:
     directory, no permission) raises ``error`` naming the path."""
     try:
         return Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def read_chunks(path: str | Path, error: type[FacedctError], size: int = 1 << 16) -> Iterator[bytes]:
+    """The bytes of ``path`` in order, in chunks of at most ``size`` bytes,
+    for a reader that need not hold them all.  A file that cannot be read
+    raises ``error`` naming the path, as :func:`read_bytes` does."""
+    try:
+        with open(path, "rb") as f:
+            while chunk := f.read(size):
+                yield chunk
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from None
 

@@ -44,29 +44,55 @@ two sidecars with :func:`~facedct.pinned.save_pinned`, in this order:
    the sha256 of the other two under their file names, written last as the
    commit point.
 
+The CSV's text is most of the cost of a save, and it is formatted on every
+usable CPU.  Its probe rows are split into k contiguous shares, one per
+usable CPU, with at least ``_SHARE_FLOOR`` cells and one row each, so a
+small tensor is formatted inline (k = 1, also where ``os.fork`` does not
+exist).  Before the first write, k - 1 workers are forked, each with a pipe
+and confined to the usable CPUs other than the caller's.  Each formats its
+share with :func:`_row_blocks`, the formatter of :func:`scores_to_csv`,
+holds the text, then writes it into its pipe and exits.  Meanwhile the
+caller streams the header and the first share into the file one probe row
+at a time, then each worker's text in order, in pipe-sized reads.  The
+bytes are the same for any k.  Every worker is reaped before the save
+returns or raises, and killed first if the save fails; a worker that exits
+non-zero, or whose text comes back short, fails the save before the CSV is
+renamed into place.  The workers are forked, not spawned: a spawned worker
+would import this package and be sent the tensor, which costs more than the
+text saves, and a worker only formats Python floats and writes bytes, so no
+lock of another thread of the caller is taken in it.
+
 The names beside the CSV are its own with the suffix replaced.  The CSV is
 always the truth, and the sidecars are a cache of it.
-:func:`load_scores_csv` reads the CSV's bytes, hashes them and parses its
-header, then takes the cells from ``scores.npy`` only when ``scores.json``
-is a ``facedct-scores-v1`` manifest whose digests match both the CSV and
-``scores.npy``.  Such a ``scores.npy`` must be a finite ``'<f8'`` array of
-shape (probe subjects, gallery subjects, trials) that makes a valid
-:class:`ScoreTensor`, or it is a DataError naming it.  A missing,
+:func:`load_scores_csv` hashes the CSV in chunks, keeping only its header,
+then takes the cells from ``scores.npy`` only when ``scores.json`` is a
+``facedct-scores-v1`` manifest whose digests match both the CSV and
+``scores.npy``; otherwise it reads the CSV whole and parses its header and
+rows from that one read.  Such a ``scores.npy`` must be a finite ``'<f8'``
+array of shape (probe subjects, gallery subjects, trials) that makes a
+valid :class:`ScoreTensor`, or it is a DataError naming it.  A missing,
 unreadable, stale or malformed manifest or ``scores.npy`` leaves the CSV
 rows to be parsed, so the result is always the CSV's tensor.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
+import itertools
 import json
-from collections.abc import Iterator
+import os
+import signal
+import traceback
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
-from .errors import DataError, MismatchError, parse_json, read_bytes
+from .errors import DataError, MismatchError, parse_json, read_bytes, read_chunks
 from .features import FeatureVector, first_bad_row
 from .gallery import Gallery
 from .pinned import pinned_array, save_pinned, sha256
@@ -286,15 +312,9 @@ def _identification(genuine: np.ndarray, impostor: np.ndarray) -> Identification
 SCORES_FORMAT = "facedct-scores-v1"
 
 
-def _score_blocks(tensor: ScoreTensor) -> Iterator[str]:
-    """The text of :func:`scores_to_csv` in blocks: the header lines, then
-    one block per probe row, in C order of the tensor.
-
-    The rows of probe ``i`` come from one ``%`` operation: a template of
-    its ``i,j,k,%.17g`` lines, built from the tensor's indices alone, is
-    applied to the row's scores.  The header lines are joined apart from
-    it, so a ``%`` in a subject id is written as it is.
-    """
+def _score_head(tensor: ScoreTensor) -> str:
+    """The header lines of :func:`scores_to_csv`: the ``#`` comments and the
+    ``i,j,k,score`` row."""
     head = [
         f"# format={SCORES_FORMAT}",
         f"# metric={tensor.metric}",
@@ -302,24 +322,163 @@ def _score_blocks(tensor: ScoreTensor) -> Iterator[str]:
         f"# gallery_subjects={json.dumps(list(tensor.gallery_subjects))}",
         "i,j,k,score",
     ]
-    yield "\n".join(head) + "\n"
+    return "\n".join(head) + "\n"
+
+
+def _row_blocks(tensor: ScoreTensor, rows: range) -> Iterator[str]:
+    """The text of the probe rows ``rows`` of :func:`scores_to_csv`, one
+    block per probe row, in C order of the tensor.
+
+    The rows of probe ``i`` come from one ``%`` operation: a template of
+    its ``i,j,k,%.17g`` lines, built from the tensor's indices alone, is
+    applied to the row's scores.  The header is built apart from it, so a
+    ``%`` in a subject id is written as it is.
+    """
     n_probe, n_gallery, n_trials = tensor.scores.shape
     cells = [f",{j},{k},%.17g" for j in range(n_gallery) for k in range(n_trials)]
+    flat = tensor.scores.reshape(n_probe, -1)
     # "%.17g" % x gives the same text as format(x, ".17g"), and no field
     # holds a comma, quote or newline, so csv.writer would quote none
-    for i, row in enumerate(tensor.scores.reshape(n_probe, -1)):
+    for i in rows:
         s = str(i)
-        yield (s + ("\n" + s).join(cells) + "\n") % tuple(row.tolist())
+        yield (s + ("\n" + s).join(cells) + "\n") % tuple(flat[i].tolist())
 
 
 def scores_to_csv(tensor: ScoreTensor) -> str:
     """Interchange CSV: provenance comments, then i,j,k,score rows.
 
-    The text is the join of the blocks that :func:`save_scores_csv` encodes
-    and streams into the file one probe row at a time, so the two share one
-    formatter; only this whole string holds more than one row's text.
+    :func:`save_scores_csv` writes the same text from the same two
+    formatters, one probe row at a time; only this whole string holds more
+    than one row's text.
     """
-    return "".join(_score_blocks(tensor))
+    return _score_head(tensor) + "".join(_row_blocks(tensor, range(tensor.scores.shape[0])))
+
+
+#: the fewest tensor cells per share when :func:`save_scores_csv` splits the
+#: probe rows between processes; below it a fork costs more than it saves
+_SHARE_FLOOR = 100_000
+
+#: bytes read from a worker's pipe at a time: the default pipe capacity on Linux
+_PIPE_CHUNK = 1 << 16
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _other_cpus() -> set[int] | None:
+    """The usable CPUs other than the one the calling thread runs on, where
+    the system tells both (Linux); None elsewhere, or when there is none."""
+    try:
+        stat = Path("/proc/thread-self/stat").read_bytes()
+        here = int(stat.rsplit(b")", 1)[1].split()[36])  # field 39, the CPU
+        others = os.sched_getaffinity(0) - {here}
+    except (OSError, AttributeError, ValueError, IndexError):
+        return None
+    return others or None
+
+
+def _n_shares(tensor: ScoreTensor) -> int:
+    """Into how many processes the rows of ``tensor`` are formatted: one
+    per usable CPU, with at least ``_SHARE_FLOOR`` cells and one probe row
+    each, and one where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    n_probe = tensor.scores.shape[0]
+    return max(1, min(_usable_cpus(), tensor.scores.size // _SHARE_FLOOR, n_probe))
+
+
+class _RowWorker:
+    """A forked process that formats the probe rows ``rows`` of ``tensor``
+    with :func:`_row_blocks`, holds their text, and then writes it into a
+    pipe, after its length as 8 little-endian bytes, and exits.  It runs
+    only on the CPUs ``cpus``, when given: the scheduler may otherwise
+    leave it for its whole run on the CPU of the caller, which formats a
+    share at the same time."""
+
+    def __init__(self, tensor: ScoreTensor, rows: range, cpus: set[int] | None) -> None:
+        self.rows = rows
+        read_end, write_end = os.pipe()
+        try:
+            self.pid: int | None = os.fork()
+        except BaseException:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if self.pid == 0:  # the worker: never returns
+            status = 1
+            try:
+                os.close(read_end)
+                if cpus:
+                    with contextlib.suppress(OSError):
+                        os.sched_setaffinity(0, cpus)
+                blocks = [block.encode() for block in _row_blocks(tensor, rows)]
+                with open(write_end, "wb") as pipe:
+                    pipe.write(sum(map(len, blocks)).to_bytes(8, "little"))
+                    pipe.writelines(blocks)
+                status = 0
+            except BaseException:  # the worker's top level: report, then exit 1
+                traceback.print_exc()
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        self.pipe = open(read_end, "rb", buffering=0)
+
+    def text(self) -> Iterator[bytes]:
+        """The worker's text in pipe-sized chunks.  Once it is read, the
+        worker is reaped; an exit status other than 0, or text shorter or
+        longer than the worker announced, is an OSError."""
+        head = b""
+        while len(head) < 8 and (chunk := self.pipe.read(8 - len(head))):
+            head += chunk
+        got = 0
+        while chunk := self.pipe.read(_PIPE_CHUNK):
+            got += len(chunk)
+            yield chunk
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0 or len(head) < 8 or got != int.from_bytes(head, "little"):
+            raise OSError(
+                f"the process formatting score rows {self.rows.start}-{self.rows.stop - 1} "
+                f"exited with code {code} after {got} bytes of text"
+            )
+
+    def stop(self) -> None:
+        """Close the pipe, and kill and reap the worker if it is not reaped."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+@contextlib.contextmanager
+def _csv_chunks(tensor: ScoreTensor) -> Iterator[Iterator[bytes]]:
+    """The bytes of :func:`scores_to_csv` as chunks, the probe rows split
+    into :func:`_n_shares` contiguous shares.  The caller formats the first
+    share as it is read; each other share is formatted at once by a
+    :class:`_RowWorker` and read from its pipe after the shares before it.
+    Every worker is reaped, and killed first if need be, on leaving."""
+    n_probe = tensor.scores.shape[0]
+    k = _n_shares(tensor)
+    bounds = [n_probe * s // k for s in range(k + 1)]
+    workers: list[_RowWorker] = []
+    cpus = _other_cpus() if k > 1 else None
+    try:
+        for s in range(1, k):
+            workers.append(_RowWorker(tensor, range(bounds[s], bounds[s + 1]), cpus))
+        yield itertools.chain(
+            [_score_head(tensor).encode()],
+            (block.encode() for block in _row_blocks(tensor, range(bounds[1]))),
+            *(worker.text() for worker in workers),
+        )
+    finally:
+        for worker in workers:
+            worker.stop()
 
 
 _ROW_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("score", np.float64)])
@@ -439,22 +598,47 @@ def save_scores_csv(tensor: ScoreTensor, path: str | Path) -> None:
     """Write ``tensor`` to the score file ``path`` and its two sidecars
     (module docstring): ``scores.npy``, then the CSV of :func:`scores_to_csv`,
     then ``scores.json`` last, each atomically.  The CSV is streamed into its
-    file and its digest one probe row's block at a time, so its text is never
-    held whole.  Its bytes are the same as without the sidecars."""
+    file and its digest from :func:`_csv_chunks`, so its text is never held
+    whole.  Its bytes are the same as without the sidecars, and the same
+    however many processes format them."""
     path = Path(path)
-    save_pinned(
-        path.with_suffix(".npy"), tensor.scores,
-        path, (block.encode() for block in _score_blocks(tensor)),
-        path.with_suffix(".json"), lambda digests: {"format": SCORES_FORMAT, "sha256": digests},
-    )
+    with _csv_chunks(tensor) as chunks:
+        save_pinned(
+            path.with_suffix(".npy"), tensor.scores,
+            path, chunks,
+            path.with_suffix(".json"), lambda digests: {"format": SCORES_FORMAT, "sha256": digests},
+        )
 
 
-def _pinned_scores(path: Path, data: bytes, shape: tuple[int, int, None]) -> np.ndarray | None:
-    """The cells of the ``scores.npy`` beside the score file ``path``, whose
-    bytes are ``data``, when ``scores.json`` is a ``facedct-scores-v1``
-    manifest whose digests pin both files; None when the CSV rows are to be
-    parsed.  A sidecar that cannot be read or parsed counts as absent; a
-    pinned ``scores.npy`` that fails :func:`pinned_array` is an error."""
+def _head_and_digest(path: Path) -> tuple[bytes, str]:
+    """The header of the score file ``path``, its ``#`` lines and the line
+    after them (all its bytes when it ends first), and the sha256 of all its
+    bytes, from one read in chunks that searches each header byte once."""
+    digest = hashlib.sha256()
+    head = bytearray()
+    end = None
+    line = seen = 0  # the current line's start, and how far it is searched for its end
+    for chunk in read_chunks(path, DataError):
+        digest.update(chunk)
+        if end is not None:
+            continue
+        head += chunk
+        while end is None and (newline := head.find(b"\n", seen)) >= 0:
+            if head.startswith(b"#", line):
+                line = seen = newline + 1
+            else:
+                end = newline + 1
+        if end is None:
+            seen = len(head)
+    return bytes(head[:end]), digest.hexdigest()
+
+
+def _pinned_npy(path: Path, digest: str) -> tuple[Path, bytes] | None:
+    """The path and bytes of the ``scores.npy`` beside the score file
+    ``path``, whose sha256 is ``digest``, when ``scores.json`` is a
+    ``facedct-scores-v1`` manifest whose digests pin both files; None when
+    the CSV rows are to be parsed.  A sidecar that cannot be read or
+    parsed counts as absent."""
     manifest_path, npy = path.with_suffix(".json"), path.with_suffix(".npy")
     try:
         manifest = parse_json(read_bytes(manifest_path, DataError), manifest_path, DataError)
@@ -463,7 +647,7 @@ def _pinned_scores(path: Path, data: bytes, shape: tuple[int, int, None]) -> np.
     if not isinstance(manifest, dict) or manifest.get("format") != SCORES_FORMAT:
         return None
     digests = manifest.get("sha256")
-    if not isinstance(digests, dict) or sha256(data) != digests.get(path.name):
+    if not isinstance(digests, dict) or digest != digests.get(path.name):
         return None
     try:
         npy_data = read_bytes(npy, DataError)
@@ -471,25 +655,37 @@ def _pinned_scores(path: Path, data: bytes, shape: tuple[int, int, None]) -> np.
         return None
     if sha256(npy_data) != digests.get(npy.name):
         return None
-    return pinned_array(npy, npy_data, shape, DataError, "score")
+    return npy, npy_data
+
+
+def _named(path: Path, parse: Callable[..., Any], *args: Any) -> Any:
+    """``parse(*args)``, with a DataError it raises prefixed by ``path``."""
+    try:
+        return parse(*args)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_scores_csv(path: str | Path) -> ScoreTensor:
     """The tensor of the score file ``path``: its header always, and its
     cells from the pinned ``scores.npy`` beside it when the manifest pins
-    both files, or else from its rows (module docstring).  Every DataError
-    names the file it is about: the CSV, or a pinned ``scores.npy``."""
+    both files, or else from its rows (module docstring).  The CSV is
+    hashed in chunks, keeping only its header; it is read whole only when
+    its rows are parsed, and then its header and rows come from that one
+    read.  Every DataError names the file it is about: the CSV, or a pinned
+    ``scores.npy``."""
     path = Path(path)
-    data = read_bytes(path, DataError)
-    try:
-        probe_subjects, gallery_subjects, metric, pos, line_no = _score_header(data)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    scores = _pinned_scores(path, data, (len(probe_subjects), len(gallery_subjects), None))
-    source = path if scores is None else path.with_suffix(".npy")
-    try:
-        if scores is None:
-            scores = _score_rows(data, pos, line_no, len(probe_subjects), len(gallery_subjects))
-        return _score_tensor(probe_subjects, gallery_subjects, scores, metric)
-    except DataError as exc:
-        raise DataError(f"{source}: {exc}") from exc
+    head, digest = _head_and_digest(path)
+    pinned = _pinned_npy(path, digest)
+    if pinned is None:
+        data = read_bytes(path, DataError)
+        probe_subjects, gallery_subjects, metric, pos, line_no = _named(path, _score_header, data)
+        scores = _named(
+            path, _score_rows, data, pos, line_no, len(probe_subjects), len(gallery_subjects)
+        )
+        return _named(path, _score_tensor, probe_subjects, gallery_subjects, scores, metric)
+    npy, npy_data = pinned
+    probe_subjects, gallery_subjects, metric, _, _ = _named(path, _score_header, head)
+    shape = (len(probe_subjects), len(gallery_subjects), None)
+    scores = pinned_array(npy, npy_data, shape, DataError, "score")
+    return _named(npy, _score_tensor, probe_subjects, gallery_subjects, scores, metric)

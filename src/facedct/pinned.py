@@ -11,12 +11,15 @@ the sha256 of the bytes it wrote:
    header and then the array's own buffer, with the bytes ``np.save``
    gives;
 2. the text: the same table in its exchange format, written as the byte
-   chunks its producer yields, one per probe row for the score table;
+   chunks its producer yields: one per probe row for the score table,
+   then pipe-sized chunks of the shares formatted by forked workers;
 3. the manifest: JSON that records the sha256 of the other two under their
    file names.
 
-So no file is copied or held whole in memory to be written or hashed,
-except the gallery's text, which is built whole.  The manifest is written
+So the writing process copies no file and holds none whole in memory to
+write or hash it, except the gallery's text, which is built whole.  Each
+forked worker of the score table holds the text of its own share of the
+rows until it is read.  The manifest is written
 last, so it is the commit point: a write cut before it leaves the old
 manifest, whose digests the new files do not match.
 

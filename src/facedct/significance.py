@@ -37,14 +37,27 @@ class SignificanceParams:
             raise ValueError("p must be in (0, 1]")
 
 
+def _exact_rule(alpha: float, beta: float, x: float, name: str) -> float:
+    """-ln(alpha) / (beta^2 * x), for x the error rate p or the trial
+    count n; a value that overflows a float (beta^2 * x underflowing to 0
+    included) is a ValueError naming ``beta^2 * name``."""
+    product = beta**2 * x
+    value = -math.log(alpha) / product if product else math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"beta^2 * {name} = {product:g} is too small: -ln(alpha) / (beta^2 * {name}) overflows"
+        )
+    return value
+
+
 def required_n_exact(params: SignificanceParams) -> float:
     """-ln(alpha) / (beta^2 * p), before rounding up to whole trials.
 
     The rule is evaluated on the float alpha and beta as given: the float
     0.2 is slightly above 1/5, so the result need not equal the value at
-    beta = 1/5 exactly.
+    beta = 1/5 exactly.  A value too large for a float is a ValueError.
     """
-    return -math.log(params.alpha) / (params.beta**2 * params.p)
+    return _exact_rule(params.alpha, params.beta, params.p, "p")
 
 
 def required_n(params: SignificanceParams) -> int:
@@ -56,6 +69,8 @@ def simplified_n(p: float) -> int:
     """The 100/P rule of thumb (alpha = 0.05, beta = 0.2, rounded up)."""
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
+    if not math.isfinite(100.0 / p):
+        raise ValueError(f"p = {p:g} is too small: 100 / p overflows")
     return math.ceil(100.0 / p)
 
 
@@ -70,13 +85,18 @@ def min_resolvable_error_rate(
     Inverse of the sizing rules: "simplified" gives 100/n, "exact" gives
     -ln(alpha) / (beta^2 * n), evaluated on the float alpha and beta as
     given (the float 0.2 is slightly above 1/5).  alpha and beta must
-    satisfy :class:`SignificanceParams`, whatever the rule.
+    satisfy :class:`SignificanceParams`, whatever the rule, and n must fit
+    a float; an exact rate too large for a float is a ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError("n is too large for a float") from None
     SignificanceParams(alpha, beta)
     if rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
     if rule == "simplified":
         return 100.0 / n
-    return -math.log(alpha) / (beta**2 * n)
+    return _exact_rule(alpha, beta, n, "n")

@@ -818,9 +818,21 @@ class TestSigsize:
             (["--n", "5", "--alpha", "nan"], "alpha must be in (0, 1)"),
             (["--n", "100", "--beta", "5"], "beta must be in (0, 1]"),
             (["--n", "100", "--beta", "-0.5"], "beta must be in (0, 1]"),
+            (["--n", "100", "--beta", "1e-200"],
+             "beta^2 * n = 0 is too small: -ln(alpha) / (beta^2 * n) overflows"),
+            (["--n", "1", "--beta", "1e-160"],
+             "beta^2 * n = 9.99989e-321 is too small: -ln(alpha) / (beta^2 * n) overflows"),
+            (["--n", "1" + "0" * 400], "n is too large for a float"),
+            (["--p", "0.01", "--beta", "1e-200"],
+             "beta^2 * p = 0 is too small: -ln(alpha) / (beta^2 * p) overflows"),
+            (["--p", "1e-310"],
+             "beta^2 * p = 4e-312 is too small: -ln(alpha) / (beta^2 * p) overflows"),
+            (["--p", "1e-310", "--alpha", "0.9999999999999999", "--beta", "1"],
+             "p = 1e-310 is too small: 100 / p overflows"),
         ],
         ids=["alpha", "n", "p", "n-beta-0", "n-alpha-2", "n-alpha-nan", "n-beta-5",
-             "n-beta-negative"],
+             "n-beta-negative", "n-beta-underflow", "n-rate-overflow", "n-too-large",
+             "p-beta-underflow", "p-exact-overflow", "p-simplified-overflow"],
     )
     def test_out_of_range_parameter_is_validation_error(self, capsys, flags, message):
         # the parameter checks raise ValueError, which main maps to exit 1

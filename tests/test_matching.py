@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 import tracemalloc
 import warnings
@@ -536,6 +537,15 @@ def row_parses():
         yield spy
 
 
+@contextlib.contextmanager
+def forked_shares():
+    """Split every score file's rows between processes, as on a host with
+    three usable CPUs: one share per probe row, up to three."""
+    with mock.patch.object(matching, "_SHARE_FLOOR", 1), \
+            mock.patch.object(matching, "_usable_cpus", lambda: 3):
+        yield
+
+
 def same_tensor(a, b):
     return (a.probe_subjects, a.gallery_subjects, a.metric, a.scores.tobytes()) == (
         b.probe_subjects, b.gallery_subjects, b.metric, b.scores.tobytes()
@@ -546,22 +556,23 @@ class TestScoreSidecar:
     @given(score_tensors())
     @settings(max_examples=100, deadline=None)
     def test_sidecar_equals_the_csv_parse_bit_for_bit(self, tensor):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "scores.csv"
-            save_scores_csv(tensor, path)
-            assert path.read_bytes() == scores_to_csv(tensor).encode()
-            with row_parses() as spy:
-                from_npy = load_scores_csv(path)
-            assert spy.call_count == 0
-            path.with_suffix(".npy").unlink()
-            from_csv = load_scores_csv(path)
-        bits = tensor.scores.view(np.uint64)
-        assert np.array_equal(from_npy.scores.view(np.uint64), bits)
-        assert np.array_equal(from_csv.scores.view(np.uint64), bits)
-        for back in (from_npy, from_csv):
-            assert back.probe_subjects == tensor.probe_subjects
-            assert back.gallery_subjects == tensor.gallery_subjects
-            assert back.metric == tensor.metric
+        for shares in (contextlib.nullcontext, forked_shares):
+            with tempfile.TemporaryDirectory() as tmp, shares():
+                path = Path(tmp) / "scores.csv"
+                save_scores_csv(tensor, path)
+                assert path.read_bytes() == scores_to_csv(tensor).encode()
+                with row_parses() as spy:
+                    from_npy = load_scores_csv(path)
+                assert spy.call_count == 0
+                path.with_suffix(".npy").unlink()
+                from_csv = load_scores_csv(path)
+            bits = tensor.scores.view(np.uint64)
+            assert np.array_equal(from_npy.scores.view(np.uint64), bits)
+            assert np.array_equal(from_csv.scores.view(np.uint64), bits)
+            for back in (from_npy, from_csv):
+                assert back.probe_subjects == tensor.probe_subjects
+                assert back.gallery_subjects == tensor.gallery_subjects
+                assert back.metric == tensor.metric
 
     @given(score_tensors())
     @settings(max_examples=30, deadline=None)
@@ -588,6 +599,35 @@ class TestScoreSidecar:
             tracemalloc.stop()
         assert peak < 1.0 * path.stat().st_size
 
+    def test_pinned_load_holds_less_than_the_score_file_it_reads(self, tmp_path):
+        # the CSV is hashed in chunks, keeping its header; the cells come
+        # from scores.npy
+        subjects = [f"s{j:03d}" for j in range(300)]
+        scores = np.random.default_rng(4).random((300, 300, 1))
+        path = tmp_path / "scores.csv"
+        save_scores_csv(ScoreTensor(subjects, subjects, scores, "mse"), path)
+        with row_parses() as spy:
+            tracemalloc.start()
+            try:
+                loaded = load_scores_csv(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert spy.call_count == 0 and np.array_equal(loaded.scores, scores)
+        assert peak < path.stat().st_size
+
+    @pytest.mark.parametrize("size", [1, 7, 1 << 16])
+    def test_the_header_is_read_across_chunks(self, tmp_path, monkeypatch, size):
+        path = tmp_path / "scores.csv"
+        tensor = ScoreTensor(("a", "b"), ("a", "b", "c"), np.arange(12.0).reshape(2, 3, 2), "mad")
+        save_scores_csv(tensor, path)
+        monkeypatch.setattr(matching, "read_chunks", lambda p, e: errors.read_chunks(p, e, size))
+        with row_parses() as spy:
+            assert same_tensor(load_scores_csv(path), tensor)
+        assert spy.call_count == 0
+        path.with_suffix(".npy").unlink()
+        assert same_tensor(load_scores_csv(path), tensor)
+
     def test_the_manifest_pins_both_files_by_name(self, tmp_path):
         tensor = ScoreTensor(("a",), ("a", "b"), np.ones((1, 2, 1)), "mse")
         save_scores_csv(tensor, tmp_path / "scores_mse.csv")
@@ -609,31 +649,33 @@ class TestScoreSidecar:
     def test_save_cut_before_the_manifest_falls_back_to_the_csv(
         self, tmp_path, monkeypatch, failing, loads
     ):
-        path = tmp_path / "scores.csv"
-        old = ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse")
-        new = old.with_scores(old.scores * 2)
-        save_scores_csv(old, path)
-        real_write_chunks = errors._write_chunks
-        calls = []
+        for shares in (contextlib.nullcontext, forked_shares):
+            path = tmp_path / shares.__name__ / "scores.csv"
+            old = ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse")
+            new = old.with_scores(old.scores * 2)
+            with shares():
+                save_scores_csv(old, path)
+            real_write_chunks = errors._write_chunks
+            calls = []
 
-        def write_chunks(target, chunks):  # the n-th write fails half-way
-            calls.append(target)
-            if len(calls) == failing:
-                data = b"".join(chunks)
-                real_write_chunks(target, [data[: len(data) // 2]])
-                raise OSError("no space left on device")
-            return real_write_chunks(target, chunks)
+            def write_chunks(target, chunks):  # the n-th write fails half-way
+                calls.append(target)
+                if len(calls) == failing:
+                    data = b"".join(chunks)
+                    real_write_chunks(target, [data[: len(data) // 2]])
+                    raise OSError("no space left on device")
+                return real_write_chunks(target, chunks)
 
-        monkeypatch.setattr(errors, "_write_chunks", write_chunks)
-        with pytest.raises(OSError, match="no space"):
-            save_scores_csv(new, path)
-        monkeypatch.undo()
-        # the new scores.npy is in place, beside the old manifest
-        assert np.array_equal(np.load(path.with_suffix(".npy")), new.scores)
-        with row_parses() as spy:
-            loaded = load_scores_csv(path)
-        assert spy.call_count == 1
-        assert same_tensor(loaded, {"old": old, "new": new}[loads])
+            monkeypatch.setattr(errors, "_write_chunks", write_chunks)
+            with pytest.raises(OSError, match="no space"), shares():
+                save_scores_csv(new, path)
+            monkeypatch.undo()
+            # the new scores.npy is in place, beside the old manifest
+            assert np.array_equal(np.load(path.with_suffix(".npy")), new.scores)
+            with row_parses() as spy:
+                loaded = load_scores_csv(path)
+            assert spy.call_count == 1
+            assert same_tensor(loaded, {"old": old, "new": new}[loads])
 
     @pytest.mark.parametrize(
         "name, make",
@@ -670,3 +712,91 @@ class TestScoreSidecar:
         with row_parses() as spy:
             assert same_tensor(load_scores_csv(path), tensor)
         assert spy.call_count == 1
+
+
+def _tensor(n_probe, n_gallery, n_trials, seed=0):
+    subjects = [f"s{j}" for j in range(n_gallery)]
+    scores = np.random.default_rng(seed).random((n_probe, n_gallery, n_trials))
+    return ScoreTensor(subjects[:n_probe], subjects, scores, "mse")
+
+
+class TestRowShares:
+    """save_scores_csv splits a large tensor's probe rows between forked
+    processes, and writes the same bytes as inline."""
+
+    @pytest.mark.parametrize(
+        "shape, cpus, shares",
+        [
+            ((1000, 1000, 1), 2, 2),
+            ((1000, 1000, 1), 64, 10),
+            ((8, 1000, 25), 64, 2),
+            ((1, 1000, 200), 64, 1),
+            ((300, 300, 1), 64, 1),
+            ((1000, 1000, 1), 1, 1),
+        ],
+    )
+    def test_one_share_per_usable_cpu_with_a_floor_of_cells(self, shape, cpus, shares):
+        tensor = ScoreTensor(
+            [f"s{j}" for j in range(shape[0])], [f"s{j}" for j in range(shape[1])], np.zeros(shape)
+        )
+        with mock.patch.object(matching, "_usable_cpus", lambda: cpus):
+            assert matching._n_shares(tensor) == shares
+
+    @pytest.mark.parametrize("n_probe, forks", [(1, 0), (2, 1), (3, 2), (7, 2)])
+    def test_each_share_but_the_first_is_forked(self, tmp_path, n_probe, forks):
+        tensor = _tensor(n_probe, 7, 2, seed=n_probe)
+        with forked_shares(), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            save_scores_csv(tensor, tmp_path / "scores.csv")
+        assert fork.call_count == forks
+        assert (tmp_path / "scores.csv").read_bytes() == scores_to_csv(tensor).encode()
+
+    def test_a_tensor_below_the_floor_never_forks(self, tmp_path):
+        tensor = _tensor(300, 300, 1)  # 90,000 cells
+        with mock.patch.object(matching, "_usable_cpus", lambda: 64), \
+                mock.patch.object(os, "fork") as fork:
+            save_scores_csv(tensor, tmp_path / "scores.csv")
+        fork.assert_not_called()
+        assert (tmp_path / "scores.csv").read_bytes() == scores_to_csv(tensor).encode()
+
+    def test_a_worker_that_fails_fails_the_save(self, tmp_path):
+        tensor = _tensor(3, 3, 1)
+        parent, real_row_blocks = os.getpid(), matching._row_blocks
+
+        def row_blocks(tensor, rows):  # fails in a worker only
+            if os.getpid() != parent:
+                raise MemoryError("no memory in the worker")
+            return real_row_blocks(tensor, rows)
+
+        with forked_shares(), mock.patch.object(matching, "_row_blocks", row_blocks):
+            with pytest.raises(OSError, match=r"score rows 1-1 exited with code 1 after 0 bytes"):
+                save_scores_csv(tensor, tmp_path / "scores.csv")
+        # no scores.csv, no temporary file, and no worker left
+        assert [p.name for p in tmp_path.iterdir()] == ["scores.npy"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_write_that_fails_midway_reaps_the_workers_first(self, tmp_path, monkeypatch):
+        tensor = _tensor(3, 3, 1)
+        real_fork, real_write_chunks = os.fork, errors._write_chunks
+        workers = []
+
+        def fork():
+            pid = real_fork()
+            workers.extend([pid] if pid else [])
+            return pid
+
+        def write_chunks(target, chunks):  # the CSV's write fails after its first chunk
+            if not target.name.startswith(".scores.csv"):
+                return real_write_chunks(target, chunks)
+            real_write_chunks(target, [next(iter(chunks))])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(errors, "_write_chunks", write_chunks)
+        with forked_shares(), mock.patch.object(os, "fork", fork):
+            with pytest.raises(OSError, match="no space"):
+                save_scores_csv(tensor, tmp_path / "scores.csv")
+        assert len(workers) == 2
+        for pid in workers:  # already reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert [p.name for p in tmp_path.iterdir()] == ["scores.npy"]
