@@ -45,13 +45,18 @@ def read_bytes(path: str | Path, error: type[FacedctError]) -> bytes:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def read_chunks(path: str | Path, error: type[FacedctError], size: int = 1 << 16) -> Iterator[bytes]:
-    """The bytes of ``path`` in order, in chunks of at most ``size`` bytes,
-    for a reader that need not hold them all.  A file that cannot be read
-    raises ``error`` naming the path, as :func:`read_bytes` does."""
+#: the most bytes read at a time from a file or a pipe by a reader that
+#: need not hold them all: the default pipe capacity on Linux
+CHUNK_SIZE = 1 << 16
+
+
+def read_chunks(path: str | Path, error: type[FacedctError]) -> Iterator[bytes]:
+    """The bytes of ``path`` in order, in chunks of at most ``CHUNK_SIZE``
+    bytes, for a reader that need not hold them all.  A file that cannot be
+    read raises ``error`` naming the path, as :func:`read_bytes` does."""
     try:
         with open(path, "rb") as f:
-            while chunk := f.read(size):
+            while chunk := f.read(CHUNK_SIZE):
                 yield chunk
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from None

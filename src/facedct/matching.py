@@ -53,14 +53,16 @@ and confined to the usable CPUs other than the caller's.  Each formats its
 share with :func:`_row_blocks`, the formatter of :func:`scores_to_csv`,
 holds the text, then writes it into its pipe and exits.  Meanwhile the
 caller streams the header and the first share into the file one probe row
-at a time, then each worker's text in order, in pipe-sized reads.  The
-bytes are the same for any k.  Every worker is reaped before the save
-returns or raises, and killed first if the save fails; a worker that exits
-non-zero, or whose text comes back short, fails the save before the CSV is
-renamed into place.  The workers are forked, not spawned: a spawned worker
-would import this package and be sent the tensor, which costs more than the
-text saves, and a worker only formats Python floats and writes bytes, so no
-lock of another thread of the caller is taken in it.
+at a time, then each worker's text in order, in pipe-sized reads.  Where
+a pipe or process cannot be made, no more workers are forked, and the
+caller formats the rows none took, after the others.  The bytes are the
+same for any k.  Every worker is reaped before the save returns or raises,
+and killed first if the save fails; a worker that exits non-zero fails the
+save before the CSV is renamed into place.  The workers are forked, not
+spawned: a spawned worker would import this package and be sent the
+tensor, which costs more than the text saves, and a worker only formats
+Python floats and writes bytes, so no lock of another thread of the caller
+is taken in it.
 
 The names beside the CSV are its own with the suffix replaced.  The CSV is
 always the truth, and the sidecars are a cache of it.
@@ -92,7 +94,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DataError, MismatchError, parse_json, read_bytes, read_chunks
+from .errors import CHUNK_SIZE, DataError, MismatchError, parse_json, read_bytes, read_chunks
 from .features import FeatureVector, first_bad_row
 from .gallery import Gallery
 from .pinned import pinned_array, save_pinned, sha256
@@ -355,11 +357,11 @@ def scores_to_csv(tensor: ScoreTensor) -> str:
 
 
 #: the fewest tensor cells per share when :func:`save_scores_csv` splits the
-#: probe rows between processes; below it a fork costs more than it saves
+#: probe rows between processes.  On a 2-vCPU Xeon, a save in two shares
+#: took 1.5x and 1.3x the inline time at 10,000 and 25,000 cells, and 0.8x,
+#: 0.6x and 0.6x at 50,000, 100,000 and 200,000 cells; with this floor the
+#: rows are split from 200,000 cells, well past where a fork starts to pay
 _SHARE_FLOOR = 100_000
-
-#: bytes read from a worker's pipe at a time: the default pipe capacity on Linux
-_PIPE_CHUNK = 1 << 16
 
 
 def _usable_cpus() -> int:
@@ -394,18 +396,19 @@ def _n_shares(tensor: ScoreTensor) -> int:
 class _RowWorker:
     """A forked process that formats the probe rows ``rows`` of ``tensor``
     with :func:`_row_blocks`, holds their text, and then writes it into a
-    pipe, after its length as 8 little-endian bytes, and exits.  It runs
-    only on the CPUs ``cpus``, when given: the scheduler may otherwise
-    leave it for its whole run on the CPU of the caller, which formats a
-    share at the same time."""
+    pipe and exits.  It runs only on the CPUs ``cpus``, when given: the
+    scheduler may otherwise leave it for its whole run on the CPU of the
+    caller, which formats a share at the same time.  A pipe or process that
+    cannot be made is an OSError, and leaves no process behind."""
 
     def __init__(self, tensor: ScoreTensor, rows: range, cpus: set[int] | None) -> None:
         self.rows = rows
         read_end, write_end = os.pipe()
+        self.pipe = open(read_end, "rb", buffering=0)
         try:
             self.pid: int | None = os.fork()
         except BaseException:
-            os.close(read_end)
+            self.pipe.close()
             os.close(write_end)
             raise
         if self.pid == 0:  # the worker: never returns
@@ -417,7 +420,6 @@ class _RowWorker:
                         os.sched_setaffinity(0, cpus)
                 blocks = [block.encode() for block in _row_blocks(tensor, rows)]
                 with open(write_end, "wb") as pipe:
-                    pipe.write(sum(map(len, blocks)).to_bytes(8, "little"))
                     pipe.writelines(blocks)
                 status = 0
             except BaseException:  # the worker's top level: report, then exit 1
@@ -425,26 +427,22 @@ class _RowWorker:
             finally:
                 os._exit(status)
         os.close(write_end)
-        self.pipe = open(read_end, "rb", buffering=0)
 
     def text(self) -> Iterator[bytes]:
-        """The worker's text in pipe-sized chunks.  Once it is read, the
-        worker is reaped; an exit status other than 0, or text shorter or
-        longer than the worker announced, is an OSError."""
-        head = b""
-        while len(head) < 8 and (chunk := self.pipe.read(8 - len(head))):
-            head += chunk
-        got = 0
-        while chunk := self.pipe.read(_PIPE_CHUNK):
-            got += len(chunk)
+        """The worker's text in chunks of at most ``CHUNK_SIZE`` bytes.  Once
+        it is read, the worker is reaped; an exit status other than 0 is an
+        OSError.  The worker holds the only write end of the pipe, and exits
+        0 only once all its text is written and the pipe closed, so the
+        text is whole when the status is 0."""
+        while chunk := self.pipe.read(CHUNK_SIZE):
             yield chunk
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         code = os.waitstatus_to_exitcode(status)
-        if code != 0 or len(head) < 8 or got != int.from_bytes(head, "little"):
+        if code != 0:
             raise OSError(
                 f"the process formatting score rows {self.rows.start}-{self.rows.stop - 1} "
-                f"exited with code {code} after {got} bytes of text"
+                f"exited with code {code}"
             )
 
     def stop(self) -> None:
@@ -462,6 +460,8 @@ def _csv_chunks(tensor: ScoreTensor) -> Iterator[Iterator[bytes]]:
     into :func:`_n_shares` contiguous shares.  The caller formats the first
     share as it is read; each other share is formatted at once by a
     :class:`_RowWorker` and read from its pipe after the shares before it.
+    When a worker cannot be started (no process or pipe to be had), no more
+    are, and the caller formats the rows no worker took, after the others.
     Every worker is reaped, and killed first if need be, on leaving."""
     n_probe = tensor.scores.shape[0]
     k = _n_shares(tensor)
@@ -469,12 +469,15 @@ def _csv_chunks(tensor: ScoreTensor) -> Iterator[Iterator[bytes]]:
     workers: list[_RowWorker] = []
     cpus = _other_cpus() if k > 1 else None
     try:
-        for s in range(1, k):
-            workers.append(_RowWorker(tensor, range(bounds[s], bounds[s + 1]), cpus))
+        with contextlib.suppress(OSError):
+            for s in range(1, k):
+                workers.append(_RowWorker(tensor, range(bounds[s], bounds[s + 1]), cpus))
+        rest = range(bounds[len(workers) + 1], n_probe)  # empty when every worker started
         yield itertools.chain(
             [_score_head(tensor).encode()],
             (block.encode() for block in _row_blocks(tensor, range(bounds[1]))),
             *(worker.text() for worker in workers),
+            (block.encode() for block in _row_blocks(tensor, rest)),
         )
     finally:
         for worker in workers:

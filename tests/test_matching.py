@@ -1,11 +1,13 @@
 """Distance kernels, score tensor construction, identification rate."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -621,7 +623,7 @@ class TestScoreSidecar:
         path = tmp_path / "scores.csv"
         tensor = ScoreTensor(("a", "b"), ("a", "b", "c"), np.arange(12.0).reshape(2, 3, 2), "mad")
         save_scores_csv(tensor, path)
-        monkeypatch.setattr(matching, "read_chunks", lambda p, e: errors.read_chunks(p, e, size))
+        monkeypatch.setattr(errors, "CHUNK_SIZE", size)
         with row_parses() as spy:
             assert same_tensor(load_scores_csv(path), tensor)
         assert spy.call_count == 0
@@ -758,6 +760,43 @@ class TestRowShares:
         fork.assert_not_called()
         assert (tmp_path / "scores.csv").read_bytes() == scores_to_csv(tensor).encode()
 
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    @pytest.mark.parametrize("fails", [1, 2])
+    def test_a_worker_that_cannot_start_leaves_its_rows_to_the_caller(self, tmp_path, call, fails):
+        # call ``fails`` of os.fork or os.pipe fails, as with no process or
+        # file descriptor to be had; the caller formats the rows of that
+        # share and of the next
+        tensor = _tensor(7, 7, 2, seed=5)
+        real, calls = getattr(os, call), []
+
+        def failing():
+            calls.append(call)
+            if len(calls) == fails:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+
+        with forked_shares(), mock.patch.object(os, call, failing):
+            save_scores_csv(tensor, tmp_path / "scores.csv")
+        assert len(calls) == fails
+        assert (tmp_path / "scores.csv").read_bytes() == scores_to_csv(tensor).encode()
+        assert same_tensor(load_scores_csv(tmp_path / "scores.csv"), tensor)
+
+    def test_a_threaded_caller_forks_with_warnings_as_errors(self, tmp_path):
+        # from Python 3.12, os.fork in a process with more than one thread
+        # issues a DeprecationWarning; as an error it is dropped inside
+        # os.fork, which still returns the worker's pid for it to be reaped
+        tensor, done = _tensor(3, 3, 1), threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            with forked_shares(), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                save_scores_csv(tensor, tmp_path / "scores.csv")
+        finally:
+            done.set()
+            thread.join()
+        assert (tmp_path / "scores.csv").read_bytes() == scores_to_csv(tensor).encode()
+
     def test_a_worker_that_fails_fails_the_save(self, tmp_path):
         tensor = _tensor(3, 3, 1)
         parent, real_row_blocks = os.getpid(), matching._row_blocks
@@ -768,7 +807,7 @@ class TestRowShares:
             return real_row_blocks(tensor, rows)
 
         with forked_shares(), mock.patch.object(matching, "_row_blocks", row_blocks):
-            with pytest.raises(OSError, match=r"score rows 1-1 exited with code 1 after 0 bytes"):
+            with pytest.raises(OSError, match=r"score rows 1-1 exited with code 1$"):
                 save_scores_csv(tensor, tmp_path / "scores.csv")
         # no scores.csv, no temporary file, and no worker left
         assert [p.name for p in tmp_path.iterdir()] == ["scores.npy"]
