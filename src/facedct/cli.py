@@ -15,7 +15,9 @@ it reads:
 A flag replaces its config field before the one conversion and validation
 of the config, so a flag and a field with the same value give the same
 setting or the same error.  Exit codes are stable:
-0 success, 1 validation error, 2 data error, 3 internal error.  An input
+0 success, 1 validation error, 2 data error, 3 internal error.  Each command
+raises the rule errors of its inputs as ValidationError or DataError, so any
+other exception that escapes it, a ValueError included, is exit 3.  An input
 that cannot be read or decoded exits 1 when it is the config and 2 when it
 is a manifest, image, score or gallery file; an output that cannot be
 written exits 1.  Each message names the file.
@@ -46,6 +48,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,7 +59,14 @@ from . import __version__
 from .errors import DataError, ValidationError, parse_json, read_bytes, remove_file, write_atomic
 from .features import DEFAULT_DIM
 from .fusion import apply_fusion, parse_fusion_spec, run_channel_pipeline
-from .gallery import SplitSpec, check_window, load_gallery, save_gallery, select_samples
+from .gallery import (
+    GalleryError,
+    SplitSpec,
+    check_window,
+    load_gallery,
+    save_gallery,
+    select_samples,
+)
 from .imageio import CHANNELS, load_manifest, write_json
 from .matching import (
     METRICS,
@@ -125,8 +135,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """The config's own rules; each other rule is asked of its module."""
-        # a manifest that exists but cannot be read is a data error (exit 2)
-        if not self.manifest.exists():
+        # a manifest that exists but cannot be read is a data error (exit 2);
+        # os.path.exists is False for a name too long for any file to have
+        if not os.path.exists(self.manifest):
             raise ValidationError(f"manifest file does not exist: {self.manifest}")
         _ask("fields 'window' and 'dim'", check_window, self.window, self.dim)
         if not self.metrics:
@@ -174,8 +185,8 @@ _FIELDS = {
 
 def _convert(kind, value):
     """``value`` read as ``kind``, see :data:`_FIELDS`.  A bool is no
-    number, a name (``str``, lowercased) or path must be a string, and an
-    int has no fractional part."""
+    number, a name (``str``, lowercased) or path must be a string, a path
+    holds no NUL, and an int has no fractional part."""
     if isinstance(kind, list):
         if isinstance(value, str):
             value = [v for v in value.split(",") if v.strip()]
@@ -188,6 +199,8 @@ def _convert(kind, value):
         or (kind is int and isinstance(value, float) and not value.is_integer())
     ):
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    if kind is Path and "\0" in value:
+        raise ValueError(f"a path cannot hold a NUL character, got {value!r}")
     return value.lower() if kind is str else kind(value)
 
 
@@ -226,10 +239,10 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentCo
     Every field is converted one way.  A list field may also be a
     comma-separated string.  An integer is a whole number or its digits, a
     cost is a number or its digits, and a bool is neither.  A path or a name
-    must be a string; names are case-insensitive, and a path is relative to
-    the config's directory.  Each attribute of ``overrides`` named like a
-    field and not None replaces that field before the conversion, so a flag
-    is read exactly as the field would be.  Every failure, and a config that
+    must be a string, and a path holds no NUL; names are case-insensitive,
+    and a path is relative to the config's directory.  Each attribute of
+    ``overrides`` named like a field and not None replaces that field before
+    the conversion, so a flag is read exactly as the field would be.  Every failure, and a config that
     cannot be read or is not JSON, is a ValidationError naming the field or
     the file.
     """
@@ -308,6 +321,8 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, args)
     gallery, meta = load_gallery(args.gallery)
     window = meta.get("window", cfg.window)
+    # a recorded meta.window was checked against the dim when the gallery loaded
+    _ask(f"field 'window' for gallery {args.gallery}", check_window, window, gallery.feature_dim)
     out = Path(args.out) if args.out else (cfg.output_dir or Path("results"))
 
     test = select_samples(load_manifest(cfg.manifest), cfg.split().test_indices)
@@ -367,6 +382,13 @@ def cmd_identify(args) -> int:
     """
     gallery, meta = load_gallery(args.gallery)
     window = meta.get("window", DEFAULT_WINDOW)
+    try:
+        check_window(window, gallery.feature_dim)
+    except ValueError:
+        raise GalleryError(
+            f"gallery {args.gallery}: dim {gallery.feature_dim} does not fit the default "
+            f"window {DEFAULT_WINDOW} (at most {DEFAULT_WINDOW * DEFAULT_WINDOW})"
+        ) from None
     metric = args.metric
     (probe,) = featurize_image(args.image, (gallery.channel,), gallery.feature_dim, window)
     dists = subject_distances(probe, gallery, metric)
@@ -449,32 +471,37 @@ def cmd_sigsize(args) -> int:
             "need a larger N (pass --iid to silence this)",
             file=sys.stderr,
         )
-    if args.p is not None:
-        params = SignificanceParams(args.alpha, args.beta, args.p)
-        payload = {
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "p": args.p,
-            "required_n_exact": required_n(params),
-            "required_n_simplified": simplified_n(args.p),
-        }
-        print(
-            f"error rate {args.p:g} needs N >= {payload['required_n_exact']} "
-            f"(exact rule) / {payload['required_n_simplified']} (simplified 100/P rule)"
-        )
-    else:
-        payload = {
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "n": args.n,
-            "min_error_rate_exact": min_resolvable_error_rate(args.n, "exact", args.alpha, args.beta),
-            "min_error_rate_simplified": min_resolvable_error_rate(args.n, "simplified"),
-        }
-        print(
-            f"N = {args.n} resolves error rates down to "
-            f"{payload['min_error_rate_simplified']:.6g} (simplified) / "
-            f"{payload['min_error_rate_exact']:.6g} (exact)"
-        )
+    try:
+        if args.p is not None:
+            params = SignificanceParams(args.alpha, args.beta, args.p)
+            payload = {
+                "alpha": args.alpha,
+                "beta": args.beta,
+                "p": args.p,
+                "required_n_exact": required_n(params),
+                "required_n_simplified": simplified_n(args.p),
+            }
+            print(
+                f"error rate {args.p:g} needs N >= {payload['required_n_exact']} "
+                f"(exact rule) / {payload['required_n_simplified']} (simplified 100/P rule)"
+            )
+        else:
+            payload = {
+                "alpha": args.alpha,
+                "beta": args.beta,
+                "n": args.n,
+                "min_error_rate_exact": min_resolvable_error_rate(
+                    args.n, "exact", args.alpha, args.beta
+                ),
+                "min_error_rate_simplified": min_resolvable_error_rate(args.n, "simplified"),
+            }
+            print(
+                f"N = {args.n} resolves error rates down to "
+                f"{payload['min_error_rate_simplified']:.6g} (simplified) / "
+                f"{payload['min_error_rate_exact']:.6g} (exact)"
+            )
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
@@ -590,9 +617,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DataError as exc:

@@ -120,7 +120,12 @@ def apply_fusion(spec: FusionSpec, tensors: dict[str, ScoreTensor]) -> ScoreTens
         selected = [tensors[c] for c in spec.channels]
     except KeyError as exc:
         raise ValidationError(f"fusion needs channel {exc.args[0]!r} but it was not run") from None
-    return fuse_scores_weighted(selected, list(spec.weights or [1.0] * len(selected)))
+    try:
+        # weights near the largest double can carry the sum past it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fuse_scores_weighted(selected, list(spec.weights or [1.0] * len(selected)))
+    except ValueError as exc:
+        raise ValidationError(f"fusion spec {spec.label()}: {exc}") from None
 
 
 @dataclass(frozen=True)

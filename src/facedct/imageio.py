@@ -339,8 +339,8 @@ def load_manifest(path: str | Path) -> dict[str, list[Path]]:
     for subject, entries in raw.items():
         if not isinstance(entries, list) or not entries:
             raise ManifestError(f"subject {subject!r}: expected a non-empty list of paths")
-        if not all(isinstance(e, str) for e in entries):
-            raise ManifestError(f"subject {subject!r}: paths must be strings")
+        if not all(isinstance(e, str) and "\0" not in e for e in entries):
+            raise ManifestError(f"subject {subject!r}: paths must be strings without NUL")
         manifest[str(subject)] = [base / e for e in entries]
     return manifest
 

@@ -12,7 +12,9 @@ the sha256 of the bytes it wrote:
    gives;
 2. the text: the same table in its exchange format, written as the byte
    chunks its producer yields: one per probe row for the score table,
-   then pipe-sized chunks of the shares formatted by forked workers;
+   then pipe-sized chunks of the shares formatted by forked workers, then
+   one per row of any share that no worker took, which the caller formats
+   after the workers' text;
 3. the manifest: JSON that records the sha256 of the other two under their
    file names.
 

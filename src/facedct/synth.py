@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import idct2
-from .imageio import RasterImage, save_manifest, write_pnm_file
+from .imageio import MAX_WINDOW, RasterImage, save_manifest, write_pnm_file
 
 PLACEMENTS = ("gray", "rgb-equal", "rgb", "r-only", "g-only", "b-only")
 
@@ -42,6 +42,9 @@ class SynthSpec:
             raise ValueError("noise sigma must be finite and >= 0")
         if self.width < 4 or self.height < 4:
             raise ValueError("images must be at least 4x4")
+        for side in ("width", "height"):
+            if getattr(self, side) > MAX_WINDOW:
+                raise ValueError(f"image {side} must be at most {MAX_WINDOW}")
         if self.placement not in PLACEMENTS:
             raise ValueError(f"placement must be one of {PLACEMENTS}")
 

@@ -34,12 +34,14 @@ Each kept interior point ends or begins a step that moves p_miss, and one
 that moves p_fa, so there are at most 2 * min(#distinct genuine, #distinct
 impostor) + 2 vertices: about 2,000 for a thousand genuine trials.  The
 exports write them point by point, through the one probit,
-:func:`normal_deviate`, a scalar formula on :mod:`math`.
+:func:`normal_deviate`, the standard library's
+:meth:`statistics.NormalDist.inv_cdf` (Wichura's AS241 algorithm).
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -263,50 +265,14 @@ def min_dcf(trials: TrialScores, params: DcfParams = DcfParams()) -> tuple[float
     return float(costs[idx]), float(thresholds[idx])
 
 
-# Inverse normal CDF: rational approximation (central/tail split) good to
-# well under 1e-8 absolute, then a single Newton correction against the
-# erfc-based CDF.
-_PROBIT_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_PROBIT_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_PROBIT_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_PROBIT_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-_PROBIT_SPLIT = 0.02425
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 def normal_deviate(p: float) -> float:
     """Inverse standard normal CDF (probit), for p strictly inside (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"probit requires 0 < p < 1, got {p}")
-    a, b, c, d = _PROBIT_A, _PROBIT_B, _PROBIT_C, _PROBIT_D
-    if _PROBIT_SPLIT <= p <= 1.0 - _PROBIT_SPLIT:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    else:
-        # the upper tail mirrors the lower one; negation is exact
-        q = math.sqrt(-2.0 * math.log(p if p < _PROBIT_SPLIT else 1.0 - p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-        if p > 0.5:
-            x = -x
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    cdf = 0.5 * math.erfc(-x / math.sqrt(2.0))
-    return x - (cdf - p) / pdf
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ to a well-formed file: each edited file must load or raise DataError."""
 from hypothesis import strategies as st
 
 #: what a byte edit writes: line breaks, whitespace, separators, a sign, an
-#: exponent, a quote, digits, a non-ASCII byte and a run past int64
+#: exponent, a quote, digits, a non-ASCII byte, a run past int64, the JSON
+#: escape of NUL and a run of brackets that, repeated, nests past the JSON
+#: parser's limit of 1000
 EDIT_PIECES = [b"\r", b" ", b"\n", b"\x0b", b"\x0c", b",", b"-", b".", b"e", b'"', b"0", b"9",
-               b"\xff", b"1" * 25]
+               b"\xff", b"1" * 25, b"\\u0000", b"[" * 500]
 #: (kind, offset from the end, piece, repeats); counting from the end makes
 #: the last row's line break as likely a target as the first byte
 byte_edits = st.lists(

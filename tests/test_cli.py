@@ -115,14 +115,23 @@ class TestSynthData:
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes()
 
-    def test_invalid_spec_is_validation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags", [["--subjects", "0"], ["--width", "4097"]], ids=["subjects", "width"]
+    )
+    def test_invalid_spec_is_validation_error(self, tmp_path, capsys, flags):
         code, _, err = run_cli(
             capsys,
-            "synth-data", "--subjects", "0", "--samples", "1",
+            "synth-data", "--subjects", "1", "--samples", "1", *flags,
             "--seed", "1", "--out", str(tmp_path),
         )
         assert code == 1
         assert "validation error" in err
+
+    @pytest.mark.parametrize("side", ["width", "height"])
+    def test_image_side_is_bounded_by_the_largest_window(self, side):
+        with pytest.raises(ValueError, match=f"^image {side} must be at most 4096$"):
+            SynthSpec(2, 1, 0.0, seed=1, **{side: 4097})
+        assert getattr(SynthSpec(2, 1, 0.0, seed=1, **{side: 4096}), side) == 4096
 
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_non_finite_noise_is_validation_error(self, tmp_path, capsys, noise):
@@ -616,6 +625,20 @@ class TestFuseEval:
             assert err.startswith("validation error: ") and repr(spec) in err
         assert not load_manifest.called
 
+    @pytest.mark.parametrize("spec", ["w:1e400gray", "w:1.7e308gray"])
+    def test_weights_that_overflow_the_sum_are_validation_error(
+        self, dataset, tmp_path, capsys, spec
+    ):
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        code, out, err = run_cli(
+            capsys,
+            "fuse-eval", "--config", str(cfg), "--fusion", spec, "--out", str(tmp_path / "fres"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("validation error: fusion spec ")
+        assert err.endswith(": scores must be finite\n") and err.count("\n") == 1
+        assert not (tmp_path / "fres").exists()
+
 
 @pytest.fixture(scope="module")
 def rgb_dataset(tmp_path_factory):
@@ -835,7 +858,7 @@ class TestSigsize:
              "p-beta-underflow", "p-exact-overflow", "p-simplified-overflow"],
     )
     def test_out_of_range_parameter_is_validation_error(self, capsys, flags, message):
-        # the parameter checks raise ValueError, which main maps to exit 1
+        # cmd_sigsize raises the parameter checks' ValueError as a ValidationError
         code, out, err = run_cli(capsys, "sigsize", *flags, "--iid")
         assert code == 1
         assert err == f"validation error: {message}\n" and out == ""
@@ -1004,11 +1027,12 @@ class TestExitCodes:
         assert err == f"data error: {scores}: {message}\n"
         assert not (tmp_path / "d.csv").exists()
 
-    def test_internal_error_maps_to_three(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError])
+    def test_internal_error_maps_to_three(self, monkeypatch, capsys, error):
         import facedct.cli as cli_mod
 
         def boom(args):
-            raise RuntimeError("wiring fault")
+            raise error("wiring fault")
 
         monkeypatch.setitem(
             cli_mod.__dict__, "cmd_sigsize", boom
@@ -1176,6 +1200,42 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in err
         assert str(gallery) in err
+
+    @pytest.fixture
+    def wide_gallery(self, tmp_path):
+        """A gallery saved without meta.window whose dim, 5000, fits neither the
+        default window (64) nor the config's (32)."""
+        gallery = Gallery()
+        gallery.enroll("s0", FeatureVector(np.ones(5000)))
+        save_gallery(gallery, tmp_path / "wide")
+        return tmp_path / "wide"
+
+    def test_identify_with_a_dim_past_the_default_window_is_data_error(
+        self, dataset, wide_gallery, capsys
+    ):
+        probe = dataset.parent / next(iter(json.loads(dataset.read_text()).values()))[0]
+        code, out, err = run_cli(
+            capsys, "identify", "--gallery", str(wide_gallery), "--image", str(probe)
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"data error: gallery {wide_gallery}: dim 5000 does not fit the default "
+            "window 64 (at most 4096)\n"
+        )
+
+    def test_evaluate_with_a_dim_past_the_config_window_is_validation_error(
+        self, gallery_dir, wide_gallery, tmp_path, capsys
+    ):
+        code, out, err = run_cli(
+            capsys, "evaluate", "--config", str(gallery_dir / "cfg.json"),
+            "--gallery", str(wide_gallery), "--out", str(tmp_path / "res"),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"validation error: config field 'window' for gallery {wide_gallery}: "
+            "32 must be an integer in [1, 4096] and dim 5000 in [1, window²]\n"
+        )
+        assert not (tmp_path / "res").exists()
 
     def test_missing_probe_image_is_data_error(self, gallery_dir, tmp_path, capsys):
         missing = tmp_path / "nonexistent.pgm"

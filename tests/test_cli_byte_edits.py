@@ -1,0 +1,106 @@
+"""Byte edits to the files a command reads: whatever the edit, the command
+exits with a documented code and one line of stderr with that code's
+prefix, and never with 3, the code of an internal error."""
+
+import argparse
+import contextlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from facedct.cli import load_config, main
+from facedct.synth import SynthSpec, generate_dataset
+
+from byte_edit_strategy import apply_byte_edits, byte_edits
+
+PREFIXES = {1: "validation error: ", 2: "data error: "}
+GALLERY_FILES = ("gallery.json", "vectors.csv", "templates.npy")
+SAMPLES = 2
+
+
+def run(argv):
+    """Exit code and stderr of one quiet call of ``main``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_one_documented_line(code, err, codes):
+    assert code in codes
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(PREFIXES[code]) and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """3 subjects x 2 gray 8x8 samples, a config that enrolls sample 1 at
+    window 8, and the gallery it enrolls."""
+    root = tmp_path_factory.mktemp("tiny")
+    generate_dataset(SynthSpec(3, SAMPLES, 0.3, seed=2, width=8, height=8), root / "data")
+    config = {"manifest": "data/manifest.json", "train_indices": [1], "test_indices": [2],
+              "window": 8, "dim": 4, "output_dir": "out"}
+    (root / "config.json").write_text(json.dumps(config))
+    enrolled = run(["enroll", "--config", str(root / "config.json"), "--out", str(root / "gal")])
+    assert enrolled == (0, "")
+    return root
+
+
+def enroll(config: Path):
+    with tempfile.TemporaryDirectory() as out:
+        return run(["enroll", "--config", str(config), "--out", out])
+
+
+@given(edits=byte_edits)
+@example(edits=[("insert", 10**6, b"[" * 500, 2)])  # nested past the JSON parser's limit
+@example(edits=[("insert", 89, b"[" * 500, 1)])  # a manifest name too long for any file
+@example(edits=[("insert", 89, b"\\u0000", 1)])  # a NUL in the manifest path
+@example(edits=[("insert", 5, b"\\u0000", 1)])  # a NUL in output_dir
+@settings(max_examples=60, deadline=None)
+def test_enroll_with_an_edited_config(tiny, edits):
+    config = tiny / "edited-config.json"
+    config.write_bytes(apply_byte_edits((tiny / "config.json").read_bytes(), edits))
+    code, err = enroll(config)
+    assert_one_documented_line(code, err, (0, 1, 2))
+    if code == 2:
+        # a valid config naming a file that is no manifest, or a sample the
+        # dataset lacks
+        cfg = load_config(config, argparse.Namespace())
+        other = cfg.manifest.resolve() != (tiny / "data" / "manifest.json").resolve()
+        assert other or max(cfg.train_indices) > SAMPLES
+
+
+@given(edits=byte_edits)
+@example(edits=[("insert", 10**6, b"[" * 500, 2)])
+@example(edits=[("insert", 24, b"\\u0000", 1)])  # a NUL in the path of an enrolled image
+@settings(max_examples=60, deadline=None)
+def test_enroll_with_an_edited_manifest(tiny, edits):
+    # beside the original, so the image paths it lists resolve the same way
+    manifest = tiny / "data" / "edited-manifest.json"
+    manifest.write_bytes(apply_byte_edits((tiny / "data" / "manifest.json").read_bytes(), edits))
+    config = tiny / "edited-manifest-config.json"
+    config.write_text(json.dumps({"manifest": str(manifest), "train_indices": [1],
+                                  "test_indices": [2], "window": 8, "dim": 4}))
+    assert_one_documented_line(*enroll(config), (0, 2))
+
+
+@given(name=st.sampled_from(GALLERY_FILES), edits=byte_edits)
+@example(name="gallery.json", edits=[("insert", 10**6, b"[" * 500, 2)])
+@settings(max_examples=90, deadline=None)
+def test_identify_with_an_edited_gallery_file(tiny, name, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        gallery = Path(tmp)
+        for file in GALLERY_FILES:
+            shutil.copyfile(tiny / "gal" / file, gallery / file)
+        (gallery / name).write_bytes(apply_byte_edits((gallery / name).read_bytes(), edits))
+        code, err = run(["identify", "--gallery", str(gallery),
+                         "--image", str(tiny / "data" / "s001" / "02.pgm")])
+    assert_one_documented_line(code, err, (0, 2))
