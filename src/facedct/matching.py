@@ -12,7 +12,7 @@ the gallery's matrix and subject offsets (:func:`subject_distances`).
 runs all score through it, and ``mse``, ``mad`` and ``person_score`` are
 thin calls into it, so every route gives the same bits.
 ``build_score_tensor`` hands it one ``(M, D)`` scratch array and one
-distance row, reused across all its probes.
+distance row, reused across all the probes of a share.
 :meth:`ScoreTensor.partition` is the one genuine/impostor split of a tensor.
 
 ``build_score_tensor`` takes its probes in one of two forms:
@@ -44,25 +44,26 @@ two sidecars with :func:`~facedct.pinned.save_pinned`, in this order:
    the sha256 of the other two under their file names, written last as the
    commit point.
 
-The CSV's text is most of the cost of a save, and it is formatted on every
-usable CPU.  Its probe rows are split into k contiguous shares, one per
-usable CPU, with at least ``_SHARE_FLOOR`` cells and one row each, so a
-small tensor is formatted inline (k = 1, also where ``os.fork`` does not
-exist).  Before the first write, k - 1 workers are forked, each with a pipe
-and confined to the usable CPUs other than the caller's.  Each formats its
-share with :func:`_row_blocks`, the formatter of :func:`scores_to_csv`,
-holds the text, then writes it into its pipe and exits.  Meanwhile the
-caller streams the header and the first share into the file one probe row
-at a time, then each worker's text in order, in pipe-sized reads.  Where
-a pipe or process cannot be made, no more workers are forked, and the
-caller formats the rows none took, after the others.  The bytes are the
-same for any k.  Every worker is reaped before the save returns or raises,
-and killed first if the save fails; a worker that exits non-zero fails the
-save before the CSV is renamed into place.  The workers are forked, not
-spawned: a spawned worker would import this package and be sent the
-tensor, which costs more than the text saves, and a worker only formats
-Python floats and writes bytes, so no lock of another thread of the caller
-is taken in it.
+Two steps of this module run in row shares (:mod:`facedct.shares`), one
+per usable CPU above a floor of work per share, and inline below it (also
+where ``os.fork`` does not exist):
+
+- ``build_score_tensor`` splits its probe rows, with at least
+  ``_TENSOR_FLOOR`` probe-template pairs per share.  The tensor lives in
+  memory shared with the forked workers, each of which writes its rows
+  into it with the same :func:`subject_distances` calls and its own
+  scratch; that memory is the returned tensor, with no copy.  The caller
+  computes the first share, then, in share order, any share whose worker
+  failed, was killed or never started, so the bits are the same for any
+  number of shares.
+- ``save_scores_csv`` splits the probe rows of the CSV's text, with at
+  least ``_SHARE_FLOOR`` cells per share.  Each worker formats its share
+  with :func:`_row_blocks`, the formatter of :func:`scores_to_csv`, holds
+  the text, then writes it into its pipe and exits.  Meanwhile the caller
+  streams the header and the first share into the file one probe row at a
+  time, then each worker's text in order, then any rows no worker took.
+  The bytes are the same for any number of shares.  A worker that exits
+  non-zero fails the save before the CSV is renamed into place.
 
 The names beside the CSV are its own with the suffix replaced.  The CSV is
 always the truth, and the sidecars are a cache of it.
@@ -84,9 +85,6 @@ import hashlib
 import io
 import itertools
 import json
-import os
-import signal
-import traceback
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,10 +92,11 @@ from typing import Any
 
 import numpy as np
 
-from .errors import CHUNK_SIZE, DataError, MismatchError, parse_json, read_bytes, read_chunks
+from .errors import DataError, MismatchError, parse_json, read_bytes, read_chunks
 from .features import FeatureVector, first_bad_row
 from .gallery import Gallery
 from .pinned import pinned_array, save_pinned, sha256
+from .shares import Worker, compute_in_shares, n_shares, row_shares, shared_array
 
 METRICS = ("mse", "mad")
 
@@ -247,6 +246,17 @@ class IdentificationResult:
         return self.successes / self.trials
 
 
+#: the fewest probe-template pairs per share when :func:`build_score_tensor`
+#: splits its probe rows between processes.  On a 2-vCPU Xeon, in a caller
+#: holding 100 MB, n probes against n templates at dim 100 took, in two
+#: shares against inline (medians of 15), 4.9x, 2.3x, 1.9x and 1.3x at
+#: n = 50, 100, 150 and 200 (a fork, its reaping and the caller's page
+#: faults after it cost ~5 ms), 1.02x at 300, and 0.66x, 0.66x and 0.53x
+#: at 400, 600 and 1000; with this floor the rows are split from 160,000
+#: pairs (400 x 400), and an orl-rgb tensor (200 x 200) never is
+_TENSOR_FLOOR = 80_000
+
+
 def build_score_tensor(
     probes: Gallery | dict[str, list[FeatureVector]], gallery: Gallery, metric: str
 ) -> ScoreTensor:
@@ -288,11 +298,17 @@ def build_score_tensor(
         )
 
     gallery_subjects = tuple(gallery.subject_ids)
-    scores = np.empty((len(probe_subjects), len(gallery_subjects), n_trials))
-    scratch = np.empty_like(gallery.matrix), np.empty(len(gallery.matrix))
-    for row, coeffs in enumerate(probes.matrix):
-        dists = subject_distances(coeffs, gallery, metric, scratch)
-        scores[row // n_trials, :, row % n_trials] = dists
+    n_rows = len(probes.matrix)
+    k = n_shares(min(n_rows * len(gallery.matrix) // _TENSOR_FLOOR, n_rows))
+    scores = shared_array((len(probe_subjects), len(gallery_subjects), n_trials), k)
+
+    def score(rows: range) -> None:
+        scratch = np.empty_like(gallery.matrix), np.empty(len(gallery.matrix))
+        for row in rows:
+            dists = subject_distances(probes.matrix[row], gallery, metric, scratch)
+            scores[row // n_trials, :, row % n_trials] = dists
+
+    compute_in_shares(score, n_rows, k)
     return ScoreTensor(probe_subjects, gallery_subjects, scores, metric)
 
 
@@ -364,124 +380,46 @@ def scores_to_csv(tensor: ScoreTensor) -> str:
 _SHARE_FLOOR = 100_000
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _other_cpus() -> set[int] | None:
-    """The usable CPUs other than the one the calling thread runs on, where
-    the system tells both (Linux); None elsewhere, or when there is none."""
-    try:
-        stat = Path("/proc/thread-self/stat").read_bytes()
-        here = int(stat.rsplit(b")", 1)[1].split()[36])  # field 39, the CPU
-        others = os.sched_getaffinity(0) - {here}
-    except (OSError, AttributeError, ValueError, IndexError):
-        return None
-    return others or None
-
-
 def _n_shares(tensor: ScoreTensor) -> int:
-    """Into how many processes the rows of ``tensor`` are formatted: one
-    per usable CPU, with at least ``_SHARE_FLOOR`` cells and one probe row
-    each, and one where ``os.fork`` does not exist."""
-    if not hasattr(os, "fork"):
-        return 1
-    n_probe = tensor.scores.shape[0]
-    return max(1, min(_usable_cpus(), tensor.scores.size // _SHARE_FLOOR, n_probe))
+    """Into how many shares the rows of ``tensor`` are formatted: one per
+    usable CPU, with at least ``_SHARE_FLOOR`` cells and one probe row each
+    (:func:`~facedct.shares.n_shares`)."""
+    return n_shares(min(tensor.scores.size // _SHARE_FLOOR, tensor.scores.shape[0]))
 
 
-class _RowWorker:
-    """A forked process that formats the probe rows ``rows`` of ``tensor``
-    with :func:`_row_blocks`, holds their text, and then writes it into a
-    pipe and exits.  It runs only on the CPUs ``cpus``, when given: the
-    scheduler may otherwise leave it for its whole run on the CPU of the
-    caller, which formats a share at the same time.  A pipe or process that
-    cannot be made is an OSError, and leaves no process behind."""
-
-    def __init__(self, tensor: ScoreTensor, rows: range, cpus: set[int] | None) -> None:
-        self.rows = rows
-        read_end, write_end = os.pipe()
-        self.pipe = open(read_end, "rb", buffering=0)
-        try:
-            self.pid: int | None = os.fork()
-        except BaseException:
-            self.pipe.close()
-            os.close(write_end)
-            raise
-        if self.pid == 0:  # the worker: never returns
-            status = 1
-            try:
-                os.close(read_end)
-                if cpus:
-                    with contextlib.suppress(OSError):
-                        os.sched_setaffinity(0, cpus)
-                blocks = [block.encode() for block in _row_blocks(tensor, rows)]
-                with open(write_end, "wb") as pipe:
-                    pipe.writelines(blocks)
-                status = 0
-            except BaseException:  # the worker's top level: report, then exit 1
-                traceback.print_exc()
-            finally:
-                os._exit(status)
-        os.close(write_end)
-
-    def text(self) -> Iterator[bytes]:
-        """The worker's text in chunks of at most ``CHUNK_SIZE`` bytes.  Once
-        it is read, the worker is reaped; an exit status other than 0 is an
-        OSError.  The worker holds the only write end of the pipe, and exits
-        0 only once all its text is written and the pipe closed, so the
-        text is whole when the status is 0."""
-        while chunk := self.pipe.read(CHUNK_SIZE):
-            yield chunk
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise OSError(
-                f"the process formatting score rows {self.rows.start}-{self.rows.stop - 1} "
-                f"exited with code {code}"
-            )
-
-    def stop(self) -> None:
-        """Close the pipe, and kill and reap the worker if it is not reaped."""
-        self.pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+def _worker_text(worker: Worker) -> Iterator[bytes]:
+    """The text a worker formatted, once it is all read and the worker has
+    exited 0; any other exit is an OSError."""
+    yield from worker.chunks()
+    code = worker.join()
+    if code != 0:
+        raise OSError(
+            f"the process formatting score rows {worker.rows.start}-{worker.rows.stop - 1} "
+            f"exited with code {code}"
+        )
 
 
 @contextlib.contextmanager
 def _csv_chunks(tensor: ScoreTensor) -> Iterator[Iterator[bytes]]:
     """The bytes of :func:`scores_to_csv` as chunks, the probe rows split
-    into :func:`_n_shares` contiguous shares.  The caller formats the first
-    share as it is read; each other share is formatted at once by a
-    :class:`_RowWorker` and read from its pipe after the shares before it.
-    When a worker cannot be started (no process or pipe to be had), no more
-    are, and the caller formats the rows no worker took, after the others.
-    Every worker is reaped, and killed first if need be, on leaving."""
-    n_probe = tensor.scores.shape[0]
-    k = _n_shares(tensor)
-    bounds = [n_probe * s // k for s in range(k + 1)]
-    workers: list[_RowWorker] = []
-    cpus = _other_cpus() if k > 1 else None
-    try:
-        with contextlib.suppress(OSError):
-            for s in range(1, k):
-                workers.append(_RowWorker(tensor, range(bounds[s], bounds[s + 1]), cpus))
-        rest = range(bounds[len(workers) + 1], n_probe)  # empty when every worker started
+    into :func:`_n_shares` contiguous row shares
+    (:func:`~facedct.shares.row_shares`).  The caller formats its shares
+    as they are read; each other share is formatted at once by a worker,
+    which holds its text until it writes it into its pipe, and is read
+    from that pipe after the shares before it."""
+
+    def text(rows: range) -> list[bytes]:
+        return [block.encode() for block in _row_blocks(tensor, rows)]
+
+    with row_shares(text, tensor.scores.shape[0], _n_shares(tensor)) as shares:
         yield itertools.chain(
             [_score_head(tensor).encode()],
-            (block.encode() for block in _row_blocks(tensor, range(bounds[1]))),
-            *(worker.text() for worker in workers),
-            (block.encode() for block in _row_blocks(tensor, rest)),
+            *(
+                (block.encode() for block in _row_blocks(tensor, rows))
+                if worker is None else _worker_text(worker)
+                for rows, worker in shares
+            ),
         )
-    finally:
-        for worker in workers:
-            worker.stop()
 
 
 _ROW_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("score", np.float64)])

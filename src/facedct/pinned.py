@@ -11,10 +11,12 @@ the sha256 of the bytes it wrote:
    header and then the array's own buffer, with the bytes ``np.save``
    gives;
 2. the text: the same table in its exchange format, written as the byte
-   chunks its producer yields: one per probe row for the score table,
-   then pipe-sized chunks of the shares formatted by forked workers, then
-   one per row of any share that no worker took, which the caller formats
-   after the workers' text;
+   chunks its producer yields: for the score table, one per probe row of
+   the caller's share, then pipe-sized chunks of the shares formatted by
+   forked workers (:func:`facedct.shares.row_shares`, the helper that
+   every step split between processes shares), then one per row of any
+   share that no worker took, which the caller formats after the
+   workers' text;
 3. the manifest: JSON that records the sha256 of the other two under their
    file names.
 

@@ -14,7 +14,18 @@ D zigzag DCT coefficients into the caller's row.  No ``RasterImage`` or
 grouped by subject, each row written in place by :func:`featurize_image`.
 The training split's is the gallery that ``enroll`` saves, and the test
 split's is the probe set that ``build_score_tensor`` scores, so features
-are never regrouped or enrolled one vector at a time."""
+are never regrouped or enrolled one vector at a time.
+
+It featurizes in row shares (:mod:`facedct.shares`): from
+``2 * _FEATURIZE_FLOOR`` images, the rows are split into contiguous
+shares, one per usable CPU.  The ``(C, N, D)`` array of all channels'
+matrices then lives in memory shared with forked workers, each of which
+writes its share's rows into it through :func:`featurize_image`, as the
+caller does for the first share; that memory is the returned matrices,
+with no copy.  A worker that fails (an image that cannot be read, say)
+exits non-zero and prints nothing, and the caller featurizes its share
+again, in share order, so a bad image raises the error of the inline
+path, for the first bad image in row order."""
 
 from __future__ import annotations
 
@@ -33,9 +44,22 @@ from .matching import (
     _identification,
     build_score_tensor,
 )
+from .shares import compute_in_shares, n_shares, shared_array
 from .verification import DcfParams, TrialScores, eer, min_dcf, split_intra_inter
 
 DEFAULT_WINDOW = 64
+
+#: the fewest images per share when :func:`extract_subject_features` splits
+#: them between processes.  On a 2-vCPU Xeon, in a caller holding 100 MB,
+#: n gray 80x96 images at window 64, dim 100 took, in two shares against
+#: inline (medians of 15), 1.26x and 1.13x at n = 50 and 100, 0.73x, 0.74x
+#: and 0.71x at 150, 200 and 300, and 0.64x to 0.59x from 400 to 1000; one
+#: channel of 64x64 RGB images took 1.02x, 0.95x and 1.04x at 100, 150 and
+#: 200, and 0.73x at 300.  With this floor the images are split from 300,
+#: and an orl-rgb split (200 images) never is, though four channels of its
+#: images took 0.64x at 200: a fork also costs the caller's later calls a
+#: page fault for each page they write, which that timing leaves out
+_FEATURIZE_FLOOR = 150
 
 
 def featurize_image(
@@ -79,9 +103,16 @@ def extract_subject_features(
     form."""
     ids = sorted(subjects)
     counts = [len(subjects[s]) for s in ids]
-    matrices = np.empty((len(channels), sum(counts), dim))
-    for row, (subject, path) in enumerate((s, p) for s in ids for p in subjects[s]):
-        featurize_image(path, channels, dim, window, subject, matrices[:, row])
+    images = [(s, p) for s in ids for p in subjects[s]]
+    k = n_shares(len(images) // _FEATURIZE_FLOOR)
+    matrices = shared_array((len(channels), len(images), dim), k)
+
+    def featurize(rows: range) -> None:
+        for row in rows:
+            subject, path = images[row]
+            featurize_image(path, channels, dim, window, subject, matrices[:, row])
+
+    compute_in_shares(featurize, len(images), k)
     return {c: Gallery._of_subjects(ids, counts, c, m) for c, m in zip(channels, matrices)}
 
 

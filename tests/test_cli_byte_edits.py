@@ -1,4 +1,5 @@
-"""Byte edits to the files a command reads: whatever the edit, the command
+"""Byte edits to the files a command reads (a config, a manifest, a saved
+gallery's files, a PGM or PPM probe image): whatever the edit, the command
 exits with a documented code and one line of stderr with that code's
 prefix, and never with 3, the code of an internal error."""
 
@@ -103,4 +104,34 @@ def test_identify_with_an_edited_gallery_file(tiny, name, edits):
         (gallery / name).write_bytes(apply_byte_edits((gallery / name).read_bytes(), edits))
         code, err = run(["identify", "--gallery", str(gallery),
                          "--image", str(tiny / "data" / "s001" / "02.pgm")])
+    assert_one_documented_line(code, err, (0, 2))
+
+
+@pytest.fixture(scope="module")
+def rgb(tmp_path_factory):
+    """3 subjects x 2 RGB 8x8 samples, and the gallery of their luminance
+    that enroll makes from sample 1 at window 8."""
+    root = tmp_path_factory.mktemp("rgb")
+    generate_dataset(SynthSpec(3, SAMPLES, 0.3, seed=2, width=8, height=8, placement="rgb"),
+                     root / "data")
+    config = {"manifest": "data/manifest.json", "train_indices": [1], "test_indices": [2],
+              "window": 8, "dim": 4, "channel": "y"}
+    (root / "config.json").write_text(json.dumps(config))
+    enrolled = run(["enroll", "--config", str(root / "config.json"), "--out", str(root / "gal")])
+    assert enrolled == (0, "")
+    return root
+
+
+@given(kind=st.sampled_from(["pgm", "ppm"]), edits=byte_edits)
+@example(kind="pgm", edits=[("insert", 72, b"1" * 25, 1)])  # a width past int64
+@example(kind="pgm", edits=[("replace", 68, b"0", 3)])  # maxval 0
+@example(kind="ppm", edits=[("delete", 1, b" ", 1)])  # one byte short
+@settings(max_examples=120, deadline=None)
+def test_identify_with_an_edited_probe_image(tiny, rgb, kind, edits):
+    root = tiny if kind == "pgm" else rgb
+    image = root / "data" / f"s001/02.{kind}"
+    with tempfile.TemporaryDirectory() as tmp:
+        probe = Path(tmp) / image.name
+        probe.write_bytes(apply_byte_edits(image.read_bytes(), edits))
+        code, err = run(["identify", "--gallery", str(root / "gal"), "--image", str(probe)])
     assert_one_documented_line(code, err, (0, 2))

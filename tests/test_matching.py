@@ -37,8 +37,11 @@ from facedct.matching import (
     scores_from_csv,
     scores_to_csv,
 )
+from facedct.pipeline import extract_subject_features
+from facedct.synth import SynthSpec, generate_dataset
 
 from byte_edit_strategy import apply_byte_edits, byte_edits
+from forked import forked_shares
 
 
 def _npy_sha256(array):
@@ -539,15 +542,6 @@ def row_parses():
         yield spy
 
 
-@contextlib.contextmanager
-def forked_shares():
-    """Split every score file's rows between processes, as on a host with
-    three usable CPUs: one share per probe row, up to three."""
-    with mock.patch.object(matching, "_SHARE_FLOOR", 1), \
-            mock.patch.object(matching, "_usable_cpus", lambda: 3):
-        yield
-
-
 def same_tensor(a, b):
     return (a.probe_subjects, a.gallery_subjects, a.metric, a.scores.tobytes()) == (
         b.probe_subjects, b.gallery_subjects, b.metric, b.scores.tobytes()
@@ -741,7 +735,7 @@ class TestRowShares:
         tensor = ScoreTensor(
             [f"s{j}" for j in range(shape[0])], [f"s{j}" for j in range(shape[1])], np.zeros(shape)
         )
-        with mock.patch.object(matching, "_usable_cpus", lambda: cpus):
+        with mock.patch("facedct.shares.usable_cpus", lambda: cpus):
             assert matching._n_shares(tensor) == shares
 
     @pytest.mark.parametrize("n_probe, forks", [(1, 0), (2, 1), (3, 2), (7, 2)])
@@ -754,7 +748,7 @@ class TestRowShares:
 
     def test_a_tensor_below_the_floor_never_forks(self, tmp_path):
         tensor = _tensor(300, 300, 1)  # 90,000 cells
-        with mock.patch.object(matching, "_usable_cpus", lambda: 64), \
+        with mock.patch("facedct.shares.usable_cpus", lambda: 64), \
                 mock.patch.object(os, "fork") as fork:
             save_scores_csv(tensor, tmp_path / "scores.csv")
         fork.assert_not_called()
@@ -784,18 +778,32 @@ class TestRowShares:
     def test_a_threaded_caller_forks_with_warnings_as_errors(self, tmp_path):
         # from Python 3.12, os.fork in a process with more than one thread
         # issues a DeprecationWarning; as an error it is dropped inside
-        # os.fork, which still returns the worker's pid for it to be reaped
+        # os.fork, which still returns the worker's pid for it to be reaped.
+        # The featurize workers also multiply matrices (dct2) after the fork.
         tensor, done = _tensor(3, 3, 1), threading.Event()
+        generate_dataset(SynthSpec(3, 1, 0.5, seed=1, width=8, height=8), tmp_path / "data")
+        manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+        subjects = {s: [tmp_path / "data" / manifest[s][0]] for s in manifest}
+        probes = Gallery._of_subjects(["s0", "s1", "s2"], [1] * 3, "gray", np.eye(3))
+        gallery = Gallery._of_subjects(["s0", "s1", "s2"], [1] * 3, "gray", np.ones((3, 3)))
+        features = extract_subject_features(subjects, ("gray",), 10, 8)["gray"].matrix
+        scores = build_score_tensor(probes, gallery, "mse").scores
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            with forked_shares(), warnings.catch_warnings():
+            with forked_shares(), warnings.catch_warnings(), \
+                    mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 warnings.simplefilter("error")
                 save_scores_csv(tensor, tmp_path / "scores.csv")
+                shared_features = extract_subject_features(subjects, ("gray",), 10, 8)["gray"]
+                shared_scores = build_score_tensor(probes, gallery, "mse").scores
         finally:
             done.set()
             thread.join()
+        assert fork.call_count == 6
         assert (tmp_path / "scores.csv").read_bytes() == scores_to_csv(tensor).encode()
+        assert shared_features.matrix.tobytes() == features.tobytes()
+        assert shared_scores.tobytes() == scores.tobytes()
 
     def test_a_worker_that_fails_fails_the_save(self, tmp_path):
         tensor = _tensor(3, 3, 1)
