@@ -30,7 +30,10 @@ The workers are forked, not spawned: a spawned worker would import this
 package and be sent its inputs, which costs more than a share saves.  A
 fork also costs the caller: after it, the first write to each page the
 caller held takes a page fault, so each step forks only past a row floor
-measured for that step.
+measured for that step.  A worker only reads files, runs numpy (BLAS
+included) and formats text, so it waits on no lock that another thread
+of the caller could hold at the fork; a test forks every step with a
+second thread running.
 """
 
 from __future__ import annotations
