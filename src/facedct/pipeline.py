@@ -53,9 +53,9 @@ DEFAULT_WINDOW = 64
 #: them between processes.  On a 2-vCPU Xeon, in a caller holding 100 MB,
 #: n gray 80x96 images at window 64, dim 100 took, in two shares against
 #: inline (medians of 15), 1.26x and 1.13x at n = 50 and 100, 0.73x, 0.74x
-#: and 0.71x at 150, 200 and 300, and 0.64x to 0.59x from 400 to 1000; one
-#: channel of 64x64 RGB images took 1.02x, 0.95x and 1.04x at 100, 150 and
-#: 200, and 0.73x at 300.  With this floor the images are split from 300,
+#: and 0.71x at 150, 200 and 300, and 0.64x, 0.69x and 0.59x at 400, 600
+#: and 1000; one channel of 64x64 RGB images took 1.02x, 0.95x and 1.04x at
+#: 100, 150 and 200, and 0.73x at 300.  With this floor the images are split from 300,
 #: and an orl-rgb split (200 images) never is, though four channels of its
 #: images took 0.64x at 200: a fork also costs the caller's later calls a
 #: page fault for each page they write, which that timing leaves out

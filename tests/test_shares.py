@@ -43,10 +43,11 @@ def featurize(subjects):
     return np.stack([galleries[c].matrix for c in CHANNELS])
 
 
-def probe_set(n_probe, n_trials, n_gallery=5, seed=0):
+def probe_set(n_probe, n_trials, n_gallery=5, templates=2, seed=0):
     rng = np.random.default_rng(seed)
     ids = [f"s{j}" for j in range(max(n_probe, n_gallery))]
-    gallery = Gallery._of_subjects(ids, [2] * len(ids), "gray", rng.random((2 * len(ids), 6)))
+    gallery = Gallery._of_subjects(ids, [templates] * len(ids), "gray",
+                                   rng.random((templates * len(ids), 6)))
     probes = Gallery._of_subjects(ids[:n_probe], [n_trials] * n_probe, "gray",
                                   rng.random((n_probe * n_trials, 6)))
     return probes, gallery
@@ -193,9 +194,7 @@ class TestOrlRgbStaysInline:
         fork.assert_not_called()
 
     def test_a_40_by_40_by_5_tensor_never_forks(self):
-        probes, gallery = probe_set(40, 5, n_gallery=40)
-        gallery = Gallery._of_subjects(gallery.subject_ids, [5] * 40, "gray",
-                                       np.resize(gallery.matrix, (200, 6)))
+        probes, gallery = probe_set(40, 5, n_gallery=40, templates=5)
         with mock.patch("facedct.shares.usable_cpus", lambda: 64), \
                 mock.patch.object(os, "fork") as fork:
             tensor = build_score_tensor(probes, gallery, "mse")
