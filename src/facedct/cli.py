@@ -48,6 +48,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -91,7 +92,7 @@ from .significance import (
 from .synth import PLACEMENTS, SynthSpec, generate_dataset
 from .verification import (
     DcfParams,
-    det_curve,
+    det_vertices,
     eer as eer_of,
     render_det_svg,
     save_det_csv,
@@ -312,7 +313,11 @@ def _summary_row(summary) -> dict:
         "errors": summary.identification.errors,
         "eer": summary.eer,
         "min_dcf": summary.min_dcf,
-        "min_dcf_threshold": summary.min_dcf_threshold,
+        # JSON has no infinity; float() reads these strings back
+        "min_dcf_threshold": {
+            label: t if math.isfinite(t) else str(t)
+            for label, t in summary.min_dcf_threshold.items()
+        },
     }
 
 
@@ -405,7 +410,7 @@ def _write_det(trials, csv_path, svg_path, eer_value: float | None) -> int:
     """Write the vertices of the DET curve of ``trials`` to ``csv_path`` and,
     when ``svg_path`` is given, its plot with ``eer_value`` marked; returns
     the number of vertices."""
-    points = det_curve(trials).vertices()
+    points = det_vertices(trials)
     save_det_csv(points, csv_path)
     if svg_path:
         write_atomic(svg_path, render_det_svg(points, eer_value).encode())

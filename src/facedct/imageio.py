@@ -361,5 +361,7 @@ def save_manifest(manifest: dict[str, list[Path]], path: str | Path) -> None:
 
 def write_json(path: str | Path, payload: dict) -> None:
     """Write ``payload`` as key-sorted JSON indented by one space; the format
-    of the manifest and of the CLI's JSON artifacts."""
-    write_atomic(path, (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode())
+    of the manifest and of the CLI's JSON artifacts.  A NaN or infinity
+    raises ``ValueError``: JSON has no token for them."""
+    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+    write_atomic(path, (text + "\n").encode())

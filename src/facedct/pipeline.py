@@ -140,9 +140,11 @@ def summarize_tensor(
     min-DCF is reported both at a target prior of 0.5 and at the empirical
     genuine-trial fraction, since either reading of the cost model's prior
     is defensible.  ``trials`` is ``split_intra_inter(tensor)`` when the
-    caller already has it; passing it shares the split and its staircase
-    with the caller.  The identification rate reads the same split, so the
-    tensor is partitioned once per summary at most.
+    caller already has it; passing it shares the split, and its one sort of
+    the pooled cells, with the caller's DET export.  The EER and both
+    min-DCF values read only the genuine steps of that sort, never the full
+    staircase.  The identification rate reads the same split, so the tensor
+    is partitioned once per summary at most.
     """
     if trials is None:
         trials = split_intra_inter(tensor)

@@ -12,19 +12,32 @@ overflows to +-inf.  So the error staircase attains on the set every value
 it takes anywhere on the real line.
 
 The genuine and impostor populations are the two arrays of
-:meth:`ScoreTensor.partition`, flattened.  The staircase is built once per
-:class:`TrialScores`, when :func:`det_curve`, :func:`eer` or :func:`min_dcf`
-first asks.  Every count in it comes from positions in one sort of the
-pooled cells: where each run of equal scores ends gives the cells at most
-its value, each genuine score's position among the distinct values gives
-the genuine ones, and the impostor cells are the rest.  Each threshold lies
-between its value and the next, so the counts at the values are the counts
-at the thresholds.  :func:`det_curve` returns a :class:`DetCurve`, a
-sequence of :class:`DetPoint` over three read-only arrays.
+:meth:`ScoreTensor.partition`, flattened.  Each :class:`TrialScores` sorts
+its pooled cells once, when a result first asks, and finds the range of each
+distinct genuine score's cells in that sort.  A point of the staircase is a
+count c of the sorted cells, accepted, and the count h of genuine cells among
+them: p_fa = (c - h) / #impostor, p_miss = (#genuine - h) / #genuine, and its
+threshold lies between the c-th and the (c+1)-th sorted cell.  A point
+exists where a run of equal scores ends.  Only a genuine score moves p_miss,
+so each result reads O(#distinct genuine) points, with the float expressions
+of the full staircase and its bits:
 
-:func:`det_curve` is the full staircase, one point per candidate threshold,
-and :func:`eer` and :func:`min_dcf` read all of it.  The ``det.csv`` and
-``det.svg`` files hold only :meth:`DetCurve.vertices`: a run of purely
+- :func:`min_dcf`: between two genuine steps p_miss holds while p_fa rises,
+  and the cost never falls, so the least threshold of the least cost is where
+  no cell or a genuine score's run ends;
+- :func:`eer`: the crossing lies after the last such point with p_fa <=
+  p_miss, in its stretch of impostor steps; a bisection over the stretch's
+  cell counts finds the last point at or below the crossing, and the next
+  point is where that point's run of equal scores ends;
+- :func:`det_vertices`: a turning point begins or ends a genuine score's run
+  (or is an end of the curve), and of those only the point between two
+  adjacent genuine runs without an impostor cell is dropped.
+
+:func:`det_curve` returns the full staircase, one point per candidate
+threshold, as a :class:`DetCurve`, a sequence of :class:`DetPoint` over three
+read-only arrays.  It is expanded from the same sort when it is called; no
+command calls it.  The ``det.csv`` and ``det.svg`` files hold only its
+vertices, the points :meth:`DetCurve.vertices` keeps: a run of purely
 horizontal or purely vertical steps is one straight segment, so its interior
 points are dropped.  Each kept row has the bytes the full export gives it.
 The thresholds of the dropped points are not exported; ``scores.csv`` and
@@ -40,6 +53,7 @@ exports write them point by point, through the one probit,
 
 from __future__ import annotations
 
+import bisect
 import math
 import statistics
 from collections.abc import Iterator, Sequence
@@ -83,22 +97,58 @@ class TrialScores:
         return int(self.impostor.size)
 
     @cached_property
-    def _staircase(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(thresholds asc, p_fa, p_miss) over the exact candidate set.
+    def _steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(pooled, lo, ends, hits): the pooled cells sorted once, and where
+        each distinct genuine score's cells lie in that sort.
 
-        Every count comes from positions in one sort of the pooled cells.
+        ``pooled[lo[i]:ends[i + 1]]`` holds the cells equal to the i-th
+        distinct genuine score, ascending, and ``hits[i + 1]`` counts the
+        genuine cells at most that score; ``ends[0]`` and ``hits[0]`` are 0.
+        The pool is the one array of the pooled cells' size; the rest is
+        one entry per distinct genuine score.
+        """
+        pooled = np.concatenate([self.genuine, self.impostor])
+        pooled.sort()
+        values, counts = np.unique(self.genuine, return_counts=True)
+        lo = np.searchsorted(pooled, values, side="left")
+        ends = np.concatenate([[0], np.searchsorted(pooled, values, side="right")])
+        hits = np.concatenate([[0], np.cumsum(counts)])
+        for arr in (pooled, lo, ends, hits):
+            arr.flags.writeable = False
+        return pooled, lo, ends, hits
+
+    def _rates(self, cells: np.ndarray, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(p_fa, p_miss) where ``cells`` pooled cells are accepted, of
+        which ``hits`` are genuine; (n - hits) / n rounds once, as
+        :func:`far_frr_at` does, where 1 - hits/n would round twice."""
+        return (cells - hits) / self.n_impostor, (self.n_genuine - hits) / self.n_genuine
+
+    def _thresholds(self, cells: np.ndarray) -> np.ndarray:
+        """The candidate threshold that accepts the first ``cells`` of the
+        sorted pool, for counts that each end a run of equal scores."""
+        pooled = self._steps[0]
+        thresholds = np.where(cells == 0, -np.inf, np.inf)
+        inner = (cells > 0) & (cells < pooled.size)
+        thresholds[inner] = _midpoints(pooled[cells[inner] - 1], pooled[cells[inner]])
+        return thresholds
+
+    @cached_property
+    def _staircase(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(thresholds asc, p_fa, p_miss): the full staircase, one point per
+        candidate threshold, expanded from :attr:`_steps` for
+        :func:`det_curve`; no other result reads it.
+
         A run of equal scores ends at index j - 1 of the sorted pool, so j
-        cells score at most its value.  Each genuine score's position among
-        the distinct values, counted and summed, gives the genuine cells at
-        most each value, and the impostor cells are the rest.  The threshold
+        cells score at most its value, and each genuine score's run adds
+        its genuine cells to the points from its end on.  The threshold
         after a value lies in [that value, the next one), so it accepts
         those cells and no others, and the rates divide the same counts as
         :func:`far_frr_at`.
 
-        Built in place: its peak is about four arrays of the pooled cells.
+        Its peak, with the cached pool, is about four arrays of the pooled
+        cells.
         """
-        pooled = np.concatenate([self.genuine, self.impostor])
-        pooled.sort()
+        pooled, _, ends, hits = self._steps
         # edge[j]: a run of equal scores ends before index j and one starts at it
         edge = np.empty(pooled.size + 1, dtype=bool)
         edge[0] = edge[-1] = True
@@ -106,29 +156,37 @@ class TrialScores:
         values = pooled[edge[:-1]]
         # cells[k + 1] is the count of cells <= values[k]; cells[0] is 0
         cells = np.flatnonzero(edge)
-        del pooled, edge
+        del edge
         thresholds = np.empty(cells.size)
         thresholds[0], thresholds[-1] = -np.inf, np.inf
-        mids = thresholds[1:-1]
-        with np.errstate(over="ignore"):
-            np.add(values[:-1], values[1:], out=mids)
-        mids /= 2.0
-        # the midpoint of two adjacent doubles can round onto the upper one,
-        # a threshold that accepts both, and a sum past the largest double
-        # is +-inf; in both cases the lower score accepts only itself
-        np.copyto(mids, values[:-1], where=(mids >= values[1:]) | (mids < values[:-1]))
-        # hits[k + 1] is the count of genuine cells <= values[k]
-        hits = np.bincount(np.searchsorted(values, self.genuine) + 1, minlength=cells.size)
-        np.cumsum(hits, out=hits)
+        _midpoints(values[:-1], values[1:], out=thresholds[1:-1])
         del values
-        np.subtract(cells, hits, out=cells)
+        # the points from the end of one genuine score's run to the next's
+        # share its genuine count and p_miss
+        spans = np.diff(np.append(np.searchsorted(cells, ends), cells.size))
+        point_hits = np.repeat(hits, spans)
+        np.subtract(cells, point_hits, out=cells)
+        del point_hits
         p_fa = cells / self.n_impostor
         del cells
-        # (n - hits) / n rounds once, as far_frr_at does; 1 - hits/n rounds twice
-        p_miss = np.subtract(self.n_genuine, hits, out=hits) / self.n_genuine
+        p_miss = np.repeat(self._rates(ends, hits)[1], spans)
         for arr in (thresholds, p_fa, p_miss):
             arr.flags.writeable = False
         return thresholds, p_fa, p_miss
+
+
+def _midpoints(lower: np.ndarray, upper: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The threshold between each two adjacent distinct scores: their
+    midpoint, or the lower score where the midpoint falls outside
+    [lower, upper)."""
+    with np.errstate(over="ignore"):
+        out = np.add(lower, upper, out=out)
+    out /= 2.0
+    # the midpoint of two adjacent doubles can round onto the upper one, a
+    # threshold that accepts both, and a sum past the largest double is
+    # +-inf; in both cases the lower score accepts only itself
+    np.copyto(out, lower, where=(out >= upper) | (out < lower))
+    return out
 
 
 @dataclass(frozen=True)
@@ -228,23 +286,64 @@ def det_curve(trials: TrialScores) -> DetCurve:
     return DetCurve(thresholds[::-1], p_fa[::-1], p_miss[::-1])
 
 
+def det_vertices(trials: TrialScores) -> DetCurve:
+    """:meth:`DetCurve.vertices` of :func:`det_curve`, bit for bit, found
+    from the genuine scores' runs in the sorted pool.
+
+    A vertex ends or begins a step that moves p_miss, so it is an end of the
+    curve or an end of a genuine score's run.  Such a point is dropped only
+    where two genuine runs with no impostor cell meet: both its steps then
+    move p_miss alone.
+    """
+    pooled, lo, ends, hits = trials._steps
+    hi = ends[1:]
+    # a pure run holds genuine cells only, so its step moves p_miss alone
+    pure = hi - lo == np.diff(hits)
+    keep_lo = lo != ends[:-1]  # else the point is the previous run's end, or 0
+    keep_hi = np.append(~(pure[:-1] & pure[1:] & (hi[:-1] == lo[1:])), hi[-1] != pooled.size)
+    keep = np.column_stack([keep_lo, keep_hi])
+    # in descending threshold order, from the point that accepts every cell
+    cells = np.column_stack([lo, hi])[keep][::-1]
+    point_hits = np.column_stack([hits[:-1], hits[1:]])[keep][::-1]
+    cells = np.concatenate([[pooled.size], cells, [0]])
+    point_hits = np.concatenate([[trials.n_genuine], point_hits, [0]])
+    arrays = (trials._thresholds(cells), *trials._rates(cells, point_hits))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return DetCurve(*arrays)
+
+
 def eer(trials: TrialScores) -> float:
     """Error rate where the FAR and FRR staircases cross.
 
     Without an exact crossing, interpolates linearly between the two
     adjacent sweep points straddling p_fa = p_miss.
     """
-    _, p_fa, p_miss = trials._staircase
-    # descending threshold order: diff runs monotonically from +1 to -1
-    fa = p_fa[::-1]
-    miss = p_miss[::-1]
+    pooled, lo, ends, hits = trials._steps
+    fa, miss = trials._rates(ends, hits)
+    # p_fa - p_miss rises along the ascending staircase; p_miss holds from
+    # each genuine step to the next, so the last point at or below the
+    # crossing lies in the stretch of the last step still at or below it
+    s = int(np.count_nonzero(fa - miss <= 0.0)) - 1
+    first, h, m = int(ends[s]), int(hits[s]), float(miss[s])
+    last = int(lo[s]) if s < lo.size else pooled.size
+    stretch = range(first, last + 1)
+    # int / int is the correctly rounded quotient, as numpy's division of
+    # the same counts as doubles is, so this p_fa is _rates' bit for bit
+    below = bisect.bisect_right(stretch, m, key=lambda c: (c - h) / trials.n_impostor)
+    # the last cell count at or below it, snapped back to its run's start
+    at = int(np.searchsorted(pooled, pooled[stretch[below - 1]], side="left"))
+    after = int(np.searchsorted(pooled, pooled[at], side="right"))
+    cells = np.array([after, at])
+    fa, miss = trials._rates(cells, np.array([hits[s + 1] if after > last else h, h]))
+    # the interpolation of the descending staircase, whose points idx - 1
+    # and idx are [after, at]
     diff = fa - miss
-    idx = int(np.argmax(diff <= 0.0))
-    if diff[idx] == 0.0:
-        return float(fa[idx])
-    d1, d2 = diff[idx - 1], diff[idx]
+    if diff[1] == 0.0:
+        return float(fa[1])
+    d1, d2 = diff[0], diff[1]
     t = d1 / (d1 - d2)
-    return float(fa[idx - 1] + t * (fa[idx] - fa[idx - 1]))
+    return float(fa[0] + t * (fa[1] - fa[0]))
 
 
 def dcf(trials: TrialScores, threshold: float, params: DcfParams = DcfParams()) -> float:
@@ -257,12 +356,15 @@ def min_dcf(trials: TrialScores, params: DcfParams = DcfParams()) -> tuple[float
     """Exact minimum of the cost over all thresholds, with its argmin.
 
     The step function attains its global minimum on the candidate set;
-    ties resolve to the smallest threshold.
+    ties resolve to the smallest threshold.  Between two genuine steps the
+    cost cannot fall, so the smallest threshold of the minimum is at no
+    cell or at the end of a genuine score's run.
     """
-    thresholds, p_fa, p_miss = trials._staircase
+    _, _, ends, hits = trials._steps
+    p_fa, p_miss = trials._rates(ends, hits)
     costs = params.c_miss * p_miss * params.p_true + params.c_fa * p_fa * params.p_false
     idx = int(np.argmin(costs))  # first occurrence = smallest threshold
-    return float(costs[idx]), float(thresholds[idx])
+    return float(costs[idx]), float(trials._thresholds(ends[idx : idx + 1])[0])
 
 
 _STANDARD_NORMAL = statistics.NormalDist()

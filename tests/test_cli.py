@@ -42,7 +42,7 @@ from facedct.matching import (
 )
 from facedct.pipeline import extract_subject_features
 from facedct.synth import SynthSpec
-from facedct.verification import det_curve, det_to_csv, eer, split_intra_inter
+from facedct.verification import TrialScores, det_curve, det_to_csv, eer, split_intra_inter
 
 from byte_edit_strategy import apply_byte_edits, byte_edits
 
@@ -283,6 +283,28 @@ class TestEvaluate:
         capsys.readouterr()
         assert (out / "scores.csv").read_text().splitlines()[1] == "# metric=mad"
 
+    @pytest.mark.parametrize("c_miss, c_fa", [(0, 1), (1, 0)])
+    def test_results_are_strict_json_with_a_zero_cost(
+        self, dataset, tmp_path, capsys, c_miss, c_fa
+    ):
+        cfg = write_config(tmp_path / "cfg.json", dataset, dcf={"c_miss": c_miss, "c_fa": c_fa})
+        assert main(["enroll", "--config", str(cfg), "--out", str(tmp_path / "gal")]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--gallery", str(tmp_path / "gal"),
+                     "--out", str(tmp_path / "res")]) == 0
+        capsys.readouterr()
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        text = (tmp_path / "res" / "results.json").read_text()
+        (row,) = json.loads(text, parse_constant=refuse)["rows"]
+        assert row["min_dcf"] == {"0.5": 0.0, "empirical": 0.0}
+        if c_miss == 0:
+            # the least cost is at the -inf threshold, written as float() reads it
+            assert row["min_dcf_threshold"] == {"0.5": "-inf", "empirical": "-inf"}
+        else:
+            assert all(math.isfinite(t) for t in row["min_dcf_threshold"].values())
+
     def test_single_metric_uses_plain_names(self, dataset, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dataset)
         assert main(["enroll", "--config", str(cfg), "--out", str(tmp_path / "gal")]) == 0
@@ -386,7 +408,7 @@ class TestEvaluate:
         assert [float(v) for v in last[:3]] == [-math.inf, 0.0, 1.0]
         assert set(rows) <= set(det_to_csv(full).splitlines())
 
-        # EER and min-DCF still come from the full staircase
+        # EER and min-DCF agree with the full staircase
         (row,) = [
             r for r in json.loads((res / "results.json").read_text())["rows"]
             if r["metric"] == metric
@@ -774,6 +796,51 @@ IMAGE_ERRORS = {
         for name, (channel, img, msg) in WRONG_CHANNEL.items()
     },
 }
+
+
+class TestNoCommandExpandsTheFullStaircase:
+    """EER, min-DCF and the DET exports read the genuine steps of the
+    staircase; no command builds the full staircase, a million points on a
+    FERET-sized set."""
+
+    def run_commands(self, rgb_dataset, root, capsys):
+        """Every file evaluate --svg, det-export --svg and fuse-eval write
+        under ``root``, and their stdout."""
+        cfg = root / "cfg.json"
+        res = root / "res"
+        rgb_cfg = write_config(
+            root / "rgb.json", rgb_dataset, train_indices=[1, 2], test_indices=[3, 4],
+            window=16, dim=36, metrics=["mad"], channel="r",
+        )
+        for argv in (
+            ["evaluate", "--config", str(cfg), "--gallery", str(root / "gal"), "--out", str(res),
+             "--svg"],
+            ["det-export", "--scores", str(res / "scores_mse.csv"),
+             "--out", str(root / "det" / "det.csv"), "--svg", str(root / "det" / "det.svg")],
+            ["fuse-eval", "--config", str(rgb_cfg), "--fusion", "sum:R,G,B",
+             "--include-y", "--out", str(root / "fres")],
+        ):
+            assert main(argv) == 0
+        files = {
+            str(p.relative_to(root)): p.read_bytes()
+            for d in ("res", "det", "fres") for p in sorted((root / d).iterdir())
+        }
+        return files, capsys.readouterr().out
+
+    def test_outputs_are_the_bytes_of_an_unpatched_run(
+        self, dataset, rgb_dataset, tmp_path, capsys, monkeypatch
+    ):
+        cfg = write_config(tmp_path / "cfg.json", dataset, metrics=["mse", "mad"])
+        assert main(["enroll", "--config", str(cfg), "--out", str(tmp_path / "gal")]) == 0
+        capsys.readouterr()
+        files, out = self.run_commands(rgb_dataset, tmp_path, capsys)
+        assert len(files) == 11 + 2 + 1  # evaluate's, det-export's, fuse-eval's
+
+        def expanded(trials):
+            raise AssertionError("a command expanded the full staircase")
+
+        monkeypatch.setattr(TrialScores, "_staircase", property(expanded))
+        assert self.run_commands(rgb_dataset, tmp_path, capsys) == (files, out)
 
 
 class TestFeaturizeErrors:

@@ -306,6 +306,13 @@ class TestManifest:
             load_manifest(f)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_json_refuses_what_json_cannot_hold(tmp_path, value):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        imageio.write_json(tmp_path / "x.json", {"a": {"b": [value]}})
+    assert not (tmp_path / "x.json").exists()
+
+
 class TestRasterImageInvariants:
     def test_sample_count_checked(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import statistics
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from facedct.verification import (
     dcf,
     det_curve,
     det_to_csv,
+    det_vertices,
     eer,
     far_frr_at,
     min_dcf,
@@ -752,3 +754,114 @@ class TestDetVertices:
         assert text == rowwise_det_to_csv(list(kept))
         assert rowwise_svg_polyline(list(kept)) in render_det_svg(kept, eer(trials))
         assert set(text.splitlines()) <= set(det_to_csv(full).splitlines())
+
+
+# eer, min_dcf and det_vertices read only the genuine steps of the staircase;
+# these oracles read all of it, as every result did before.
+
+def staircase_eer(trials):
+    """The EER over the full staircase: interpolate between the two points
+    of the descending curve that straddle p_fa = p_miss."""
+    curve = det_curve(trials)
+    fa, miss = curve.p_fa, curve.p_miss
+    diff = fa - miss
+    idx = int(np.argmax(diff <= 0.0))
+    if diff[idx] == 0.0:
+        return float(fa[idx])
+    d1, d2 = diff[idx - 1], diff[idx]
+    t = d1 / (d1 - d2)
+    return float(fa[idx - 1] + t * (fa[idx] - fa[idx - 1]))
+
+
+def staircase_min_dcf(trials, params):
+    """The first argmin of the cost over the full ascending staircase."""
+    thresholds, p_fa, p_miss = trials._staircase
+    costs = params.c_miss * p_miss * params.p_true + params.c_fa * p_fa * params.p_false
+    idx = int(np.argmin(costs))
+    return float(costs[idx]), float(thresholds[idx])
+
+
+def bits(value):
+    return np.float64(value).tobytes()  # tells -0.0 from 0.0
+
+
+ORACLE_PARAMS = [
+    DcfParams(),
+    DcfParams(0.0, 1.0, 0.5),
+    DcfParams(1.0, 0.0, 0.5),
+    DcfParams(0.0, 0.0, 0.5),
+    DcfParams(1.0, 1.0, 1e-3),
+    DcfParams(10.0, 1.0, 0.01),
+    DcfParams(1.0, 10.0, 1.0 - 1e-3),
+]
+
+MAX = sys.float_info.max
+
+
+@st.composite
+def tie_heavy_populations(draw):
+    """Both populations drawn from a few scores and their neighbouring
+    doubles: ties within and across them, adjacent doubles, signed zeros,
+    subnormals and +-max double."""
+    anchor = st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0, 0.1, MAX, -MAX]) | st.floats(
+        -MAX, MAX, allow_nan=False, allow_infinity=False
+    )
+    pool = set()
+    for a in draw(st.lists(anchor, min_size=1, max_size=3)):
+        pool.update(math.nextafter(a, to) for to in (-math.inf, math.inf))
+        pool.add(a)
+    pool = sorted(v for v in pool if math.isfinite(v))
+    scores = st.sampled_from(pool)
+    return draw(st.lists(scores, min_size=1, max_size=12)), draw(
+        st.lists(scores, min_size=1, max_size=40)
+    )
+
+
+def assert_genuine_steps_match_the_full_staircase(trials):
+    assert bits(eer(trials)) == bits(staircase_eer(trials))
+    for params in ORACLE_PARAMS:
+        got, want = min_dcf(trials, params), staircase_min_dcf(trials, params)
+        assert [bits(v) for v in got] == [bits(v) for v in want], params
+    kept, want = det_vertices(trials), det_curve(trials).vertices()
+    for got_arr, want_arr in zip(
+        (kept.thresholds, kept.p_fa, kept.p_miss), (want.thresholds, want.p_fa, want.p_miss)
+    ):
+        assert got_arr.dtype == want_arr.dtype
+        assert got_arr.tobytes() == want_arr.tobytes()
+        assert not got_arr.flags.writeable
+
+
+class TestGenuineStepsMatchTheFullStaircase:
+    @given(tie_heavy_populations())
+    @example(([1.0], [0.0, 1.0, 1.0, 2.0]))  # a single genuine cell, tied
+    @example(([0.0, 1.0, 2.0, 2.0], [1.0]))  # a single impostor cell, tied
+    @example(([3.0, 3.0], [3.0, 3.0, 3.0]))  # all cells equal
+    @example(([1.0, 2.0], [3.0]))  # separated: the EER is exact at 0
+    @example(([1.0, 2.0, 4.0], [3.0, 5.0]))  # genuine runs that meet without an impostor
+    @example(([-0.0, 0.0, 5e-324], [0.0, -5e-324]))
+    @example(([MAX, -MAX], [MAX, math.nextafter(MAX, 0.0)]))  # midpoints that overflow
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_on_ties_adjacent_doubles_and_extremes(self, populations):
+        assert_genuine_steps_match_the_full_staircase(TrialScores(*populations))
+
+    @pytest.mark.parametrize("decimals", [None, 2], ids=["distinct", "tied"])
+    def test_bit_identical_at_the_feret_shape(self, decimals):
+        rng = np.random.default_rng(25)
+        genuine, impostor = rng.normal(2.0, 1.0, 1000), rng.normal(5.0, 1.0, 999_000)
+        if decimals is not None:
+            genuine, impostor = genuine.round(decimals), impostor.round(decimals)
+        assert_genuine_steps_match_the_full_staircase(TrialScores(genuine, impostor))
+
+    def test_results_expand_no_full_staircase(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        trials = TrialScores(rng.random(200), rng.random(7800) + 0.1)
+
+        def expanded(self):
+            raise AssertionError("expanded the full staircase")
+
+        monkeypatch.setattr(TrialScores, "_staircase", property(expanded))
+        eer(trials), min_dcf(trials), det_vertices(trials)
+        # the one array of the pooled cells' size is the sorted pool
+        pooled, *per_genuine_value = trials._steps
+        assert pooled.size == trials.n_genuine + trials.n_impostor
+        assert all(arr.size <= trials.n_genuine + 1 for arr in per_genuine_value)
