@@ -25,13 +25,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DataError
-from .imageio import CHANNELS
+from .imageio import CHANNELS, ArrayRecord
 
 DEFAULT_DIM = 100
 
 
-@dataclass
-class FeatureVector:
+@dataclass(eq=False)
+class FeatureVector(ArrayRecord):
     """D retained DCT coefficients describing one face image."""
 
     coeffs: np.ndarray = field(repr=False)
@@ -46,21 +46,11 @@ class FeatureVector:
             raise ValueError("feature coefficients must be finite")
         if self.source_channel not in CHANNELS:
             raise ValueError(f"unknown source channel {self.source_channel!r}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        self._freeze("coeffs", arr)
 
     @property
     def dim(self) -> int:
         return int(self.coeffs.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureVector):
-            return NotImplemented
-        return (
-            self.source_channel == other.source_channel
-            and self.subject_id == other.subject_id
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,8 @@ order, each subject's templates in enrollment order, and subject
 reduces one distance kernel over that matrix (see ``matching``).  The same
 grouped matrix also carries a probe set: ``pipeline.extract_subject_features``
 returns one per channel, and ``build_score_tensor`` scores its rows in order.
+:meth:`Gallery.enroll` appends a row to a buffer beside the matrix, and the
+next read merges the buffer in, so many enrollments cost one merge.
 
 A saved gallery (format ``facedct-gallery`` v1) is a directory of three
 files, written in this order by :func:`~facedct.pinned.save_pinned`, the
@@ -43,6 +45,7 @@ that check.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,12 +136,16 @@ def apply_split(
 
 
 class Gallery:
-    """Immutable-after-enrollment map of subject id -> template vectors.
+    """Map of subject id -> template vectors: a grouped matrix, plus an
+    append buffer that the next read merges into it.
 
     The first enrollment fixes the feature dimension and source channel.
     Templates live in :attr:`matrix`, subjects in lexicographic order so
-    downstream score tensors are reproducible; enrollment may come in any
-    subject order and is merged into the matrix on the next read.
+    downstream score tensors are reproducible, each subject's rows in
+    enrollment order.  :meth:`enroll` appends one row to the buffer, in any
+    subject order and also after :func:`load_gallery`, so it costs O(1);
+    the next read of the matrix, its offsets or its subjects merges the
+    buffer in with one stable sort of the row labels.
     """
 
     def __init__(self) -> None:
@@ -162,20 +169,6 @@ class Gallery:
         gallery._hold(ids, counts, np.ascontiguousarray(matrix))
         return gallery
 
-    def _merge(self, labels: list[str], rows: np.ndarray) -> None:
-        """Add matrix rows labelled by subject after the enrolled ones; each
-        subject keeps its rows in order, and subjects are sorted."""
-        counts = np.diff(self._offsets).tolist()
-        labels = [s for s, c in zip(self._ids, counts) for _ in range(c)] + labels
-        if len(self._matrix):
-            rows = np.concatenate([self._matrix, rows])
-        rows_of: dict[str, list[int]] = {}
-        for i, subject in enumerate(labels):
-            rows_of.setdefault(subject, []).append(i)
-        ids = sorted(rows_of)
-        counts = [len(rows_of[s]) for s in ids]
-        self._hold(ids, counts, rows[[i for s in ids for i in rows_of[s]]])
-
     def _hold(self, ids: list[str], counts: list[int], matrix: np.ndarray) -> None:
         """Take ``matrix``, rows grouped by subject in ``ids`` order, read-only."""
         matrix.flags.writeable = False
@@ -188,9 +181,19 @@ class Gallery:
         self._offsets = offsets
 
     def _flush(self) -> None:
+        """Merge the staged rows after the grouped ones; each subject keeps
+        its rows in order, and subjects are sorted."""
         if self._staged:
             staged, self._staged = self._staged, []
-            self._merge([s for s, _ in staged], np.array([row for _, row in staged]))
+            labels = _labels(self._ids, np.diff(self._offsets).tolist()) + [s for s, _ in staged]
+            rows = np.array([row for _, row in staged])
+            if len(self._matrix):
+                rows = np.concatenate([self._matrix, rows])
+            # a stable sort keeps each subject's rows in enrollment order
+            order = sorted(range(len(labels)), key=labels.__getitem__)
+            counts = Counter(labels)
+            ids = sorted(counts)
+            self._hold(ids, [counts[s] for s in ids], rows[order])
 
     @property
     def feature_dim(self) -> int | None:
@@ -240,22 +243,25 @@ class Gallery:
         return subject_id in self._index
 
     def enroll(self, subject_id: str, vec: FeatureVector) -> None:
-        """Append one template to a subject, preserving enrollment order."""
-        if self._feature_dim is None:
-            self._feature_dim = vec.dim
-            self._channel = vec.source_channel
-        if vec.dim != self._feature_dim:
+        """Append one template to a subject, preserving enrollment order.
+
+        The first enrollment fixes the dim and channel; a rejected one
+        changes nothing.
+        """
+        dim, channel = self._feature_dim, self._channel
+        if dim is None:
+            dim, channel = vec.dim, vec.source_channel
+        if vec.dim != dim:
+            raise MismatchError(f"template dim {vec.dim} != gallery dim {dim}")
+        if vec.source_channel != channel:
             raise MismatchError(
-                f"template dim {vec.dim} != gallery dim {self._feature_dim}"
-            )
-        if vec.source_channel != self._channel:
-            raise MismatchError(
-                f"template channel {vec.source_channel!r} != gallery channel {self._channel!r}"
+                f"template channel {vec.source_channel!r} != gallery channel {channel!r}"
             )
         if vec.subject_id is not None and vec.subject_id != subject_id:
             raise GalleryError(
                 f"vector labelled {vec.subject_id!r} enrolled under {subject_id!r}"
             )
+        self._feature_dim, self._channel = dim, channel
         self._staged.append((subject_id, vec.coeffs))
 
     def __eq__(self, other: object) -> bool:
@@ -270,6 +276,12 @@ class Gallery:
             and np.array_equal(self._offsets, other._offsets)
             and np.array_equal(self._matrix, other._matrix)
         )
+
+
+def _labels(ids: list[str], counts: list[int]) -> list[str]:
+    """The subject of each row of a matrix grouped by subject, ``counts[j]``
+    rows for ``ids[j]``."""
+    return [s for s, c in zip(ids, counts) for _ in range(c)]
 
 
 def _fields_sha256(ids: list[str], counts: list[int], dim: int, channel: str, meta: dict) -> str:
@@ -292,28 +304,22 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
     """
     if gallery.n_templates == 0:
         raise GalleryError("refusing to save an empty gallery (nothing enrolled)")
+    ids, counts = gallery.subject_ids, np.diff(gallery.offsets).tolist()
     manifest = {
         "format": GALLERY_FORMAT,
         "version": GALLERY_VERSION,
         "feature_dim": gallery.feature_dim,
         "channel": gallery.channel,
-        "subjects": [
-            {"id": s, "templates": int(b - a)}
-            for s, a, b in zip(gallery.subject_ids, gallery.offsets[:-1], gallery.offsets[1:])
-        ],
+        "subjects": [{"id": s, "templates": c} for s, c in zip(ids, counts)],
     }
     if meta:
         manifest["meta"] = meta
-    labels = [entry["id"] for entry in manifest["subjects"] for _ in range(entry["templates"])]
-    fields = _fields_sha256(
-        gallery.subject_ids, np.diff(gallery.offsets).tolist(), gallery.feature_dim,
-        gallery.channel, meta or {},
-    )
+    fields = _fields_sha256(ids, counts, gallery.feature_dim, gallery.channel, meta or {})
     directory = Path(directory)
     save_pinned(
         directory / TEMPLATES_NPY, gallery.matrix,
         directory / VECTORS_CSV,
-        feature_matrix_to_csv(labels, gallery.channel, gallery.matrix).encode(),
+        feature_matrix_to_csv(_labels(ids, counts), gallery.channel, gallery.matrix).encode(),
         directory / GALLERY_JSON,
         lambda digests: {**manifest, "sha256": digests, "fields_sha256": fields},
     )
@@ -380,7 +386,7 @@ def _matrix_of_csv(
     data: bytes, path: Path, ids: list[str], counts: list[int], feature_dim: int, channel: str
 ) -> np.ndarray:
     """The templates of vectors.csv, whose rows must be the ones listed."""
-    labels = [s for s, count in zip(ids, counts) for _ in range(count)]
+    labels = _labels(ids, counts)
     try:
         csv_labels, csv_channel, matrix = feature_matrix_from_csv(data)
     except DataError as exc:

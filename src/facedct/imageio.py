@@ -12,13 +12,17 @@ pieces on every image; the public helpers (:func:`read_pnm`,
 :func:`to_luminance`, :func:`normalize`, :func:`resize_bilinear` and
 :func:`prepare_plane`) call the same pieces on a :class:`RasterImage`,
 whose samples are int64.
+
+:class:`ArrayRecord` is the one equality rule of the public records that
+hold arrays: :class:`RasterImage` here, ``FeatureVector``, ``ScoreTensor``
+and ``TrialScores``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -65,8 +69,29 @@ class ManifestError(DataError):
     """Dataset manifest is structurally invalid."""
 
 
-@dataclass
-class RasterImage:
+class ArrayRecord:
+    """Base of the public records that hold numpy arrays.
+
+    Two records are equal when they are of one type and every dataclass
+    field is equal, arrays by ``np.array_equal``.  A record is unhashable,
+    as its arrays are, and holds each array read-only.
+    """
+
+    __hash__ = None
+
+    def _freeze(self, name: str, arr: np.ndarray) -> None:
+        arr.flags.writeable = False
+        object.__setattr__(self, name, arr)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+@dataclass(eq=False)
+class RasterImage(ArrayRecord):
     """Integer pixel grid with 1 (gray) or 3 (RGB) channels.
 
     ``samples`` is stored as a read-only (height, width, channels) array in
@@ -95,19 +120,7 @@ class RasterImage:
         arr = arr.reshape(self.height, self.width, self.channels)
         if arr.size and (arr.min() < 0 or arr.max() > self.maxval):
             raise ValueError("sample out of range [0, maxval]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RasterImage):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and self.channels == other.channels
-            and self.maxval == other.maxval
-            and np.array_equal(self.samples, other.samples)
-        )
+        self._freeze("samples", arr)
 
 
 #: a header token and the whitespace and '#' comments before it; bytes

@@ -23,9 +23,10 @@ distance row, reused across all the probes of a share.
   channel fusion runs pass this form.  It is checked once as a whole:
   every subject enrolled, ``T`` rows for each, and the gallery's dim and
   channel.
-- subject -> list of :class:`FeatureVector`, the public form.  It is
-  enrolled into a grouped matrix first through ``Gallery.enroll``, which
-  checks each vector's dim, channel and label.
+- subject -> list of :class:`FeatureVector`, the public form.  Each vector
+  is enrolled into one new gallery through ``Gallery.enroll``, which checks
+  its dim, channel and label, and the first read of that gallery merges
+  them all into a grouped matrix at once.
 
 A tensor is exchanged as ``facedct-scores-v1`` CSV, one ``i,j,k,score`` row
 per cell.  ``scores_to_csv`` writes each probe row's cells with one ``%``
@@ -95,6 +96,7 @@ import numpy as np
 from .errors import DataError, MismatchError, parse_json, read_bytes, read_chunks
 from .features import FeatureVector, first_bad_row
 from .gallery import Gallery
+from .imageio import ArrayRecord
 from .pinned import pinned_array, save_pinned, sha256
 from .shares import Worker, compute_in_shares, n_shares, row_shares, shared_array
 
@@ -174,8 +176,8 @@ def subject_distances(
     return np.minimum.reduceat(dists, gallery.offsets[:-1])
 
 
-@dataclass
-class ScoreTensor:
+@dataclass(eq=False)
+class ScoreTensor(ArrayRecord):
     """Distances s[i][j][k]: probe k of subject i against subject j's models.
 
     Probe subjects must all be enrolled (appear among gallery subjects);
@@ -208,8 +210,7 @@ class ScoreTensor:
             raise ValueError("scores must be finite")
         if arr.size and arr.min() < 0:
             raise ValueError("distances must be >= 0")
-        arr.flags.writeable = False
-        object.__setattr__(self, "scores", arr)
+        self._freeze("scores", arr)
         self.metric = check_metric(self.metric)
 
     @property

@@ -64,6 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, write_atomic
+from .imageio import ArrayRecord
 from .matching import ScoreTensor
 
 
@@ -71,8 +72,8 @@ class DegenerateScoresError(DataError):
     """Trial set lacks one of the two score populations."""
 
 
-@dataclass
-class TrialScores:
+@dataclass(eq=False)
+class TrialScores(ArrayRecord):
     """Genuine (intra) and impostor (inter) distance populations."""
 
     genuine: np.ndarray = field(repr=False)
@@ -85,8 +86,7 @@ class TrialScores:
                 raise DegenerateScoresError(f"no {name} trials")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} scores must be finite")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            self._freeze(name, arr)
 
     @property
     def n_genuine(self) -> int:
@@ -264,6 +264,10 @@ class DcfParams:
     def p_false(self) -> float:
         return 1.0 - self.p_true
 
+    def cost(self, p_fa, p_miss):
+        """c_miss*p_miss*p_true + c_fa*p_fa*p_false, of floats or arrays."""
+        return self.c_miss * p_miss * self.p_true + self.c_fa * p_fa * self.p_false
+
 
 def split_intra_inter(tensor: ScoreTensor) -> TrialScores:
     """Genuine and impostor scores: :meth:`ScoreTensor.partition`, flattened."""
@@ -274,7 +278,13 @@ def split_intra_inter(tensor: ScoreTensor) -> TrialScores:
 
 
 def far_frr_at(trials: TrialScores, threshold: float) -> tuple[float, float]:
-    """(p_fa, p_miss) at one threshold; accept iff score <= threshold."""
+    """(p_fa, p_miss) at one threshold; accept iff score <= threshold.
+
+    A NaN threshold accepts no impostor and rejects no genuine trial, a
+    point on no DET curve, so it is a ValueError; +-inf are valid.
+    """
+    if math.isnan(threshold):
+        raise ValueError(f"threshold {threshold} must be a number, not NaN")
     p_fa = float(np.count_nonzero(trials.impostor <= threshold)) / trials.n_impostor
     p_miss = float(np.count_nonzero(trials.genuine > threshold)) / trials.n_genuine
     return p_fa, p_miss
@@ -347,9 +357,8 @@ def eer(trials: TrialScores) -> float:
 
 
 def dcf(trials: TrialScores, threshold: float, params: DcfParams = DcfParams()) -> float:
-    """Cost at a threshold: c_miss*p_miss*p_true + c_fa*p_fa*p_false."""
-    p_fa, p_miss = far_frr_at(trials, threshold)
-    return params.c_miss * p_miss * params.p_true + params.c_fa * p_fa * params.p_false
+    """Cost at a threshold: :meth:`DcfParams.cost` of :func:`far_frr_at`."""
+    return params.cost(*far_frr_at(trials, threshold))
 
 
 def min_dcf(trials: TrialScores, params: DcfParams = DcfParams()) -> tuple[float, float]:
@@ -361,8 +370,7 @@ def min_dcf(trials: TrialScores, params: DcfParams = DcfParams()) -> tuple[float
     cell or at the end of a genuine score's run.
     """
     _, _, ends, hits = trials._steps
-    p_fa, p_miss = trials._rates(ends, hits)
-    costs = params.c_miss * p_miss * params.p_true + params.c_fa * p_fa * params.p_false
+    costs = params.cost(*trials._rates(ends, hits))
     idx = int(np.argmin(costs))  # first occurrence = smallest threshold
     return float(costs[idx]), float(trials._thresholds(ends[idx : idx + 1])[0])
 

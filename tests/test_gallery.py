@@ -157,6 +157,30 @@ class TestEnroll:
         with pytest.raises(GalleryError):
             g.enroll("a", vec([1.0], subject="b"))
 
+    @pytest.mark.parametrize(
+        "before, rejected",
+        [
+            ([], ("a", vec([1.0, 2.0], subject="b"))),
+            ([("a", vec([1.0, 2.0]))], ("b", vec([1.0]))),
+            ([("a", vec([1.0, 2.0]))], ("b", vec([1.0, 2.0], channel="r"))),
+            ([("a", vec([1.0, 2.0]))], ("a", vec([3.0, 4.0], subject="b"))),
+        ],
+    )
+    def test_rejected_enrollment_changes_nothing(self, before, rejected):
+        g, untouched = Gallery(), Gallery()
+        for subject, v in before:
+            g.enroll(subject, v)
+            untouched.enroll(subject, v)
+        state = g.feature_dim, g.channel, g.n_templates
+        with pytest.raises((GalleryError, MismatchError)):
+            g.enroll(*rejected)
+        assert (g.feature_dim, g.channel, g.n_templates) == state
+        assert g == untouched
+        if not before:
+            # the refused vector fixed no dim: any other dim still enrolls
+            g.enroll("a", vec([1.0, 2.0, 3.0]))
+            assert g.feature_dim == 3
+
     @given(st.integers(1, 30))
     @settings(max_examples=20)
     def test_enrolling_k_vectors_yields_k_templates(self, k):

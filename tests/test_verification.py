@@ -180,6 +180,15 @@ class TestFarFrrAt:
         t = TrialScores([2.0], [2.0])
         assert far_frr_at(t, 2.0) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("nan", [math.nan, np.float64("nan"), -math.nan])
+    def test_nan_threshold_rejected(self, nan):
+        # a NaN threshold accepts no impostor and rejects no genuine trial
+        t = TrialScores([1.0, 2.0], [3.0, 4.0])
+        with pytest.raises(ValueError, match="threshold nan"):
+            far_frr_at(t, nan)
+        with pytest.raises(ValueError, match="threshold nan"):
+            dcf(t, nan)
+
 
 class TestDetCurve:
     def test_separated_sets_reach_origin(self):
