@@ -32,7 +32,8 @@ sidecars, see ``matching``), ``det{tag}.csv`` and, with ``--svg``,
 ``det{tag}.svg``; the tag is empty for one metric and ``_<metric>``
 otherwise.  It writes ``results.json`` last.  ``enroll`` writes the three
 gallery files, then ``provenance.json``.  ``det-export`` reads the cells
-from the sidecars of its ``--scores`` file when they match it.
+from the sidecars of its ``--scores`` file when they match it, and refuses
+an output that is that file, one of its sidecars, or its other output.
 
 ``results.json`` (evaluate) and ``provenance.json`` (enroll) record a run.
 Each command removes the old one from its output directory before its first
@@ -75,6 +76,7 @@ from .matching import (
     check_metric,
     load_scores_csv,
     save_scores_csv,
+    score_files,
     subject_distances,
 )
 from .pipeline import (
@@ -338,9 +340,9 @@ def cmd_evaluate(args) -> int:
     rows = []
     remove_file(out / "results.json")
     for tag in ["", *(f"_{m}" for m in METRICS)]:
-        for name in (f"scores{tag}.npy", f"scores{tag}.csv", f"scores{tag}.json",
-                     f"det{tag}.csv", f"det{tag}.svg"):
-            remove_file(out / name)
+        for path in (*score_files(out / f"scores{tag}.csv"), out / f"det{tag}.csv",
+                     out / f"det{tag}.svg"):
+            remove_file(path)
     for metric in cfg.metrics:
         tensor = build_score_tensor(probes, gallery, metric)
         trials = split_intra_inter(tensor)
@@ -418,6 +420,17 @@ def _write_det(trials, csv_path, svg_path, eer_value: float | None) -> int:
 
 
 def cmd_det_export(args) -> int:
+    """The DET vertices, and with ``--svg`` their plot, of a score file.  An
+    output that is the score file, one of its sidecars, or the other output
+    is refused before any read or write."""
+    csv, *sidecars = score_files(args.scores)
+    taken = {Path(p).resolve(): f"{p}, a sidecar of --scores {csv}" for p in sidecars}
+    taken[csv.resolve()] = f"--scores {csv}"
+    for flag, out in (("--out", args.out), ("--svg", args.svg)):
+        key = Path(out).resolve() if out else None
+        if key in taken:
+            raise ValidationError(f"{flag} {out} would overwrite {taken[key]}")
+        taken[key] = f"{flag} {out}"
     trials = split_intra_inter(load_scores_csv(args.scores))
     n_points = _write_det(trials, args.out, args.svg, eer_of(trials) if args.svg else None)
     print(f"det curve ({n_points} points) -> {args.out}")

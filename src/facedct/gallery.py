@@ -286,7 +286,7 @@ def _labels(ids: list[str], counts: list[int]) -> list[str]:
 
 def _fields_sha256(ids: list[str], counts: list[int], dim: int, channel: str, meta: dict) -> str:
     """sha256 of the gallery.json fields that the templates.npy path trusts."""
-    fields = json.dumps([ids, counts, dim, channel, meta], separators=(",", ":"))
+    fields = json.dumps([ids, counts, dim, channel, meta], separators=(",", ":"), allow_nan=False)
     return sha256(fields.encode())
 
 
@@ -300,7 +300,8 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
     the new templates.npy nor the new vectors.csv matches (see
     :func:`load_gallery`).  gallery.json also records ``fields_sha256``,
     the sha256 of its listed fields.  A failed save leaves no partial file
-    behind.
+    behind, and a ``meta`` that holds a NaN or infinity, which JSON has no
+    token for, raises ValueError before the first write.
     """
     if gallery.n_templates == 0:
         raise GalleryError("refusing to save an empty gallery (nothing enrolled)")
@@ -429,7 +430,8 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
     checks them against the rows.  Last, the subject ids, counts, feature
     dim, channel and meta must match ``fields_sha256`` when gallery.json
     has it (galleries saved before it was added do not), so an edit of them
-    is a GalleryCorruptError on the templates.npy path too.  A gallery file
+    is a GalleryCorruptError on the templates.npy path too; so is a meta
+    that holds a NaN or infinity, which has no digest.  A gallery file
     that cannot be read is a GalleryCorruptError naming it.
     """
     directory = Path(directory)
@@ -452,10 +454,11 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
                 f"{csv} does not match its sha256 in {GALLERY_JSON} (torn save or edited file)"
             )
         matrix = _matrix_of_csv(csv_data, csv, ids, counts, feature_dim, channel)
-    if "fields_sha256" in manifest and manifest["fields_sha256"] != _fields_sha256(
-        ids, counts, feature_dim, channel, meta
-    ):
-        raise GalleryCorruptError(
-            f"{directory / GALLERY_JSON} does not match its fields_sha256 (edited file)"
-        )
+    if "fields_sha256" in manifest:
+        try:
+            fields = _fields_sha256(ids, counts, feature_dim, channel, meta)
+        except ValueError:  # a NaN or infinity, which no save writes
+            raise GalleryCorruptError(f"{path} meta holds a NaN or infinity") from None
+        if manifest["fields_sha256"] != fields:
+            raise GalleryCorruptError(f"{path} does not match its fields_sha256 (edited file)")
     return Gallery._of_subjects(ids, counts, channel, matrix), meta

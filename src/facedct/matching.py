@@ -45,26 +45,12 @@ two sidecars with :func:`~facedct.pinned.save_pinned`, in this order:
    the sha256 of the other two under their file names, written last as the
    commit point.
 
-Two steps of this module run in row shares (:mod:`facedct.shares`), one
-per usable CPU above a floor of work per share, and inline below it (also
-where ``os.fork`` does not exist):
-
-- ``build_score_tensor`` splits its probe rows, with at least
-  ``_TENSOR_FLOOR`` probe-template pairs per share.  The tensor lives in
-  memory shared with the forked workers, each of which writes its rows
-  into it with the same :func:`subject_distances` calls and its own
-  scratch; that memory is the returned tensor, with no copy.  The caller
-  computes the first share, then, in share order, any share whose worker
-  failed, was killed or never started, so the bits are the same for any
-  number of shares.
-- ``save_scores_csv`` splits the probe rows of the CSV's text, with at
-  least ``_SHARE_FLOOR`` cells per share.  Each worker formats its share
-  with :func:`_row_blocks`, the formatter of :func:`scores_to_csv`, holds
-  the text, then writes it into its pipe and exits.  Meanwhile the caller
-  streams the header and the first share into the file one probe row at a
-  time, then each worker's text in order, then any rows no worker took.
-  The bytes are the same for any number of shares.  A worker that exits
-  non-zero fails the save before the CSV is renamed into place.
+Two steps run in row shares (:mod:`facedct.shares`), one probe row to a
+row: ``build_score_tensor``, with probe-template pairs as its work and a
+floor of ``_TENSOR_FLOOR`` pairs a share, and the CSV text of
+``save_scores_csv``, with cells as its work and a floor of
+``_SHARE_FLOOR`` cells a share; the bits and bytes are the same for any
+number of shares.
 
 The names beside the CSV are its own with the suffix replaced.  The CSV is
 always the truth, and the sidecars are a cache of it.
@@ -81,11 +67,11 @@ rows to be parsed, so the result is always the CSV's tensor.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import itertools
 import json
+import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,7 +84,7 @@ from .features import FeatureVector, first_bad_row
 from .gallery import Gallery
 from .imageio import ArrayRecord
 from .pinned import pinned_array, save_pinned, sha256
-from .shares import Worker, compute_in_shares, n_shares, row_shares, shared_array
+from .shares import fill, text
 
 METRICS = ("mse", "mad")
 
@@ -299,17 +285,16 @@ def build_score_tensor(
         )
 
     gallery_subjects = tuple(gallery.subject_ids)
-    n_rows = len(probes.matrix)
-    k = n_shares(min(n_rows * len(gallery.matrix) // _TENSOR_FLOOR, n_rows))
-    scores = shared_array((len(probe_subjects), len(gallery_subjects), n_trials), k)
+    n_rows, n_templates = len(probes.matrix), len(gallery.matrix)
 
-    def score(rows: range) -> None:
-        scratch = np.empty_like(gallery.matrix), np.empty(len(gallery.matrix))
+    def score(out: np.ndarray, rows: range) -> None:
+        scratch = np.empty_like(gallery.matrix), np.empty(n_templates)
         for row in rows:
             dists = subject_distances(probes.matrix[row], gallery, metric, scratch)
-            scores[row // n_trials, :, row % n_trials] = dists
+            out[row // n_trials, :, row % n_trials] = dists
 
-    compute_in_shares(score, n_rows, k)
+    shape = (len(probe_subjects), len(gallery_subjects), n_trials)
+    scores = fill(shape, n_rows, n_rows * n_templates, _TENSOR_FLOOR, score)
     return ScoreTensor(probe_subjects, gallery_subjects, scores, metric)
 
 
@@ -331,7 +316,15 @@ def _identification(genuine: np.ndarray, impostor: np.ndarray) -> Identification
 SCORES_FORMAT = "facedct-scores-v1"
 
 
-def _score_head(tensor: ScoreTensor) -> str:
+def score_files(path: str | Path) -> tuple[Path, Path, Path]:
+    """The score file ``path`` and its two sidecars, its name with the
+    suffix ``.npy`` and ``.json``: the CSV, ``scores.npy`` and
+    ``scores.json``."""
+    path = Path(path)
+    return path, path.with_suffix(".npy"), path.with_suffix(".json")
+
+
+def _score_head(tensor: ScoreTensor) -> bytes:
     """The header lines of :func:`scores_to_csv`: the ``#`` comments and the
     ``i,j,k,score`` row."""
     head = [
@@ -341,11 +334,11 @@ def _score_head(tensor: ScoreTensor) -> str:
         f"# gallery_subjects={json.dumps(list(tensor.gallery_subjects))}",
         "i,j,k,score",
     ]
-    return "\n".join(head) + "\n"
+    return ("\n".join(head) + "\n").encode()
 
 
-def _row_blocks(tensor: ScoreTensor, rows: range) -> Iterator[str]:
-    """The text of the probe rows ``rows`` of :func:`scores_to_csv`, one
+def _row_blocks(tensor: ScoreTensor, rows: range) -> Iterator[bytes]:
+    """The bytes of the probe rows ``rows`` of :func:`scores_to_csv`, one
     block per probe row, in C order of the tensor.
 
     The rows of probe ``i`` come from one ``%`` operation: a template of
@@ -360,7 +353,7 @@ def _row_blocks(tensor: ScoreTensor, rows: range) -> Iterator[str]:
     # holds a comma, quote or newline, so csv.writer would quote none
     for i in rows:
         s = str(i)
-        yield (s + ("\n" + s).join(cells) + "\n") % tuple(flat[i].tolist())
+        yield ((s + ("\n" + s).join(cells) + "\n") % tuple(flat[i].tolist())).encode()
 
 
 def scores_to_csv(tensor: ScoreTensor) -> str:
@@ -370,7 +363,7 @@ def scores_to_csv(tensor: ScoreTensor) -> str:
     formatters, one probe row at a time; only this whole string holds more
     than one row's text.
     """
-    return _score_head(tensor) + "".join(_row_blocks(tensor, range(tensor.scores.shape[0])))
+    return b"".join([_score_head(tensor), *_row_blocks(tensor, range(len(tensor.scores)))]).decode()
 
 
 #: the fewest tensor cells per share when :func:`save_scores_csv` splits the
@@ -379,48 +372,6 @@ def scores_to_csv(tensor: ScoreTensor) -> str:
 #: 0.6x and 0.6x at 50,000, 100,000 and 200,000 cells; with this floor the
 #: rows are split from 200,000 cells, well past where a fork starts to pay
 _SHARE_FLOOR = 100_000
-
-
-def _n_shares(tensor: ScoreTensor) -> int:
-    """Into how many shares the rows of ``tensor`` are formatted: one per
-    usable CPU, with at least ``_SHARE_FLOOR`` cells and one probe row each
-    (:func:`~facedct.shares.n_shares`)."""
-    return n_shares(min(tensor.scores.size // _SHARE_FLOOR, tensor.scores.shape[0]))
-
-
-def _worker_text(worker: Worker) -> Iterator[bytes]:
-    """The text a worker formatted, once it is all read and the worker has
-    exited 0; any other exit is an OSError."""
-    yield from worker.chunks()
-    code = worker.join()
-    if code != 0:
-        raise OSError(
-            f"the process formatting score rows {worker.rows.start}-{worker.rows.stop - 1} "
-            f"exited with code {code}"
-        )
-
-
-@contextlib.contextmanager
-def _csv_chunks(tensor: ScoreTensor) -> Iterator[Iterator[bytes]]:
-    """The bytes of :func:`scores_to_csv` as chunks, the probe rows split
-    into :func:`_n_shares` contiguous row shares
-    (:func:`~facedct.shares.row_shares`).  The caller formats its shares
-    as they are read; each other share is formatted at once by a worker,
-    which holds its text until it writes it into its pipe, and is read
-    from that pipe after the shares before it."""
-
-    def text(rows: range) -> list[bytes]:
-        return [block.encode() for block in _row_blocks(tensor, rows)]
-
-    with row_shares(text, tensor.scores.shape[0], _n_shares(tensor)) as shares:
-        yield itertools.chain(
-            [_score_head(tensor).encode()],
-            *(
-                (block.encode() for block in _row_blocks(tensor, rows))
-                if worker is None else _worker_text(worker)
-                for rows, worker in shares
-            ),
-        )
 
 
 _ROW_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("score", np.float64)])
@@ -540,39 +491,42 @@ def save_scores_csv(tensor: ScoreTensor, path: str | Path) -> None:
     """Write ``tensor`` to the score file ``path`` and its two sidecars
     (module docstring): ``scores.npy``, then the CSV of :func:`scores_to_csv`,
     then ``scores.json`` last, each atomically.  The CSV is streamed into its
-    file and its digest from :func:`_csv_chunks`, so its text is never held
+    file and its digest one probe row at a time, so its text is never held
     whole.  Its bytes are the same as without the sidecars, and the same
     however many processes format them."""
-    path = Path(path)
-    with _csv_chunks(tensor) as chunks:
+    csv, npy, manifest = score_files(path)
+    with text(len(tensor.scores), tensor.scores.size, _SHARE_FLOOR,
+              lambda rows: _row_blocks(tensor, rows)) as chunks:
         save_pinned(
-            path.with_suffix(".npy"), tensor.scores,
-            path, chunks,
-            path.with_suffix(".json"), lambda digests: {"format": SCORES_FORMAT, "sha256": digests},
+            npy, tensor.scores,
+            csv, itertools.chain([_score_head(tensor)], chunks),
+            manifest, lambda digests: {"format": SCORES_FORMAT, "sha256": digests},
         )
+
+
+#: the ``#`` lines of a score file and the line after them; a ``#`` line
+#: cut short by the end of the bytes is not taken for that line
+_HEAD = re.compile(rb"(?:#[^\n]*\n)*(?!#)[^\n]*\n")
 
 
 def _head_and_digest(path: Path) -> tuple[bytes, str]:
     """The header of the score file ``path``, its ``#`` lines and the line
     after them (all its bytes when it ends first), and the sha256 of all its
-    bytes, from one read in chunks that searches each header byte once."""
+    bytes, from one read in chunks.  The header is matched only after a
+    chunk that ends a line, and from the start of the first line it ends,
+    so the read stays linear in the file's size, however long its lines."""
     digest = hashlib.sha256()
     head = bytearray()
-    end = None
-    line = seen = 0  # the current line's start, and how far it is searched for its end
+    found = None
+    line = 0  # where the line being read starts; each line before it is a # line
     for chunk in read_chunks(path, DataError):
         digest.update(chunk)
-        if end is not None:
-            continue
-        head += chunk
-        while end is None and (newline := head.find(b"\n", seen)) >= 0:
-            if head.startswith(b"#", line):
-                line = seen = newline + 1
-            else:
-                end = newline + 1
-        if end is None:
-            seen = len(head)
-    return bytes(head[:end]), digest.hexdigest()
+        if found is None:
+            head += chunk
+            if b"\n" in chunk:
+                found = _HEAD.match(head, line)
+                line = head.rfind(b"\n") + 1
+    return bytes(head[: found.end() if found else None]), digest.hexdigest()
 
 
 def _pinned_npy(path: Path, digest: str) -> tuple[Path, bytes] | None:
@@ -581,7 +535,7 @@ def _pinned_npy(path: Path, digest: str) -> tuple[Path, bytes] | None:
     ``facedct-scores-v1`` manifest whose digests pin both files; None when
     the CSV rows are to be parsed.  A sidecar that cannot be read or
     parsed counts as absent."""
-    manifest_path, npy = path.with_suffix(".json"), path.with_suffix(".npy")
+    _, npy, manifest_path = score_files(path)
     try:
         manifest = parse_json(read_bytes(manifest_path, DataError), manifest_path, DataError)
     except DataError:
@@ -620,12 +574,7 @@ def load_scores_csv(path: str | Path) -> ScoreTensor:
     head, digest = _head_and_digest(path)
     pinned = _pinned_npy(path, digest)
     if pinned is None:
-        data = read_bytes(path, DataError)
-        probe_subjects, gallery_subjects, metric, pos, line_no = _named(path, _score_header, data)
-        scores = _named(
-            path, _score_rows, data, pos, line_no, len(probe_subjects), len(gallery_subjects)
-        )
-        return _named(path, _score_tensor, probe_subjects, gallery_subjects, scores, metric)
+        return _named(path, scores_from_csv, read_bytes(path, DataError))
     npy, npy_data = pinned
     probe_subjects, gallery_subjects, metric, _, _ = _named(path, _score_header, head)
     shape = (len(probe_subjects), len(gallery_subjects), None)

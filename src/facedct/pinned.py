@@ -11,21 +11,14 @@ the sha256 of the bytes it wrote:
    header and then the array's own buffer, with the bytes ``np.save``
    gives;
 2. the text: the same table in its exchange format, written as the byte
-   chunks its producer yields: for the score table, one per probe row of
-   the caller's share, then pipe-sized chunks of the shares formatted by
-   forked workers (:func:`facedct.shares.row_shares`, the helper that
-   every step split between processes shares), then one per row of any
-   share that no worker took, which the caller formats after the
-   workers' text;
-3. the manifest: JSON that records the sha256 of the other two under their
-   file names.
+   chunks its producer yields;
+3. the manifest: strict JSON, with no NaN or infinity, that records the
+   sha256 of the other two under their file names.
 
 So the writing process copies no file and holds none whole in memory to
-write or hash it, except the gallery's text, which is built whole.  Each
-forked worker of the score table holds the text of its own share of the
-rows until it is read.  The manifest is written
-last, so it is the commit point: a write cut before it leaves the old
-manifest, whose digests the new files do not match.
+write or hash it, except the gallery's text, which is built whole.  The
+manifest is written last, so it is the commit point: a write cut before it
+leaves the old manifest, whose digests the new files do not match.
 
 :func:`pinned_array` is the one check of a ``.npy`` whose bytes match their
 pin.  They are parsed in place, as a read-only view of the bytes that were
@@ -115,7 +108,8 @@ def save_pinned(
     to the sha256 of their bytes, as :func:`write_atomic` returns them."""
     digests = {npy.name: write_atomic(npy, _npy_chunks(array))}
     digests[text.name] = write_atomic(text, chunks)
-    write_atomic(manifest, (json.dumps(fields(digests), indent=1) + "\n").encode())
+    record = json.dumps(fields(digests), indent=1, allow_nan=False)
+    write_atomic(manifest, (record + "\n").encode())
 
 
 def pinned_array(

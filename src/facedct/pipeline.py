@@ -16,16 +16,9 @@ The training split's is the gallery that ``enroll`` saves, and the test
 split's is the probe set that ``build_score_tensor`` scores, so features
 are never regrouped or enrolled one vector at a time.
 
-It featurizes in row shares (:mod:`facedct.shares`): from
-``2 * _FEATURIZE_FLOOR`` images, the rows are split into contiguous
-shares, one per usable CPU.  The ``(C, N, D)`` array of all channels'
-matrices then lives in memory shared with forked workers, each of which
-writes its share's rows into it through :func:`featurize_image`, as the
-caller does for the first share; that memory is the returned matrices,
-with no copy.  A worker that fails (an image that cannot be read, say)
-exits non-zero and prints nothing, and the caller featurizes its share
-again, in share order, so a bad image raises the error of the inline
-path, for the first bad image in row order."""
+It featurizes in row shares (:func:`facedct.shares.fill`), one image to
+a row and to a unit of work, with at least ``_FEATURIZE_FLOOR`` images a
+share."""
 
 from __future__ import annotations
 
@@ -44,7 +37,7 @@ from .matching import (
     _identification,
     build_score_tensor,
 )
-from .shares import compute_in_shares, n_shares, shared_array
+from .shares import fill
 from .verification import DcfParams, TrialScores, eer, min_dcf, split_intra_inter
 
 DEFAULT_WINDOW = 64
@@ -104,15 +97,14 @@ def extract_subject_features(
     ids = sorted(subjects)
     counts = [len(subjects[s]) for s in ids]
     images = [(s, p) for s in ids for p in subjects[s]]
-    k = n_shares(len(images) // _FEATURIZE_FLOOR)
-    matrices = shared_array((len(channels), len(images), dim), k)
 
-    def featurize(rows: range) -> None:
+    def featurize(out: np.ndarray, rows: range) -> None:
         for row in rows:
             subject, path = images[row]
-            featurize_image(path, channels, dim, window, subject, matrices[:, row])
+            featurize_image(path, channels, dim, window, subject, out[:, row])
 
-    compute_in_shares(featurize, len(images), k)
+    shape = (len(channels), len(images), dim)
+    matrices = fill(shape, len(images), len(images), _FEATURIZE_FLOOR, featurize)
     return {c: Gallery._of_subjects(ids, counts, c, m) for c, m in zip(channels, matrices)}
 
 

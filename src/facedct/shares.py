@@ -1,44 +1,50 @@
 """Row shares: a step's rows split between the caller and forked workers.
 
-Three steps run this way: featurizing a split's images
-(``pipeline.extract_subject_features``), the score tensor
+This module alone knows how work is split between processes.  A step
+states its rows, its work, the fewest units of work per share that pays
+for a fork (its floor, measured for that step), and the function that
+computes a share's rows.  Three steps run this way: featurizing a
+split's images (``pipeline.extract_subject_features``), the score tensor
 (``matching.build_score_tensor``) and the text of a score file
-(``matching.save_scores_csv``).  Each step's rows are split into k
-contiguous shares, one per usable CPU, with k = 1 below the step's own row
-floor and where ``os.fork`` does not exist (:func:`n_shares`).
-:func:`row_shares` forks one :class:`Worker` for each share but the first,
-which the caller computes meanwhile.  Where a pipe or process cannot be
-made, no more workers are forked, and the rows none took are left to the
-caller, after the others.  Every worker is reaped before the step returns
-or raises, and killed first if need be.
+(``matching.save_scores_csv``).
+
+The rows are split into k contiguous shares, one per usable CPU, with at
+least one row and ``floor`` units of work each, and k = 1 where
+``os.fork`` does not exist (:func:`n_shares`).  The caller computes the
+first share, and one forked worker each of the others.  Where a pipe or
+process cannot be made, no more workers are forked, and the caller
+computes the shares none took, in share order after the others.  Every
+worker is reaped before the step returns or raises, and killed first if
+need be.
 
 A worker runs only on the usable CPUs other than the caller's, when the
 system tells both: the scheduler may otherwise leave it for its whole run
 on the CPU of the caller, which computes a share at the same time.  It
 hands its result back in one of two ways:
 
-- rows of an array in memory shared with the caller (:func:`shared_array`,
-  an anonymous ``MAP_SHARED`` mapping), which is then the step's result
-  with no copy.  A worker that fails exits non-zero and prints nothing, and
-  the caller computes its share again, in share order
-  (:func:`compute_in_shares`), so an error is raised by the caller, as
-  inline, for the first bad row in row order;
-- bytes written into a pipe once they are all made, which the caller reads
-  after the shares before it (the score file's text).
+- rows of an array in memory shared with the caller, an anonymous
+  ``MAP_SHARED`` mapping, which is then the step's result with no copy
+  (:func:`fill`).  A worker that fails exits non-zero and prints nothing,
+  and the caller computes its share again, in share order, so an error is
+  raised by the caller, as inline, for the first bad row in row order;
+- bytes written into a pipe once the worker has made them all, which the
+  caller reads after the shares before it (:func:`text`).  A worker that
+  exits non-zero is an OSError once its bytes are read, so a file written
+  from them is never completed.
 
 The workers are forked, not spawned: a spawned worker would import this
 package and be sent its inputs, which costs more than a share saves.  A
 fork also costs the caller: after it, the first write to each page the
-caller held takes a page fault, so each step forks only past a row floor
-measured for that step.  A worker only reads files, runs numpy (BLAS
-included) and formats text, so it waits on no lock that another thread
-of the caller could hold at the fork; a test forks every step with a
-second thread running.
+caller held takes a page fault, so each step forks only past its floor.
+A worker only reads files, runs numpy (BLAS included) and formats text,
+so it waits on no lock that another thread of the caller could hold at
+the fork; a test forks every step with a second thread running.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import mmap
 import os
@@ -52,7 +58,7 @@ from .errors import CHUNK_SIZE
 
 #: what a worker runs: its rows in, and the bytes to write into its pipe, if
 #: any, out
-Task = Callable[[range], Iterable[bytes] | None]
+_Task = Callable[[range], Iterable[bytes] | None]
 
 
 def usable_cpus() -> int:
@@ -74,32 +80,23 @@ def _other_cpus() -> set[int] | None:
     return others or None
 
 
-def n_shares(most: int) -> int:
-    """Into how many shares a step's rows are split: one per usable CPU and
-    at most ``most``, the step's rows over its floor; one where
-    ``os.fork`` does not exist."""
+def n_shares(n_rows: int, work: int, floor: int) -> int:
+    """Into how many shares a step of ``n_rows`` rows and ``work`` units of
+    work is split: one per usable CPU, with at least one row and ``floor``
+    units each; one where ``os.fork`` does not exist."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(usable_cpus(), most))
+    return max(1, min(usable_cpus(), n_rows, work // floor))
 
 
-def shared_array(shape: tuple[int, ...], k: int) -> np.ndarray:
-    """A new float64 array of ``shape`` for a step split into ``k`` shares:
-    in an anonymous ``MAP_SHARED`` mapping, which forked workers write into,
-    when k > 1, and an ordinary array when k = 1."""
-    if k == 1:
-        return np.empty(shape)
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
-
-
-class Worker:
+class _Worker:
     """A forked process that runs ``task(rows)``, writes the bytes it
     returns into a pipe, and exits: 0 once it has written them all and
     closed the pipe, 1 when the task raises, printing nothing either way.
     It runs only on the CPUs ``cpus``, when given.  A pipe or process that
     cannot be made is an OSError, and leaves no process behind."""
 
-    def __init__(self, task: Task, rows: range, cpus: set[int] | None) -> None:
+    def __init__(self, task: _Task, rows: range, cpus: set[int] | None) -> None:
         self.rows = rows
         read_end, write_end = os.pipe()
         self.pipe = open(read_end, "rb", buffering=0)
@@ -124,12 +121,6 @@ class Worker:
                 os._exit(status)
         os.close(write_end)
 
-    def chunks(self) -> Iterator[bytes]:
-        """The worker's bytes in chunks of at most ``CHUNK_SIZE`` bytes; they
-        are whole only when :meth:`join` then gives 0."""
-        while chunk := self.pipe.read(CHUNK_SIZE):
-            yield chunk
-
     def join(self) -> int:
         """Reap the worker and return its exit code (minus the signal that
         killed it)."""
@@ -137,6 +128,18 @@ class Worker:
         self.pid = None
         self.pipe.close()
         return os.waitstatus_to_exitcode(status)
+
+    def output(self) -> Iterator[bytes]:
+        """The worker's bytes in chunks of at most ``CHUNK_SIZE`` bytes, then
+        its reaping; an exit other than 0 is an OSError."""
+        while chunk := self.pipe.read(CHUNK_SIZE):
+            yield chunk
+        code = self.join()
+        if code != 0:
+            raise OSError(
+                f"the process formatting rows {self.rows.start}-{self.rows.stop - 1} "
+                f"exited with code {code}"
+            )
 
     def stop(self) -> None:
         """Close the pipe, and kill and reap the worker if it is not reaped."""
@@ -148,39 +151,60 @@ class Worker:
 
 
 @contextlib.contextmanager
-def row_shares(task: Task, n_rows: int, k: int) -> Iterator[list[tuple[range, Worker | None]]]:
+def _row_shares(task: _Task, n_rows: int, k: int) -> Iterator[list[tuple[range, _Worker | None]]]:
     """Split rows ``0 .. n_rows - 1`` into ``k`` contiguous shares and fork a
-    :class:`Worker` running ``task`` for each share but the first; yield
-    the shares in row order, each with its worker, or None for a share the
-    caller computes: the first, and, last, the rows of the workers that
-    could not be started, if any.  Every worker is reaped, and killed first
-    if need be, on leaving."""
-    bounds = [n_rows * s // k for s in range(k + 1)]
+    :class:`_Worker` running ``task`` for each share but the first, until
+    one cannot be started; yield the shares in row order, each with its
+    worker, or None for a share the caller computes.  Every worker is
+    reaped, and killed first if need be, on leaving."""
+    shares = [range(n_rows * s // k, n_rows * (s + 1) // k) for s in range(k)]
     cpus = _other_cpus() if k > 1 else None
-    workers: list[Worker] = []
+    workers: list[_Worker] = []
     try:
         with contextlib.suppress(OSError):
-            for s in range(1, k):
-                workers.append(Worker(task, range(bounds[s], bounds[s + 1]), cpus))
-        shares: list[tuple[range, Worker | None]] = [(range(bounds[1]), None)]
-        shares += [(worker.rows, worker) for worker in workers]
-        rest = range(bounds[len(workers) + 1], n_rows)  # empty when every worker started
-        if rest:
-            shares.append((rest, None))
-        yield shares
+            for rows in shares[1:]:
+                workers.append(_Worker(task, rows, cpus))
+        yield list(itertools.zip_longest(shares, [None, *workers]))
     finally:
         for worker in workers:
             worker.stop()
 
 
-def compute_in_shares(compute: Callable[[range], None], n_rows: int, k: int) -> None:
-    """Run ``compute`` over rows ``0 .. n_rows - 1`` in ``k`` shares
-    (:func:`row_shares`), where ``compute(rows)`` writes the rows ``rows``
-    of an array made by :func:`shared_array`.  The caller computes the first
-    share, then, in share order, each share whose worker exited non-zero,
-    was killed or was never started; so it raises what computing the rows
-    inline would raise first."""
-    with row_shares(compute, n_rows, k) as shares:
+def fill(
+    shape: tuple[int, ...],
+    n_rows: int,
+    work: int,
+    floor: int,
+    compute: Callable[[np.ndarray, range], None],
+) -> np.ndarray:
+    """A new float64 array of ``shape`` whose rows ``0 .. n_rows - 1`` are
+    written by ``compute(out, rows)``, run over :func:`n_shares` shares.
+    With more than one, the array is in an anonymous ``MAP_SHARED``
+    mapping, which forked workers write into.  The caller computes the
+    first share, then, in share order, each share whose worker exited
+    non-zero, was killed or was never started; so it raises what computing
+    the rows inline would raise first."""
+    k = n_shares(n_rows, work, floor)
+    size = math.prod(shape)
+    out = (np.empty(size) if k == 1 else np.frombuffer(mmap.mmap(-1, 8 * size))).reshape(shape)
+    with _row_shares(lambda rows: compute(out, rows), n_rows, k) as shares:
         for rows, worker in shares:
             if worker is None or worker.join() != 0:
-                compute(rows)
+                compute(out, rows)
+    return out
+
+
+@contextlib.contextmanager
+def text(
+    n_rows: int, work: int, floor: int, blocks: Callable[[range], Iterable[bytes]]
+) -> Iterator[Iterator[bytes]]:
+    """Yield the bytes of ``blocks(rows)`` for rows ``0 .. n_rows - 1`` in
+    row order, as chunks, run over :func:`n_shares` shares.  The caller
+    makes its shares' blocks as they are read.  A worker makes its whole
+    share, as a list, before it writes into its pipe: written as they are
+    made, its blocks would fill the pipe and hold the worker until the
+    caller reads them, after the shares before it.  A worker that exits
+    non-zero is an OSError once its bytes are read."""
+    k = n_shares(n_rows, work, floor)
+    with _row_shares(lambda rows: list(blocks(rows)), n_rows, k) as shares:
+        yield itertools.chain.from_iterable(w.output() if w else blocks(r) for r, w in shares)

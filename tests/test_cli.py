@@ -386,6 +386,33 @@ class TestEvaluate:
         assert csv_path.read_bytes() == (evaluated / "res" / "det_mse.csv").read_bytes()
         assert svg_path.read_bytes() == (evaluated / "res" / "det_mse.svg").read_bytes()
 
+    @pytest.mark.parametrize(
+        "out, svg, refused, other",
+        [
+            ("scores.csv", None, "--out scores.csv", "scores.csv"),
+            ("../res/scores.csv", None, "--out ../res/scores.csv", "scores.csv"),
+            ("d.csv", "scores.csv", "--svg scores.csv", "scores.csv"),
+            ("scores.npy", None, "--out scores.npy", "scores.csv"),
+            ("d.csv", "scores.json", "--svg scores.json", "scores.csv"),
+            ("d.csv", "d.csv", "--svg d.csv", "d.csv"),
+        ],
+    )
+    def test_det_export_refuses_an_output_that_is_an_input_or_the_other_output(
+        self, evaluated, tmp_path, capsys, out, svg, refused, other
+    ):
+        res = tmp_path / "res"
+        res.mkdir()
+        for suffix in (".csv", ".npy", ".json"):
+            shutil.copy(evaluated / "res" / f"scores_mse{suffix}", res / f"scores{suffix}")
+        before = {p.name: p.read_bytes() for p in res.iterdir()}
+        argv = ["det-export", "--scores", str(res / "scores.csv"), "--out", str(res / out)]
+        code, stdout, err = run_cli(capsys, *argv, *(["--svg", str(res / svg)] if svg else []))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        flag, name = refused.split()
+        assert f"{flag} {res / name} would overwrite " in err and str(res / other) in err
+        assert {p.name: p.read_bytes() for p in res.iterdir()} == before
+
     @pytest.mark.parametrize("metric", ["mse", "mad"])
     def test_det_exports_hold_the_curve_vertices(self, evaluated, tmp_path, capsys, metric):
         res = evaluated / "res"

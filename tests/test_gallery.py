@@ -583,6 +583,28 @@ class TestTemplatesSidecar:
         with pytest.raises(GalleryCorruptError, match="json does not match its fields_sha256"):
             load_gallery(tmp_path)
 
+    def test_a_meta_that_is_not_strict_json_is_refused_before_any_write(self, tmp_path):
+        # gallery.json has no token for a NaN or infinity
+        save_gallery(gallery_of(["a", "b"]), tmp_path, meta={"window": 8})
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError):
+            save_gallery(gallery_of(["c"]), tmp_path, meta={"w": float("nan"), "x": float("inf")})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_a_meta_with_a_nan_token_is_corrupt(self, tmp_path):
+        # as a parser that takes NaN reads it, with the digest it would have
+        save_gallery(gallery_of(["a", "b"]), tmp_path)
+        path = tmp_path / "gallery.json"
+        manifest = json.loads(path.read_text())
+        manifest["meta"] = {"w": float("nan")}
+        fields = [["a", "b"], [1, 1], 5, "gray", manifest["meta"]]
+        manifest["fields_sha256"] = hashlib.sha256(
+            json.dumps(fields, separators=(",", ":")).encode()
+        ).hexdigest()
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(GalleryCorruptError, match="json meta holds a NaN or infinity"):
+            load_gallery(tmp_path)
+
     def test_gallery_without_the_fields_digest_loads(self, tmp_path):
         g = gallery_of(["a", "b"])
         save_gallery(g, tmp_path, meta={"window": 8})

@@ -1,0 +1,80 @@
+"""The package's layering, read from its source: only ``shares`` starts
+processes or maps memory, and files are written in three places only."""
+
+import ast
+from pathlib import Path
+
+import facedct
+
+MODULES = sorted(Path(facedct.__file__).parent.glob("*.py"))
+
+#: the calls of ``os`` that start, signal, reap or place a process
+PROCESS_CALLS = {"fork", "pipe", "waitpid", "kill", "sched_setaffinity", "_exit"}
+
+#: the functions that open a file for writing: every artifact's write
+#: (``write_atomic``), a worker's pipe, and the synthetic images
+WRITERS = {
+    ("errors", "_write_chunks"),
+    ("shares", "_Worker.__init__"),
+    ("imageio", "write_pnm_file"),
+}
+
+
+def scoped(node, scope=""):
+    """(qualified name of the enclosing function or class, node) for every
+    node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from scoped(child, f"{scope}.{child.name}".lstrip("."))
+        else:
+            yield scope, child
+            yield from scoped(child, scope)
+
+
+def process_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os" and node.attr in PROCESS_CALLS:
+                yield f"os.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from (f"os.{a.name}" for a in node.names if a.name in PROCESS_CALLS)
+        if isinstance(node, ast.Import) and any(a.name == "mmap" for a in node.names):
+            yield "import mmap"
+        elif isinstance(node, ast.ImportFrom) and node.module == "mmap":
+            yield "import mmap"
+
+
+def opens_for_writing(call):
+    """Whether ``call`` opens a file for writing, or with a mode that is not
+    a literal, or writes one by ``write_bytes``/``write_text``."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_bytes", "write_text"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) and Path.open(mode)
+    modes = call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    return any(
+        not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
+        for m in modes
+    )
+
+
+def test_only_shares_starts_processes_or_maps_memory():
+    uses = {
+        (path.stem, use) for path in MODULES for use in process_uses(ast.parse(path.read_text()))
+    }
+    assert {module for module, _ in uses} == {"shares"}
+    assert {use for _, use in uses} == {f"os.{c}" for c in PROCESS_CALLS} | {"import mmap"}
+
+
+def test_files_are_written_in_three_places_only():
+    writers = {
+        (path.stem, scope)
+        for path in MODULES
+        for scope, node in scoped(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and opens_for_writing(node)
+    }
+    assert writers == WRITERS

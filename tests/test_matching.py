@@ -38,6 +38,7 @@ from facedct.matching import (
     scores_to_csv,
 )
 from facedct.pipeline import extract_subject_features
+from facedct.shares import n_shares
 from facedct.synth import SynthSpec, generate_dataset
 
 from byte_edit_strategy import apply_byte_edits, byte_edits
@@ -624,6 +625,26 @@ class TestScoreSidecar:
         path.with_suffix(".npy").unlink()
         assert same_tensor(load_scores_csv(path), tensor)
 
+    def test_the_header_is_matched_in_time_linear_in_its_length(self, tmp_path, monkeypatch):
+        # each byte read falls in at most two of the spans the header
+        # pattern is matched over, however many chunks its lines take
+        subjects = [f"subject{j:05d}" for j in range(2000)]
+        tensor = ScoreTensor(subjects[:1], subjects, np.ones((1, 2000, 1)), "mse")
+        path = tmp_path / "scores.csv"
+        save_scores_csv(tensor, path)
+        pattern, spans = matching._HEAD, []
+
+        class Spy:
+            def match(self, data, pos):
+                spans.append(len(data) - pos)
+                return pattern.match(data, pos)
+
+        monkeypatch.setattr(errors, "CHUNK_SIZE", 64)
+        monkeypatch.setattr(matching, "_HEAD", Spy())
+        assert same_tensor(load_scores_csv(path), tensor)
+        header = scores_to_csv(tensor).index("i,j,k,score\n") + len("i,j,k,score\n")
+        assert header > 30_000 and sum(spans) <= 2 * (header + 64)
+
     def test_the_manifest_pins_both_files_by_name(self, tmp_path):
         tensor = ScoreTensor(("a",), ("a", "b"), np.ones((1, 2, 1)), "mse")
         save_scores_csv(tensor, tmp_path / "scores_mse.csv")
@@ -736,7 +757,8 @@ class TestRowShares:
             [f"s{j}" for j in range(shape[0])], [f"s{j}" for j in range(shape[1])], np.zeros(shape)
         )
         with mock.patch("facedct.shares.usable_cpus", lambda: cpus):
-            assert matching._n_shares(tensor) == shares
+            k = n_shares(tensor.scores.shape[0], tensor.scores.size, matching._SHARE_FLOOR)
+            assert k == shares
 
     @pytest.mark.parametrize("n_probe, forks", [(1, 0), (2, 1), (3, 2), (7, 2)])
     def test_each_share_but_the_first_is_forked(self, tmp_path, n_probe, forks):
@@ -815,7 +837,7 @@ class TestRowShares:
             return real_row_blocks(tensor, rows)
 
         with forked_shares(), mock.patch.object(matching, "_row_blocks", row_blocks):
-            with pytest.raises(OSError, match=r"score rows 1-1 exited with code 1$"):
+            with pytest.raises(OSError, match=r"rows 1-1 exited with code 1$"):
                 save_scores_csv(tensor, tmp_path / "scores.csv")
         # no scores.csv, no temporary file, and no worker left
         assert [p.name for p in tmp_path.iterdir()] == ["scores.npy"]

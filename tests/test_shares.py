@@ -243,3 +243,50 @@ def test_a_bad_pgm_in_any_share_fails_evaluate_as_inline(tmp_path, row):
     assert fork.call_count == 2
     assert code == 2 and err.count("\n") == 1 and err.startswith("data error: ")
     assert str(bad) in err
+
+
+def command_forks(root, spec, cfg, enroll_flags, fusion):
+    """The forks of each command on the synthetic set ``spec``, as on a host
+    with two usable CPUs."""
+    generate_dataset(spec, root / "data")
+    manifest = json.loads((root / "data" / "manifest.json").read_text())
+    config = root / "config.json"
+    config.write_text(json.dumps({"manifest": "data/manifest.json", "window": 8, "dim": 10,
+                                  "metrics": ["mse"], **cfg}))
+    gallery, res = str(root / "gal"), root / "res"
+    commands = {
+        "enroll": ["enroll", "--config", str(config), "--out", gallery, *enroll_flags],
+        "evaluate": ["evaluate", "--config", str(config), "--gallery", gallery,
+                     "--out", str(res)],
+        "det-export": ["det-export", "--scores", str(res / "scores.csv"),
+                       "--out", str(root / "det.csv")],
+        "fuse-eval": ["fuse-eval", "--config", str(config), "--out", str(root / "fused"),
+                      *fusion],
+        "identify": ["identify", "--gallery", gallery,
+                     "--image", str(root / "data" / manifest[min(manifest)][0])],
+    }
+    forks = {}
+    with mock.patch("facedct.shares.usable_cpus", lambda: 2), counted_forks() as fork:
+        for name, argv in commands.items():
+            before = fork.call_count
+            assert quiet(argv) == (0, ""), name
+            forks[name] = fork.call_count - before
+    return forks
+
+
+def test_forks_per_command_past_every_floor(tmp_path):
+    # 450 images a split, and 450 x 450 pairs and cells, cross all three
+    # floors on two CPUs: featurize (150 images a share), the tensor
+    # (80,000 pairs) and the score text (100,000 cells)
+    spec = SynthSpec(450, 2, 0.5, seed=2, width=8, height=8)
+    cfg = {"train_indices": [1], "test_indices": [2], "channel": "gray"}
+    forks = command_forks(tmp_path, spec, cfg, [], ["--fusion", "sum:gray"])
+    assert forks == {"enroll": 1, "evaluate": 3, "det-export": 0, "fuse-eval": 3, "identify": 0}
+
+
+def test_an_orl_sized_set_forks_in_no_command(tmp_path):
+    spec = SynthSpec(40, 10, 0.5, seed=2, width=8, height=8, placement="rgb")
+    cfg = {"train_indices": [1, 2, 3, 4, 5], "test_indices": [6, 7, 8, 9, 10]}
+    forks = command_forks(tmp_path, spec, cfg, ["--channel", "y"],
+                          ["--fusion", "sum:R,G,B", "--include-y"])
+    assert forks == dict.fromkeys(["enroll", "evaluate", "det-export", "fuse-eval", "identify"], 0)
