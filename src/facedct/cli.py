@@ -30,8 +30,11 @@ samples than the largest index a command needs is a data error naming it.
 ``scores{tag}.csv`` and ``scores{tag}.json`` (the score file and its pinned
 sidecars, see ``matching``), ``det{tag}.csv`` and, with ``--svg``,
 ``det{tag}.svg``; the tag is empty for one metric and ``_<metric>``
-otherwise.  It writes ``results.json`` last.  ``enroll`` writes the three
-gallery files, then ``provenance.json``.  ``det-export`` reads the cells
+otherwise.  It writes ``results.json`` last.  ``enroll`` writes the gallery
+files ``templates.npy`` and ``gallery.json``, with ``--text`` also their
+text ``vectors.csv`` between them (see ``gallery``), then
+``provenance.json``; without ``--text`` it removes an older ``vectors.csv``
+once the new ``gallery.json`` is in place.  ``det-export`` reads the cells
 from the sidecars of its ``--scores`` file when they match it, and refuses
 an output that is that file, one of its sidecars, or its other output.
 
@@ -298,7 +301,7 @@ def cmd_enroll(args) -> int:
         "config_sha256": cfg.sha256(),
     }
     remove_file(out / "provenance.json")
-    save_gallery(gallery, out, meta=meta)
+    save_gallery(gallery, out, meta=meta, text=args.text)
     write_json(out / "provenance.json", _provenance(cfg))
     print(
         f"enrolled {gallery.n_templates} templates for {gallery.n_subjects} subjects "
@@ -567,6 +570,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enroll", help="build and persist a gallery from the training split")
     add_config_flags(p, "--window", "--dim", "--channel", "--train-indices")
     p.add_argument("--out", required=True, help="gallery output directory")
+    p.add_argument(
+        "--text", action="store_true",
+        help="also write vectors.csv, the templates as text for exchange; templates.npy "
+        "and gallery.json are the whole gallery without it",
+    )
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("evaluate", help="score the test split against a gallery")

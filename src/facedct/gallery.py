@@ -11,25 +11,34 @@ returns one per channel, and ``build_score_tensor`` scores its rows in order.
 :meth:`Gallery.enroll` appends a row to a buffer beside the matrix, and the
 next read merges the buffer in, so many enrollments cost one merge.
 
-A saved gallery (format ``facedct-gallery`` v1) is a directory of three
-files, written in this order by :func:`~facedct.pinned.save_pinned`, the
-write order it shares with the score table:
+A saved gallery (format ``facedct-gallery`` v1) is a directory of two
+files, or three when its text is asked for, written in this order by
+:func:`~facedct.pinned.save_pinned`, the write order it shares with the
+score table:
 
 1. ``templates.npy``: the matrix as ``'<f8'``, C order, no pickle.  This is
    what :func:`load_gallery` reads.
-2. ``vectors.csv``: the same rows as text, one ``label,channel,dim,coeffs``
-   row per template, for exchange; its bytes do not depend on the sidecar.
+2. ``vectors.csv``, only when :func:`save_gallery` is given ``text=True``
+   (``enroll --text``): the same rows as text, one
+   ``label,channel,dim,coeffs`` row per template, for exchange; its bytes
+   do not depend on the sidecar.
 3. ``gallery.json``: the subjects with their template counts, the feature
-   dim, the channel, the meta, the sha256 of the other two files, and
-   ``fields_sha256``, the sha256 of its own subjects, counts, dim, channel
-   and meta.
+   dim, the channel, the meta, the sha256 of the files written before it,
+   and ``fields_sha256``, the sha256 of its own subjects, counts, dim,
+   channel and meta.
 
+So ``templates.npy`` and ``gallery.json`` are a whole gallery.
 ``gallery.json`` is the commit point of the whole directory, so a
 ``templates.npy`` that matches its digest is the gallery's matrix, and
 ``vectors.csv`` is not read.  A file is checked when it is read: only when
 ``templates.npy`` is missing or does not match its digest is ``vectors.csv``
 read and parsed, and then it must match its own digest or the gallery is
-rejected.  A broken pin is an error, never a fallback: a ``gallery.json``
+rejected.  When ``gallery.json`` pins no ``vectors.csv``, there is no text
+to fall back on: ``templates.npy`` must match its digest, or the gallery is
+rejected, and a ``vectors.csv`` beside it is never read.  A text-less save
+removes an older ``vectors.csv`` once its ``gallery.json`` is in place, so
+no unpinned text that disagrees with ``templates.npy`` stays beside it.
+A broken pin is an error, never a fallback: a ``gallery.json``
 that cannot be read or is not JSON, digests that are not an object, and a
 ``templates.npy`` that exists but cannot be read are GalleryCorruptErrors.
 A save cut before ``gallery.json`` leaves a ``templates.npy`` that fails
@@ -51,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MismatchError, parse_json, read_bytes
+from .errors import DataError, MismatchError, parse_json, read_bytes, remove_file
 from .features import FeatureVector, feature_matrix_from_csv, feature_matrix_to_csv
 from .imageio import CHANNELS, MAX_WINDOW
 from .pinned import pinned_array, save_pinned, sha256
@@ -290,18 +299,23 @@ def _fields_sha256(ids: list[str], counts: list[int], dim: int, channel: str, me
     return sha256(fields.encode())
 
 
-def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = None) -> None:
-    """Persist as templates.npy + vectors.csv + gallery.json; load is bit-exact.
+def save_gallery(
+    gallery: Gallery, directory: str | Path, meta: dict | None = None, *, text: bool = True
+) -> None:
+    """Persist as templates.npy, vectors.csv when ``text``, then
+    gallery.json; load is bit-exact.
 
     Each file is written under a temporary name and renamed into place, in
     that order.  gallery.json, written last, records the sha256 of the bytes
-    written to the other two, so it is the commit point: until it is renamed
+    written to the others, so it is the commit point: until it is renamed
     into place the directory still holds the old gallery.json, which neither
     the new templates.npy nor the new vectors.csv matches (see
     :func:`load_gallery`).  gallery.json also records ``fields_sha256``,
-    the sha256 of its listed fields.  A failed save leaves no partial file
-    behind, and a ``meta`` that holds a NaN or infinity, which JSON has no
-    token for, raises ValueError before the first write.
+    the sha256 of its listed fields.  Without ``text``, vectors.csv is not
+    built, and an older one is removed after gallery.json is in place.  A
+    failed save leaves no partial file behind, and a ``meta`` that holds a
+    NaN or infinity, which JSON has no token for, raises ValueError before
+    the first write.
     """
     if gallery.n_templates == 0:
         raise GalleryError("refusing to save an empty gallery (nothing enrolled)")
@@ -317,13 +331,18 @@ def save_gallery(gallery: Gallery, directory: str | Path, meta: dict | None = No
         manifest["meta"] = meta
     fields = _fields_sha256(ids, counts, gallery.feature_dim, gallery.channel, meta or {})
     directory = Path(directory)
+    csv = chunks = None
+    if text:
+        csv = directory / VECTORS_CSV
+        chunks = feature_matrix_to_csv(_labels(ids, counts), gallery.channel, gallery.matrix).encode()
     save_pinned(
         directory / TEMPLATES_NPY, gallery.matrix,
-        directory / VECTORS_CSV,
-        feature_matrix_to_csv(_labels(ids, counts), gallery.channel, gallery.matrix).encode(),
+        csv, chunks,
         directory / GALLERY_JSON,
         lambda digests: {**manifest, "sha256": digests, "fields_sha256": fields},
     )
+    if not text:
+        remove_file(directory / VECTORS_CSV)
 
 
 def check_window(window, dim: int) -> None:
@@ -423,7 +442,9 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
       read, and must match its own digest (else GalleryCorruptError: a torn
       save or an edited file) before it is parsed.  A save cut right after
       writing templates.npy thus still loads the old gallery, and one cut
-      after vectors.csv is rejected.
+      after vectors.csv is rejected.  When the digests pin no vectors.csv,
+      the gallery has no text copy to fall back on, so this is a
+      GalleryCorruptError naming templates.npy.
 
     The subjects, offsets and channel always come from gallery.json, so
     every source gives the same gallery; only the vectors.csv path also
@@ -446,6 +467,11 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
         if data is not None and sha256(data) == digests.get(TEMPLATES_NPY):
             shape = (sum(counts), feature_dim)
             matrix = pinned_array(npy, data, shape, GalleryCorruptError, "coefficient")
+        elif VECTORS_CSV not in digests:
+            state = "is missing" if data is None else f"does not match its sha256 in {GALLERY_JSON}"
+            raise GalleryCorruptError(
+                f"{npy} {state}, and the gallery has no text copy ({VECTORS_CSV}) to fall back on"
+            )
     if matrix is None:
         # bytes, so that no line ending inside a quoted subject id is translated
         csv_data = read_bytes(csv, GalleryCorruptError)

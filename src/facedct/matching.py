@@ -493,8 +493,12 @@ def save_scores_csv(tensor: ScoreTensor, path: str | Path) -> None:
     then ``scores.json`` last, each atomically.  The CSV is streamed into its
     file and its digest one probe row at a time, so its text is never held
     whole.  Its bytes are the same as without the sidecars, and the same
-    however many processes format them."""
+    however many processes format them.  A ``path`` with the suffix
+    ``.npy`` or ``.json`` would be one of its own sidecars, so it is a
+    ValueError before any write."""
     csv, npy, manifest = score_files(path)
+    if csv in (npy, manifest):
+        raise ValueError(f"score file {csv} has the name of its own {csv.suffix} sidecar")
     with text(len(tensor.scores), tensor.scores.size, _SHARE_FLOOR,
               lambda rows: _row_blocks(tensor, rows)) as chunks:
         save_pinned(

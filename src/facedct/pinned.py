@@ -3,17 +3,19 @@ the one check of pinned ``.npy`` bytes that the gallery and the score table
 share.  Each table reads its own files and states its own trust rule in
 the module that owns its format.
 
-:func:`save_pinned` writes a pinned table as three files, in this order,
-each streamed through :func:`~facedct.errors.write_atomic`, which returns
-the sha256 of the bytes it wrote:
+:func:`save_pinned` writes a pinned table as three files, or two when it
+is given no text, in this order, each streamed through
+:func:`~facedct.errors.write_atomic`, which returns the sha256 of the bytes
+it wrote:
 
 1. the ``.npy``: the array as ``'<f8'``, C order, no pickle, written as its
    header and then the array's own buffer, with the bytes ``np.save``
    gives;
-2. the text: the same table in its exchange format, written as the byte
-   chunks its producer yields;
+2. the text, if any: the same table in its exchange format, written as the
+   byte chunks its producer yields;
 3. the manifest: strict JSON, with no NaN or infinity, that records the
-   sha256 of the other two under their file names.
+   sha256 of the files written before it under their file names.  Without
+   a text it pins the ``.npy`` alone, which is then the whole table.
 
 So the writing process copies no file and holds none whole in memory to
 write or hash it, except the gallery's text, which is built whole.  The
@@ -97,17 +99,19 @@ def _npy_array(data: bytes) -> np.ndarray:
 def save_pinned(
     npy: Path,
     array: np.ndarray,
-    text: Path,
-    chunks: bytes | Iterable[bytes],
+    text: Path | None,
+    chunks: bytes | Iterable[bytes] | None,
     manifest: Path,
     fields: Callable[[dict], dict],
 ) -> None:
     """Write ``array`` to ``npy``, then ``chunks``, bytes or byte chunks in
-    order, to ``text``, then the JSON of ``fields(digests)`` to
-    ``manifest``, where ``digests`` maps the names of ``npy`` and ``text``
-    to the sha256 of their bytes, as :func:`write_atomic` returns them."""
+    order, to ``text`` unless it is None, then the JSON of
+    ``fields(digests)`` to ``manifest``, where ``digests`` maps the names of
+    the files written to the sha256 of their bytes, as :func:`write_atomic`
+    returns them."""
     digests = {npy.name: write_atomic(npy, _npy_chunks(array))}
-    digests[text.name] = write_atomic(text, chunks)
+    if text is not None:
+        digests[text.name] = write_atomic(text, chunks)
     record = json.dumps(fields(digests), indent=1, allow_nan=False)
     write_atomic(manifest, (record + "\n").encode())
 

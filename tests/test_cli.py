@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from facedct import errors, matching
 from facedct.cli import build_parser, load_config, main
 from facedct.errors import MismatchError, ValidationError, read_bytes
-from facedct.features import FeatureVector, extract_features
+from facedct.features import FeatureVector, extract_features, feature_matrix_to_csv
 from facedct.gallery import Gallery, load_gallery, save_gallery
 from facedct.imageio import (
     PnmError,
@@ -152,15 +152,15 @@ class TestEnroll:
     def test_creates_gallery_and_is_deterministic(self, dataset, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dataset)
         code, out, _ = run_cli(
-            capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g1")
+            capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g1"), "--text"
         )
         assert code == 0
         assert "18 templates for 6 subjects" in out
         code, _, _ = run_cli(
-            capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g2")
+            capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g2"), "--text"
         )
         assert code == 0
-        for name in ["gallery.json", "vectors.csv", "provenance.json"]:
+        for name in ["gallery.json", "vectors.csv", "templates.npy", "provenance.json"]:
             assert (tmp_path / "g1" / name).read_bytes() == (tmp_path / "g2" / name).read_bytes()
 
     def test_missing_manifest_is_validation_error(self, tmp_path, capsys):
@@ -209,6 +209,68 @@ class TestEnroll:
         assert "data error" in err
         assert repr(short) in err
         assert not (tmp_path / "g").exists()
+
+    def test_the_text_is_written_only_with_the_flag(self, dataset, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        bare, text = tmp_path / "bare", tmp_path / "text"
+        assert run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(bare))[0] == 0
+        assert run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(text), "--text")[0] == 0
+        files = ["gallery.json", "provenance.json", "templates.npy"]
+        assert sorted(p.name for p in bare.iterdir()) == files
+        assert sorted(p.name for p in text.iterdir()) == sorted(files + ["vectors.csv"])
+        gallery, meta = load_gallery(text)
+        labels = [s for s in gallery.subject_ids for _ in gallery.templates_of(s)]
+        csv = feature_matrix_to_csv(labels, gallery.channel, gallery.matrix)
+        assert (text / "vectors.csv").read_bytes() == csv.encode()
+        for name in ("templates.npy", "provenance.json"):
+            assert (bare / name).read_bytes() == (text / name).read_bytes()
+        # gallery.json differs only by the digest of the text it pins
+        manifest = json.loads((text / "gallery.json").read_text())
+        del manifest["sha256"]["vectors.csv"]
+        assert (bare / "gallery.json").read_text() == json.dumps(manifest, indent=1) + "\n"
+        assert load_gallery(bare) == (gallery, meta)
+
+    @pytest.mark.parametrize("first, then", [(["--text"], []), ([], ["--text"])],
+                             ids=["text-then-default", "default-then-text"])
+    def test_a_rerun_leaves_the_files_of_a_fresh_enroll(self, dataset, tmp_path, capsys,
+                                                        first, then):
+        # the first gallery has another dim, so a leftover text disagrees
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        out, fresh = tmp_path / "g", tmp_path / "fresh"
+        enroll = ["enroll", "--config", str(cfg), "--out"]
+        assert run_cli(capsys, *enroll, str(out), "--dim", "36", *first)[0] == 0
+        assert run_cli(capsys, *enroll, str(out), *then)[0] == 0
+        assert run_cli(capsys, *enroll, str(fresh), *then)[0] == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+        for path in fresh.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("damage", ["missing", "stale"])
+    def test_a_textless_gallery_with_a_bad_templates_npy_is_data_error(
+        self, dataset, tmp_path, capsys, damage
+    ):
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        gallery = tmp_path / "g"
+        assert run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(gallery))[0] == 0
+        # a text of the same templates that gallery.json does not pin is not read
+        assert run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "t"),
+                       "--text")[0] == 0
+        shutil.copyfile(tmp_path / "t" / "vectors.csv", gallery / "vectors.csv")
+        npy = gallery / "templates.npy"
+        if damage == "missing":
+            npy.unlink()
+            state = "is missing"
+        else:
+            data = npy.read_bytes()
+            npy.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+            state = "does not match its sha256 in gallery.json"
+        probe = dataset.parent / next(iter(json.loads(dataset.read_text()).values()))[0]
+        code, out, err = run_cli(
+            capsys, "identify", "--gallery", str(gallery), "--image", str(probe)
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"data error: {npy} {state}, and the gallery has no text copy "
+                       "(vectors.csv) to fall back on\n")
 
 
 class TestEvaluate:
@@ -1269,7 +1331,7 @@ class TestExitCodes:
     def gallery_dir(self, dataset, tmp_path_factory):
         root = tmp_path_factory.mktemp("window")
         cfg = write_config(root / "cfg.json", dataset)
-        assert main(["enroll", "--config", str(cfg), "--out", str(root / "gal")]) == 0
+        assert main(["enroll", "--config", str(cfg), "--out", str(root / "gal"), "--text"]) == 0
         return root
 
     @pytest.mark.parametrize("window", [4, "abc", 10**6])

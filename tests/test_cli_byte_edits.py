@@ -22,6 +22,8 @@ from byte_edit_strategy import apply_byte_edits, byte_edits
 
 PREFIXES = {1: "validation error: ", 2: "data error: "}
 GALLERY_FILES = ("gallery.json", "vectors.csv", "templates.npy")
+#: the files of a gallery enrolled without ``--text``
+TEXTLESS_GALLERY_FILES = ("gallery.json", "templates.npy")
 SAMPLES = 2
 
 
@@ -44,14 +46,16 @@ def assert_one_documented_line(code, err, codes):
 @pytest.fixture(scope="module")
 def tiny(tmp_path_factory):
     """3 subjects x 2 gray 8x8 samples, a config that enrolls sample 1 at
-    window 8, and the gallery it enrolls."""
+    window 8, and the gallery it enrolls, with its text in ``gal`` and
+    without it in ``textless``."""
     root = tmp_path_factory.mktemp("tiny")
     generate_dataset(SynthSpec(3, SAMPLES, 0.3, seed=2, width=8, height=8), root / "data")
     config = {"manifest": "data/manifest.json", "train_indices": [1], "test_indices": [2],
               "window": 8, "dim": 4, "output_dir": "out"}
     (root / "config.json").write_text(json.dumps(config))
-    enrolled = run(["enroll", "--config", str(root / "config.json"), "--out", str(root / "gal")])
-    assert enrolled == (0, "")
+    enroll = ["enroll", "--config", str(root / "config.json"), "--out"]
+    assert run([*enroll, str(root / "gal"), "--text"]) == (0, "")
+    assert run([*enroll, str(root / "textless")]) == (0, "")
     return root
 
 
@@ -93,18 +97,35 @@ def test_enroll_with_an_edited_manifest(tiny, edits):
     assert_one_documented_line(*enroll(config), (0, 2))
 
 
+def identify_with_an_edited_file(tiny, enrolled, files, name, edits):
+    """Exit code and stderr of ``identify`` on a copy of the gallery
+    ``enrolled`` whose file ``name`` has the byte edits ``edits``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        gallery = Path(tmp)
+        for file in files:
+            shutil.copyfile(tiny / enrolled / file, gallery / file)
+        (gallery / name).write_bytes(apply_byte_edits((gallery / name).read_bytes(), edits))
+        return run(["identify", "--gallery", str(gallery),
+                    "--image", str(tiny / "data" / "s001" / "02.pgm")])
+
+
 @given(name=st.sampled_from(GALLERY_FILES), edits=byte_edits)
 @example(name="gallery.json", edits=[("insert", 10**6, b"[" * 500, 2)])
 @settings(max_examples=90, deadline=None)
 def test_identify_with_an_edited_gallery_file(tiny, name, edits):
-    with tempfile.TemporaryDirectory() as tmp:
-        gallery = Path(tmp)
-        for file in GALLERY_FILES:
-            shutil.copyfile(tiny / "gal" / file, gallery / file)
-        (gallery / name).write_bytes(apply_byte_edits((gallery / name).read_bytes(), edits))
-        code, err = run(["identify", "--gallery", str(gallery),
-                         "--image", str(tiny / "data" / "s001" / "02.pgm")])
+    code, err = identify_with_an_edited_file(tiny, "gal", GALLERY_FILES, name, edits)
     assert_one_documented_line(code, err, (0, 2))
+
+
+@given(name=st.sampled_from(TEXTLESS_GALLERY_FILES), edits=byte_edits)
+@example(name="gallery.json", edits=[("insert", 10**6, b"[" * 500, 2)])
+@example(name="templates.npy", edits=[("delete", 1, b" ", 1)])  # no text to fall back on
+@settings(max_examples=60, deadline=None)
+def test_identify_with_an_edited_textless_gallery_file(tiny, name, edits):
+    code, err = identify_with_an_edited_file(tiny, "textless", TEXTLESS_GALLERY_FILES, name, edits)
+    assert_one_documented_line(code, err, (0, 2))
+    if name == "templates.npy" and code == 2:
+        assert "no text copy (vectors.csv) to fall back on" in err
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -615,3 +616,48 @@ class TestTemplatesSidecar:
         loaded, meta = load_gallery(tmp_path)
         assert loaded == g
         assert meta == {"window": 8}
+
+
+class TestTextlessGallery:
+    """A gallery saved without its text: templates.npy and gallery.json are
+    the whole gallery, and templates.npy must match its pin."""
+
+    def test_it_pins_the_templates_alone_and_loads_bit_for_bit(self, tmp_path):
+        g = gallery_of(["a", "b", "c"], dim=7)
+        save_gallery(g, tmp_path / "text", meta={"window": 8})
+        with mock.patch("facedct.gallery.feature_matrix_to_csv", side_effect=AssertionError):
+            save_gallery(g, tmp_path / "bare", meta={"window": 8}, text=False)
+        assert sorted(p.name for p in (tmp_path / "bare").iterdir()) == [
+            "gallery.json", "templates.npy"
+        ]
+        npy = (tmp_path / "bare" / "templates.npy").read_bytes()
+        assert npy == (tmp_path / "text" / "templates.npy").read_bytes()
+        manifest = json.loads((tmp_path / "bare" / "gallery.json").read_text())
+        assert manifest["sha256"] == {"templates.npy": hashlib.sha256(npy).hexdigest()}
+        loaded, meta = load_gallery(tmp_path / "bare")
+        assert loaded == g and meta == {"window": 8}
+        assert loaded.matrix.tobytes() == g.matrix.tobytes()
+
+    def test_it_removes_an_older_text_once_its_manifest_is_in_place(self, tmp_path, monkeypatch):
+        old, new = gallery_of(["a", "b"]), gallery_of(["a", "b", "c"], seed=5)
+        save_gallery(old, tmp_path)
+        # a save cut at gallery.json leaves the old gallery, whose pinned text
+        # is still there to load it from
+        fail_write(monkeypatch, 2)
+        with pytest.raises(OSError, match="no space"):
+            save_gallery(new, tmp_path, text=False)
+        monkeypatch.undo()
+        assert (tmp_path / "vectors.csv").is_file()
+        assert load_gallery(tmp_path)[0] == old
+        save_gallery(new, tmp_path, text=False)
+        assert not (tmp_path / "vectors.csv").exists()
+        assert load_gallery(tmp_path)[0] == new
+
+    def test_a_save_over_it_cut_at_the_manifest_is_rejected(self, tmp_path, monkeypatch):
+        save_gallery(gallery_of(["a", "b"]), tmp_path, text=False)
+        fail_write(monkeypatch, 2)
+        with pytest.raises(OSError, match="no space"):
+            save_gallery(gallery_of(["a", "b"], seed=5), tmp_path, text=False)
+        monkeypatch.undo()
+        with pytest.raises(GalleryCorruptError, match="no text copy"):
+            load_gallery(tmp_path)

@@ -662,6 +662,15 @@ class TestScoreSidecar:
         npy = np.load(tmp_path / "scores_mse.npy", allow_pickle=False)
         assert npy.dtype.str == "<f8" and npy.flags.c_contiguous
 
+    @pytest.mark.parametrize("name", ["s.npy", "s.json"])
+    def test_a_score_file_named_as_its_sidecar_is_refused_before_any_write(
+        self, tmp_path, name
+    ):
+        tensor = ScoreTensor(("a",), ("a", "b"), np.ones((1, 2, 1)), "mse")
+        with pytest.raises(ValueError, match=f"score file .*{name} has the name of its own"):
+            save_scores_csv(tensor, tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("failing, loads", [(2, "old"), (3, "new")], ids=["csv", "manifest"])
     def test_save_cut_before_the_manifest_falls_back_to_the_csv(
         self, tmp_path, monkeypatch, failing, loads

@@ -1,7 +1,7 @@
-"""A pinned ``.npy`` is parsed in place: both pinned tables, the gallery and
-the score file, load or reject each pinned array as ``np.load``'s reader
-would, and the loaded array is a read-only view of the bytes that were
-hashed."""
+"""A pinned ``.npy`` is parsed in place: both pinned tables, the gallery
+(with or without its text) and the score file, load or reject each pinned
+array as ``np.load``'s reader would, and the loaded array is a read-only
+view of the bytes that were hashed."""
 
 import hashlib
 import io
@@ -26,6 +26,7 @@ class GalleryTable:
     """A saved 3-subject gallery: 6 templates of dim 5."""
 
     npy, manifest, shape, want = "templates.npy", "gallery.json", (6, 5), (6, 5)
+    text = True
 
     def __init__(self, directory):
         self.directory = directory
@@ -34,7 +35,7 @@ class GalleryTable:
         for subject in ["a", "b", "c"]:
             for _ in range(2):
                 gallery.enroll(subject, FeatureVector(rng.standard_normal(5), "gray"))
-        save_gallery(gallery, directory)
+        save_gallery(gallery, directory, text=self.text)
         self.array = np.array(gallery.matrix)
 
     def load(self):
@@ -42,6 +43,12 @@ class GalleryTable:
 
     def valid(self, array):
         return True
+
+
+class TextlessGalleryTable(GalleryTable):
+    """The same gallery saved without vectors.csv."""
+
+    text = False
 
 
 class ScoreTable:
@@ -61,7 +68,8 @@ class ScoreTable:
         return array.ndim == 3 and array.shape[2] >= 1 and (array.size == 0 or array.min() >= 0)
 
 
-TABLES = [GalleryTable, ScoreTable]
+TABLES = [GalleryTable, TextlessGalleryTable, ScoreTable]
+TABLE_IDS = ["gallery", "textless-gallery", "scores"]
 
 
 def pin(table, data):
@@ -124,7 +132,7 @@ def assert_loads_as_read_array(table, data):
     assert not loaded.flags.writeable
 
 
-@pytest.mark.parametrize("table_type", TABLES, ids=["gallery", "scores"])
+@pytest.mark.parametrize("table_type", TABLES, ids=TABLE_IDS)
 class TestPinnedNpyIsParsedInPlace:
     @pytest.mark.parametrize(
         "edit, reason",
@@ -199,7 +207,7 @@ class TestPinnedNpyIsParsedInPlace:
         assert_loads_as_read_array(table, data)
 
 
-@pytest.mark.parametrize("table_type", TABLES, ids=["gallery", "scores"])
+@pytest.mark.parametrize("table_type", TABLES, ids=TABLE_IDS)
 @given(edits=byte_edits)
 @settings(max_examples=150, deadline=None)
 def test_byte_edited_pinned_npy_loads_as_read_array(table_type, edits):
