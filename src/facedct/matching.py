@@ -29,8 +29,11 @@ distance row, reused across all the probes of a share.
   them all into a grouped matrix at once.
 
 A tensor is exchanged as ``facedct-scores-v1`` CSV, one ``i,j,k,score`` row
-per cell.  ``scores_to_csv`` writes each probe row's cells with one ``%``
-operation on a template of the row's indices and ``%.17g`` fields, and
+per cell, its score as ``'%.17g' % score`` gives it.  ``scores_to_csv``
+builds the rows in blocks of ~4,000 cells, each a matrix of bytes with a
+line a row (:func:`_row_blocks`); the scores in ``%g``'s fixed notation
+are formatted there as arrays, exactly (:func:`_g17`), and only the rest
+(zeros, subnormals, below 1e-4 and from 1e17 on) one by one.
 ``scores_from_csv`` reads the rows with one ``np.loadtxt`` call.  A score row
 is what ``np.loadtxt`` reads as one row.  If the rows do not load, or a blank
 line leaves them short, the line named is the first from which
@@ -337,40 +340,199 @@ def _score_head(tensor: ScoreTensor) -> bytes:
     return ("\n".join(head) + "\n").encode()
 
 
-def _row_blocks(tensor: ScoreTensor, rows: range) -> Iterator[bytes]:
-    """The bytes of the probe rows ``rows`` of :func:`scores_to_csv`, one
-    block per probe row, in C order of the tensor.
+#: the most bytes of ``'%.17g' % x`` for a double, as in ``-2.2250738585072014e-308``
+_FIELD = 24
 
-    The rows of probe ``i`` come from one ``%`` operation: a template of
-    its ``i,j,k,%.17g`` lines, built from the tensor's indices alone, is
-    applied to the row's scores.  The header is built apart from it, so a
-    ``%`` in a subject id is written as it is.
+#: the most cells in one block of :func:`_row_blocks`; its line matrix is
+#: then ~0.15 MB.  1M cells took 0.22-0.25 s in blocks of 4k, 16k or 32k
+#: cells, and 1.5-1.9x that in blocks of 1k; a save of a 300 x 300 tensor
+#: peaked at 1.0, 4.3 and 8.5 MB of Python memory in blocks of 4k, 16k and
+#: 32k cells
+_BLOCK_CELLS = 4096
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each double into two halves of at most 26
+    significant bits, whose sum is exactly the double: ``(high, low)``."""
+    t = a * 134217729.0  # 2**27 + 1
+    high = t - (t - a)
+    return high, a - high
+
+
+#: 10**p for p = 0 .. 22, each exactly a double, and its two halves
+_POW10 = np.array([float(10**p) for p in range(23)])
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of each ``v`` of ``x``, as the rows of a
+    ``(len(x), _FIELD)`` uint8 matrix, each field left-aligned and followed
+    by zeros.
+
+    A cell ``1e-4 <= v < 1e17`` is in ``%g``'s fixed notation at 17
+    significant digits, whose exponent is ``X = floor(log10 v)`` (no
+    rounding carries past 1e17, since every double from 1e16 on is an
+    integer).  Its digits are the integer ``N`` nearest to
+    ``y = v * 10**(16 - X)``, ties to even, as dtoa rounds:
+
+    - ``10**(16 - X)`` is an exact double, and Dekker's product (1971, "A
+      floating-point technique for extending the available precision")
+      gives ``y`` exactly as ``hi + lo``, with ``|lo|`` at most half an ulp
+      of ``hi``.  ``X`` starts from numpy's ``log10`` and is moved until
+      ``1e16 <= hi + lo < 1e17``, tested exactly.
+    - ``hi >= 1e16`` is an even integer, so ``N = hi + rint(lo)``, since
+      ``rint`` also rounds half to even.  ``N = 10**17`` is ``10**16`` with
+      ``X + 1``.
+    - The 17 digits come from the two halves of ``N`` below ``2**32``, one
+      divide a digit, from the last, into a ``(17, cells)`` array.  The
+      fraction's trailing zeros are left out, and the ``.`` with them when
+      none is left.  The cells are sorted by ``X``, so the cells of each
+      ``X`` are one run of rows whose digits all go to the same columns.
+
+    This is the fixed-precision printing of Adams (2019, "Ryu revisited:
+    printf floating point conversion") over arrays, with a double-double
+    product in place of its tables.  Every other cell (a zero, a
+    subnormal, ``v < 1e-4`` or ``v >= 1e17``, and a negative or non-finite
+    value) is formatted by ``'%.17g'`` one cell at a time.
+    """
+    out = np.zeros((len(x), _FIELD), np.uint8)
+    fast = (x >= 1e-4) & (x < 1e17)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{_FIELD}")
+        out[slow] = text.view(np.uint8).reshape(-1, _FIELD)
+    cells = np.flatnonzero(fast)
+    if not len(cells):
+        return out
+    v = x[cells]
+    exp = np.clip(np.floor(np.log10(v)), -4, 16).astype(np.int8)
+    v_high, v_low = _halves(v)
+    while True:
+        p = (16 - exp).astype(np.intp)
+        hi = v * _POW10[p]
+        lo = ((v_high * _POW10_HIGH[p] - hi) + v_high * _POW10_LOW[p] + v_low * _POW10_HIGH[p]) \
+            + v_low * _POW10_LOW[p]
+        below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+        above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+        if not (below.any() or above.any()):
+            break
+        exp += above.astype(np.int8) - below
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = n == 10**17
+    n[carry] = 10**16
+    exp[carry] += 1
+    order = np.argsort(exp, kind="stable")
+    exp, n = exp[order], n[order]
+    starts = [0, *(np.flatnonzero(exp[1:] != exp[:-1]) + 1).tolist()]
+    runs = [(int(exp[s]), s, t) for s, t in zip(starts, [*starts[1:], len(n)])]
+    digits = np.empty((17, len(n)), np.uint8)
+    trailing = np.ones(len(n), bool)  # no nonzero digit after this one
+    top = n // 10**9
+    for half, last, first in ((n - top * 10**9, 16, 8), (top, 7, 0)):
+        half = half.astype(np.uint32)
+        for d in range(last, first - 1, -1):
+            quotient = half // 10
+            digits[d] = half - quotient * 10 + ord("0")
+            half = quotient
+            if trailing is not None:
+                trailing &= digits[d] == ord("0")
+                # a trailing zero of the fraction is left out
+                digits[d][trailing & (exp < d)] = 0
+                if not trailing.any():
+                    trailing = None
+    field = np.zeros((len(n), _FIELD), np.uint8)
+    for e, s, t in runs:
+        chars = digits[:, s:t].T
+        if e < 0:
+            field[s:t, : 1 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
+            field[s:t, 1 - e : 18 - e] = chars
+        else:
+            field[s:t, : e + 1] = chars[:, : e + 1]
+            field[s:t, e + 2 : 18] = chars[:, e + 1 :]
+            if e < 16:
+                field[s:t, e + 1] = np.where(chars[:, e + 1] != 0, ord("."), 0)
+    rows = out.view(f"V{_FIELD}")[:, 0]
+    rows[cells[order]] = field.view(f"V{_FIELD}")[:, 0]
+    return out
+
+
+def _decimals(v: np.ndarray, out: np.ndarray) -> None:
+    """Write each integer ``v >= 0`` right-aligned into its row of ``out``,
+    uint8 zeros wide enough for the largest, with no leading zeros."""
+    out[:, -1] = v % 10 + ord("0")
+    for col in range(out.shape[1] - 2, -1, -1):
+        v = v // 10
+        out[:, col] = np.where(v > 0, v % 10 + ord("0"), 0)
+
+
+def _row_blocks(tensor: ScoreTensor, rows: range) -> Iterator[bytes]:
+    """The bytes of the probe rows ``rows`` of :func:`scores_to_csv`, in C
+    order of the tensor, in blocks of at most ``_BLOCK_CELLS`` cells: whole
+    probe rows, or part of one row wider than a block.
+
+    A block's ``i,j,k,score`` lines are built in one matrix of bytes, a
+    line a row: ``i``, ``j`` and ``k`` right-aligned in columns as wide as
+    the largest of each, a ``,`` after each, the score's ``%.17g`` field
+    from :func:`_g17`, and ``\\n``.  The matrix starts as zeros, which no
+    line holds, so dropping its zeros leaves the lines.  No field holds a
+    comma, quote or newline, so ``csv.writer`` would quote none.  The
+    header is built apart from them, so no subject id is ever formatted
+    here.
     """
     n_probe, n_gallery, n_trials = tensor.scores.shape
-    cells = [f",{j},{k},%.17g" for j in range(n_gallery) for k in range(n_trials)]
-    flat = tensor.scores.reshape(n_probe, -1)
-    # "%.17g" % x gives the same text as format(x, ".17g"), and no field
-    # holds a comma, quote or newline, so csv.writer would quote none
-    for i in rows:
-        s = str(i)
-        yield ((s + ("\n" + s).join(cells) + "\n") % tuple(flat[i].tolist())).encode()
+    if not n_probe:
+        raise ValueError("a tensor without probes has no score rows")
+    i_width, j_width, k_width = (len(str(n - 1)) for n in tensor.scores.shape)
+    score = i_width + j_width + k_width + 3  # the column of the score field
+    row_cells = n_gallery * n_trials
+    per_block = max(1, _BLOCK_CELLS // row_cells)
+
+    def template(cells: np.ndarray) -> np.ndarray:
+        """The lines of the cells ``cells`` of a probe row, less ``i`` and
+        the score: zeros, then ``,j,k,``, zeros and ``\\n``."""
+        lines = np.zeros((len(cells), score + _FIELD + 1), np.uint8)
+        lines[:, [i_width, i_width + j_width + 1, score - 1]] = ord(",")
+        _decimals(cells // n_trials, lines[:, i_width + 1 : i_width + 1 + j_width])
+        _decimals(cells % n_trials, lines[:, score - 1 - k_width : score - 1])
+        lines[:, -1] = ord("\n")
+        return lines
+
+    # a block of whole rows takes its lines from one template; a piece of a
+    # wider row builds its own, so no template outgrows a block
+    whole = template(np.tile(np.arange(row_cells), per_block)) if row_cells <= _BLOCK_CELLS else None
+    ids = np.zeros((len(rows), i_width), np.uint8)
+    _decimals(np.arange(rows.start, rows.stop), ids)
+    flat = tensor.scores.reshape(n_probe, row_cells)
+    for i in range(rows.start, rows.stop, per_block):
+        block_ids = ids[i - rows.start : i - rows.start + per_block]
+        for j in range(0, row_cells, _BLOCK_CELLS):
+            scores = flat[i : i + len(block_ids), j : j + _BLOCK_CELLS]
+            if whole is None:
+                lines = template(np.arange(j, j + scores.shape[1]))
+            else:
+                lines = whole[: scores.size].copy()
+            lines.reshape(*scores.shape, -1)[:, :, :i_width] = block_ids[:, None]
+            lines[:, score:-1] = _g17(scores.ravel())
+            yield lines[lines != 0].tobytes()
 
 
 def scores_to_csv(tensor: ScoreTensor) -> str:
     """Interchange CSV: provenance comments, then i,j,k,score rows.
 
     :func:`save_scores_csv` writes the same text from the same two
-    formatters, one probe row at a time; only this whole string holds more
-    than one row's text.
+    formatters, one block of :func:`_row_blocks` at a time; only this whole
+    string holds more than one block's text.
     """
     return b"".join([_score_head(tensor), *_row_blocks(tensor, range(len(tensor.scores)))]).decode()
 
 
 #: the fewest tensor cells per share when :func:`save_scores_csv` splits the
-#: probe rows between processes.  On a 2-vCPU Xeon, a save in two shares
-#: took 1.5x and 1.3x the inline time at 10,000 and 25,000 cells, and 0.8x,
-#: 0.6x and 0.6x at 50,000, 100,000 and 200,000 cells; with this floor the
-#: rows are split from 200,000 cells, well past where a fork starts to pay
+#: probe rows between processes.  On a 2-vCPU Xeon, at ~0.2 us a cell of
+#: text, a save in two shares took 1.9-2.1x, 1.1-1.3x and 1.0-1.3x the
+#: inline time at 10,000, 25,000 and 50,000 cells, 0.8-1.05x at 100,000,
+#: 0.7-0.9x at 200,000, and 0.65-0.77x at 300,000 to 1,000,000 cells
+#: (medians of 9 or 11 interleaved saves, in three sets); with this floor
+#: the rows are split from 200,000 cells, where the fork paid in every set
 _SHARE_FLOOR = 100_000
 
 

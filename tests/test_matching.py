@@ -582,10 +582,24 @@ class TestScoreSidecar:
             assert path.with_suffix(".npy").read_bytes() == expected.getvalue()
 
     def test_save_holds_less_than_the_score_file_it_writes(self, tmp_path):
-        # the CSV is streamed a probe row at a time, the .npy from the
+        # the CSV is streamed a block of cells at a time, the .npy from the
         # tensor's own buffer
         subjects = [f"s{j:03d}" for j in range(300)]
         scores = np.random.default_rng(3).random((300, 300, 1))
+        tensor = ScoreTensor(subjects, subjects, scores, "mse")
+        path = tmp_path / "scores.csv"
+        tracemalloc.start()
+        try:
+            save_scores_csv(tensor, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * path.stat().st_size
+
+    def test_save_of_many_trials_holds_less_than_the_score_file_it_writes(self, tmp_path):
+        # 10 trials a subject: a block holds 4 probe rows of 1000 cells
+        subjects = [f"s{j:03d}" for j in range(100)]
+        scores = np.random.default_rng(5).random((100, 100, 10))
         tensor = ScoreTensor(subjects, subjects, scores, "mse")
         path = tmp_path / "scores.csv"
         tracemalloc.start()

@@ -1,6 +1,7 @@
 """Genuine/impostor split, FAR/FRR sweep, DET, EER, DCF, probit."""
 
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from facedct import matching
 from facedct.matching import ScoreTensor, scores_from_csv, scores_to_csv
 from facedct.verification import (
     PROBIT_CLAMP,
@@ -664,8 +666,18 @@ class TestArrayExportsMatchRowwiseReference:
 
     @given(score_shapes, st.integers(0, 2**32 - 1), st.lists(score_cells, max_size=24))
     @example((1, 1, 1), 0, [-0.0])
-    @example((12, 12, 11), 0, EDGE_SCORES)  # i, j and k reach two digits
+    # i, j and k reach two digits; rows 9 and 10, and cells of both of
+    # _g17's paths, in one block
+    @example((12, 12, 11), 0, EDGE_SCORES)
     @example((3, 10, 10), 1, [5e-324, 1e300, 0.1, 1e17, 2.0**53 + 2])
+    # blocks of matching._BLOCK_CELLS = 4096 cells: 4 rows a block and a
+    # last block of 3; rows wider than a block; T > 1 with a block that
+    # ends inside a j; 2 rows a block; rows 99 and 100 in one block
+    @example((7, 1000, 1), 2, [])
+    @example((2, 5000, 1), 3, [1e-5, 1e17])
+    @example((2, 1500, 3), 4, [])
+    @example((9, 300, 5), 5, [0.0])
+    @example((120, 120, 1), 6, [])
     @settings(max_examples=40, deadline=None)
     def test_scores_csv_matches_the_oracle(self, shape, seed, cells):
         rng = np.random.default_rng(seed)
@@ -675,6 +687,16 @@ class TestArrayExportsMatchRowwiseReference:
         flat[rng.choice(flat.size, n, replace=False)] = cells[:n]
         subjects = tuple(f"s{j}" for j in range(shape[1]))
         tensor = ScoreTensor(subjects[: shape[0]], subjects, scores, "mse")
+        assert scores_to_csv(tensor) == rowwise_scores_to_csv(tensor)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64])
+    @pytest.mark.parametrize("shape", [(3, 5, 1), (4, 11, 3), (11, 11, 2)])
+    def test_any_block_size_gives_the_same_text(self, monkeypatch, size, shape):
+        scores = np.random.default_rng(size).uniform(0.0, 100.0, shape)
+        scores.reshape(-1)[[0, 5, 9, -1]] = [0.0, 1e-300, 1e17, 12.5]
+        subjects = tuple(f"s{j}" for j in range(shape[1]))
+        tensor = ScoreTensor(subjects[: shape[0]], subjects, scores, "mse")
+        monkeypatch.setattr(matching, "_BLOCK_CELLS", size)
         assert scores_to_csv(tensor) == rowwise_scores_to_csv(tensor)
 
     def test_scores_csv_keeps_subject_text_out_of_the_row_template(self):
@@ -696,6 +718,85 @@ class TestArrayExportsMatchRowwiseReference:
         tensor = ScoreTensor((), gallery, np.zeros((0, n_gallery, 1)), "mse")
         with pytest.raises(ValueError):
             scores_to_csv(tensor)
+
+
+def assert_fields_match_printf(x):
+    """Each row of ``matching._g17(x)`` is ``'%.17g' % v`` of its cell,
+    left-aligned and followed only by zeros."""
+    x = np.asarray(x, dtype=np.float64)
+    fields = matching._g17(x)
+    assert fields.shape == (len(x), matching._FIELD) and fields.dtype == np.uint8
+    filled = fields != 0
+    assert (filled[:, :-1] >= filled[:, 1:]).all()  # no zero inside a field
+    lines = np.concatenate([fields, np.full((len(x), 1), ord("\n"), np.uint8)], axis=1)
+    got = lines[lines != 0].tobytes().decode().split("\n")[:-1]
+    want = ["%.17g" % v for v in x.tolist()]
+    wrong = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert len(got) == len(x) and not wrong[:5], f"{len(wrong)} fields differ"
+
+
+def exact_ties(rng, n_per_k=20):
+    """Doubles ``m / 2**k`` (``m`` odd, below 2**53) whose exact decimal has
+    18 significant digits, the last a 5: each lies exactly half-way between
+    two 17-digit decimals, so only ties-to-even decides its text."""
+    ties = []
+    for k in range(2, 26):
+        low, high = -(-(10**17) // 5**k), min(10**18 // 5**k, 2**53)
+        ties += [(m | 1) / 2**k for m in rng.integers(low, high, n_per_k).tolist() if m | 1 < high]
+    return ties
+
+
+class TestScoreFields:
+    """The vectorized ``%.17g`` fields of the score text against Python's
+    own ``'%.17g'``, cell by cell."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(29)
+        # every finite non-negative double is as likely as any other, so
+        # most of these take the per-cell path
+        assert_fields_match_printf(
+            rng.integers(0, 0x7FF0000000000000, 1_000_000, dtype=np.int64).view(np.float64)
+        )
+        # the fixed-notation range, and a little past it on both sides
+        assert_fields_match_printf(10.0 ** rng.uniform(-4.5, 17.5, 200_000))
+
+    def test_values_with_trailing_zeros(self):
+        rng = np.random.default_rng(30)
+        values = np.concatenate(
+            [np.round(10.0 ** rng.uniform(-4, 17, 20_000), int(d)) for d in range(-2, 8)]
+            + [rng.integers(1, 10**6, 10_000).astype(np.float64), np.arange(1.0, 2.0, 0.125)]
+        )
+        assert_fields_match_printf(values)
+
+    def test_the_neighbours_of_each_power_of_ten(self):
+        powers = [10.0**e for e in range(-6, 19)]
+        assert_fields_match_printf(
+            [float(np.nextafter(p, side)) for p in powers for side in (0.0, np.inf)] + powers
+        )
+
+    def test_exact_ties_round_half_to_even(self):
+        ties = exact_ties(np.random.default_rng(31))
+        for v in ties:
+            digits = decimal.Decimal(v).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        assert any(1e-4 <= v < 1e17 for v in ties)
+        assert_fields_match_printf(ties)
+
+    def test_zeros_subnormals_and_the_ends_of_the_range(self):
+        tiny = float(np.finfo(np.float64).tiny)
+        assert_fields_match_printf(
+            [0.0, -0.0, 5e-324, float(np.nextafter(tiny, 0.0)), tiny, 1e300,
+             float(np.finfo(np.float64).max), 1e-4, 1e17, float(np.nextafter(1e17, 0.0))]
+        )
+
+    def test_a_block_of_only_per_cell_fields(self):
+        assert_fields_match_printf([0.0, 1e-300, 1e200])
+
+    @given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_any_non_negative_float(self, values):
+        assert_fields_match_printf(values)
 
 
 # The exports write DetCurve.vertices(); these check that the thinning drops
