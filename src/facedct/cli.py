@@ -20,7 +20,9 @@ raises the rule errors of its inputs as ValidationError or DataError, so any
 other exception that escapes it, a ValueError included, is exit 3.  An input
 that cannot be read or decoded exits 1 when it is the config and 2 when it
 is a manifest, image, score or gallery file; an output that cannot be
-written exits 1.  Each message names the file.
+written exits 1.  Each message names the file whose bytes are at fault,
+and an image listed in a manifest with its subject; a config field's
+value is named by its field, since a flag may supply it (see ``errors``).
 
 Each command needs only the sample indices it reads: enroll the training
 indices, evaluate the test indices, fuse-eval both.  A subject with fewer
@@ -61,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DataError, ValidationError, parse_json, read_bytes, remove_file, write_atomic
+from .errors import DataError, ValidationError, naming, parse_json, read_bytes, remove_file, write_atomic
 from .features import DEFAULT_DIM
 from .fusion import apply_fusion, parse_fusion_spec, run_channel_pipeline
 from .gallery import (
@@ -145,20 +147,21 @@ class ExperimentConfig:
         # os.path.exists is False for a name too long for any file to have
         if not os.path.exists(self.manifest):
             raise ValidationError(f"manifest file does not exist: {self.manifest}")
-        _ask("fields 'window' and 'dim'", check_window, self.window, self.dim)
+        with naming("config fields 'window' and 'dim'", ValidationError, _BAD_VALUE):
+            check_window(self.window, self.dim)
         if not self.metrics:
             raise ValidationError(f"config field 'metrics' names no metric (choose from {METRICS})")
         for i, m in enumerate(self.metrics):
-            _ask("field 'metrics'", check_metric, m)
+            with naming("config field 'metrics'", ValidationError, _BAD_VALUE):
+                check_metric(m)
             if m in self.metrics[:i]:
                 raise ValidationError(f"'metrics' lists {m!r} more than once")
         if self.channel not in CHANNELS:
             raise ValidationError(f"config field 'channel': {self.channel!r} is none of {CHANNELS}")
-        _ask("field 'dcf'", DcfParams, self.c_miss, self.c_fa)
-        try:
+        with naming("config field 'dcf'", ValidationError, _BAD_VALUE):
+            DcfParams(self.c_miss, self.c_fa)
+        with naming("bad split", ValidationError, ValueError):
             self.split()
-        except ValueError as exc:
-            raise ValidationError(f"bad split: {exc}") from exc
 
     def payload(self) -> dict:
         return {
@@ -189,10 +192,16 @@ _FIELDS = {
 }
 
 
+#: the errors by which a rule refuses a value, each raised again as a
+#: ValidationError naming the config field
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
+
+
 def _convert(kind, value):
     """``value`` read as ``kind``, see :data:`_FIELDS`.  A bool is no
     number, a name (``str``, lowercased) or path must be a string, a path
-    holds no NUL, and an int has no fractional part."""
+    holds no NUL and no lone surrogate (which names no file), and an int
+    has no fractional part."""
     if isinstance(kind, list):
         if isinstance(value, str):
             value = [v for v in value.split(",") if v.strip()]
@@ -205,18 +214,11 @@ def _convert(kind, value):
         or (kind is int and isinstance(value, float) and not value.is_integer())
     ):
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
-    if kind is Path and "\0" in value:
+    # encoded as open() would: a lone surrogate, which names no file, is a
+    # UnicodeEncodeError
+    if kind is Path and b"\0" in os.fsencode(value):
         raise ValueError(f"a path cannot hold a NUL character, got {value!r}")
     return value.lower() if kind is str else kind(value)
-
-
-def _ask(name: str, rule, *args):
-    """``rule(*args)``, its failure raised as a ValidationError naming the
-    config ``name``."""
-    try:
-        return rule(*args)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"config {name}: {exc}") from None
 
 
 def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentConfig:
@@ -245,27 +247,29 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentCo
     Every field is converted one way.  A list field may also be a
     comma-separated string.  An integer is a whole number or its digits, a
     cost is a number or its digits, and a bool is neither.  A path or a name
-    must be a string, and a path holds no NUL; names are case-insensitive,
-    and a path is relative to the config's directory.  Each attribute of
-    ``overrides`` named like a field and not None replaces that field before
-    the conversion, so a flag is read exactly as the field would be.  Every failure, and a config that
-    cannot be read or is not JSON, is a ValidationError naming the field or
-    the file.
+    must be a string, and a path holds no NUL and no lone surrogate; names
+    are case-insensitive, and a path is relative to the config's directory.
+    Each attribute of ``overrides`` named like a field and not None replaces
+    that field before the conversion, so a flag is read exactly as the field
+    would be.  A value that breaks a rule is a ValidationError naming its
+    field, or the split; a config that cannot be read, is not JSON, or is
+    not an object of these fields is one naming the file.
     """
     path = Path(path)
     raw = parse_json(read_bytes(path, ValidationError), f"config {path}", ValidationError)
-    if not isinstance(raw, dict):
-        raise ValidationError("config must be a JSON object")
-    dcf = raw.pop("dcf", {})
-    if not isinstance(dcf, dict):
-        raise ValidationError("config field 'dcf' must be an object with c_miss and c_fa")
-    raw.update((f"dcf.{k}", v) for k, v in dcf.items())
-    unknown = set(raw) - set(_FIELDS)
-    if unknown:
-        raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-    raw.update((k, v) for k, v in vars(overrides).items() if k in _FIELDS and v is not None)
-    if "manifest" not in raw:
-        raise ValidationError("config is missing the 'manifest' field")
+    with naming(path):
+        if not isinstance(raw, dict):
+            raise ValidationError("config must be a JSON object")
+        dcf = raw.pop("dcf", {})
+        if not isinstance(dcf, dict):
+            raise ValidationError("config field 'dcf' must be an object with c_miss and c_fa")
+        raw.update((f"dcf.{k}", v) for k, v in dcf.items())
+        unknown = set(raw) - set(_FIELDS)
+        if unknown:
+            raise ValidationError(f"unknown config fields: {sorted(unknown)}")
+        raw.update((k, v) for k, v in vars(overrides).items() if k in _FIELDS and v is not None)
+        if "manifest" not in raw:
+            raise ValidationError("config is missing the 'manifest' field")
     if "metrics" in raw:
         raw.pop("metric", None)
     if raw.get("output_dir") in (None, ""):
@@ -274,7 +278,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> ExperimentCo
     settings = {}
     for name, value in raw.items():
         setting, kind = _FIELDS[name]
-        value = _ask(f"field {name!r}", _convert, kind, value)
+        with naming(f"config field {name!r}", ValidationError, _BAD_VALUE):
+            value = _convert(kind, value)
         settings[setting] = path.parent / value if kind is Path else value
     cfg = ExperimentConfig(**settings)
     cfg.validate()
@@ -332,7 +337,8 @@ def cmd_evaluate(args) -> int:
     gallery, meta = load_gallery(args.gallery)
     window = meta.get("window", cfg.window)
     # a recorded meta.window was checked against the dim when the gallery loaded
-    _ask(f"field 'window' for gallery {args.gallery}", check_window, window, gallery.feature_dim)
+    with naming(f"config field 'window' for gallery {args.gallery}", ValidationError, _BAD_VALUE):
+        check_window(window, gallery.feature_dim)
     out = Path(args.out) if args.out else (cfg.output_dir or Path("results"))
 
     test = select_samples(load_manifest(cfg.manifest), cfg.split().test_indices)
@@ -492,7 +498,7 @@ def cmd_sigsize(args) -> int:
             "need a larger N (pass --iid to silence this)",
             file=sys.stderr,
         )
-    try:
+    with naming(None, ValidationError, ValueError):
         if args.p is not None:
             params = SignificanceParams(args.alpha, args.beta, args.p)
             payload = {
@@ -521,14 +527,12 @@ def cmd_sigsize(args) -> int:
                 f"{payload['min_error_rate_simplified']:.6g} (simplified) / "
                 f"{payload['min_error_rate_exact']:.6g} (exact)"
             )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_synth_data(args) -> int:
-    try:
+    with naming(None, ValidationError, ValueError):
         spec = SynthSpec(
             subjects=args.subjects,
             samples=args.samples,
@@ -538,8 +542,6 @@ def cmd_synth_data(args) -> int:
             height=args.height,
             placement=args.placement,
         )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
     manifest_path = generate_dataset(spec, args.out)
     print(f"synthetic dataset ({spec.subjects} subjects x {spec.samples} samples) -> {manifest_path}")
     return EXIT_OK

@@ -1,7 +1,20 @@
-"""Shared exception hierarchy, and the read and write paths for files.
+"""Shared exception hierarchy, how an input error names its source, and
+the read and write paths for files.
 
 The CLI maps these onto stable exit codes: ValidationError -> 1,
 DataError -> 2, OSError (a failed write) -> 1, anything else -> 3.
+
+An input error names the file whose bytes are wrong: the config, the
+manifest, an image, a score file or its ``scores.npy``, a gallery file.
+When those bytes name another file, as a manifest names its images, an
+error in that file names it and the subject it belongs to
+(``subject 's1', image <path>: ...``).  A config field's value is named
+by its field (``config field 'dim': ...``), not by the file, since a flag
+can supply it.  A complaint caught from a rule is raised again with its
+source before it, as ``<source>: <complaint>``, by :class:`naming` alone;
+a caught error is raised again in another form only where the message
+has another form, as a read or a write that fails names its path and the
+system's reason.
 
 Every file is written by :func:`write_atomic`, which streams its data,
 bytes or an iterable of byte chunks, into a temporary file and one
@@ -36,13 +49,35 @@ class MismatchError(DataError):
     """Feature dimension or channel disagreement between pipeline stages."""
 
 
+class naming:
+    """``with naming(source, error, catch):``, where an exception of a
+    ``catch`` class that leaves the block is raised again as ``error``, or
+    as its own class when ``error`` is None, with the message
+    ``f"{source}: {exc}"``, or ``str(exc)`` when ``source`` is None.  Any
+    other exception passes through.  A class, not a generator, since
+    :func:`~facedct.pipeline.featurize_image` enters one per image."""
+
+    def __init__(self, source: object, error: type[FacedctError] | None = None,
+                 catch: type[Exception] | tuple[type[Exception], ...] = FacedctError) -> None:
+        self.source, self.error, self.catch = source, error, catch
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, self.catch):
+            message = str(exc) if self.source is None else f"{self.source}: {exc}"
+            raise (self.error or kind)(message) from exc
+
+
 def read_bytes(path: str | Path, error: type[FacedctError]) -> bytes:
     """The bytes of ``path``.  A file that cannot be read (missing, a
-    directory, no permission) raises ``error`` naming the path."""
+    directory, no permission, a name with a lone surrogate, which no file
+    has) raises ``error`` naming the path."""
     try:
         return Path(path).read_bytes()
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeEncodeError) as exc:
+        raise error(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 #: the most bytes read at a time from a file or a pipe by a reader that
@@ -66,10 +101,9 @@ def parse_json(data: bytes | str, source: object, error: type[FacedctError]) -> 
     """The JSON value of ``data``, read from ``source`` (a path, or the words
     that name where the text came from).  Text that is not UTF-8, not JSON,
     or nested past the parser's limit raises ``error`` naming ``source``."""
-    try:
+    # ValueError includes UnicodeDecodeError
+    with naming(f"unreadable {source}", error, (ValueError, RecursionError)):
         return json.loads(data)
-    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
-        raise error(f"unreadable {source}: {exc}") from None
 
 
 def _write_chunks(path: Path, chunks: Iterable[bytes | memoryview]) -> str:

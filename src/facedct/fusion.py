@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, naming
 from .features import DEFAULT_DIM
 from .gallery import SplitSpec, apply_split
 from .imageio import CHANNELS
@@ -120,12 +120,10 @@ def apply_fusion(spec: FusionSpec, tensors: dict[str, ScoreTensor]) -> ScoreTens
         selected = [tensors[c] for c in spec.channels]
     except KeyError as exc:
         raise ValidationError(f"fusion needs channel {exc.args[0]!r} but it was not run") from None
-    try:
+    with naming(f"fusion spec {spec.label()}", ValidationError, ValueError):
         # weights near the largest double can carry the sum past it
         with np.errstate(over="ignore", invalid="ignore"):
             return fuse_scores_weighted(selected, list(spec.weights or [1.0] * len(selected)))
-    except ValueError as exc:
-        raise ValidationError(f"fusion spec {spec.label()}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MismatchError, parse_json, read_bytes, remove_file
+from .errors import DataError, MismatchError, naming, parse_json, read_bytes, remove_file
 from .features import FeatureVector, feature_matrix_from_csv, feature_matrix_to_csv
 from .imageio import CHANNELS, MAX_WINDOW
 from .pinned import pinned_array, save_pinned, sha256
@@ -407,10 +407,8 @@ def _matrix_of_csv(
 ) -> np.ndarray:
     """The templates of vectors.csv, whose rows must be the ones listed."""
     labels = _labels(ids, counts)
-    try:
+    with naming(f"corrupt {path}", GalleryCorruptError, DataError):
         csv_labels, csv_channel, matrix = feature_matrix_from_csv(data)
-    except DataError as exc:
-        raise GalleryCorruptError(f"corrupt {path}: {exc}") from exc
     if len(csv_labels) != len(labels):
         raise GalleryCorruptError(
             f"{path} holds {len(csv_labels)} rows but {GALLERY_JSON} lists {len(labels)}"

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MismatchError, parse_json, read_bytes, write_atomic
+from .errors import DataError, MismatchError, naming, parse_json, read_bytes, write_atomic
 
 #: Single-channel sources a feature vector can come from.
 CHANNELS = ("gray", "r", "g", "b", "y")
@@ -336,25 +336,34 @@ def prepare_plane(img: RasterImage, channel: str, window: int) -> np.ndarray:
     return _prepare(img.samples, img.maxval, channel, window)
 
 
+#: a lone surrogate, which JSON text can hold and UTF-8 text cannot
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def load_manifest(path: str | Path) -> dict[str, list[Path]]:
     """Load a dataset manifest: JSON mapping subject-id -> ordered image paths.
 
     Relative paths are resolved against the manifest's directory.  The
     list order defines the 1-based sample indices used by split rules.  A
-    manifest that cannot be read or is not JSON is a ManifestError naming it.
+    manifest that cannot be read, is not JSON, or is not of that form (a
+    path that is no string or holds a NUL, or a subject id with a lone
+    surrogate) is a ManifestError naming it.
     """
     path = Path(path)
     raw = parse_json(read_bytes(path, ManifestError), f"manifest {path}", ManifestError)
-    if not isinstance(raw, dict) or not raw:
-        raise ManifestError("manifest must be a non-empty JSON object")
-    base = path.parent
-    manifest: dict[str, list[Path]] = {}
-    for subject, entries in raw.items():
-        if not isinstance(entries, list) or not entries:
-            raise ManifestError(f"subject {subject!r}: expected a non-empty list of paths")
-        if not all(isinstance(e, str) and "\0" not in e for e in entries):
-            raise ManifestError(f"subject {subject!r}: paths must be strings without NUL")
-        manifest[str(subject)] = [base / e for e in entries]
+    with naming(path):
+        if not isinstance(raw, dict) or not raw:
+            raise ManifestError("manifest must be a non-empty JSON object")
+        base = path.parent
+        manifest: dict[str, list[Path]] = {}
+        for subject, entries in raw.items():
+            if not isinstance(entries, list) or not entries:
+                raise ManifestError(f"subject {subject!r}: expected a non-empty list of paths")
+            if not all(isinstance(e, str) and "\0" not in e for e in entries):
+                raise ManifestError(f"subject {subject!r}: paths must be strings without NUL")
+            if _SURROGATE.search(subject):  # which no UTF-8 text, such as vectors.csv, holds
+                raise ManifestError(f"subject {subject!r}: an id cannot hold a lone surrogate")
+            manifest[str(subject)] = [base / e for e in entries]
     return manifest
 
 

@@ -75,14 +75,13 @@ import io
 import itertools
 import json
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
-from .errors import DataError, MismatchError, parse_json, read_bytes, read_chunks
+from .errors import DataError, MismatchError, naming, parse_json, read_bytes, read_chunks
 from .features import FeatureVector, first_bad_row
 from .gallery import Gallery
 from .imageio import ArrayRecord
@@ -262,11 +261,9 @@ def build_score_tensor(
         for subject in sorted(vectors):
             if not vectors[subject]:
                 raise MatchingError(f"probe subject {subject!r} has no trials")
-            try:
+            with naming(f"probe subject {subject!r}"):
                 for vec in vectors[subject]:
                     probes.enroll(subject, vec)
-            except DataError as exc:
-                raise type(exc)(f"probe subject {subject!r}: {exc}") from exc
     probe_subjects = tuple(probes.subject_ids)
     if not probe_subjects:
         raise MatchingError("no probe subjects supplied")
@@ -625,15 +622,6 @@ def _score_rows(data: bytes, pos: int, line_no: int, n_probe: int, n_gallery: in
     return scores.reshape(shape)
 
 
-def _score_tensor(
-    probe_subjects: list[str], gallery_subjects: list[str], scores: np.ndarray, metric: str
-) -> ScoreTensor:
-    try:
-        return ScoreTensor(tuple(probe_subjects), tuple(gallery_subjects), scores, metric)
-    except ValueError as exc:
-        raise DataError(f"invalid score tensor: {exc}") from exc
-
-
 def scores_from_csv(data: bytes | str) -> ScoreTensor:
     """Parse the interchange CSV back into a ScoreTensor.
 
@@ -646,7 +634,8 @@ def scores_from_csv(data: bytes | str) -> ScoreTensor:
     data = data.encode() if isinstance(data, str) else data
     probe_subjects, gallery_subjects, metric, pos, line_no = _score_header(data)
     scores = _score_rows(data, pos, line_no, len(probe_subjects), len(gallery_subjects))
-    return _score_tensor(probe_subjects, gallery_subjects, scores, metric)
+    with naming("invalid score tensor", DataError, ValueError):
+        return ScoreTensor(tuple(probe_subjects), tuple(gallery_subjects), scores, metric)
 
 
 def save_scores_csv(tensor: ScoreTensor, path: str | Path) -> None:
@@ -720,14 +709,6 @@ def _pinned_npy(path: Path, digest: str) -> tuple[Path, bytes] | None:
     return npy, npy_data
 
 
-def _named(path: Path, parse: Callable[..., Any], *args: Any) -> Any:
-    """``parse(*args)``, with a DataError it raises prefixed by ``path``."""
-    try:
-        return parse(*args)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
 def load_scores_csv(path: str | Path) -> ScoreTensor:
     """The tensor of the score file ``path``: its header always, and its
     cells from the pinned ``scores.npy`` beside it when the manifest pins
@@ -740,9 +721,13 @@ def load_scores_csv(path: str | Path) -> ScoreTensor:
     head, digest = _head_and_digest(path)
     pinned = _pinned_npy(path, digest)
     if pinned is None:
-        return _named(path, scores_from_csv, read_bytes(path, DataError))
+        data = read_bytes(path, DataError)
+        with naming(path, DataError, DataError):
+            return scores_from_csv(data)
     npy, npy_data = pinned
-    probe_subjects, gallery_subjects, metric, _, _ = _named(path, _score_header, head)
+    with naming(path, DataError, DataError):
+        probe_subjects, gallery_subjects, metric, _, _ = _score_header(head)
     shape = (len(probe_subjects), len(gallery_subjects), None)
     scores = pinned_array(npy, npy_data, shape, DataError, "score")
-    return _named(npy, _score_tensor, probe_subjects, gallery_subjects, scores, metric)
+    with naming(npy, DataError, DataError), naming("invalid score tensor", DataError, ValueError):
+        return ScoreTensor(tuple(probe_subjects), tuple(gallery_subjects), scores, metric)

@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, write_atomic
+from .errors import DataError, naming, write_atomic
 
 
 def sha256(data: bytes) -> str:
@@ -124,10 +124,8 @@ def pinned_array(
     ``shape``, in which None matches any length, or it is an ``error``
     naming ``path``; ``noun`` names one number of the array in the message
     for a non-finite one."""
-    try:
+    with naming(f"corrupt {path}", error, ValueError):
         array = _npy_array(data)
-    except ValueError as exc:
-        raise error(f"corrupt {path}: {exc}") from None
     if array.dtype != np.dtype("<f8") or not (
         array.ndim == len(shape) and all(n in (None, m) for m, n in zip(array.shape, shape))
     ):

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_bytes
+from .errors import DataError, naming, read_bytes
 from .features import DEFAULT_DIM, _coefficients
 from .gallery import Gallery
 from .imageio import _decode, _prepare
@@ -69,12 +69,9 @@ def featurize_image(
     channel ``i`` at ``window``, and ``out`` is returned.  An image that
     cannot be read, decoded or converted is a DataError naming its path,
     and its subject when given; decode errors keep their class."""
-    whose = "" if subject is None else f"subject {subject!r}"
-    try:
+    with naming(f"image {path}" if subject is None else f"subject {subject!r}, image {path}"):
         samples, maxval = _decode(read_bytes(path, DataError))
         planes = [_prepare(samples, maxval, channel, window) for channel in channels]
-    except DataError as exc:
-        raise type(exc)(f"{whose}, image {path}: {exc}".removeprefix(", ")) from exc
     if out is None:
         out = np.empty((len(channels), dim))
     for plane, row in zip(planes, out):

@@ -13,9 +13,10 @@ least one row and ``floor`` units of work each, and k = 1 where
 ``os.fork`` does not exist (:func:`n_shares`).  The caller computes the
 first share, and one forked worker each of the others.  Where a pipe or
 process cannot be made, no more workers are forked, and the caller
-computes the shares none took, in share order after the others.  Every
-worker is reaped before the step returns or raises, and killed first if
-need be.
+computes the shares none took, in share order after the others; where the
+shared mapping of :func:`fill` cannot be made, none is forked, and the
+caller computes every row inline.  Every worker is reaped before the step
+returns or raises, and killed first if need be.
 
 A worker runs only on the usable CPUs other than the caller's, when the
 system tells both: the scheduler may otherwise leave it for its whole run
@@ -180,13 +181,19 @@ def fill(
     """A new float64 array of ``shape`` whose rows ``0 .. n_rows - 1`` are
     written by ``compute(out, rows)``, run over :func:`n_shares` shares.
     With more than one, the array is in an anonymous ``MAP_SHARED``
-    mapping, which forked workers write into.  The caller computes the
-    first share, then, in share order, each share whose worker exited
-    non-zero, was killed or was never started; so it raises what computing
-    the rows inline would raise first."""
+    mapping, which forked workers write into; when it cannot be made (no
+    memory, or no mapping left to the process), the rows are computed
+    inline.  The caller computes the first share, then, in share order,
+    each share whose worker exited non-zero, was killed or was never
+    started; so it raises what computing the rows inline would raise
+    first."""
     k = n_shares(n_rows, work, floor)
     size = math.prod(shape)
-    out = (np.empty(size) if k == 1 else np.frombuffer(mmap.mmap(-1, 8 * size))).reshape(shape)
+    try:
+        out = np.empty(size) if k == 1 else np.frombuffer(mmap.mmap(-1, 8 * size))
+    except OSError:
+        out, k = np.empty(size), 1
+    out = out.reshape(shape)
     with _row_shares(lambda rows: compute(out, rows), n_rows, k) as shares:
         for rows, worker in shares:
             if worker is None or worker.join() != 0:

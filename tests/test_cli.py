@@ -1254,7 +1254,7 @@ class TestExitCodes:
         cfg.write_text(json.dumps(payload))
         code, _, err = run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g"))
         assert code == 1
-        assert err == "validation error: unknown config fields: ['dcf.c_mis']\n"
+        assert err == f"validation error: {cfg}: unknown config fields: ['dcf.c_mis']\n"
         assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize(
@@ -1262,15 +1262,28 @@ class TestExitCodes:
         [
             ("[1, 2]", "config must be a JSON object"),
             ('{"window": 32}', "config is missing the 'manifest' field"),
+            ('{"manifest": "m.json", "dcf": 2}',
+             "config field 'dcf' must be an object with c_miss and c_fa"),
         ],
-        ids=["not-an-object", "no-manifest"],
+        ids=["not-an-object", "no-manifest", "dcf-not-an-object"],
     )
     def test_config_of_the_wrong_shape_is_validation_error(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         code, _, err = run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g"))
         assert code == 1
-        assert err == f"validation error: {message}\n"
+        assert err == f"validation error: {cfg}: {message}\n"
+
+    @pytest.mark.parametrize("name", ["manifest", "output_dir"])
+    def test_a_path_with_a_lone_surrogate_is_validation_error(
+        self, dataset, tmp_path, capsys, name
+    ):
+        # it names no file: open() and mkdir() raise UnicodeEncodeError on it
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), name: "\ud800"}))
+        code, _, err = run_cli(capsys, "evaluate", "--config", str(cfg), "--gallery", "gal")
+        assert (code, err) == (1, f"validation error: config field {name!r}: 'utf-8' codec can't "
+                                  "encode character '\\ud800' in position 0: surrogates not allowed\n")
 
     @pytest.mark.parametrize(
         "name, value, loaded",
@@ -1309,6 +1322,15 @@ class TestExitCodes:
         )
         assert code == 1
         assert err.startswith("validation error: ") and named in err
+
+    def test_a_manifest_of_the_wrong_shape_names_it(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[]")
+        cfg = write_config(tmp_path / "cfg.json", manifest)
+        code, _, err = run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g"))
+        assert (code, err) == (
+            2, f"data error: {manifest}: manifest must be a non-empty JSON object\n"
+        )
 
     @pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
     @pytest.mark.parametrize("which, expected", [("config", 1), ("manifest", 2)])
@@ -1604,6 +1626,24 @@ class TestExitCodes:
         assert err.startswith("data error: ")
         assert reason.format(npy=tmp_path / "scores.npy") in err
         assert not (tmp_path / "d.csv").exists()
+
+    def test_a_pinned_score_file_names_the_file_of_its_fault(self, tmp_path):
+        # its header is read beside the pinned scores.npy, then its cells
+        scores = tmp_path / "scores.csv"
+        save_scores_csv(ScoreTensor(("a", "b"), ("a", "b"), np.ones((2, 2, 1)), "mse"), scores)
+        text = scores.read_bytes()
+        pin(scores, "scores.csv", text.replace(b"facedct-scores-v1", b"other"))
+        assert det_export(scores, tmp_path / "d") == (
+            2, f"data error: {scores}: not a facedct-scores-v1 score file\n"
+        )
+        pin(scores, "scores.csv", text)
+        negative = io.BytesIO()
+        np.save(negative, -np.ones((2, 2, 1)))
+        pin(scores, "scores.npy", negative.getvalue())
+        npy = tmp_path / "scores.npy"
+        assert det_export(scores, tmp_path / "d") == (
+            2, f"data error: {npy}: invalid score tensor: distances must be >= 0\n"
+        )
 
     @pytest.mark.parametrize(
         "command, record, failing, flag, first, second",

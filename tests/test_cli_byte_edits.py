@@ -1,7 +1,8 @@
 """Byte edits to the files a command reads (a config, a manifest, a saved
 gallery's files, a PGM or PPM probe image): whatever the edit, the command
 exits with a documented code and one line of stderr with that code's
-prefix, and never with 3, the code of an internal error."""
+prefix, and never with 3, the code of an internal error.  For a manifest,
+the line names it, or an image it lists with that image's subject."""
 
 import argparse
 import contextlib
@@ -86,6 +87,8 @@ def test_enroll_with_an_edited_config(tiny, edits):
 @given(edits=byte_edits)
 @example(edits=[("insert", 10**6, b"[" * 500, 2)])
 @example(edits=[("insert", 24, b"\\u0000", 1)])  # a NUL in the path of an enrolled image
+@example(edits=[("insert", 24, b"\\ud800", 1)])  # a lone surrogate, which names no file
+@example(edits=[("insert", 4, b"\\ud800", 1)])  # one in a subject id, which no UTF-8 text holds
 @settings(max_examples=60, deadline=None)
 def test_enroll_with_an_edited_manifest(tiny, edits):
     # beside the original, so the image paths it lists resolve the same way
@@ -94,7 +97,14 @@ def test_enroll_with_an_edited_manifest(tiny, edits):
     config = tiny / "edited-manifest-config.json"
     config.write_text(json.dumps({"manifest": str(manifest), "train_indices": [1],
                                   "test_indices": [2], "window": 8, "dim": 4}))
-    assert_one_documented_line(*enroll(config), (0, 2))
+    code, err = enroll(config)
+    assert_one_documented_line(code, err, (0, 2))
+    if code == 2 and str(manifest) not in err:
+        # the manifest was read, so the fault is in an image it lists
+        listed = json.loads(manifest.read_bytes())
+        named = (f"data error: subject {s!r}, image {manifest.parent / p}: "
+                 for s, paths in listed.items() for p in paths)
+        assert any(err.startswith(prefix) for prefix in named)
 
 
 def identify_with_an_edited_file(tiny, enrolled, files, name, edits):

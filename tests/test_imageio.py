@@ -305,6 +305,25 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(f)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (["not", "a", "dict"], "manifest must be a non-empty JSON object"),
+            ({}, "manifest must be a non-empty JSON object"),
+            ({"s1": ["1.pgm"], "s2": "2.pgm"}, "subject 's2': expected a non-empty list of paths"),
+            ({"s1": ["1.pgm", 2]}, "subject 's1': paths must be strings without NUL"),
+            ({"s1": ["1\0.pgm"]}, "subject 's1': paths must be strings without NUL"),
+            ({"\ud800": ["1.pgm"]}, "subject '\\ud800': an id cannot hold a lone surrogate"),
+        ],
+        ids=["list", "empty", "not-a-list", "not-a-string", "nul", "surrogate"],
+    )
+    def test_malformed_manifest_names_it(self, tmp_path, payload, message):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(payload))
+        with pytest.raises(ManifestError) as info:
+            load_manifest(f)
+        assert (type(info.value), str(info.value)) == (ManifestError, f"{f}: {message}")
+
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_write_json_refuses_what_json_cannot_hold(tmp_path, value):

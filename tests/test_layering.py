@@ -1,5 +1,7 @@
 """The package's layering, read from its source: only ``shares`` starts
-processes or maps memory, and files are written in three places only."""
+processes or maps memory, files are written in three places only, and a
+caught error is raised again with its source named by ``errors.naming``
+only."""
 
 import ast
 from pathlib import Path
@@ -17,6 +19,15 @@ WRITERS = {
     ("errors", "_write_chunks"),
     ("shares", "_Worker.__init__"),
     ("imageio", "write_pnm_file"),
+}
+
+#: the handlers outside ``errors`` that raise an error built from the one
+#: they caught, each with a message not of the ``<source>: <complaint>``
+#: form of ``errors.naming``
+RE_RAISERS = {
+    ("gallery", "_check_manifest"),
+    ("fusion", "apply_fusion"),
+    ("pinned", "_npy_array"),
 }
 
 
@@ -78,3 +89,24 @@ def test_files_are_written_in_three_places_only():
         if isinstance(node, ast.Call) and opens_for_writing(node)
     }
     assert writers == WRITERS
+
+
+def raises_from_caught(handler):
+    """Whether the ``except ... as <name>`` ``handler`` raises an exception
+    built from ``<name>``."""
+    return handler.name is not None and any(
+        isinstance(node, ast.Raise) and node.exc is not None
+        and any(isinstance(n, ast.Name) and n.id == handler.name for n in ast.walk(node.exc))
+        for node in ast.walk(handler)
+    )
+
+
+def test_only_errors_names_the_source_of_a_caught_error():
+    re_raisers = {
+        (path.stem, scope)
+        for path in MODULES
+        if path.stem != "errors"
+        for scope, node in scoped(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler) and raises_from_caught(node)
+    }
+    assert re_raisers == RE_RAISERS

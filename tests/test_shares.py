@@ -1,11 +1,13 @@
 """Featurizing and the score tensor in forked row shares: the rows come back
 bit-identical to inline ones, a worker that fails, is killed or cannot start
-leaves its share to the caller, and an error is the inline path's error."""
+leaves its share to the caller, a shared mapping that cannot be made leaves
+every row to it, and an error is the inline path's error."""
 
 import contextlib
 import errno
 import io
 import json
+import mmap
 import os
 import signal
 from unittest import mock
@@ -145,6 +147,20 @@ class TestSharedMemoryShares:
             with forked_shares(), mock.patch.object(os, "fork", fork):
                 assert same_bits(step(), inline)
             assert len(calls) == fails
+
+    def test_a_shared_mapping_that_cannot_be_made_leaves_the_rows_inline(self, tmp_path):
+        # as with no memory, or no mapping left to the process: nothing forks
+        subjects = images(tmp_path, 7)
+        probes, gallery = probe_set(7, 1)
+        steps = (lambda: featurize(subjects),
+                 lambda: build_score_tensor(probes, gallery, "mse").scores)
+        no_memory = OSError(errno.ENOMEM, "Cannot allocate memory")
+        for step in steps:
+            inline = step()
+            with forked_shares(), counted_forks() as fork, \
+                    mock.patch.object(mmap, "mmap", side_effect=no_memory) as mapping:
+                assert same_bits(step(), inline)
+            assert (mapping.call_count, fork.call_count) == (1, 0)
 
     def test_a_worker_killed_mid_share_is_redone(self, tmp_path):
         subjects = images(tmp_path, 7)
