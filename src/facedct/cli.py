@@ -25,8 +25,10 @@ and an image listed in a manifest with its subject; a config field's
 value is named by its field, since a flag may supply it (see ``errors``).
 
 Each command needs only the sample indices it reads: enroll the training
-indices, evaluate the test indices, fuse-eval both.  A subject with fewer
-samples than the largest index a command needs is a data error naming it.
+indices, evaluate the test indices, fuse-eval both, and joins only their
+paths to the manifest's directory, though every entry of the manifest is
+checked.  A subject with fewer samples than the largest index a command
+needs is a data error naming the manifest and the subject.
 
 ``evaluate`` writes, for each metric, ``scores{tag}.npy``,
 ``scores{tag}.csv`` and ``scores{tag}.json`` (the score file and its pinned
@@ -71,10 +73,10 @@ from .gallery import (
     SplitSpec,
     check_window,
     load_gallery,
+    load_samples,
     save_gallery,
-    select_samples,
 )
-from .imageio import CHANNELS, load_manifest, write_json
+from .imageio import CHANNELS, write_json
 from .matching import (
     METRICS,
     build_score_tensor,
@@ -298,7 +300,7 @@ def cmd_enroll(args) -> int:
     """Enroll the training samples; the test indices need not exist."""
     cfg = load_config(args.config, args)
     out = Path(args.out)
-    train = select_samples(load_manifest(cfg.manifest), cfg.split().train_indices)
+    (train,) = load_samples(cfg.manifest, cfg.split().train_indices)
     gallery = extract_subject_features(train, (cfg.channel,), cfg.dim, cfg.window)[cfg.channel]
     meta = {
         "window": cfg.window,
@@ -341,7 +343,7 @@ def cmd_evaluate(args) -> int:
         check_window(window, gallery.feature_dim)
     out = Path(args.out) if args.out else (cfg.output_dir or Path("results"))
 
-    test = select_samples(load_manifest(cfg.manifest), cfg.split().test_indices)
+    (test,) = load_samples(cfg.manifest, cfg.split().test_indices)
     features = extract_subject_features(test, (gallery.channel,), gallery.feature_dim, window)
     probes = features[gallery.channel]
 
@@ -462,7 +464,7 @@ def cmd_fuse_eval(args) -> int:
     # rows in CHANNELS order, but gray after the colour channels
     channels = tuple(sorted(channels, key=lambda c: (c == "gray", CHANNELS.index(c))))
     runs = run_channel_pipeline(
-        load_manifest(cfg.manifest), cfg.split(), channels, cfg.metrics[0],
+        cfg.manifest, cfg.split(), channels, cfg.metrics[0],
         cfg.dim, cfg.window, cfg.c_miss, cfg.c_fa,
     )
     table = [(channel.upper(), run.summary) for channel, run in runs.items()]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError, naming
 from .features import DEFAULT_DIM
-from .gallery import SplitSpec, apply_split
+from .gallery import SplitSpec, apply_split, load_samples
 from .imageio import CHANNELS
 from .matching import ScoreTensor, build_score_tensor
 from .pipeline import (
@@ -135,7 +135,7 @@ class ChannelRunResult:
 
 
 def run_channel_pipeline(
-    manifest: dict[str, list[Path]],
+    manifest: dict[str, list[Path]] | str | Path,
     split: SplitSpec,
     channels: tuple[str, ...],
     metric: str = "mse",
@@ -146,8 +146,14 @@ def run_channel_pipeline(
 ) -> dict[str, ChannelRunResult]:
     """Per-channel experiments in one pass: featurize every image of the
     split once for all ``channels``, then per channel enroll the training
-    split, score the test split and evaluate.  Keyed by channel, in order."""
-    train, test = apply_split(manifest, split)
+    split, score the test split and evaluate.  Keyed by channel, in order.
+    ``manifest`` maps each subject to its image paths, or is the path of a
+    manifest file, of which only the split's samples are joined
+    (``gallery.load_samples``)."""
+    if isinstance(manifest, dict):
+        train, test = apply_split(manifest, split)
+    else:
+        train, test = load_samples(manifest, split.train_indices, split.test_indices)
     enrolled = extract_subject_features(train, channels, dim, window)
     probes = extract_subject_features(test, channels, dim, window)
     runs = {}

@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import DataError, MismatchError, naming, parse_json, read_bytes, remove_file
 from .features import FeatureVector, feature_matrix_from_csv, feature_matrix_to_csv
-from .imageio import CHANNELS, MAX_WINDOW
+from .imageio import CHANNELS, MAX_WINDOW, manifest_entries
 from .pinned import pinned_array, save_pinned, sha256
 
 GALLERY_FORMAT = "facedct-gallery"
@@ -110,9 +110,7 @@ class SplitSpec:
         return cls(frozenset(int(i) for i in train), frozenset(int(i) for i in test))
 
 
-def select_samples(
-    manifest: dict[str, list[Path]], indices: frozenset[int]
-) -> dict[str, list[Path]]:
+def select_samples(manifest: dict[str, list], indices: frozenset[int]) -> dict[str, list]:
     """Each subject's samples at the given 1-based indices, in index order.
 
     Subjects are returned in lexicographic order.  A subject with fewer
@@ -128,6 +126,24 @@ def select_samples(
             )
     order = sorted(indices)
     return {s: [manifest[s][i - 1] for i in order] for s in sorted(manifest)}
+
+
+def load_samples(path: str | Path, *index_sets: frozenset[int]) -> list[dict[str, list[Path]]]:
+    """:func:`select_samples` of the manifest at ``path`` for each of
+    ``index_sets``, in order.
+
+    Every entry the manifest lists is checked (``imageio.manifest_entries``),
+    so a bad path of a sample no set selects is refused too; only the
+    selected entries are then joined to the manifest's directory.  A
+    subject with fewer samples than a set needs is a SplitError naming the
+    manifest and the subject.
+    """
+    path = Path(path)
+    entries = manifest_entries(path)
+    with naming(path):
+        selections = [select_samples(entries, indices) for indices in index_sets]
+    base = path.parent
+    return [{s: [base / e for e in chosen] for s, chosen in sel.items()} for sel in selections]
 
 
 def apply_split(
@@ -354,51 +370,49 @@ def check_window(window, dim: int) -> None:
         )
 
 
-def _check_manifest(manifest, directory: Path) -> tuple[list[str], list[int], int, str, dict]:
+def _check_manifest(manifest, path: Path) -> tuple[list[str], list[int], int, str, dict]:
     """The subject ids, their template counts, the feature dim, the channel
-    and the meta that gallery.json lists, each checked; every source of the
-    template matrix shares this check.  As :func:`save_gallery` writes them,
-    the ids must be strictly increasing and each count at least 1."""
-    if not isinstance(manifest, dict) or manifest.get("format") != GALLERY_FORMAT:
-        raise GalleryVersionError(f"not a {GALLERY_FORMAT} payload")
-    if manifest.get("version") != GALLERY_VERSION:
-        raise GalleryVersionError(
-            f"gallery version {manifest.get('version')!r} != supported {GALLERY_VERSION}"
-        )
-    subjects = manifest.get("subjects", [])
-    if not isinstance(subjects, list):
-        raise GalleryCorruptError(f"{GALLERY_JSON} subjects is not a list")
-    ids: list[str] = []
-    counts: list[int] = []
-    for entry in subjects:
-        if not isinstance(entry, dict):
-            raise GalleryCorruptError(f"{GALLERY_JSON} subject entry {entry!r} is not an object")
-        subject, count = entry.get("id"), entry.get("templates")
-        if not isinstance(subject, str):
-            raise GalleryCorruptError(f"{GALLERY_JSON} subject id {subject!r} is not a string")
-        if ids and not ids[-1] < subject:
-            raise GalleryCorruptError(
-                f"{GALLERY_JSON} lists subject {subject!r} after {ids[-1]!r}"
+    and the meta that the gallery.json ``path`` lists, each checked; every
+    source of the template matrix shares this check.  As :func:`save_gallery`
+    writes them, the ids must be strictly increasing and each count at least
+    1.  Each complaint names ``path``."""
+    with naming(path):
+        if not isinstance(manifest, dict) or manifest.get("format") != GALLERY_FORMAT:
+            raise GalleryVersionError(f"not a {GALLERY_FORMAT} payload")
+        if manifest.get("version") != GALLERY_VERSION:
+            raise GalleryVersionError(
+                f"gallery version {manifest.get('version')!r} != supported {GALLERY_VERSION}"
             )
-        if type(count) is not int or count < 1:
-            raise GalleryCorruptError(f"subject {subject!r} lists {count!r} templates")
-        ids.append(subject)
-        counts.append(count)
-    if not ids:
-        raise GalleryCorruptError("persisted gallery holds no templates")
-    feature_dim, channel = manifest.get("feature_dim"), manifest.get("channel")
-    if type(feature_dim) is not int or feature_dim < 1:
-        raise GalleryCorruptError(f"{GALLERY_JSON} feature_dim {feature_dim!r} is no dimension")
-    if channel not in CHANNELS:
-        raise GalleryCorruptError(f"{GALLERY_JSON} channel {channel!r} is unknown")
-    meta = manifest.get("meta", {})
-    if not isinstance(meta, dict):
-        raise GalleryCorruptError(f"gallery {directory}: meta is not an object")
-    if "window" in meta:
-        try:
-            check_window(meta["window"], feature_dim)
-        except ValueError as exc:
-            raise GalleryCorruptError(f"gallery {directory}: meta.window {exc}") from None
+        subjects = manifest.get("subjects", [])
+        if not isinstance(subjects, list):
+            raise GalleryCorruptError("subjects is not a list")
+        ids: list[str] = []
+        counts: list[int] = []
+        for entry in subjects:
+            if not isinstance(entry, dict):
+                raise GalleryCorruptError(f"subject entry {entry!r} is not an object")
+            subject, count = entry.get("id"), entry.get("templates")
+            if not isinstance(subject, str):
+                raise GalleryCorruptError(f"subject id {subject!r} is not a string")
+            if ids and not ids[-1] < subject:
+                raise GalleryCorruptError(f"lists subject {subject!r} after {ids[-1]!r}")
+            if type(count) is not int or count < 1:
+                raise GalleryCorruptError(f"subject {subject!r} lists {count!r} templates")
+            ids.append(subject)
+            counts.append(count)
+        if not ids:
+            raise GalleryCorruptError("persisted gallery holds no templates")
+        feature_dim, channel = manifest.get("feature_dim"), manifest.get("channel")
+        if type(feature_dim) is not int or feature_dim < 1:
+            raise GalleryCorruptError(f"feature_dim {feature_dim!r} is no dimension")
+        if channel not in CHANNELS:
+            raise GalleryCorruptError(f"channel {channel!r} is unknown")
+        meta = manifest.get("meta", {})
+        if not isinstance(meta, dict):
+            raise GalleryCorruptError("meta is not an object")
+        if "window" in meta:
+            with naming("meta.window", GalleryCorruptError, ValueError):
+                check_window(meta["window"], feature_dim)
     return ids, counts, feature_dim, channel, meta
 
 
@@ -416,7 +430,7 @@ def _matrix_of_csv(
     if csv_labels != labels:
         # the row format writes no label and the label "" alike
         label, subject = next((a, b) for a, b in zip(csv_labels, labels) if a != b)
-        raise GalleryCorruptError(f"row labelled {label!r} listed under subject {subject!r}")
+        raise GalleryCorruptError(f"{path}: row labelled {label!r} listed under subject {subject!r}")
     if matrix.shape[1] != feature_dim or csv_channel != channel:
         raise GalleryCorruptError(f"{GALLERY_JSON} metadata disagrees with {path}")
     return matrix
@@ -456,11 +470,11 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
     directory = Path(directory)
     npy, csv, path = directory / TEMPLATES_NPY, directory / VECTORS_CSV, directory / GALLERY_JSON
     manifest = parse_json(read_bytes(path, GalleryCorruptError), path, GalleryCorruptError)
-    ids, counts, feature_dim, channel, meta = _check_manifest(manifest, directory)
+    ids, counts, feature_dim, channel, meta = _check_manifest(manifest, path)
     digests, matrix = manifest.get("sha256"), None
     if "sha256" in manifest:
         if not isinstance(digests, dict):
-            raise GalleryCorruptError(f"{GALLERY_JSON} sha256 is not an object")
+            raise GalleryCorruptError(f"{path}: sha256 is not an object")
         data = read_bytes(npy, GalleryCorruptError) if npy.exists() else None
         if data is not None and sha256(data) == digests.get(TEMPLATES_NPY):
             shape = (sum(counts), feature_dim)

@@ -199,20 +199,35 @@ def read_pnm(data: bytes) -> RasterImage:
     return RasterImage(width, height, channels, maxval, samples)
 
 
+def _encode(samples: np.ndarray, maxval: int) -> bytes:
+    """Canonical binary P5/P6 bytes of (height, width, channels) samples,
+    one or three channels, each in [0, maxval]; two-byte big-endian samples
+    when maxval > 255.  The one encoder: the inverse of :func:`_decode`."""
+    height, width, channels = samples.shape
+    magic = "P5" if channels == 1 else "P6"
+    header = f"{magic}\n{width} {height}\n{maxval}\n".encode("ascii")
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
+    return header + samples.astype(dtype, copy=False).tobytes()
+
+
 def write_pnm(img: RasterImage) -> bytes:
     """Serialize to canonical binary P5/P6; inverse of :func:`read_pnm`."""
-    magic = "P5" if img.channels == 1 else "P6"
-    header = f"{magic}\n{img.width} {img.height}\n{img.maxval}\n".encode("ascii")
-    dtype = np.dtype(">u2") if img.maxval > 255 else np.dtype(np.uint8)
-    return header + img.samples.astype(dtype).tobytes()
+    return _encode(img.samples, img.maxval)
 
 
 def read_pnm_file(path: str | Path) -> RasterImage:
     return read_pnm(read_bytes(path, DataError))
 
 
+def write_pnm_samples(samples: np.ndarray, maxval: int, path: str | Path) -> None:
+    """Write :func:`_encode` of ``samples`` to the file ``path``: the one
+    image write, of :func:`write_pnm_file` and the synthetic datasets."""
+    with open(path, "wb") as f:
+        f.write(_encode(samples, maxval))
+
+
 def write_pnm_file(img: RasterImage, path: str | Path) -> None:
-    Path(path).write_bytes(write_pnm(img))
+    write_pnm_samples(img.samples, img.maxval, path)
 
 
 def _luma(samples: np.ndarray, maxval: int) -> np.ndarray:
@@ -340,12 +355,12 @@ def prepare_plane(img: RasterImage, channel: str, window: int) -> np.ndarray:
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def load_manifest(path: str | Path) -> dict[str, list[Path]]:
-    """Load a dataset manifest: JSON mapping subject-id -> ordered image paths.
+def manifest_entries(path: str | Path) -> dict[str, list[str]]:
+    """The entries of a dataset manifest, a JSON object mapping each subject
+    id to its ordered image paths, each checked and none joined.
 
-    Relative paths are resolved against the manifest's directory.  The
-    list order defines the 1-based sample indices used by split rules.  A
-    manifest that cannot be read, is not JSON, or is not of that form (a
+    The list order defines the 1-based sample indices used by split rules.
+    A manifest that cannot be read, is not JSON, or is not of that form (a
     path that is no string or holds a NUL, or a subject id with a lone
     surrogate) is a ManifestError naming it.
     """
@@ -354,8 +369,6 @@ def load_manifest(path: str | Path) -> dict[str, list[Path]]:
     with naming(path):
         if not isinstance(raw, dict) or not raw:
             raise ManifestError("manifest must be a non-empty JSON object")
-        base = path.parent
-        manifest: dict[str, list[Path]] = {}
         for subject, entries in raw.items():
             if not isinstance(entries, list) or not entries:
                 raise ManifestError(f"subject {subject!r}: expected a non-empty list of paths")
@@ -363,22 +376,15 @@ def load_manifest(path: str | Path) -> dict[str, list[Path]]:
                 raise ManifestError(f"subject {subject!r}: paths must be strings without NUL")
             if _SURROGATE.search(subject):  # which no UTF-8 text, such as vectors.csv, holds
                 raise ManifestError(f"subject {subject!r}: an id cannot hold a lone surrogate")
-            manifest[str(subject)] = [base / e for e in entries]
-    return manifest
+    return raw
 
 
-def save_manifest(manifest: dict[str, list[Path]], path: str | Path) -> None:
-    """Write a manifest, storing paths relative to the manifest file when possible."""
-    path = Path(path)
-    base = path.parent.resolve()
-
-    def entry(p: Path) -> str:
-        try:
-            return str(p.resolve().relative_to(base))
-        except ValueError:
-            return str(p)
-
-    write_json(path, {subject: [entry(p) for p in paths] for subject, paths in manifest.items()})
+def load_manifest(path: str | Path) -> dict[str, list[Path]]:
+    """Load a dataset manifest: subject id -> ordered image paths, each
+    checked by :func:`manifest_entries` and resolved against the
+    manifest's directory."""
+    base = Path(path).parent
+    return {s: [base / e for e in entries] for s, entries in manifest_entries(path).items()}
 
 
 def write_json(path: str | Path, payload: dict) -> None:

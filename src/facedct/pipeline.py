@@ -88,9 +88,9 @@ def extract_subject_features(
     """Featurize every listed image for each of ``channels``, decoding it
     once: channel -> one ``(N, dim)`` matrix grouped by subject, subjects in
     lexicographic order and each subject's rows in listed order.  Every
-    subject lists at least one image, as ``load_manifest`` ensures.  Each
-    image's rows are written in place; no split is held whole in any other
-    form."""
+    subject lists at least one image, as ``imageio.manifest_entries``
+    ensures.  Each image's rows are written in place; no split is held whole
+    in any other form."""
     ids = sorted(subjects)
     counts = [len(subjects[s]) for s in ids]
     images = [(s, p) for s in ids for p in subjects[s]]

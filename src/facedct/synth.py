@@ -5,6 +5,17 @@ low-frequency spectrum); samples are the base plus scaled Gaussian noise,
 quantized to 8-bit PGM/PPM.  The same seed always reproduces the same
 bytes, and the noise fields are drawn independently of sigma, so raising
 sigma rescales one fixed realization instead of redrawing it.
+
+How an image's bytes are made: per subject, one base plane per identity
+signal (three for "rgb", else one) is drawn, then per sample one
+``standard_normal`` plane per signal or background channel, in channel
+order ("rgb-equal" draws one and repeats it).  Each draw is turned in
+place into ``floor(clip(level + sigma * noise, 0, 1) * 255 + 0.5)``, where
+the level is the base plane or 0.5 for identityless noise, and cast once
+into the image's ``uint8`` samples, which ``imageio.write_pnm_samples``
+writes as a P5 or P6 file.  ``manifest.json`` lists each subject's images
+as ``<subject>/<name>``, relative to the dataset directory.
+``tests/test_synth.py`` pins the sha256 of every file written.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import idct2
-from .imageio import MAX_WINDOW, RasterImage, save_manifest, write_pnm_file
+from .imageio import MAX_WINDOW, write_json, write_pnm_samples
 
 PLACEMENTS = ("gray", "rgb-equal", "rgb", "r-only", "g-only", "b-only")
 
@@ -64,23 +75,44 @@ def _base_plane(rng: np.random.Generator, height: int, width: int) -> np.ndarray
     lo, hi = plane.min(), plane.max()
     if hi - lo < 1e-12:
         return np.full((height, width), 0.5)
-    return 0.2 + 0.6 * (plane - lo) / (hi - lo)
+    # 0.2 + 0.6 * (plane - lo) / (hi - lo), in place
+    plane -= lo
+    plane *= 0.6
+    plane /= hi - lo
+    plane += 0.2
+    return plane
 
 
-def _quantize(values: np.ndarray) -> np.ndarray:
-    return np.floor(np.clip(values, 0.0, 1.0) * _MAXVAL + 0.5).astype(np.int64)
+def _render(
+    rng: np.random.Generator, noise: np.ndarray, level: np.ndarray | float, sigma: float
+) -> np.ndarray:
+    """``noise``, filled with one draw and turned in place into the samples
+    of ``level + sigma * draw``: clipped to [0, 1], times 255, plus 0.5.
+    The caller's cast to ``uint8`` truncates, which for these positive
+    values is the floor."""
+    rng.standard_normal(out=noise)
+    noise *= sigma
+    noise += level
+    noise.clip(0.0, 1.0, out=noise)
+    noise *= _MAXVAL
+    noise += 0.5
+    return noise
 
 
-def _signal_render(rng: np.random.Generator, base: np.ndarray, sigma: float) -> np.ndarray:
-    return _quantize(base + sigma * rng.standard_normal(base.shape))
-
-
-def _background_render(rng: np.random.Generator, shape: tuple[int, int], sigma: float) -> np.ndarray:
-    return _quantize(0.5 + sigma * rng.standard_normal(shape))
-
-
-def _n_bases(placement: str) -> int:
-    return 3 if placement == "rgb" else 1
+def _layout(rng: np.random.Generator, placement: str, height: int, width: int
+            ) -> list[tuple[slice, np.ndarray | float]]:
+    """Draw a subject's base planes, three for "rgb" and else one; return
+    the channels each draw of its samples fills, in draw order, and the
+    level added to that draw: a base plane, or 0.5 for identityless noise."""
+    if placement == "rgb":
+        return [(slice(c, c + 1), _base_plane(rng, height, width)) for c in range(3)]
+    base = _base_plane(rng, height, width)
+    if placement == "gray":
+        return [(slice(0, 1), base)]
+    if placement == "rgb-equal":
+        return [(slice(0, 3), base)]
+    signal = "rgb".index(placement[0])  # "r-only", "g-only" or "b-only"
+    return [(slice(c, c + 1), base if c == signal else 0.5) for c in range(3)]
 
 
 def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> Path:
@@ -93,39 +125,24 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     h, w = spec.height, spec.width
-    shape = (h, w)
     suffix = ".ppm" if spec.color else ".pgm"
+    noise = np.empty((h, w))
+    samples = np.empty((h, w, 3 if spec.color else 1), dtype=np.uint8)
 
-    manifest: dict[str, list[Path]] = {}
+    manifest: dict[str, list[str]] = {}
     for s in range(spec.subjects):
         subject = f"s{s:03d}"
-        subject_dir = out_dir / subject
-        subject_dir.mkdir(exist_ok=True)
-        bases = [_base_plane(rng, h, w) for _ in range(_n_bases(spec.placement))]
-        paths = []
+        (out_dir / subject).mkdir(exist_ok=True)
+        layout = _layout(rng, spec.placement, h, w)
+        names = []
         for n in range(spec.samples):
-            if spec.placement == "gray":
-                planes = [_signal_render(rng, bases[0], spec.noise)]
-            elif spec.placement == "rgb-equal":
-                one = _signal_render(rng, bases[0], spec.noise)
-                planes = [one, one, one]
-            elif spec.placement == "rgb":
-                planes = [_signal_render(rng, b, spec.noise) for b in bases]
-            else:  # single signal channel, identityless noise elsewhere
-                signal_idx = {"r-only": 0, "g-only": 1, "b-only": 2}[spec.placement]
-                planes = []
-                for c in range(3):
-                    if c == signal_idx:
-                        planes.append(_signal_render(rng, bases[0], spec.noise))
-                    else:
-                        planes.append(_background_render(rng, shape, spec.noise))
-            samples = np.stack(planes, axis=-1)
-            img = RasterImage(w, h, samples.shape[-1], _MAXVAL, samples)
-            path = subject_dir / f"{n + 1:02d}{suffix}"
-            write_pnm_file(img, path)
-            paths.append(path)
-        manifest[subject] = paths
+            for channels, level in layout:
+                samples[:, :, channels] = _render(rng, noise, level, spec.noise)[:, :, None]
+            name = f"{subject}/{n + 1:02d}{suffix}"
+            write_pnm_samples(samples, _MAXVAL, out_dir / name)
+            names.append(name)
+        manifest[subject] = names
 
     manifest_path = out_dir / "manifest.json"
-    save_manifest(manifest, manifest_path)
+    write_json(manifest_path, manifest)
     return manifest_path

@@ -210,6 +210,34 @@ class TestEnroll:
         assert repr(short) in err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize(
+        "command, keep, needed", [("enroll", 2, 3), ("evaluate", 5, 6), ("fuse-eval", 5, 6)]
+    )
+    def test_a_short_subject_names_the_manifest(
+        self, dataset, tmp_path, capsys, command, keep, needed
+    ):
+        # enroll reads training indices 1-3, evaluate test indices 4-6 and
+        # fuse-eval both, the training ones first
+        cfg = write_config(tmp_path / "full.json", dataset)
+        assert run_cli(capsys, "enroll", "--config", str(cfg), "--out", str(tmp_path / "g"))[0] == 0
+        manifest = {
+            s: [str(dataset.parent / p) for p in paths]
+            for s, paths in json.loads(dataset.read_text()).items()
+        }
+        manifest["s001"] = manifest["s001"][:keep]
+        short = tmp_path / "manifest.json"
+        short.write_text(json.dumps(manifest))
+        cfg = write_config(tmp_path / "cfg.json", short)
+        extra = {"enroll": ["--out", str(tmp_path / "g2")],
+                 "evaluate": ["--gallery", str(tmp_path / "g"), "--out", str(tmp_path / "res")],
+                 "fuse-eval": ["--fusion", "sum:gray", "--out", str(tmp_path / "res")]}[command]
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), *extra)
+        assert (code, err) == (
+            2,
+            f"data error: {short}: subject 's001' has {keep} samples "
+            f"but the selection needs index {needed}\n",
+        )
+
     def test_the_text_is_written_only_with_the_flag(self, dataset, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dataset)
         bare, text = tmp_path / "bare", tmp_path / "text"
@@ -720,11 +748,11 @@ class TestFuseEval:
         assert not (tmp_path / "fres").exists()
 
     def test_bad_fusion_spec(self, dataset, tmp_path, capsys, monkeypatch):
-        import facedct.cli as cli_mod
+        import facedct.gallery as gallery_mod
 
         # each spec is rejected, naming it, before the manifest is read
         load_manifest = mock.Mock(side_effect=AssertionError("manifest read"))
-        monkeypatch.setattr(cli_mod, "load_manifest", load_manifest)
+        monkeypatch.setattr(gallery_mod, "manifest_entries", load_manifest)
         cfg = write_config(tmp_path / "cfg.json", dataset)
         for spec in ["median:R,G", "sum:q"]:
             code, _, err = run_cli(

@@ -8,6 +8,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -82,6 +83,76 @@ def test_enroll_with_an_edited_config(tiny, edits):
         cfg = load_config(config, argparse.Namespace())
         other = cfg.manifest.resolve() != (tiny / "data" / "manifest.json").resolve()
         assert other or max(cfg.train_indices) > SAMPLES
+
+
+#: the prefix of exit 1 when an output cannot be written
+OUTPUT_PREFIX = "output error: "
+
+
+def run_edited_config(tiny, edits, command, *argv):
+    """Exit code and config of ``command`` run with the tiny config edited
+    by ``edits``, from an empty working directory, where a config without
+    ``output_dir`` puts ``results``; its one line of stderr has a documented
+    prefix.  No piece of ``byte_edits`` is a '/', so an edited output
+    directory stays under the config's directory or its parent."""
+    config = tiny / f"edited-{command}-config.json"
+    config.write_bytes(apply_byte_edits((tiny / "config.json").read_bytes(), edits))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            code, err = run([command, "--config", str(config), *argv])
+        finally:
+            os.chdir(cwd)
+    if code == 1 and err.startswith(OUTPUT_PREFIX):
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert_one_documented_line(code, err, (0, 1, 2))
+    return code, config
+
+
+#: edits of the tiny config's output_dir, "out", its last value
+OUTPUT_DIR_EDITS = [
+    [("insert", 5, b"\\u0000", 1)],  # a NUL
+    [("insert", 5, b"\\ud800", 1)],  # a lone surrogate, which names no file
+    [("delete", 5, b" ", 3)],  # "", the default
+    [("replace", 5, b".", 3)],  # "...", a directory name
+    [("delete", 5, b" ", 3), ("insert", 2, b"config.json", 1)],  # a file, not a directory
+]
+
+
+@given(edits=byte_edits)
+@example(edits=[("insert", 10**6, b"[" * 500, 2)])
+@example(edits=OUTPUT_DIR_EDITS[0])
+@example(edits=OUTPUT_DIR_EDITS[1])
+@example(edits=OUTPUT_DIR_EDITS[2])
+@example(edits=OUTPUT_DIR_EDITS[3])
+@example(edits=OUTPUT_DIR_EDITS[4])
+@settings(max_examples=40, deadline=None)
+def test_evaluate_with_an_edited_config(tiny, edits):
+    code, config = run_edited_config(tiny, edits, "evaluate", "--gallery", str(tiny / "gal"))
+    if code == 2:
+        # a valid config naming a file that is no manifest, or a sample the
+        # dataset lacks
+        cfg = load_config(config, argparse.Namespace())
+        other = cfg.manifest.resolve() != (tiny / "data" / "manifest.json").resolve()
+        assert other or max(cfg.test_indices) > SAMPLES
+
+
+@given(edits=byte_edits)
+@example(edits=[("insert", 10**6, b"[" * 500, 2)])
+@example(edits=OUTPUT_DIR_EDITS[0])
+@example(edits=OUTPUT_DIR_EDITS[1])
+@example(edits=OUTPUT_DIR_EDITS[2])
+@example(edits=OUTPUT_DIR_EDITS[3])
+@example(edits=OUTPUT_DIR_EDITS[4])
+@settings(max_examples=40, deadline=None)
+def test_fuse_eval_with_an_edited_config(tiny, edits):
+    code, config = run_edited_config(tiny, edits, "fuse-eval", "--fusion", "sum:gray")
+    if code == 2:
+        cfg = load_config(config, argparse.Namespace())
+        other = cfg.manifest.resolve() != (tiny / "data" / "manifest.json").resolve()
+        assert other or max(cfg.train_indices + cfg.test_indices) > SAMPLES
 
 
 @given(edits=byte_edits)

@@ -22,8 +22,11 @@ from facedct.gallery import (
     SplitSpec,
     apply_split,
     load_gallery,
+    load_samples,
     save_gallery,
+    select_samples,
 )
+from facedct.imageio import ManifestError, load_manifest
 
 ORL_SPLIT = SplitSpec.from_iterables(range(1, 6), range(6, 11))
 
@@ -122,6 +125,44 @@ class TestApplySplit:
         manifest = make_manifest(1, 10)
         train, _ = apply_split(manifest, SplitSpec.from_iterables([5, 1, 3], [2]))
         assert [p.name for p in train["s00"]] == ["1.pgm", "3.pgm", "5.pgm"]
+
+
+class TestLoadSamples:
+    def write(self, path, payload):
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_it_selects_as_apply_split_does(self, tmp_path):
+        listed = {s: [str(p) for p in paths] for s, paths in make_manifest(3, 10).items()}
+        path = self.write(tmp_path / "manifest.json", listed)
+        split = SplitSpec.from_iterables([5, 1, 3], [2, 10])
+        train, test = load_samples(path, split.train_indices, split.test_indices)
+        assert (train, test) == apply_split(load_manifest(path), split)
+        assert train["s00"] == [tmp_path / "s00" / f"{i}.pgm" for i in (1, 3, 5)]
+        assert load_samples(path) == []
+
+    def test_a_bad_entry_of_an_unselected_sample_is_refused(self, tmp_path):
+        path = self.write(tmp_path / "manifest.json", {"s1": ["1.pgm", 2]})
+        with pytest.raises(ManifestError) as info:
+            load_samples(path, frozenset({1}))
+        assert str(info.value) == f"{path}: subject 's1': paths must be strings without NUL"
+
+    def test_a_short_subject_names_the_manifest(self, tmp_path):
+        path = self.write(tmp_path / "manifest.json", {"s2": ["1.pgm", "2.pgm"], "s1": ["1.pgm"]})
+        assert load_samples(path, frozenset({1})) == [
+            {"s1": [tmp_path / "1.pgm"], "s2": [tmp_path / "1.pgm"]}
+        ]
+        with pytest.raises(SplitError) as info:
+            load_samples(path, frozenset({1}), frozenset({2}))
+        assert (type(info.value), str(info.value)) == (
+            SplitError,
+            f"{path}: subject 's1' has 1 samples but the selection needs index 2",
+        )
+
+    def test_select_samples_takes_entries_of_any_kind(self):
+        assert select_samples({"b": ["x", "y"], "a": ["z", "w"]}, frozenset({2})) == {
+            "a": ["w"], "b": ["y"]
+        }
 
 
 class TestEnroll:
@@ -549,7 +590,10 @@ class TestTemplatesSidecar:
             (lambda m: m.update(feature_dim=4), r"not <f8 of shape \(4, 4\)"),
             (lambda m: m.update(feature_dim="5"), "feature_dim '5'"),
             (lambda m: m.update(channel="purple"), "channel 'purple' is unknown"),
-            (lambda m: m.update(meta={"window": 2}), "meta.window 2"),
+            (
+                lambda m: m.update(meta={"window": 2}),
+                r"meta\.window: 2 must be an integer in \[1, 4096\] and dim 5 in \[1, window²\]",
+            ),
         ],
         ids=[
             "count", "bool-count", "zero-count", "id", "order", "duplicate", "subjects",
@@ -564,6 +608,46 @@ class TestTemplatesSidecar:
         path.write_text(json.dumps(manifest))
         with pytest.raises(GalleryCorruptError, match=reason):
             load_gallery(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit, error, complaint",
+        [
+            (lambda m: m.update(format="x"), GalleryVersionError, "not a facedct-gallery payload"),
+            (lambda m: m.update(version=2), GalleryVersionError, "gallery version 2 != supported 1"),
+            (lambda m: m.update(subjects={"a": 2}), GalleryCorruptError, "subjects is not a list"),
+            (lambda m: m["subjects"].append(3), GalleryCorruptError,
+             "subject entry 3 is not an object"),
+            (lambda m: m["subjects"][0].update(id=7), GalleryCorruptError,
+             "subject id 7 is not a string"),
+            (lambda m: m["subjects"].reverse(), GalleryCorruptError,
+             "lists subject 'a' after 'b'"),
+            (lambda m: m["subjects"][0].update(templates=0), GalleryCorruptError,
+             "subject 'a' lists 0 templates"),
+            (lambda m: m.update(subjects=[]), GalleryCorruptError,
+             "persisted gallery holds no templates"),
+            (lambda m: m.update(feature_dim="5"), GalleryCorruptError,
+             "feature_dim '5' is no dimension"),
+            (lambda m: m.update(channel="purple"), GalleryCorruptError,
+             "channel 'purple' is unknown"),
+            (lambda m: m.update(meta=[8]), GalleryCorruptError, "meta is not an object"),
+            (lambda m: m.update(meta={"window": 2}), GalleryCorruptError,
+             "meta.window: 2 must be an integer in [1, 4096] and dim 5 in [1, window²]"),
+            (lambda m: m.update(sha256=[]), GalleryCorruptError, "sha256 is not an object"),
+        ],
+        ids=[
+            "format", "version", "subjects", "entry", "id", "order", "count", "empty",
+            "dim", "channel", "meta", "window", "digests",
+        ],
+    )
+    def test_a_gallery_json_error_names_its_path(self, tmp_path, edit, error, complaint):
+        save_gallery(gallery_of(["a", "b"]), tmp_path)
+        path = tmp_path / "gallery.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(error) as info:
+            load_gallery(tmp_path)
+        assert (type(info.value), str(info.value)) == (error, f"{path}: {complaint}")
 
     @pytest.mark.parametrize(
         "edit",

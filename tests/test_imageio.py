@@ -23,11 +23,11 @@ from facedct.imageio import (
     normalize,
     read_pnm,
     resize_bilinear,
-    save_manifest,
     select_channel,
     to_luminance,
     write_pnm,
 )
+from facedct.synth import SynthSpec, generate_dataset
 
 
 def _natural_key(name: str) -> tuple:
@@ -266,23 +266,30 @@ class TestResizeBilinear:
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        (tmp_path / "a").mkdir()
-        paths = {}
-        for s, names in {"s1": ["1.pgm", "2.pgm"], "s2": ["x.pgm"]}.items():
-            sub = tmp_path / "a" / s
-            sub.mkdir()
-            paths[s] = []
-            for n in names:
-                f = sub / n
-                f.write_bytes(b"")
-                paths[s].append(f)
-        mpath = tmp_path / "a" / "manifest.json"
-        save_manifest(paths, mpath)
-        loaded = load_manifest(mpath)
-        assert {k: [p.name for p in v] for k, v in loaded.items()} == {
-            "s1": ["1.pgm", "2.pgm"],
-            "s2": ["x.pgm"],
-        }
+        # a manifest generate_dataset wrote, into a directory and through a
+        # symlink to another: the same bytes, each entry relative to it
+        spec = SynthSpec(2, 2, 0.0, seed=1, width=4, height=4)
+        plain = generate_dataset(spec, tmp_path / "a")
+        (tmp_path / "b").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "b", target_is_directory=True)
+        linked = generate_dataset(spec, tmp_path / "link")
+        assert linked.read_bytes() == plain.read_bytes()
+        for mpath in (plain, linked):
+            loaded = load_manifest(mpath)
+            assert {k: [p.name for p in v] for k, v in loaded.items()} == {
+                "s000": ["01.pgm", "02.pgm"],
+                "s001": ["01.pgm", "02.pgm"],
+            }
+            assert all(p.parent == mpath.parent / s for s, v in loaded.items() for p in v)
+
+    def test_a_symlinked_subject_directory_is_listed_by_its_link(self, tmp_path):
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (tmp_path / "set").mkdir()
+        (tmp_path / "set" / "s000").symlink_to(elsewhere, target_is_directory=True)
+        mpath = generate_dataset(SynthSpec(1, 2, 0.0, seed=1, width=4, height=4), tmp_path / "set")
+        assert json.loads(mpath.read_text()) == {"s000": ["s000/01.pgm", "s000/02.pgm"]}
+        assert sorted(p.name for p in elsewhere.iterdir()) == ["01.pgm", "02.pgm"]
 
     def test_tree_scan_uses_natural_order(self, tmp_path):
         sub = tmp_path / "s1"

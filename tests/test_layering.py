@@ -18,14 +18,13 @@ PROCESS_CALLS = {"fork", "pipe", "waitpid", "kill", "sched_setaffinity", "_exit"
 WRITERS = {
     ("errors", "_write_chunks"),
     ("shares", "_Worker.__init__"),
-    ("imageio", "write_pnm_file"),
+    ("imageio", "write_pnm_samples"),
 }
 
 #: the handlers outside ``errors`` that raise an error built from the one
 #: they caught, each with a message not of the ``<source>: <complaint>``
 #: form of ``errors.naming``
 RE_RAISERS = {
-    ("gallery", "_check_manifest"),
     ("fusion", "apply_fusion"),
     ("pinned", "_npy_array"),
 }
