@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import idct2
+from .features import dct_matrix
 from .imageio import MAX_WINDOW, write_json, write_pnm_samples
 
 PLACEMENTS = ("gray", "rgb-equal", "rgb", "r-only", "g-only", "b-only")
@@ -68,10 +68,13 @@ def _base_plane(rng: np.random.Generator, height: int, width: int) -> np.ndarray
     # smooth identity pattern: sparse low-frequency spectrum, rescaled to
     # [0.2, 0.8] so noise and clamping have headroom on both sides
     k = min(6, height, width)
-    spectrum = np.zeros((height, width))
     damp = 1.0 / (1.0 + np.add.outer(np.arange(k), np.arange(k, dtype=np.float64)))
-    spectrum[:k, :k] = rng.standard_normal((k, k)) * damp
-    plane = idct2(spectrum)
+    coeffs = rng.standard_normal((k, k)) * damp
+    # idct2 of the spectrum with ``coeffs`` in its top-left k x k corner and
+    # zeros elsewhere: its zero rows and columns add only exact zeros to
+    # each sum, so the first k basis vectors of each side give the same plane
+    # (checked against idct2 by tests/test_synth.py)
+    plane = dct_matrix(height)[:k].T @ coeffs @ dct_matrix(width)[:k]
     lo, hi = plane.min(), plane.max()
     if hi - lo < 1e-12:
         return np.full((height, width), 0.5)

@@ -10,10 +10,12 @@ every file under the output directory, ``manifest.json`` included.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from facedct.cli import main
-from facedct.synth import PLACEMENTS, SynthSpec, generate_dataset
+from facedct.features import idct2
+from facedct.synth import PLACEMENTS, SynthSpec, _base_plane, generate_dataset
 
 #: (placement, sigma) -> digest of 5 subjects x 3 samples, 13 wide, 11 high, seed 1
 DIGESTS = {
@@ -85,3 +87,20 @@ def test_synth_data_bytes_are_pinned(tmp_path, capsys):
         f"synthetic dataset (4 subjects x 2 samples) -> {out / 'manifest.json'}\n"
     )
     assert tree_digest(out) == CLI_DIGEST
+
+
+@pytest.mark.parametrize("height, width", [(96, 80), (64, 64), (11, 13), (4, 4), (5, 9)])
+def test_a_base_plane_is_the_rescaled_idct2_of_its_spectrum(height, width):
+    # the generator multiplies the k x k coefficients by the first k basis
+    # vectors of each side only; idct2 of the zero-padded spectrum is the
+    # reference, bit for bit
+    k = min(6, height, width)
+    damp = 1.0 / (1.0 + np.add.outer(np.arange(k), np.arange(k, dtype=np.float64)))
+    for seed in range(20):
+        spectrum = np.zeros((height, width))
+        spectrum[:k, :k] = np.random.default_rng(seed).standard_normal((k, k)) * damp
+        plane = idct2(spectrum)
+        lo, hi = plane.min(), plane.max()
+        want = 0.2 + 0.6 * (plane - lo) / (hi - lo)
+        got = _base_plane(np.random.default_rng(seed), height, width)
+        assert got.tobytes() == want.tobytes()
