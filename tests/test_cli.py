@@ -751,8 +751,8 @@ class TestFuseEval:
         import facedct.gallery as gallery_mod
 
         # each spec is rejected, naming it, before the manifest is read
-        load_manifest = mock.Mock(side_effect=AssertionError("manifest read"))
-        monkeypatch.setattr(gallery_mod, "manifest_entries", load_manifest)
+        manifest_entries = mock.Mock(side_effect=AssertionError("manifest read"))
+        monkeypatch.setattr(gallery_mod, "manifest_entries", manifest_entries)
         cfg = write_config(tmp_path / "cfg.json", dataset)
         for spec in ["median:R,G", "sum:q"]:
             code, _, err = run_cli(
@@ -762,7 +762,7 @@ class TestFuseEval:
             )
             assert code == 1
             assert err.startswith("validation error: ") and repr(spec) in err
-        assert not load_manifest.called
+        assert not manifest_entries.called
 
     @pytest.mark.parametrize("spec", ["w:1e400gray", "w:1.7e308gray"])
     def test_weights_that_overflow_the_sum_are_validation_error(
