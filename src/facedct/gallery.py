@@ -430,9 +430,7 @@ def _matrix_of_csv(
     if csv_labels != labels:
         # the row format writes no label and the label "" alike
         label, subject = next((a, b) for a, b in zip(csv_labels, labels) if a != b)
-        raise GalleryCorruptError(
-            f"{path}: row labelled {label!r} listed under subject {subject!r}"
-        )
+        raise GalleryCorruptError(f"row labelled {label!r} listed under subject {subject!r}")
     if matrix.shape[1] != feature_dim or csv_channel != channel:
         raise GalleryCorruptError(f"{GALLERY_JSON} metadata disagrees with {path}")
     return matrix
