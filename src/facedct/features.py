@@ -110,21 +110,9 @@ def zigzag_order(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _zigzag_index(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (rows, cols) index arrays of the first ``dim`` zigzag cells."""
-    order = zigzag_order(n)[:dim]
-    rows = np.fromiter((rc[0] for rc in order), dtype=np.intp, count=dim)
-    cols = np.fromiter((rc[1] for rc in order), dtype=np.intp, count=dim)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
-
-
-@lru_cache(maxsize=None)
 def _zigzag_flat(n: int, dim: int) -> np.ndarray:
     """Read-only C-order flat indices of the first ``dim`` zigzag cells."""
-    rows, cols = _zigzag_index(n, dim)
-    flat = rows * n + cols
+    flat = np.fromiter((r * n + c for r, c in zigzag_order(n)[:dim]), dtype=np.intp, count=dim)
     flat.flags.writeable = False
     return flat
 

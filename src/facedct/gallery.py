@@ -423,14 +423,14 @@ def _matrix_of_csv(
     labels = _labels(ids, counts)
     with naming(f"corrupt {path}", GalleryCorruptError, DataError):
         csv_labels, csv_channel, matrix = feature_matrix_from_csv(data)
+        if len(csv_labels) == len(labels) and csv_labels != labels:
+            # the row format writes no label and the label "" alike
+            label, subject = next((a, b) for a, b in zip(csv_labels, labels) if a != b)
+            raise GalleryCorruptError(f"row labelled {label!r} listed under subject {subject!r}")
     if len(csv_labels) != len(labels):
         raise GalleryCorruptError(
             f"{path} holds {len(csv_labels)} rows but {GALLERY_JSON} lists {len(labels)}"
         )
-    if csv_labels != labels:
-        # the row format writes no label and the label "" alike
-        label, subject = next((a, b) for a, b in zip(csv_labels, labels) if a != b)
-        raise GalleryCorruptError(f"row labelled {label!r} listed under subject {subject!r}")
     if matrix.shape[1] != feature_dim or csv_channel != channel:
         raise GalleryCorruptError(f"{GALLERY_JSON} metadata disagrees with {path}")
     return matrix

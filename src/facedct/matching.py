@@ -11,8 +11,6 @@ the gallery's matrix and subject offsets (:func:`subject_distances`).
 ``build_score_tensor``, the ``identify`` command and the channel fusion
 runs all score through it, and ``mse``, ``mad`` and ``person_score`` are
 thin calls into it, so every route gives the same bits.
-``build_score_tensor`` hands it one ``(M, D)`` scratch array and one
-distance row, reused across all the probes of a share.
 :meth:`ScoreTensor.partition` is the one genuine/impostor split of a tensor.
 
 ``build_score_tensor`` takes its probes in one of two forms:
@@ -100,23 +98,15 @@ def _check_dims(x: FeatureVector, y: FeatureVector) -> None:
         raise MismatchError(f"feature dims differ: {x.dim} vs {y.dim}")
 
 
-def _batched_distances(
-    metric: str,
-    probe: np.ndarray,
-    templates: np.ndarray,
-    scratch: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def _batched_distances(metric: str, probe: np.ndarray, templates: np.ndarray) -> np.ndarray:
     # templates: (M, D); probe: (D,) -> (M,), each row reduced along its
-    # contiguous axis.  The differences go into ``scratch`` and the sums
-    # into ``out``, (M, D) and (M,) arrays a caller reuses across probes,
-    # or new arrays when None.
-    d = np.subtract(templates, probe, out=scratch)
+    # contiguous axis
+    d = templates - probe
     if metric == "mse":
         np.multiply(d, d, out=d)
     else:
         np.abs(d, out=d)
-    return np.add.reduce(d, axis=1, out=out)
+    return np.add.reduce(d, axis=1)
 
 
 def mse(x: FeatureVector, y: FeatureVector) -> float:
@@ -149,18 +139,10 @@ def person_score(probe: FeatureVector, templates: list[FeatureVector], metric: s
     return float(_batched_distances(metric, probe.coeffs, matrix).min())
 
 
-def subject_distances(
-    probe: np.ndarray,
-    gallery: Gallery,
-    metric: str,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def subject_distances(probe: np.ndarray, gallery: Gallery, metric: str) -> np.ndarray:
     """Distance from probe coefficients to each enrolled subject, in
-    ``gallery.subject_ids`` order: the minimum over the subject's templates.
-    ``scratch``, an ``(M, D)`` and an ``(M,)`` float64 array for the M
-    templates, holds the work of a call, so that a caller scoring many
-    probes allocates it once."""
-    dists = _batched_distances(check_metric(metric), probe, gallery.matrix, *(scratch or ()))
+    ``gallery.subject_ids`` order: the minimum over the subject's templates."""
+    dists = _batched_distances(check_metric(metric), probe, gallery.matrix)
     return np.minimum.reduceat(dists, gallery.offsets[:-1])
 
 
@@ -288,9 +270,8 @@ def build_score_tensor(
     n_rows, n_templates = len(probes.matrix), len(gallery.matrix)
 
     def score(out: np.ndarray, rows: range) -> None:
-        scratch = np.empty_like(gallery.matrix), np.empty(n_templates)
         for row in rows:
-            dists = subject_distances(probes.matrix[row], gallery, metric, scratch)
+            dists = subject_distances(probes.matrix[row], gallery, metric)
             out[row // n_trials, :, row % n_trials] = dists
 
     shape = (len(probe_subjects), len(gallery_subjects), n_trials)

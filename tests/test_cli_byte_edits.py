@@ -2,7 +2,8 @@
 gallery's files, a PGM or PPM probe image): whatever the edit, the command
 exits with a documented code and one line of stderr with that code's
 prefix, and never with 3, the code of an internal error.  For a manifest,
-the line names it, or an image it lists with that image's subject."""
+the line names it, or an image it lists with that image's subject; for a
+gallery, a file of the gallery's directory."""
 
 import argparse
 import contextlib
@@ -26,6 +27,10 @@ PREFIXES = {1: "validation error: ", 2: "data error: "}
 GALLERY_FILES = ("gallery.json", "vectors.csv", "templates.npy")
 #: the files of a gallery enrolled without ``--text``
 TEXTLESS_GALLERY_FILES = ("gallery.json", "templates.npy")
+#: a gallery written before gallery.json held digests: it loads from
+#: vectors.csv, and nothing pins the fields of gallery.json
+UNPINNED_GALLERY = Path(__file__).parent / "formats" / "gallery-no-sha256"
+UNPINNED_GALLERY_FILES = ("gallery.json", "vectors.csv")
 SAMPLES = 2
 
 
@@ -178,24 +183,29 @@ def test_enroll_with_an_edited_manifest(tiny, edits):
         assert any(err.startswith(prefix) for prefix in named)
 
 
-def identify_with_an_edited_file(tiny, enrolled, files, name, edits):
-    """Exit code and stderr of ``identify`` on a copy of the gallery
-    ``enrolled`` whose file ``name`` has the byte edits ``edits``."""
+def identify_with_an_edited_file(enrolled, files, name, edits, probe):
+    """Exit code and stderr of ``identify`` of ``probe`` on a copy of the
+    gallery directory ``enrolled`` whose file ``name`` has the byte edits
+    ``edits``: one documented line, which on exit 2 names a gallery file of
+    the copy, maybe one it lacks."""
     with tempfile.TemporaryDirectory() as tmp:
         gallery = Path(tmp)
         for file in files:
-            shutil.copyfile(tiny / enrolled / file, gallery / file)
+            shutil.copyfile(enrolled / file, gallery / file)
         (gallery / name).write_bytes(apply_byte_edits((gallery / name).read_bytes(), edits))
-        return run(["identify", "--gallery", str(gallery),
-                    "--image", str(tiny / "data" / "s001" / "02.pgm")])
+        code, err = run(["identify", "--gallery", str(gallery), "--image", str(probe)])
+    assert_one_documented_line(code, err, (0, 2))
+    if code == 2:
+        assert any(str(gallery / file) in err for file in GALLERY_FILES)
+    return code, err
 
 
 @given(name=st.sampled_from(GALLERY_FILES), edits=byte_edits)
 @example(name="gallery.json", edits=[("insert", 10**6, b"[" * 500, 2)])
 @settings(max_examples=90, deadline=None)
 def test_identify_with_an_edited_gallery_file(tiny, name, edits):
-    code, err = identify_with_an_edited_file(tiny, "gal", GALLERY_FILES, name, edits)
-    assert_one_documented_line(code, err, (0, 2))
+    identify_with_an_edited_file(tiny / "gal", GALLERY_FILES, name, edits,
+                                 tiny / "data" / "s001" / "02.pgm")
 
 
 @given(name=st.sampled_from(TEXTLESS_GALLERY_FILES), edits=byte_edits)
@@ -203,10 +213,19 @@ def test_identify_with_an_edited_gallery_file(tiny, name, edits):
 @example(name="templates.npy", edits=[("delete", 1, b" ", 1)])  # no text to fall back on
 @settings(max_examples=60, deadline=None)
 def test_identify_with_an_edited_textless_gallery_file(tiny, name, edits):
-    code, err = identify_with_an_edited_file(tiny, "textless", TEXTLESS_GALLERY_FILES, name, edits)
-    assert_one_documented_line(code, err, (0, 2))
+    code, err = identify_with_an_edited_file(tiny / "textless", TEXTLESS_GALLERY_FILES, name,
+                                             edits, tiny / "data" / "s001" / "02.pgm")
     if name == "templates.npy" and code == 2:
         assert "no text copy (vectors.csv) to fall back on" in err
+
+
+@given(name=st.sampled_from(UNPINNED_GALLERY_FILES), edits=byte_edits)
+@example(name="gallery.json", edits=[("insert", 10**6, b"[" * 500, 2)])
+@example(name="gallery.json", edits=[("insert", 217, b"0", 1)])  # subject s001 renamed s0010
+@settings(max_examples=60, deadline=None)
+def test_identify_with_an_edited_unpinned_gallery_file(name, edits):
+    identify_with_an_edited_file(UNPINNED_GALLERY, UNPINNED_GALLERY_FILES, name, edits,
+                                 UNPINNED_GALLERY / "probe.pgm")
 
 
 @pytest.fixture(scope="module")

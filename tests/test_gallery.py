@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -360,7 +361,7 @@ class TestPersistence:
             (4, "abc", "malformed feature row 2"),
             (2, "101", "row 2 declares dim=101"),
             (1, "r", "mix channels"),  # channel differs from the other rows'
-            (0, "s01", "row labelled 's01' listed under subject 's00'"),
+            (0, "s01", "corrupt {csv}: row labelled 's01' listed under subject 's00'"),
         ],
         ids=["non-finite", "non-numeric", "dim", "channel", "label"],
     )
@@ -372,7 +373,7 @@ class TestPersistence:
         fields[field] = value
         lines[1] = ",".join(fields)
         csv_path.write_text("\n".join(lines) + "\n")
-        assert_csv_rejected(tmp_path, reason)
+        assert_csv_rejected(tmp_path, reason.format(csv=re.escape(str(csv_path))))
 
     def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch):
         save_gallery(self.orl_like_gallery(), tmp_path, meta={"window": 64})

@@ -10,8 +10,8 @@ import facedct
 
 MODULES = sorted(Path(facedct.__file__).parent.glob("*.py"))
 
-#: the calls of ``os`` that start, signal, reap or place a process
-PROCESS_CALLS = {"fork", "pipe", "waitpid", "kill", "sched_setaffinity", "_exit"}
+#: the calls of ``os`` that start, signal or reap a process
+PROCESS_CALLS = {"fork", "pipe", "waitpid", "kill", "_exit"}
 
 #: the functions that open a file for writing: every artifact's write
 #: (``write_atomic``), a worker's pipe, and the synthetic images
