@@ -46,6 +46,12 @@ def run(argv):
     return code, out.getvalue()
 
 
+def det_export(scores, out):
+    """The bytes ``det-export`` writes to ``out`` for the score file ``scores``."""
+    assert run(["det-export", "--scores", str(scores), "--out", str(out)])[0] == 0
+    return out.read_bytes()
+
+
 def same_files(a, b, names):
     return {n: (a / n).read_bytes() for n in names} == {n: (b / n).read_bytes() for n in names}
 
@@ -81,11 +87,8 @@ def test_score_layout_loads_with_its_writers_bits(name, tmp_path):
     assert bits_sha256(tensor.scores) == want["scores_sha256"]
     # det-export of the fixture and of the same tensor saved today agree
     save_scores_csv(tensor, tmp_path / "fresh.csv")
-    for scores in (directory / "scores.csv", tmp_path / "fresh.csv"):
-        det = scores.with_name(f"{scores.stem}-det.csv")
-        code, _ = run(["det-export", "--scores", str(scores), "--out", str(det)])
-        assert code == 0
-    assert (directory / "scores-det.csv").read_bytes() == (tmp_path / "fresh-det.csv").read_bytes()
+    assert det_export(directory / "scores.csv", tmp_path / "det.csv") == det_export(
+        tmp_path / "fresh.csv", tmp_path / "fresh-det.csv")
 
 
 @pytest.mark.parametrize("text", [True, False], ids=["text", "textless"])
