@@ -28,27 +28,38 @@ score table:
    channel and meta.
 
 So ``templates.npy`` and ``gallery.json`` are a whole gallery.
-``gallery.json`` is the commit point of the whole directory, so a
-``templates.npy`` that matches its digest is the gallery's matrix, and
-``vectors.csv`` is not read.  A file is checked when it is read: only when
-``templates.npy`` is missing or does not match its digest is ``vectors.csv``
-read and parsed, and then it must match its own digest or the gallery is
-rejected.  When ``gallery.json`` pins no ``vectors.csv``, there is no text
-to fall back on: ``templates.npy`` must match its digest, or the gallery is
-rejected, and a ``vectors.csv`` beside it is never read.  A text-less save
-removes an older ``vectors.csv`` once its ``gallery.json`` is in place, so
-no unpinned text that disagrees with ``templates.npy`` stays beside it.
-A broken pin is an error, never a fallback: a ``gallery.json``
-that cannot be read or is not JSON, digests that are not an object, and a
-``templates.npy`` that exists but cannot be read are GalleryCorruptErrors.
-A save cut before ``gallery.json`` leaves a ``templates.npy`` that fails
-its digest, so the torn ``vectors.csv`` is still caught; an edited
-``vectors.csv`` beside a pinned ``templates.npy`` is never read, so it does
-not matter.  Either way the listed fields must then match
-``fields_sha256``, since ``templates.npy`` carries no labels to check them
-against.  A ``gallery.json`` without digests (written before they were)
-loads from ``vectors.csv`` alone, and one without ``fields_sha256`` skips
-that check.
+``gallery.json`` is the commit point of the whole directory.  Its digest
+keys must be a set that some save wrote, or the gallery is rejected as an
+edited ``gallery.json``, so that no edit of a key name can make it look
+like an older layout with fewer checks:
+
+- neither ``sha256`` nor ``fields_sha256``: written before the digests,
+  loaded from ``vectors.csv`` alone, whose labels are checked against the
+  listed fields;
+- ``sha256`` of ``templates.npy`` and ``vectors.csv``, without
+  ``fields_sha256`` (written before it was) or with it;
+- ``sha256`` of ``templates.npy`` alone, with ``fields_sha256``: a
+  text-less save.
+
+``templates.npy`` carries no labels, so it is used only when
+``fields_sha256`` pins the fields it is read with; a gallery without
+``fields_sha256`` loads from its pinned ``vectors.csv``.  With
+``fields_sha256``, a ``templates.npy`` that matches its digest is the
+gallery's matrix, and ``vectors.csv`` is not read.  A file is checked when
+it is read: only when ``templates.npy`` is missing or does not match its
+digest is ``vectors.csv`` read and parsed, and then it must match its own
+digest or the gallery is rejected.  When ``gallery.json`` pins no
+``vectors.csv``, there is no text to fall back on: ``templates.npy`` must
+match its digest, or the gallery is rejected, and a ``vectors.csv`` beside
+it is never read.  A text-less save removes an older ``vectors.csv`` once
+its ``gallery.json`` is in place, so no unpinned text that disagrees with
+``templates.npy`` stays beside it.  A broken pin is an error, never a
+fallback: a ``gallery.json`` that cannot be read or is not JSON, digests
+that are not an object, and a ``templates.npy`` that exists but cannot be
+read are GalleryCorruptErrors.  A save cut before ``gallery.json`` leaves a
+``templates.npy`` that fails its digest, so the torn ``vectors.csv`` is
+still caught; an edited ``vectors.csv`` beside a pinned ``templates.npy``
+is never read, so it does not matter.
 """
 
 from __future__ import annotations
@@ -309,6 +320,16 @@ def _labels(ids: list[str], counts: list[int]) -> list[str]:
     return [s for s, c in zip(ids, counts) for _ in range(c)]
 
 
+#: the digest keys of each gallery.json a save has written: whether it has
+#: ``fields_sha256``, and the files its ``sha256`` pins (None without one)
+_DIGEST_KEYS = {
+    (False, None),  # written before the digests
+    (False, (TEMPLATES_NPY, VECTORS_CSV)),  # before fields_sha256
+    (True, (TEMPLATES_NPY, VECTORS_CSV)),
+    (True, (TEMPLATES_NPY,)),  # without its text
+}
+
+
 def _fields_sha256(ids: list[str], counts: list[int], dim: int, channel: str, meta: dict) -> str:
     """sha256 of the gallery.json fields that the templates.npy path trusts."""
     fields = json.dumps([ids, counts, dim, channel, meta], separators=(",", ":"), allow_nan=False)
@@ -441,11 +462,13 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
 
     gallery.json is checked first: its subject entries (ids strictly
     increasing, each with at least one template), the feature dim, the
-    channel, and ``meta["window"]`` against the feature dim.  The template
-    matrix then comes from one of two files:
+    channel, and ``meta["window"]`` against the feature dim, and then its
+    digest keys, which must be one of the sets a save wrote (module
+    docstring) or the load is a GalleryCorruptError naming gallery.json as
+    edited.  The template matrix then comes from one of two files:
 
-    - gallery.json without a ``sha256`` key (written before the digests
-      were): vectors.csv is parsed.
+    - gallery.json without ``fields_sha256``: vectors.csv is parsed, and
+      must first match its digest when gallery.json has a ``sha256`` key.
     - templates.npy matches its digest: its matrix is used, and must be a
       finite '<f8' array of shape (templates listed, feature_dim).
       vectors.csv is not read, so an edited, missing or unreadable one does
@@ -471,12 +494,15 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
     npy, csv, path = directory / TEMPLATES_NPY, directory / VECTORS_CSV, directory / GALLERY_JSON
     manifest = parse_json(read_bytes(path, GalleryCorruptError), path, GalleryCorruptError)
     ids, counts, feature_dim, channel, meta = _check_manifest(manifest, path)
-    digests, matrix = manifest.get("sha256"), None
-    if "sha256" in manifest:
-        if not isinstance(digests, dict):
-            raise GalleryCorruptError(f"{path}: sha256 is not an object")
+    digests, fields_pinned = manifest.get("sha256"), "fields_sha256" in manifest
+    if "sha256" in manifest and not isinstance(digests, dict):
+        raise GalleryCorruptError(f"{path}: sha256 is not an object")
+    if (fields_pinned, None if digests is None else tuple(sorted(digests))) not in _DIGEST_KEYS:
+        raise GalleryCorruptError(f"{path}: its digest keys match no save's (edited file)")
+    matrix = None
+    if fields_pinned:
         data = read_bytes(npy, GalleryCorruptError) if npy.exists() else None
-        if data is not None and sha256(data) == digests.get(TEMPLATES_NPY):
+        if data is not None and sha256(data) == digests[TEMPLATES_NPY]:
             shape = (sum(counts), feature_dim)
             matrix = pinned_array(npy, data, shape, GalleryCorruptError, "coefficient")
         elif VECTORS_CSV not in digests:
@@ -487,12 +513,12 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
     if matrix is None:
         # bytes, so that no line ending inside a quoted subject id is translated
         csv_data = read_bytes(csv, GalleryCorruptError)
-        if "sha256" in manifest and sha256(csv_data) != digests.get(VECTORS_CSV):
+        if digests is not None and sha256(csv_data) != digests[VECTORS_CSV]:
             raise GalleryCorruptError(
                 f"{csv} does not match its sha256 in {GALLERY_JSON} (torn save or edited file)"
             )
         matrix = _matrix_of_csv(csv_data, csv, ids, counts, feature_dim, channel)
-    if "fields_sha256" in manifest:
+    if fields_pinned:
         try:
             fields = _fields_sha256(ids, counts, feature_dim, channel, meta)
         except ValueError:  # a NaN or infinity, which no save writes

@@ -221,13 +221,9 @@ def read_pnm_file(path: str | Path) -> RasterImage:
 
 def write_pnm_samples(samples: np.ndarray, maxval: int, path: str | Path) -> None:
     """Write :func:`_encode` of ``samples`` to the file ``path``: the one
-    image write, of :func:`write_pnm_file` and the synthetic datasets."""
+    image write, of the synthetic datasets."""
     with open(path, "wb") as f:
         f.write(_encode(samples, maxval))
-
-
-def write_pnm_file(img: RasterImage, path: str | Path) -> None:
-    write_pnm_samples(img.samples, img.maxval, path)
 
 
 def _luma(samples: np.ndarray, maxval: int) -> np.ndarray:

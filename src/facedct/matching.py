@@ -28,8 +28,9 @@ thin calls into it, so every route gives the same bits.
 
 A tensor is exchanged as ``facedct-scores-v1`` CSV, one ``i,j,k,score`` row
 per cell, its score as ``'%.17g' % score`` gives it.  ``scores_to_csv``
-builds the rows in blocks of ~4,000 cells, each a matrix of bytes with a
-line a row (:func:`_row_blocks`); the scores in ``%g``'s fixed notation
+builds the rows in blocks of whole probe rows, at most ``_BLOCK_CELLS``
+cells unless one row holds more, each a matrix of bytes with a line a row
+(:func:`_row_blocks`); the scores in ``%g``'s fixed notation
 are formatted there as arrays, exactly (:func:`_g17`), and only the rest
 (zeros, subnormals, below 1e-4 and from 1e17 on) one by one.
 ``scores_from_csv`` reads the rows with one ``np.loadtxt`` call.  A score row
@@ -321,11 +322,11 @@ def _score_head(tensor: ScoreTensor) -> bytes:
 #: the most bytes of ``'%.17g' % x`` for a double, as in ``-2.2250738585072014e-308``
 _FIELD = 24
 
-#: the most cells in one block of :func:`_row_blocks`; its line matrix is
-#: then ~0.15 MB.  1M cells took 0.22-0.25 s in blocks of 4k, 16k or 32k
-#: cells, and 1.5-1.9x that in blocks of 1k; a save of a 300 x 300 tensor
-#: peaked at 1.0, 4.3 and 8.5 MB of Python memory in blocks of 4k, 16k and
-#: 32k cells
+#: the most cells in one block of whole probe rows of :func:`_row_blocks`,
+#: unless one row holds more; its line matrix is then ~0.15 MB.  1M cells
+#: took 0.22-0.25 s in blocks of 4k, 16k or 32k cells, and 1.5-1.9x that in
+#: blocks of 1k; a save of a 300 x 300 tensor peaked at 1.0, 4.3 and 8.5 MB
+#: of Python memory in blocks of 4k, 16k and 32k cells
 _BLOCK_CELLS = 4096
 
 
@@ -445,8 +446,9 @@ def _decimals(v: np.ndarray, out: np.ndarray) -> None:
 
 def _row_blocks(tensor: ScoreTensor, rows: range) -> Iterator[bytes]:
     """The bytes of the probe rows ``rows`` of :func:`scores_to_csv`, in C
-    order of the tensor, in blocks of at most ``_BLOCK_CELLS`` cells: whole
-    probe rows, or part of one row wider than a block.
+    order of the tensor, in blocks of whole probe rows: as many as fit in
+    ``_BLOCK_CELLS`` cells, and at least one, so a row of more cells is a
+    block of its own.  Every block's lines are cut from one template.
 
     A block's ``i,j,k,score`` lines are built in one matrix of bytes, a
     line a row: ``i``, ``j`` and ``k`` right-aligned in columns as wide as
@@ -464,34 +466,23 @@ def _row_blocks(tensor: ScoreTensor, rows: range) -> Iterator[bytes]:
     score = i_width + j_width + k_width + 3  # the column of the score field
     row_cells = n_gallery * n_trials
     per_block = max(1, _BLOCK_CELLS // row_cells)
-
-    def template(cells: np.ndarray) -> np.ndarray:
-        """The lines of the cells ``cells`` of a probe row, less ``i`` and
-        the score: zeros, then ``,j,k,``, zeros and ``\\n``."""
-        lines = np.zeros((len(cells), score + _FIELD + 1), np.uint8)
-        lines[:, [i_width, i_width + j_width + 1, score - 1]] = ord(",")
-        _decimals(cells // n_trials, lines[:, i_width + 1 : i_width + 1 + j_width])
-        _decimals(cells % n_trials, lines[:, score - 1 - k_width : score - 1])
-        lines[:, -1] = ord("\n")
-        return lines
-
-    # a block of whole rows takes its lines from one template; a piece of a
-    # wider row builds its own, so no template outgrows a block
-    whole = template(np.tile(np.arange(row_cells), per_block)) if row_cells <= _BLOCK_CELLS else None
+    # the lines of one block, less i and the score: zeros, then ,j,k, zeros
+    # and \n
+    cells = np.tile(np.arange(row_cells), per_block)
+    template = np.zeros((len(cells), score + _FIELD + 1), np.uint8)
+    template[:, [i_width, i_width + j_width + 1, score - 1]] = ord(",")
+    _decimals(cells // n_trials, template[:, i_width + 1 : i_width + 1 + j_width])
+    _decimals(cells % n_trials, template[:, score - 1 - k_width : score - 1])
+    template[:, -1] = ord("\n")
     ids = np.zeros((len(rows), i_width), np.uint8)
     _decimals(np.arange(rows.start, rows.stop), ids)
     flat = tensor.scores.reshape(n_probe, row_cells)
     for i in range(rows.start, rows.stop, per_block):
         block_ids = ids[i - rows.start : i - rows.start + per_block]
-        for j in range(0, row_cells, _BLOCK_CELLS):
-            scores = flat[i : i + len(block_ids), j : j + _BLOCK_CELLS]
-            if whole is None:
-                lines = template(np.arange(j, j + scores.shape[1]))
-            else:
-                lines = whole[: scores.size].copy()
-            lines.reshape(*scores.shape, -1)[:, :, :i_width] = block_ids[:, None]
-            lines[:, score:-1] = _g17(scores.ravel())
-            yield lines[lines != 0].tobytes()
+        lines = template[: len(block_ids) * row_cells].copy()
+        lines.reshape(len(block_ids), row_cells, -1)[:, :, :i_width] = block_ids[:, None]
+        lines[:, score:-1] = _g17(flat[i : i + len(block_ids)].ravel())
+        yield lines[lines != 0].tobytes()
 
 
 def scores_to_csv(tensor: ScoreTensor) -> str:

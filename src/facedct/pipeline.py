@@ -35,7 +35,6 @@ from .matching import (
     IdentificationResult,
     ScoreTensor,
     _identification,
-    build_score_tensor,
 )
 from .shares import fill
 from .verification import DcfParams, TrialScores, eer, min_dcf, split_intra_inter

@@ -31,7 +31,7 @@ from facedct.imageio import (
     RasterImage,
     prepare_plane,
     write_pnm,
-    write_pnm_file,
+    write_pnm_samples,
 )
 from facedct.matching import (
     ScoreTensor,
@@ -659,7 +659,7 @@ class TestIdentifyContract:
         rng = np.random.default_rng(3)
         img = RasterImage(8, 8, 1, 255, rng.integers(0, 256, 64))
         path = tmp_path / "probe.pgm"
-        write_pnm_file(img, path)
+        write_pnm_samples(img.samples, img.maxval, path)
         return path, extract_features(prepare_plane(img, "gray", self.WINDOW), self.DIM)
 
     def check(self, capsys, tmp_path, gallery, probe, metric):
@@ -851,7 +851,8 @@ class TestFeaturizeOnce:
             for s, paths in json.loads(rgb_dataset.read_text()).items()
         }
         gray = tmp_path / "03.pgm"
-        write_pnm_file(RasterImage(16, 16, 1, 255, np.zeros(256, dtype=np.int64)), gray)
+        img = RasterImage(16, 16, 1, 255, np.zeros(256, dtype=np.int64))
+        write_pnm_samples(img.samples, img.maxval, gray)
         manifest["s001"][2] = str(gray)
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         cfg = write_config(
@@ -969,7 +970,8 @@ class TestFeaturizeErrors:
         channel, data, cls, message = IMAGE_ERRORS[case]
         good = tmp_path / "good.pnm"
         depth = 1 if channel == "gray" else 3
-        write_pnm_file(RasterImage(2, 2, depth, 255, np.arange(4 * depth)), good)
+        img = RasterImage(2, 2, depth, 255, np.arange(4 * depth))
+        write_pnm_samples(img.samples, img.maxval, good)
         bad = tmp_path / "bad.pnm"
         bad.write_bytes(data)
         with pytest.raises(cls) as info:

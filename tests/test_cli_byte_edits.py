@@ -208,15 +208,23 @@ def test_identify_with_an_edited_gallery_file(tiny, name, edits):
                                  tiny / "data" / "s001" / "02.pgm")
 
 
+#: the key "sha256" of a text-less gallery.json renamed "sha256 ", which
+#: leaves it the digest keys of no save
+RENAMED_DIGEST_KEY = [("insert", 182, b" ", 1)]
+
+
 @given(name=st.sampled_from(TEXTLESS_GALLERY_FILES), edits=byte_edits)
 @example(name="gallery.json", edits=[("insert", 10**6, b"[" * 500, 2)])
 @example(name="templates.npy", edits=[("delete", 1, b" ", 1)])  # no text to fall back on
+@example(name="gallery.json", edits=RENAMED_DIGEST_KEY)
 @settings(max_examples=60, deadline=None)
 def test_identify_with_an_edited_textless_gallery_file(tiny, name, edits):
     code, err = identify_with_an_edited_file(tiny / "textless", TEXTLESS_GALLERY_FILES, name,
                                              edits, tiny / "data" / "s001" / "02.pgm")
     if name == "templates.npy" and code == 2:
         assert "no text copy (vectors.csv) to fall back on" in err
+    if (name, edits) == ("gallery.json", RENAMED_DIGEST_KEY):
+        assert code == 2 and "gallery.json: its digest keys match no save's" in err
 
 
 @given(name=st.sampled_from(UNPINNED_GALLERY_FILES), edits=byte_edits)

@@ -176,7 +176,7 @@ class TestEachUseNamesItsSource:
         gallery = Gallery._of_subjects(["a"], [1], "gray", np.ones((1, 2)))
         save_gallery(gallery, tmp_path, {"window": 8}, text=True)
         record = json.loads((tmp_path / "gallery.json").read_text())
-        del record["sha256"]
+        del record["sha256"], record["fields_sha256"]
         (tmp_path / "gallery.json").write_text(json.dumps(record))
         (tmp_path / "vectors.csv").write_bytes(b"a,gray,2,0.5\n")
         with pytest.raises(GalleryCorruptError) as info:

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from facedct.cli import main
-from facedct.gallery import load_gallery, save_gallery
+from facedct.gallery import GalleryCorruptError, load_gallery, save_gallery
 from facedct.matching import load_scores_csv, save_scores_csv
+from facedct.synth import SynthSpec, generate_dataset
 
 FORMATS = Path(__file__).parent / "formats"
 GALLERIES = sorted(p.name for p in FORMATS.glob("gallery-*"))
@@ -38,10 +39,10 @@ def fixture_copy(name, tmp_path):
     return Path(shutil.copytree(FORMATS / name, tmp_path / name))
 
 
-def run(argv):
-    """Exit code and stdout of one call of ``main``."""
+def run(argv, stream="stdout"):
+    """Exit code and stdout, or the other ``stream``, of one call of ``main``."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with getattr(contextlib, f"redirect_{stream}")(out):
         code = main(argv)
     return code, out.getvalue()
 
@@ -110,3 +111,81 @@ def test_score_writer_writes_the_current_layout(name, tmp_path):
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == ["scores.csv", "scores.json", "scores.npy"]
     assert same_files(tmp_path, current, written)
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """The data and config the fixtures were written from (see the README)."""
+    root = tmp_path_factory.mktemp("formats")
+    generate_dataset(SynthSpec(3, 2, 0.1, seed=2, width=8, height=8), root / "data")
+    config = {"manifest": "data/manifest.json", "train_indices": [1], "test_indices": [2],
+              "window": 8, "dim": 4}
+    (root / "config.json").write_text(json.dumps(config))
+    return root
+
+
+@pytest.mark.parametrize("name", GALLERIES)
+def test_evaluate_scores_each_gallery_layout_as_its_writer_did(name, dataset, tmp_path):
+    out = tmp_path / "out"
+    argv = ["evaluate", "--config", str(dataset / "config.json"),
+            "--gallery", str(fixture_copy(name, tmp_path)), "--out", str(out)]
+    assert run(argv)[0] == 0
+    assert bits_sha256(np.load(out / "scores.npy")) == expected(SAVED_SCORES)["scores_sha256"]
+    assert same_files(out, FORMATS / SAVED_SCORES, ["scores.csv"])
+
+
+def edit(path, old, new):
+    """Replace the one ``old`` in the file ``path`` by ``new``."""
+    data = path.read_bytes()
+    assert data.count(old) == 1
+    path.write_bytes(data.replace(old, new))
+
+
+#: a gallery fixture, edits that rename one of its digest keys, each
+#: (file, old bytes, new bytes), and the file the refusal names; each was
+#: loaded with fewer checks when the reader took the layout from the keys
+#: alone: the text-less one named a vectors.csv it never had, the text was
+#: read without its digest, and a renamed subject was trusted through
+#: templates.npy
+RENAMED_KEYS = {
+    "textless-sha256": ("gallery-textless", [("gallery.json", b'"sha256"', b'"sha256 "')],
+                        "gallery.json"),
+    "text-sha256": ("gallery-fields-sha256", [
+        ("gallery.json", b'"sha256"', b'"sha256 "'),
+        ("vectors.csv", b"s002,gray,4,3.7509803921568632", b"s002,gray,4,9.5"),
+    ], "gallery.json"),
+    "textless-fields-sha256": ("gallery-textless", [
+        ("gallery.json", b'"fields_sha256"', b'"fields_sha256 "'),
+        ("gallery.json", b'"s001"', b'"s001x"'),
+    ], "gallery.json"),
+    "text-fields-sha256": ("gallery-fields-sha256", [
+        ("gallery.json", b'"fields_sha256"', b'"fields_sha256 "'),
+        ("gallery.json", b'"s001"', b'"s001x"'),
+    ], "vectors.csv"),
+}
+COMPLAINTS = {
+    "gallery.json": "{}: its digest keys match no save's (edited file)",
+    "vectors.csv": "corrupt {}: row labelled 's001' listed under subject 's001x'",
+}
+
+
+@pytest.mark.parametrize("name, edits, named", RENAMED_KEYS.values(), ids=RENAMED_KEYS)
+def test_a_renamed_digest_key_is_refused(name, edits, named, tmp_path):
+    directory = fixture_copy(name, tmp_path)
+    for file, old, new in edits:
+        edit(directory / file, old, new)
+    complaint = COMPLAINTS[named].format(directory / named)
+    with pytest.raises(GalleryCorruptError) as info:
+        load_gallery(directory)
+    assert str(info.value) == complaint
+    argv = ["identify", "--gallery", str(directory), "--image", str(directory / "probe.pgm")]
+    assert run(argv, "stderr") == (2, f"data error: {complaint}\n")
+
+
+def test_a_gallery_without_fields_sha256_reads_its_pinned_text(tmp_path):
+    # templates.npy carries no labels, and no digest pins the fields it
+    # would be read with, so the text is read and must match its digest
+    directory = fixture_copy("gallery-sha256", tmp_path)
+    edit(directory / "vectors.csv", b"s002,gray,4,3.7509803921568632", b"s002,gray,4,9.5")
+    with pytest.raises(GalleryCorruptError, match="vectors.csv does not match its sha256"):
+        load_gallery(directory)

@@ -40,7 +40,7 @@ def strip_digests(directory):
     """Make a saved gallery one written before gallery.json held digests."""
     path = directory / "gallery.json"
     manifest = json.loads(path.read_text())
-    del manifest["sha256"]
+    del manifest["sha256"], manifest["fields_sha256"]
     path.write_text(json.dumps(manifest, indent=1) + "\n")
 
 

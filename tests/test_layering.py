@@ -1,7 +1,7 @@
 """The package's layering, read from its source: only ``shares`` starts
-processes or maps memory, files are written in three places only, and a
+processes or maps memory, files are written in three places only, a
 caught error is raised again with its source named by ``errors.naming``
-only."""
+only, and every name a module imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -109,3 +109,31 @@ def test_only_errors_names_the_source_of_a_caught_error():
         if isinstance(node, ast.ExceptHandler) and raises_from_caught(node)
     }
     assert re_raisers == RE_RAISERS
+
+
+def imported_names(tree):
+    """The names that the imports of ``tree`` bind, less ``__future__``'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def used_names(tree):
+    """The names that ``tree`` reads, and the strings of its ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts}
+    return used
+
+
+def test_every_imported_name_is_used():
+    unused = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        unused |= {(path.stem, n) for n in set(imported_names(tree)) - used_names(tree)}
+    assert unused == set()

@@ -791,6 +791,27 @@ class TestRowShares:
         assert fork.call_count == forks
         assert (tmp_path / "scores.csv").read_bytes() == scores_to_csv(tensor).encode()
 
+    def test_a_forked_save_of_rows_wider_than_a_block(self, tmp_path):
+        tensor = _tensor(3, 1000, 5, seed=3)  # 5,000 cells a row
+        with forked_shares(), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            save_scores_csv(tensor, tmp_path / "scores.csv")
+        assert fork.call_count == 2
+        assert (tmp_path / "scores.csv").read_bytes() == scores_to_csv(tensor).encode()
+
+    @pytest.mark.parametrize("shape", [(3, 1000, 5), (40, 40, 5), (1, 1, 1)])
+    def test_each_block_holds_whole_probe_rows(self, shape):
+        # at most _BLOCK_CELLS cells, unless one row holds more
+        n_probe, n_gallery, n_trials = shape
+        row_cells = n_gallery * n_trials
+        rows = 0
+        for block in matching._row_blocks(_tensor(*shape), range(n_probe)):
+            lines = block.decode().splitlines()
+            assert len(lines) % row_cells == 0
+            assert len(lines) <= max(matching._BLOCK_CELLS, row_cells)
+            assert lines[0].startswith(f"{rows},0,0,")
+            rows += len(lines) // row_cells
+        assert rows == n_probe
+
     def test_a_tensor_below_the_floor_never_forks(self, tmp_path):
         tensor = _tensor(300, 300, 1)  # 90,000 cells
         with mock.patch("facedct.shares.usable_cpus", lambda: 64), \

@@ -670,9 +670,9 @@ class TestArrayExportsMatchRowwiseReference:
     # _g17's paths, in one block
     @example((12, 12, 11), 0, EDGE_SCORES)
     @example((3, 10, 10), 1, [5e-324, 1e300, 0.1, 1e17, 2.0**53 + 2])
-    # blocks of matching._BLOCK_CELLS = 4096 cells: 4 rows a block and a
-    # last block of 3; rows wider than a block; T > 1 with a block that
-    # ends inside a j; 2 rows a block; rows 99 and 100 in one block
+    # blocks of at most matching._BLOCK_CELLS = 4096 cells: 4 rows a block
+    # and a last block of 3; rows wider than that, each a block of its own,
+    # also with T > 1; 2 rows a block; rows 99 and 100 in one block
     @example((7, 1000, 1), 2, [])
     @example((2, 5000, 1), 3, [1e-5, 1e17])
     @example((2, 1500, 3), 4, [])
