@@ -142,11 +142,10 @@ def edit(path, old, new):
 
 
 #: a gallery fixture, edits that rename one of its digest keys, each
-#: (file, old bytes, new bytes), and the file the refusal names; each was
-#: loaded with fewer checks when the reader took the layout from the keys
-#: alone: the text-less one named a vectors.csv it never had, the text was
-#: read without its digest, and a renamed subject was trusted through
-#: templates.npy
+#: (file, old bytes, new bytes), and the file the refusal names.  Read as
+#: the older layout its keys look like, the text-less gallery names a
+#: vectors.csv it never had, the text is read without its digest, and a
+#: renamed subject is trusted through templates.npy
 RENAMED_KEYS = {
     "textless-sha256": ("gallery-textless", [("gallery.json", b'"sha256"', b'"sha256 "')],
                         "gallery.json"),
