@@ -20,8 +20,8 @@ Every file is written by :func:`write_atomic`, which streams its data,
 bytes or an iterable of byte chunks, into a temporary file and one
 incremental sha256, and returns the digest, so that no caller holds a
 second copy of what it writes to hash it.  Every file is read by
-:func:`read_bytes`, or in chunks by :func:`read_chunks` where the reader
-need not hold it whole; both name the file when it cannot be read.
+:func:`read_bytes`, or through the open file of :func:`reading` where the
+reader need not hold it whole; both name the file when it cannot be read.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ import hashlib
 import json
 import os
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO
 
 
 class FacedctError(Exception):
@@ -85,14 +87,15 @@ def read_bytes(path: str | Path, error: type[FacedctError]) -> bytes:
 CHUNK_SIZE = 1 << 16
 
 
-def read_chunks(path: str | Path, error: type[FacedctError]) -> Iterator[bytes]:
-    """The bytes of ``path`` in order, in chunks of at most ``CHUNK_SIZE``
-    bytes, for a reader that need not hold them all.  A file that cannot be
-    read raises ``error`` naming the path, as :func:`read_bytes` does."""
+@contextmanager
+def reading(path: str | Path, error: type[FacedctError]) -> Iterator[BinaryIO]:
+    """``with reading(path, error) as f:``, where ``f`` is ``path`` open for
+    reading bytes, for a reader that need not hold them all.  A file that
+    cannot be opened or read in the block raises ``error`` naming the path,
+    as :func:`read_bytes` does."""
     try:
         with open(path, "rb") as f:
-            while chunk := f.read(CHUNK_SIZE):
-                yield chunk
+            yield f
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from None
 

@@ -29,9 +29,12 @@ score table:
 
 So ``templates.npy`` and ``gallery.json`` are a whole gallery.
 ``gallery.json`` is the commit point of the whole directory.  Its digest
-keys must be a set that some save wrote, or the gallery is rejected as an
-edited ``gallery.json``, so that no edit of a key name can make it look
-like an older layout with fewer checks:
+keys must be a set that some save wrote, and it may hold no top-level key
+that no save writes (any but ``format``, ``version``, ``feature_dim``,
+``channel``, ``subjects``, ``meta``, ``sha256`` and ``fields_sha256``), or
+the gallery is rejected as an edited ``gallery.json``, so that no edit of
+a key name can make it look like an older layout with fewer checks or drop
+its meta.  The digest key sets are:
 
 - neither ``sha256`` nor ``fields_sha256``: written before the digests,
   loaded from ``vectors.csv`` alone, whose labels are checked against the
@@ -320,6 +323,9 @@ def _labels(ids: list[str], counts: list[int]) -> list[str]:
     return [s for s, c in zip(ids, counts) for _ in range(c)]
 
 
+#: every top-level key of a gallery.json a save has written
+_KEYS = set("format version feature_dim channel subjects meta sha256 fields_sha256".split())
+
 #: the digest keys of each gallery.json a save has written: whether it has
 #: ``fields_sha256``, and the files its ``sha256`` pins (None without one)
 _DIGEST_KEYS = {
@@ -463,9 +469,10 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
     gallery.json is checked first: its subject entries (ids strictly
     increasing, each with at least one template), the feature dim, the
     channel, and ``meta["window"]`` against the feature dim, and then its
-    digest keys, which must be one of the sets a save wrote (module
-    docstring) or the load is a GalleryCorruptError naming gallery.json as
-    edited.  The template matrix then comes from one of two files:
+    digest keys, which must be one of the sets a save wrote, and then its
+    other keys, each of which a save must write (module docstring), or the
+    load is a GalleryCorruptError naming gallery.json as edited.  The
+    template matrix then comes from one of two files:
 
     - gallery.json without ``fields_sha256``: vectors.csv is parsed, and
       must first match its digest when gallery.json has a ``sha256`` key.
@@ -499,6 +506,9 @@ def load_gallery(directory: str | Path) -> tuple[Gallery, dict]:
         raise GalleryCorruptError(f"{path}: sha256 is not an object")
     if (fields_pinned, None if digests is None else tuple(sorted(digests))) not in _DIGEST_KEYS:
         raise GalleryCorruptError(f"{path}: its digest keys match no save's (edited file)")
+    unknown = next((key for key in manifest if key not in _KEYS), None)
+    if unknown is not None:
+        raise GalleryCorruptError(f"{path}: its key {unknown!r} is written by no save (edited file)")
     matrix = None
     if fields_pinned:
         data = read_bytes(npy, GalleryCorruptError) if npy.exists() else None

@@ -56,7 +56,10 @@ number of shares.
 
 The names beside the CSV are its own with the suffix replaced.  The CSV is
 always the truth, and the sidecars are a cache of it.
-:func:`load_scores_csv` hashes the CSV in chunks, keeping only its header,
+The header has one parser, :func:`_score_header`, which takes the file's
+lines in order and stops at the ``i,j,k,score`` row.
+:func:`load_scores_csv` reads the CSV once to hash it, parsing its header
+from its first lines as they are hashed and hashing the rest in chunks,
 then takes the cells from ``scores.npy`` only when ``scores.json`` is a
 ``facedct-scores-v1`` manifest whose digests match both the CSV and
 ``scores.npy``; otherwise it reads the CSV whole and parses its header and
@@ -73,14 +76,14 @@ import hashlib
 import io
 import itertools
 import json
-import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MismatchError, naming, parse_json, read_bytes, read_chunks
+from . import errors
+from .errors import DataError, MismatchError, naming, parse_json, read_bytes, reading
 from .features import FeatureVector, first_bad_row
 from .gallery import Gallery
 from .imageio import ArrayRecord
@@ -513,21 +516,24 @@ def _load_score_rows(data: bytes) -> np.ndarray:
     return np.loadtxt(io.BytesIO(data), _ROW_DTYPE, **opts)
 
 
-def _score_header(data: bytes) -> tuple[list[str], list[str], str, int, int]:
+def _score_header(lines: Iterable[bytes]) -> tuple[list[str], list[str], str, int]:
     """The probe and gallery subjects and the metric of a score file's
-    header, and the offset and line number of its first row."""
+    header, and the line number of its first row, from the file's lines in
+    order: its ``#`` lines, then the ``i,j,k,score`` row, the last line
+    taken, so that an open file is left at its first row."""
     meta: dict[str, str] = {}
-    pos = 0
     line_no = 1
-    while data.startswith(b"#", pos):
-        end = data.find(b"\n", pos)
-        end = len(data) if end < 0 else end
+    for row in lines:
+        if not row.startswith(b"#"):
+            break
         try:
-            key, _, value = data[pos + 1 : end].decode().strip().partition("=")
+            key, _, value = row[1:].decode().strip().partition("=")
         except UnicodeDecodeError:
             raise DataError(f"score file line {line_no} is not UTF-8") from None
         meta[key.strip()] = value
-        pos, line_no = end + 1, line_no + 1
+        line_no += 1
+    # a format line was taken, so ``row`` is bound past this check; when the
+    # lines end, it is the last ``#`` line, which is no i,j,k,score row
     if meta.get("format") != SCORES_FORMAT:
         raise DataError(f"not a {SCORES_FORMAT} score file")
     for key in ("probe_subjects", "gallery_subjects", "metric"):
@@ -538,12 +544,9 @@ def _score_header(data: bytes) -> tuple[list[str], list[str], str, int, int]:
         subjects.append(parse_json(meta[key], f"score file header {key}", DataError))
         if not isinstance(subjects[-1], list) or not all(isinstance(s, str) for s in subjects[-1]):
             raise DataError(f"score file header {key} is not a JSON list of strings")
-
-    header_end = data.find(b"\n", pos)
-    header_end = len(data) if header_end < 0 else header_end
-    if data[pos:header_end].rstrip(b"\r") != b"i,j,k,score":
+    if row.rstrip(b"\r\n") != b"i,j,k,score":
         raise DataError("score file missing i,j,k,score header row")
-    return subjects[0], subjects[1], meta["metric"], header_end + 1, line_no + 1
+    return subjects[0], subjects[1], meta["metric"], line_no + 1
 
 
 def _score_rows(data: bytes, pos: int, line_no: int, n_probe: int, n_gallery: int) -> np.ndarray:
@@ -604,8 +607,9 @@ def scores_from_csv(data: bytes | str) -> ScoreTensor:
     ASCII, is an error naming it.  Line breaks after the last row are ignored.
     """
     data = data.encode() if isinstance(data, str) else data
-    probe_subjects, gallery_subjects, metric, pos, line_no = _score_header(data)
-    scores = _score_rows(data, pos, line_no, len(probe_subjects), len(gallery_subjects))
+    stream = io.BytesIO(data)
+    probe_subjects, gallery_subjects, metric, line_no = _score_header(stream)
+    scores = _score_rows(data, stream.tell(), line_no, len(probe_subjects), len(gallery_subjects))
     with naming("invalid score tensor", DataError, ValueError):
         return ScoreTensor(tuple(probe_subjects), tuple(gallery_subjects), scores, metric)
 
@@ -629,31 +633,6 @@ def save_scores_csv(tensor: ScoreTensor, path: str | Path) -> None:
             csv, itertools.chain([_score_head(tensor)], chunks),
             manifest, lambda digests: {"format": SCORES_FORMAT, "sha256": digests},
         )
-
-
-#: the ``#`` lines of a score file and the line after them; a ``#`` line
-#: cut short by the end of the bytes is not taken for that line
-_HEAD = re.compile(rb"(?:#[^\n]*\n)*(?!#)[^\n]*\n")
-
-
-def _head_and_digest(path: Path) -> tuple[bytes, str]:
-    """The header of the score file ``path``, its ``#`` lines and the line
-    after them (all its bytes when it ends first), and the sha256 of all its
-    bytes, from one read in chunks.  The header is matched only after a
-    chunk that ends a line, and from the start of the first line it ends,
-    so the read stays linear in the file's size, however long its lines."""
-    digest = hashlib.sha256()
-    head = bytearray()
-    found = None
-    line = 0  # where the line being read starts; each line before it is a # line
-    for chunk in read_chunks(path, DataError):
-        digest.update(chunk)
-        if found is None:
-            head += chunk
-            if b"\n" in chunk:
-                found = _HEAD.match(head, line)
-                line = head.rfind(b"\n") + 1
-    return bytes(head[: found.end() if found else None]), digest.hexdigest()
 
 
 def _pinned_npy(path: Path, digest: str) -> tuple[Path, bytes] | None:
@@ -684,21 +663,28 @@ def _pinned_npy(path: Path, digest: str) -> tuple[Path, bytes] | None:
 def load_scores_csv(path: str | Path) -> ScoreTensor:
     """The tensor of the score file ``path``: its header always, and its
     cells from the pinned ``scores.npy`` beside it when the manifest pins
-    both files, or else from its rows (module docstring).  The CSV is
-    hashed in chunks, keeping only its header; it is read whole only when
-    its rows are parsed, and then its header and rows come from that one
-    read.  Every DataError names the file it is about: the CSV, or a pinned
-    ``scores.npy``."""
+    both files, or else from its rows (module docstring).  The CSV is read
+    once to hash it: :func:`_score_header` parses its header from its lines
+    as they are hashed, and the rest is hashed in reads of
+    ``errors.CHUNK_SIZE`` bytes, so only the header is held.  It is read
+    whole only when its rows are parsed, and then its header and rows come
+    from that one read.  Every DataError names the file it is about: the
+    CSV, or a pinned ``scores.npy``."""
     path = Path(path)
-    head, digest = _head_and_digest(path)
-    pinned = _pinned_npy(path, digest)
+    digest = hashlib.sha256()
+    with reading(path, DataError) as f:
+        with naming(path, DataError, DataError):
+            # each line is hashed as the header parser takes it
+            lines = (digest.update(line) or line for line in f)
+            probe_subjects, gallery_subjects, metric, _ = _score_header(lines)
+        while chunk := f.read(errors.CHUNK_SIZE):
+            digest.update(chunk)
+    pinned = _pinned_npy(path, digest.hexdigest())
     if pinned is None:
         data = read_bytes(path, DataError)
         with naming(path, DataError, DataError):
             return scores_from_csv(data)
     npy, npy_data = pinned
-    with naming(path, DataError, DataError):
-        probe_subjects, gallery_subjects, metric, _, _ = _score_header(head)
     shape = (len(probe_subjects), len(gallery_subjects), None)
     scores = pinned_array(npy, npy_data, shape, DataError, "score")
     with naming(npy, DataError, DataError), naming("invalid score tensor", DataError, ValueError):

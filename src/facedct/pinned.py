@@ -23,10 +23,13 @@ manifest is written last, so it is the commit point: a write cut before it
 leaves the old manifest, whose digests the new files do not match.
 
 :func:`pinned_array` is the one check of a ``.npy`` whose bytes match their
-pin.  They are parsed in place, as a read-only view of the bytes that were
-hashed, by ``np.load``'s header reader, which loads no pickle, and must then
-be a finite ``'<f8'`` array of the expected shape, or the read is an error
-naming the file.
+pin.  It reads them in the one layout every save has written: a format
+1.0 header, parsed by numpy's reader of it, of a C-order ``'<f8'`` array of
+the expected shape, then exactly the array's values, all finite.  The
+array is a read-only view of the bytes that were hashed.  Any other
+``.npy`` (another format version, Fortran order, another dtype, bytes
+after the values) is an error naming the file, though ``np.load`` would
+read it.  This module is the one that touches the ``.npy`` format.
 """
 
 from __future__ import annotations
@@ -58,44 +61,6 @@ def _npy_chunks(array: np.ndarray) -> tuple[bytes, memoryview]:
     return header.getvalue(), memoryview(array)
 
 
-#: the header reader of each ``.npy`` format version; 3.0 differs from 2.0
-#: only in decoding its header as UTF-8, which an ASCII header never needs
-_HEADER_READERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-    (3, 0): np.lib.format.read_array_header_2_0,
-}
-
-
-def _npy_array(data: bytes) -> np.ndarray:
-    """The array of the ``.npy`` file ``data`` as a read-only view of its
-    bytes: what ``np.lib.format.read_array(..., allow_pickle=False)`` gives,
-    without the copy.  A file that reader rejects, such as an object array
-    or one shorter than its header says, is a ValueError, and so is one
-    whose header it fails on with another error; bytes past the array are
-    ignored, as that reader ignores them."""
-    stream = io.BytesIO(data)
-    version = np.lib.format.read_magic(stream)
-    if version not in _HEADER_READERS:
-        raise ValueError(f"we only support format version (1,0), (2,0), and (3,0), not {version}")
-    try:
-        shape, fortran_order, dtype = _HEADER_READERS[version](stream)
-    except (SyntaxError, tokenize.TokenError) as exc:  # from its retry of a Python 2 header
-        raise ValueError(f"Cannot parse header: {exc}") from None
-    if dtype.hasobject:
-        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
-    offset, count = stream.tell(), math.prod(shape)
-    if len(data) - offset < count * dtype.itemsize:
-        raise ValueError(
-            f"EOF: reading array data, expected {count * dtype.itemsize} bytes "
-            f"got {len(data) - offset}"
-        )
-    array = np.frombuffer(data, dtype, count, offset)
-    if array.size != count:
-        raise ValueError(f"Failed to read all data for array: expected {shape} = {count} elements")
-    return array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
-
-
 def save_pinned(
     npy: Path,
     array: np.ndarray,
@@ -120,20 +85,30 @@ def pinned_array(
     path: Path, data: bytes, shape: tuple[int | None, ...], error: type[DataError], noun: str
 ) -> np.ndarray:
     """The array of the pinned ``.npy`` bytes ``data`` read from ``path``, as a
-    read-only view of them.  It must be a finite ``'<f8'`` array of
-    ``shape``, in which None matches any length, or it is an ``error``
-    naming ``path``; ``noun`` names one number of the array in the message
-    for a non-finite one."""
-    with naming(f"corrupt {path}", error, ValueError):
-        array = _npy_array(data)
-    if array.dtype != np.dtype("<f8") or not (
-        array.ndim == len(shape) and all(n in (None, m) for m, n in zip(array.shape, shape))
+    read-only view of them.  They must be in the one layout every save
+    wrote: a format 1.0 header of a C-order ``'<f8'`` array of ``shape``, in
+    which None matches any length, then exactly its values, all finite; or
+    the read is an ``error`` naming ``path``.  ``noun`` names one number of
+    the array in the message for a non-finite one."""
+    stream = io.BytesIO(data)
+    # numpy's retry of a header as a Python 2 one can fail with a SyntaxError
+    # or a TokenError
+    with naming(f"corrupt {path}", error, (ValueError, SyntaxError, tokenize.TokenError)):
+        version = np.lib.format.read_magic(stream)
+        if version != (1, 0):
+            raise ValueError(f"format version {version}, not (1, 0)")
+        got, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+    if dtype != np.dtype("<f8") or not (
+        len(got) == len(shape) and all(n in (None, m) for m, n in zip(got, shape))
     ):
         want = ", ".join("*" if n is None else str(n) for n in shape)
-        raise error(
-            f"{path} holds a {array.dtype.str} array of shape {array.shape}, "
-            f"not <f8 of shape ({want})"
-        )
+        raise error(f"{path} holds a {dtype.str} array of shape {got}, not <f8 of shape ({want})")
+    if fortran_order:
+        raise error(f"corrupt {path}: its values are in Fortran order, not C order")
+    count, offset = math.prod(got), stream.tell()
+    if len(data) - offset != 8 * count:
+        raise error(f"corrupt {path}: {len(data) - offset} bytes follow its header, not {8 * count}")
+    array = np.frombuffer(data, "<f8", count, offset).reshape(got)
     if not np.isfinite(array).all():
         raise error(f"{path} has a non-finite {noun}")
     return array

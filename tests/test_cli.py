@@ -1633,7 +1633,7 @@ class TestExitCodes:
         "make, save_kwargs, reason",
         [
             (lambda m: m.astype(object), {"allow_pickle": True},
-             "corrupt {npy}: Object arrays cannot be loaded when allow_pickle=False"),
+             "{npy} holds a |O array of shape (2, 3, 2), not <f8 of shape (2, 3, *)"),
             (lambda m: m.astype(np.float32), {}, "{npy} holds a <f4 array of shape (2, 3, 2)"),
             (lambda m: m.astype(">f8"), {}, "{npy} holds a >f8 array of shape (2, 3, 2)"),
             (lambda m: m[:, :2], {},
@@ -1656,6 +1656,40 @@ class TestExitCodes:
         assert err.startswith("data error: ")
         assert reason.format(npy=tmp_path / "scores.npy") in err
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("layout", ["format-2.0", "fortran", "trailing"])
+    def test_a_pinned_npy_in_a_layout_no_save_wrote_names_it(
+        self, gallery_dir, dataset, tmp_path, capsys, layout
+    ):
+        # np.load reads each of these; the readers take only the layout every save wrote
+        def npy(array):
+            out = io.BytesIO()
+            if layout == "format-2.0":
+                np.lib.format.write_array(out, array, version=(2, 0))
+            else:
+                np.save(out, np.asfortranarray(array) if layout == "fortran" else array)
+            return out.getvalue() + (b"\0" * 8 if layout == "trailing" else b"")
+
+        scores = tmp_path / "scores.csv"
+        tensor = ScoreTensor(("a", "b"), ("a", "b", "c"), np.arange(12.0).reshape(2, 3, 2) / 7)
+        save_scores_csv(tensor, scores)
+        pin(scores, "scores.npy", npy(tensor.scores))
+        code, err = det_export(scores, tmp_path / "d")
+        assert (code, err.count("\n")) == (2, 1)
+        assert err.startswith(f"data error: corrupt {tmp_path / 'scores.npy'}: ")
+
+        gallery = Path(shutil.copytree(gallery_dir / "gal", tmp_path / "gal"))
+        data = npy(load_gallery(gallery)[0].matrix)
+        (gallery / "templates.npy").write_bytes(data)
+        manifest = json.loads((gallery / "gallery.json").read_text())
+        manifest["sha256"]["templates.npy"] = hashlib.sha256(data).hexdigest()
+        (gallery / "gallery.json").write_text(json.dumps(manifest))
+        probe = dataset.parent / next(iter(json.loads(dataset.read_text()).values()))[0]
+        code, out, err = run_cli(
+            capsys, "identify", "--gallery", str(gallery), "--image", str(probe)
+        )
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith(f"data error: corrupt {gallery / 'templates.npy'}: ")
 
     def test_a_pinned_score_file_names_the_file_of_its_fault(self, tmp_path):
         # its header is read beside the pinned scores.npy, then its cells

@@ -200,12 +200,19 @@ def identify_with_an_edited_file(enrolled, files, name, edits, probe):
     return code, err
 
 
+#: the key "meta" of gallery.json renamed "meta ", a key no save writes
+RENAMED_META_KEY = [("insert", 412, b" ", 1)]
+
+
 @given(name=st.sampled_from(GALLERY_FILES), edits=byte_edits)
 @example(name="gallery.json", edits=[("insert", 10**6, b"[" * 500, 2)])
+@example(name="gallery.json", edits=RENAMED_META_KEY)
 @settings(max_examples=90, deadline=None)
 def test_identify_with_an_edited_gallery_file(tiny, name, edits):
-    identify_with_an_edited_file(tiny / "gal", GALLERY_FILES, name, edits,
-                                 tiny / "data" / "s001" / "02.pgm")
+    code, err = identify_with_an_edited_file(tiny / "gal", GALLERY_FILES, name, edits,
+                                             tiny / "data" / "s001" / "02.pgm")
+    if (name, edits) == ("gallery.json", RENAMED_META_KEY):
+        assert code == 2 and "gallery.json: its key 'meta ' is written by no save" in err
 
 
 #: the key "sha256" of a text-less gallery.json renamed "sha256 ", which

@@ -195,7 +195,7 @@ class TestEachUseNamesItsSource:
                          "score")
         assert str(info.value) == (
             f"corrupt {tmp_path / 'x.npy'}: "
-            "we only support format version (1,0), (2,0), and (3,0), not (4, 0)"
+            "format version (4, 0), not (1, 0)"
         )
 
     @pytest.mark.parametrize(

@@ -142,10 +142,11 @@ def edit(path, old, new):
 
 
 #: a gallery fixture, edits that rename one of its digest keys, each
-#: (file, old bytes, new bytes), and the file the refusal names.  Read as
+#: (file, old bytes, new bytes), and the complaint of the refusal.  Read as
 #: the older layout its keys look like, the text-less gallery names a
 #: vectors.csv it never had, the text is read without its digest, and a
-#: renamed subject is trusted through templates.npy
+#: renamed subject is trusted through templates.npy; the one renamed key
+#: that leaves the digest keys of a save is refused as a key no save writes
 RENAMED_KEYS = {
     "textless-sha256": ("gallery-textless", [("gallery.json", b'"sha256"', b'"sha256 "')],
                         "gallery.json"),
@@ -160,25 +161,54 @@ RENAMED_KEYS = {
     "text-fields-sha256": ("gallery-fields-sha256", [
         ("gallery.json", b'"fields_sha256"', b'"fields_sha256 "'),
         ("gallery.json", b'"s001"', b'"s001x"'),
-    ], "vectors.csv"),
+    ], "key 'fields_sha256 '"),
 }
 COMPLAINTS = {
     "gallery.json": "{}: its digest keys match no save's (edited file)",
-    "vectors.csv": "corrupt {}: row labelled 's001' listed under subject 's001x'",
+    **{f"key {key!r}": f"{{}}: its key {key!r} is written by no save (edited file)"
+       for key in ("sha256 ", "fields_sha256 ", "meta ")},
 }
 
 
-@pytest.mark.parametrize("name, edits, named", RENAMED_KEYS.values(), ids=RENAMED_KEYS)
-def test_a_renamed_digest_key_is_refused(name, edits, named, tmp_path):
-    directory = fixture_copy(name, tmp_path)
+def refusal(directory, edits, named):
+    """Apply ``edits`` to the gallery ``directory``: ``load_gallery`` and
+    ``identify`` refuse it with the complaint ``named`` of gallery.json."""
     for file, old, new in edits:
         edit(directory / file, old, new)
-    complaint = COMPLAINTS[named].format(directory / named)
+    complaint = COMPLAINTS[named].format(directory / "gallery.json")
     with pytest.raises(GalleryCorruptError) as info:
         load_gallery(directory)
     assert str(info.value) == complaint
     argv = ["identify", "--gallery", str(directory), "--image", str(directory / "probe.pgm")]
     assert run(argv, "stderr") == (2, f"data error: {complaint}\n")
+
+
+@pytest.mark.parametrize("name, edits, named", RENAMED_KEYS.values(), ids=RENAMED_KEYS)
+def test_a_renamed_digest_key_is_refused(name, edits, named, tmp_path):
+    refusal(fixture_copy(name, tmp_path), edits, named)
+
+
+#: a gallery fixture, edits that give its gallery.json a key no save writes,
+#: and the complaint of the refusal.  Read with that key ignored, the
+#: text-less gallery names a vectors.csv it never had, an edited text is
+#: read without its digest (identify answers s000), and a window-8 gallery
+#: is read at the default window of 64 (identify answers s001 at 842.88)
+UNKNOWN_KEYS = {
+    "textless-both-digests": ("gallery-textless", [
+        ("gallery.json", b'"sha256"', b'"sha256 "'),
+        ("gallery.json", b'"fields_sha256"', b'"fields_sha256 "'),
+    ], "key 'sha256 '"),
+    "text-sha256": ("gallery-sha256", [
+        ("gallery.json", b'"sha256"', b'"sha256 "'),
+        ("vectors.csv", b"s001,gray,4,4.0725490196078438", b"s001,gray,4,9.5"),
+    ], "key 'sha256 '"),
+    "meta": ("gallery-no-sha256", [("gallery.json", b'"meta"', b'"meta "')], "key 'meta '"),
+}
+
+
+@pytest.mark.parametrize("name, edits, named", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS)
+def test_a_key_no_save_writes_is_refused(name, edits, named, tmp_path):
+    refusal(fixture_copy(name, tmp_path), edits, named)
 
 
 def test_a_gallery_without_fields_sha256_reads_its_pinned_text(tmp_path):

@@ -1,7 +1,8 @@
 """The package's layering, read from its source: only ``shares`` starts
-processes or maps memory, files are written in three places only, a
-caught error is raised again with its source named by ``errors.naming``
-only, and every name a module imports is used in it."""
+processes or maps memory, files are written in three places only, only
+``pinned`` touches the ``.npy`` format, a caught error is raised again with
+its source named by ``errors.naming`` only, and every name a module
+imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -26,8 +27,11 @@ WRITERS = {
 #: form of ``errors.naming``
 RE_RAISERS = {
     ("fusion", "apply_fusion"),
-    ("pinned", "_npy_array"),
 }
+
+#: numpy's ``.npy`` reader and writer, which one module alone may use, so
+#: that a pinned ``.npy`` has one writer and one parser
+NPY_FORMAT = {"np.lib", "np.load", "np.save", "numpy.lib", "numpy.load", "numpy.save"}
 
 
 def scoped(node, scope=""):
@@ -88,6 +92,36 @@ def test_files_are_written_in_three_places_only():
         if isinstance(node, ast.Call) and opens_for_writing(node)
     }
     assert writers == WRITERS
+
+
+def dotted(node):
+    """The dotted name of a chain of attributes of a name, as ``np.lib``."""
+    if isinstance(node, ast.Attribute):
+        return f"{dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else "?"
+
+
+def npy_format_uses(tree):
+    """The names in ``NPY_FORMAT``, or below ``numpy.lib``, that ``tree``
+    reads or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [dotted(node)]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        yield from (n for n in names if n in NPY_FORMAT or n.startswith("numpy.lib."))
+
+
+def test_only_pinned_uses_the_npy_format():
+    uses = {
+        (path.stem, use) for path in MODULES for use in npy_format_uses(ast.parse(path.read_text()))
+    }
+    assert {module for module, _ in uses} == {"pinned"}
+    assert {use for _, use in uses} == {"np.lib"}
 
 
 def raises_from_caught(handler):

@@ -639,25 +639,26 @@ class TestScoreSidecar:
         path.with_suffix(".npy").unlink()
         assert same_tensor(load_scores_csv(path), tensor)
 
-    def test_the_header_is_matched_in_time_linear_in_its_length(self, tmp_path, monkeypatch):
-        # each byte read falls in at most two of the spans the header
-        # pattern is matched over, however many chunks its lines take
+    def test_the_header_parser_takes_the_header_lines_alone(self, tmp_path, monkeypatch):
+        # the one header parser reads the lines of the open file, each once,
+        # and leaves the rows to be hashed in chunks
         subjects = [f"subject{j:05d}" for j in range(2000)]
         tensor = ScoreTensor(subjects[:1], subjects, np.ones((1, 2000, 1)), "mse")
         path = tmp_path / "scores.csv"
         save_scores_csv(tensor, path)
-        pattern, spans = matching._HEAD, []
+        parse, taken = matching._score_header, []
 
-        class Spy:
-            def match(self, data, pos):
-                spans.append(len(data) - pos)
-                return pattern.match(data, pos)
+        def score_header(lines):
+            return parse(taken.append(line) or line for line in lines)
 
         monkeypatch.setattr(errors, "CHUNK_SIZE", 64)
-        monkeypatch.setattr(matching, "_HEAD", Spy())
-        assert same_tensor(load_scores_csv(path), tensor)
-        header = scores_to_csv(tensor).index("i,j,k,score\n") + len("i,j,k,score\n")
-        assert header > 30_000 and sum(spans) <= 2 * (header + 64)
+        monkeypatch.setattr(matching, "_score_header", score_header)
+        with row_parses() as spy:
+            assert same_tensor(load_scores_csv(path), tensor)
+        assert spy.call_count == 0
+        text = scores_to_csv(tensor).encode()
+        header = text[: text.index(b"i,j,k,score\n") + len(b"i,j,k,score\n")]
+        assert len(header) > 30_000 and taken == header.splitlines(keepends=True)
 
     def test_the_manifest_pins_both_files_by_name(self, tmp_path):
         tensor = ScoreTensor(("a",), ("a", "b"), np.ones((1, 2, 1)), "mse")

@@ -1,11 +1,15 @@
-"""A pinned ``.npy`` is parsed in place: both pinned tables, the gallery
-(with or without its text) and the score file, load or reject each pinned
-array as ``np.load``'s reader would, and the loaded array is a read-only
-view of the bytes that were hashed."""
+"""A pinned ``.npy`` is parsed in place, in the one layout every save wrote:
+both pinned tables, the gallery (with or without its text) and the score
+file, load a pinned array as ``np.load``'s reader would when it is a format
+1.0, C-order ``'<f8'`` array of the expected shape followed by exactly its
+values, and reject any other ``.npy`` naming it.  The loaded array is a
+read-only view of the bytes that were hashed."""
 
 import hashlib
 import io
 import json
+import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -70,6 +74,8 @@ class ScoreTable:
 
 TABLES = [GalleryTable, TextlessGalleryTable, ScoreTable]
 TABLE_IDS = ["gallery", "textless-gallery", "scores"]
+FORMATS = Path(__file__).parent / "formats"
+FROZEN_NPY = sorted(FORMATS.glob("*/*.npy"))
 
 
 def pin(table, data):
@@ -90,10 +96,19 @@ def npy_bytes(array, **save_kwargs):
 def read_array_load(table, data):
     """What the table loads from the pinned ``data`` when the .npy is read
     by ``np.lib.format.read_array`` into a copy, with the same checks: the
-    array, or None when the load is to be rejected."""
+    array, or None when the load is to be rejected.  Only a format 1.0
+    header of a C-order array followed by exactly its values is read."""
+    stream = io.BytesIO(data)
     try:
+        if np.lib.format.read_magic(stream) != (1, 0):
+            return None
         array = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # read_array has given them once
+            fortran_order = np.lib.format.read_array_header_1_0(stream)[1]
     except Exception:  # ValueError; or a crash, such as a shape past int64
+        return None
+    if fortran_order or len(data) != stream.tell() + array.nbytes:
         return None
     if array.dtype != np.dtype("<f8") or array.ndim != len(table.want) or not all(
         n in (None, m) for m, n in zip(array.shape, table.want)
@@ -137,9 +152,10 @@ class TestPinnedNpyIsParsedInPlace:
     @pytest.mark.parametrize(
         "edit, reason",
         [
-            (lambda data: data[:-8], "corrupt {npy}: EOF: reading array data, expected"),
+            (lambda data: data[:-8], r"corrupt {npy}: \d+ bytes follow its header, not \d+$"),
             (lambda data: data[:100], "corrupt {npy}: EOF: reading array header"),
-            (lambda data: data[:6] + b"\x04" + data[7:], "corrupt {npy}: we only support format"),
+            (lambda data: data[:6] + b"\x04" + data[7:],
+             r"corrupt {npy}: format version \(4, 0\), not \(1, 0\)$"),
             (lambda data: b"not an array", "corrupt {npy}: "),
         ],
         ids=["short-data", "short-header", "version", "not-npy"],
@@ -149,25 +165,43 @@ class TestPinnedNpyIsParsedInPlace:
         data = edit((tmp_path / table.npy).read_bytes())
         assert read_array_load(table, data) is None
         pin(table, data)
-        with pytest.raises(DataError, match="^" + reason.format(npy=tmp_path / table.npy)):
+        npy = re.escape(str(tmp_path / table.npy))
+        with pytest.raises(DataError, match="^" + reason.format(npy=npy)):
             table.load()
 
     def test_object_dtype_is_corrupt(self, tmp_path, table_type):
         table = table_type(tmp_path)
         pin(table, npy_bytes(table.array.astype(object), allow_pickle=True))
-        with pytest.raises(DataError, match=(
-            f"^corrupt {tmp_path / table.npy}: "
-            "Object arrays cannot be loaded when allow_pickle=False$"
+        with pytest.raises(DataError, match=re.escape(
+            f"{tmp_path / table.npy} holds a |O array of shape {table.shape}, not <f8 of shape"
         )):
             table.load()
 
-    def test_fortran_order_loads_the_same_values(self, tmp_path, table_type):
+    def test_fortran_order_is_corrupt(self, tmp_path, table_type):
+        # np.load reads it; no save has written it
         table = table_type(tmp_path)
         data = npy_bytes(np.asfortranarray(table.array))
         assert b"'fortran_order': True" in data
         pin(table, data)
-        loaded = table.load()
-        assert np.array_equal(loaded.view(np.uint64), table.array.view(np.uint64))
+        with pytest.raises(DataError, match=re.escape(
+            f"corrupt {tmp_path / table.npy}: its values are in Fortran order, not C order"
+        )):
+            table.load()
+        assert_loads_as_read_array(table, data)
+
+    @pytest.mark.parametrize("version", [(2, 0), (3, 0)])
+    def test_a_later_format_version_is_corrupt(self, tmp_path, table_type, version):
+        # np.load reads it; no save has written it
+        table = table_type(tmp_path)
+        out = io.BytesIO()
+        np.lib.format.write_array(out, table.array, version=version)
+        data = out.getvalue()
+        assert np.array_equal(np.load(io.BytesIO(data)), table.array)
+        pin(table, data)
+        with pytest.raises(DataError, match=re.escape(
+            f"corrupt {tmp_path / table.npy}: format version {version}, not (1, 0)"
+        )):
+            table.load()
         assert_loads_as_read_array(table, data)
 
     @pytest.mark.parametrize(
@@ -186,17 +220,30 @@ class TestPinnedNpyIsParsedInPlace:
         np.lib.format.write_array_header_1_0(
             header, {"descr": "<f8", "fortran_order": False, "shape": (10**24,) + table.shape[1:]}
         )
-        pin(table, header.getvalue() + table.array.tobytes())
-        with pytest.raises(DataError, match=f"^corrupt {tmp_path / table.npy}: EOF"):
+        data = header.getvalue() + table.array.tobytes()
+        assert read_array_load(table, data) is None
+        pin(table, data)
+        with pytest.raises(DataError, match=re.escape(
+            f"{tmp_path / table.npy} holds a <f8 array of shape ({10**24}, "
+        )):
             table.load()
 
     @pytest.mark.parametrize(
         "tail", [b"", b"\0" * 8, b"more bytes"], ids=["exact", "padding", "trailing"]
     )
     def test_the_array_is_a_read_only_view_of_the_pinned_bytes(self, tmp_path, table_type, tail):
+        # bytes after the values, which np.load ignores, are no save's
         table = table_type(tmp_path)
         data = (tmp_path / table.npy).read_bytes() + tail
         pin(table, data)
+        if tail:
+            with pytest.raises(DataError, match=re.escape(
+                f"corrupt {tmp_path / table.npy}: {8 * table.array.size + len(tail)} bytes "
+                f"follow its header, not {8 * table.array.size}"
+            )):
+                table.load()
+            assert_loads_as_read_array(table, data)
+            return
         loaded = table.load()
         assert not loaded.flags.writeable
         base = loaded
@@ -215,3 +262,31 @@ def test_byte_edited_pinned_npy_loads_as_read_array(table_type, edits):
         table = table_type(Path(tmp))
         data = apply_byte_edits((table.directory / table.npy).read_bytes(), edits)
         assert_loads_as_read_array(table, data)
+
+
+def assert_the_one_layout(data):
+    """``data`` is a format 1.0 ``.npy`` of a C-order ``'<f8'`` array,
+    followed by exactly its values: the one layout the reader accepts."""
+    stream = io.BytesIO(data)
+    assert np.lib.format.read_magic(stream) == (1, 0)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+    assert (fortran_order, dtype.str) == (False, "<f8")
+    assert len(data) == stream.tell() + 8 * math.prod(shape)
+
+
+@pytest.mark.parametrize("npy", FROZEN_NPY, ids=[p.parent.name for p in FROZEN_NPY])
+def test_every_frozen_npy_has_the_one_layout(npy):
+    assert len(FROZEN_NPY) == 5
+    assert_the_one_layout(npy.read_bytes())
+
+
+def test_every_save_writes_the_one_layout(tmp_path):
+    for table_type in (GalleryTable, TextlessGalleryTable):
+        directory = tmp_path / table_type.__name__
+        directory.mkdir()
+        assert_the_one_layout((directory / table_type(directory).npy).read_bytes())
+    for shape in [(1, 1, 1), (3, 3, 1), (40, 40, 5)]:
+        subjects = [f"s{j:02d}" for j in range(shape[0])]
+        scores = np.random.default_rng(6).random(shape)
+        save_scores_csv(ScoreTensor(subjects, subjects, scores), tmp_path / "scores.csv")
+        assert_the_one_layout((tmp_path / "scores.npy").read_bytes())
