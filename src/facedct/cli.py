@@ -79,6 +79,7 @@ from .gallery import (
 from .imageio import CHANNELS, write_json
 from .matching import (
     METRICS,
+    DistanceOverflowError,
     build_score_tensor,
     check_metric,
     load_scores_csv,
@@ -355,7 +356,8 @@ def cmd_evaluate(args) -> int:
                      out / f"det{tag}.svg"):
             remove_file(path)
     for metric in cfg.metrics:
-        tensor = build_score_tensor(probes, gallery, metric)
+        with naming(f"gallery {args.gallery}", catch=DistanceOverflowError):
+            tensor = build_score_tensor(probes, gallery, metric)
         trials = split_intra_inter(tensor)
         summary = summarize_tensor(tensor, cfg.c_miss, cfg.c_fa, trials=trials)
         rows.append(_summary_row(summary))
@@ -396,7 +398,8 @@ def cmd_identify(args) -> int:
     so a tie goes to the lexicographically first subject.  For a gallery
     that records ``meta.window`` the distance is the probe's ``scores.csv``
     cell, bit for bit; without it, identify uses the default window, and
-    evaluate the config's.
+    evaluate the config's.  A distance past the largest double is no match;
+    when every subject's is, the gallery is at fault.
     """
     gallery, meta = load_gallery(args.gallery)
     window = meta.get("window", DEFAULT_WINDOW)
@@ -411,6 +414,11 @@ def cmd_identify(args) -> int:
     (probe,) = featurize_image(args.image, (gallery.channel,), gallery.feature_dim, window)
     dists = subject_distances(probe, gallery, metric)
     best = int(np.argmin(dists))
+    if not math.isfinite(dists[best]):
+        raise DistanceOverflowError(
+            f"gallery {args.gallery}: the distance of image {args.image} to every subject, "
+            f"{gallery.subject_ids[best]!r} the first, is past the largest double"
+        )
     print(
         json.dumps(
             {"subject": gallery.subject_ids[best], "distance": float(dists[best]), "metric": metric}

@@ -47,8 +47,19 @@ def fuse_scores_sum(tensors: list[ScoreTensor]) -> ScoreTensor:
     return fuse_scores_weighted(tensors, [1.0] * len(tensors))
 
 
+#: the most cells of the block of whole probe rows that
+#: :func:`fuse_scores_weighted` weighs at once, unless one row holds more
+_FUSE_BLOCK_CELLS = 65_536
+
+
 def fuse_scores_weighted(tensors: list[ScoreTensor], weights: list[float]) -> ScoreTensor:
-    """Cellwise weighted sum; weights must be >= 0 and not all zero."""
+    """Cellwise weighted sum; weights must be >= 0 and not all zero.
+
+    Each cell is +0.0 plus each channel's weighted score in turn, in the
+    order of ``tensors``.  The weighted channels are added into the one
+    output in blocks of whole probe rows, so the only array of the tensor's
+    size the sum makes is the output.
+    """
     _check_compatible(tensors)
     if len(weights) != len(tensors):
         raise ValueError(f"{len(weights)} weights for {len(tensors)} tensors")
@@ -58,8 +69,11 @@ def fuse_scores_weighted(tensors: list[ScoreTensor], weights: list[float]) -> Sc
     if not any(w):
         raise ValueError("weights must not all be zero")
     fused = np.zeros_like(tensors[0].scores)
-    for weight, t in zip(w, tensors):
-        fused = fused + weight * t.scores
+    rows = max(1, _FUSE_BLOCK_CELLS // fused[0].size)
+    for start in range(0, len(fused), rows):
+        block = fused[start : start + rows]
+        for weight, t in zip(w, tensors):
+            block += weight * t.scores[start : start + rows]
     return tensors[0].with_scores(fused)
 
 

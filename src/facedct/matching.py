@@ -10,8 +10,16 @@ minimum over that subject's rows, taken with ``np.minimum.reduceat`` over
 the gallery's matrix and subject offsets (:func:`subject_distances`).
 ``build_score_tensor``, the ``identify`` command and the channel fusion
 runs all score through it, and ``mse``, ``mad`` and ``person_score`` are
-thin calls into it, so every route gives the same bits.
-:meth:`ScoreTensor.partition` is the one genuine/impostor split of a tensor.
+thin calls into it, so every route gives the same bits.  It computes
+under ``np.errstate(over="ignore")``: a distance past the largest double is
++inf, no match, and ``build_score_tensor`` refuses a tensor that holds one
+with a :class:`DistanceOverflowError` naming its two subjects.
+:meth:`ScoreTensor.genuine_and_best` is the one genuine/impostor split of a
+tensor that the commands and summaries read: each probe's genuine cells, by
+index, and its best impostor, through one mask of the own-subject cells,
+with no impostor cell copied.  :meth:`ScoreTensor.partition` copies every
+impostor cell out, for a :class:`~facedct.verification.TrialScores` whose
+impostor cells are asked for.
 
 ``build_score_tensor`` takes its probes in one of two forms:
 
@@ -97,6 +105,10 @@ class MatchingError(DataError):
     """Probe set and gallery cannot be scored against each other."""
 
 
+class DistanceOverflowError(MatchingError):
+    """A probe's distance to an enrolled subject is past the largest double."""
+
+
 def _check_dims(x: FeatureVector, y: FeatureVector) -> None:
     if x.dim != y.dim:
         raise MismatchError(f"feature dims differ: {x.dim} vs {y.dim}")
@@ -104,13 +116,14 @@ def _check_dims(x: FeatureVector, y: FeatureVector) -> None:
 
 def _batched_distances(metric: str, probe: np.ndarray, templates: np.ndarray) -> np.ndarray:
     # templates: (M, D); probe: (D,) -> (M,), each row reduced along its
-    # contiguous axis
-    d = templates - probe
-    if metric == "mse":
-        np.multiply(d, d, out=d)
-    else:
-        np.abs(d, out=d)
-    return np.add.reduce(d, axis=1)
+    # contiguous axis; a distance past the largest double is +inf, no match
+    with np.errstate(over="ignore"):
+        d = templates - probe
+        if metric == "mse":
+            np.multiply(d, d, out=d)
+        else:
+            np.abs(d, out=d)
+        return np.add.reduce(d, axis=1)
 
 
 def mse(x: FeatureVector, y: FeatureVector) -> float:
@@ -191,17 +204,32 @@ class ScoreTensor(ArrayRecord):
     def n_trials(self) -> int:
         return int(self.scores.shape[2])
 
+    def _own(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """The index of each probe row's own-subject column, and its
+        ``(P, G, 1)`` mask."""
+        n_probes, n_gallery, _ = self.scores.shape
+        lookup = {s: j for j, s in enumerate(self.gallery_subjects)}
+        index = np.arange(n_probes), np.array([lookup[s] for s in self.probe_subjects])
+        own = np.zeros((n_probes, n_gallery, 1), dtype=bool)
+        own[index] = True
+        return index, own
+
+    def genuine_and_best(self) -> tuple[np.ndarray, np.ndarray]:
+        """Genuine cells ``(P, T)``, each probe row's own-subject column, and
+        each probe's best impostor ``(P, T)``, the least of its other columns
+        (+inf when the gallery has no other subject); no impostor cell is
+        copied."""
+        index, own = self._own()
+        return self.scores[index], np.min(self.scores, axis=1, where=~own, initial=np.inf)
+
     def partition(self) -> tuple[np.ndarray, np.ndarray]:
         """Genuine cells ``(P, T)``, each probe row's own-subject column, and
         impostor cells ``(P, G-1, T)``, its other columns in gallery order."""
         n_probes, n_gallery, n_trials = self.scores.shape
-        lookup = {s: j for j, s in enumerate(self.gallery_subjects)}
-        own = np.zeros((n_probes, n_gallery, 1), dtype=bool)
-        own[np.arange(n_probes), [lookup[s] for s in self.probe_subjects]] = True
+        index, own = self._own()
         # a full-shape mask picks single cells, ~10x faster than (P, G) rows
-        own = np.broadcast_to(own, self.scores.shape)
-        impostor = self.scores[~own].reshape(n_probes, n_gallery - 1, n_trials)
-        return self.scores[own].reshape(n_probes, n_trials), impostor
+        impostor = self.scores[~np.broadcast_to(own, self.scores.shape)]
+        return self.scores[index], impostor.reshape(n_probes, n_gallery - 1, n_trials)
 
     def with_scores(self, scores: np.ndarray) -> "ScoreTensor":
         return ScoreTensor(self.probe_subjects, self.gallery_subjects, scores, self.metric)
@@ -280,6 +308,12 @@ def build_score_tensor(
 
     shape = (len(probe_subjects), len(gallery_subjects), n_trials)
     scores = fill(shape, n_rows, n_rows * n_templates, _TENSOR_FLOOR, score)
+    if not np.isfinite(scores).all():
+        i, j, _ = np.argwhere(~np.isfinite(scores))[0]
+        raise DistanceOverflowError(
+            f"the distance of probe subject {probe_subjects[i]!r} to subject "
+            f"{gallery_subjects[j]!r} is past the largest double"
+        )
     return ScoreTensor(probe_subjects, gallery_subjects, scores, metric)
 
 
@@ -288,13 +322,13 @@ def identification_rate(tensor: ScoreTensor) -> IdentificationResult:
 
     A tie between the genuine cell and any other subject counts as an error.
     """
-    return _identification(*tensor.partition())
+    return _identification(*tensor.genuine_and_best())
 
 
-def _identification(genuine: np.ndarray, impostor: np.ndarray) -> IdentificationResult:
+def _identification(genuine: np.ndarray, best: np.ndarray) -> IdentificationResult:
     """:func:`identification_rate` of the two arrays of
-    :meth:`ScoreTensor.partition`."""
-    successes = int(np.count_nonzero(genuine < impostor.min(axis=1, initial=np.inf)))
+    :meth:`ScoreTensor.genuine_and_best`, in any one shape."""
+    successes = int(np.count_nonzero(genuine < best))
     return IdentificationResult(successes, genuine.size - successes)
 
 

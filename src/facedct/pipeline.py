@@ -128,20 +128,18 @@ def summarize_tensor(
     min-DCF is reported both at a target prior of 0.5 and at the empirical
     genuine-trial fraction, since either reading of the cost model's prior
     is defensible.  ``trials`` is ``split_intra_inter(tensor)`` when the
-    caller already has it; passing it shares the split, and its one sort of
-    the pooled cells, with the caller's DET export.  The EER and both
-    min-DCF values read only the genuine steps of that sort, never the full
-    staircase.  The identification rate reads the same split, so the tensor
-    is partitioned once per summary at most.
+    caller already has it; passing it shares the split, and its one sort,
+    with the caller's DET export.  The split reads the genuine cells and
+    each probe's best impostor through one mask, and copies no impostor
+    cell out of the tensor: the rank-1 count compares those two arrays, and
+    the EER and both min-DCF values read only the genuine steps of the
+    staircase, from a sort of its head, the cells at or below the largest
+    genuine score and the run just above it.  So the tensor is split once
+    per summary at most, and a summary holds no array of the tensor's size.
     """
     if trials is None:
         trials = split_intra_inter(tensor)
-    # the trials are the two arrays of the partition, flattened in C order
-    n_probes, n_gallery, n_trials = tensor.scores.shape
-    identification = _identification(
-        trials.genuine.reshape(n_probes, n_trials),
-        trials.impostor.reshape(n_probes, n_gallery - 1, n_trials),
-    )
+    identification = _identification(trials.genuine, trials._best)
     empirical = trials.n_genuine / (trials.n_genuine + trials.n_impostor)
     values: dict[str, float] = {}
     arg: dict[str, float] = {}

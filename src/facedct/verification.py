@@ -12,15 +12,25 @@ overflows to +-inf.  So the error staircase attains on the set every value
 it takes anywhere on the real line.
 
 The genuine and impostor populations are the two arrays of
-:meth:`ScoreTensor.partition`, flattened.  Each :class:`TrialScores` sorts
-its pooled cells once, when a result first asks, and finds the range of each
-distinct genuine score's cells in that sort.  A point of the staircase is a
-count c of the sorted cells, accepted, and the count h of genuine cells among
-them: p_fa = (c - h) / #impostor, p_miss = (#genuine - h) / #genuine, and its
-threshold lies between the c-th and the (c+1)-th sorted cell.  A point
-exists where a run of equal scores ends.  Only a genuine score moves p_miss,
-so each result reads O(#distinct genuine) points, with the float expressions
-of the full staircase and its bits:
+:meth:`ScoreTensor.partition`, flattened.  :func:`split_intra_inter` reads
+only the genuine cells and each probe's best impostor out of the tensor
+(:meth:`ScoreTensor.genuine_and_best`); the impostor cells are copied out
+only when :attr:`TrialScores.impostor` is read, and no command reads it.
+
+A point of the staircase is a count c of the sorted pooled cells, accepted,
+and the count h of genuine cells among them: p_fa = (c - h) / #impostor,
+p_miss = (#genuine - h) / #genuine, and its threshold lies between the c-th
+and the (c+1)-th sorted cell.  A point exists where a run of equal scores
+ends.  Only a genuine score moves p_miss, so each result reads
+O(#distinct genuine) points, and none past the end of the largest genuine
+score's run but the count of all cells, whose threshold is +inf, and the
+run of the least impostor score above it.  So each :class:`TrialScores`
+sorts only the head of the pool, once, when a result first asks: every cell
+at or below the largest genuine score and every copy of the least impostor
+score above it, a prefix of the sorted pool (on a FERET-sized set about 2%
+of the impostor cells).  It finds the range of each distinct genuine score's
+cells in that sort, and the count of all cells is #genuine + #impostor.  The
+results have the float expressions of the full staircase and its bits:
 
 - :func:`min_dcf`: between two genuine steps p_miss holds while p_fa rises,
   and the cost never falls, so the least threshold of the least cost is where
@@ -35,11 +45,12 @@ of the full staircase and its bits:
 
 :func:`det_curve` returns the full staircase, one point per candidate
 threshold, as a :class:`DetCurve`, a sequence of :class:`DetPoint` over three
-read-only arrays.  It is expanded from the same sort when it is called; no
-command calls it.  The ``det.csv`` and ``det.svg`` files hold only its
-vertices, the points :meth:`DetCurve.vertices` keeps: a run of purely
-horizontal or purely vertical steps is one straight segment, so its interior
-points are dropped.  Each kept row has the bytes the full export gives it.
+read-only arrays.  It sorts every pooled cell when it is called; no command
+calls it, and the tests use it as the oracle of the other results.  The
+``det.csv`` and ``det.svg`` files hold only its vertices, the points
+:meth:`DetCurve.vertices` keeps: a run of purely horizontal or purely
+vertical steps is one straight segment, so its interior points are
+dropped.  Each kept row has the bytes the full export gives it.
 The thresholds of the dropped points are not exported; ``scores.csv`` and
 :func:`far_frr_at` still give the error rates at any threshold.
 
@@ -74,10 +85,20 @@ class DegenerateScoresError(DataError):
 
 @dataclass(eq=False)
 class TrialScores(ArrayRecord):
-    """Genuine (intra) and impostor (inter) distance populations."""
+    """Genuine (intra) and impostor (inter) distance populations.
+
+    :func:`split_intra_inter` makes one over a tensor's cells: it holds the
+    genuine cells and each probe's best impostor, and copies the impostor
+    cells out of the tensor only when :attr:`impostor` is first read.
+    """
 
     genuine: np.ndarray = field(repr=False)
     impostor: np.ndarray = field(repr=False)
+
+    # not fields: the tensor of a split, and each probe's best impostor,
+    # flattened as the genuine cells are
+    _tensor = None
+    _best = None
 
     def __post_init__(self) -> None:
         for name in ("genuine", "impostor"):
@@ -88,34 +109,57 @@ class TrialScores(ArrayRecord):
                 raise ValueError(f"{name} scores must be finite")
             self._freeze(name, arr)
 
+    @classmethod
+    def _of_tensor(cls, tensor: ScoreTensor) -> TrialScores:
+        """The trials of a tensor with at least two gallery subjects, from
+        :meth:`ScoreTensor.genuine_and_best`."""
+        genuine, best = tensor.genuine_and_best()
+        trials = cls.__new__(cls)
+        trials._freeze("genuine", genuine.reshape(-1))
+        trials._tensor, trials._best = tensor, best.reshape(-1)
+        return trials
+
+    def __getattr__(self, name: str):
+        # only reached while a split's impostor cells are still in its tensor
+        if name != "impostor" or self._tensor is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._freeze("impostor", self._tensor.partition()[1].reshape(-1))
+        return self.impostor
+
     @property
     def n_genuine(self) -> int:
         return int(self.genuine.size)
 
     @property
     def n_impostor(self) -> int:
-        return int(self.impostor.size)
+        if self._tensor is None:
+            return int(self.impostor.size)
+        return int(self._tensor.scores.size) - self.n_genuine
 
     @cached_property
     def _steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(pooled, lo, ends, hits): the pooled cells sorted once, and where
-        each distinct genuine score's cells lie in that sort.
+        """(pooled, lo, ends, hits): the head of the pooled cells sorted
+        once, and where each distinct genuine score's cells lie in it.
 
+        The head is every cell at or below the largest genuine score and
+        every copy of the least impostor score above it (:func:`_head`): the
+        first cells of the sorted pool, all of them a result reads.
         ``pooled[lo[i]:ends[i + 1]]`` holds the cells equal to the i-th
         distinct genuine score, ascending, and ``hits[i + 1]`` counts the
         genuine cells at most that score; ``ends[0]`` and ``hits[0]`` are 0.
-        The pool is the one array of the pooled cells' size; the rest is
-        one entry per distinct genuine score.
+        The head is the one array of more than one entry per distinct
+        genuine score.
         """
-        pooled = np.concatenate([self.genuine, self.impostor])
+        top = self.genuine.max()
+        if self._tensor is None:
+            pooled = np.concatenate([self.genuine, _head(self.impostor, top)])
+        else:
+            pooled = _head(self._tensor.scores, top)  # the genuine cells with it
         pooled.sort()
-        values, counts = np.unique(self.genuine, return_counts=True)
-        lo = np.searchsorted(pooled, values, side="left")
-        ends = np.concatenate([[0], np.searchsorted(pooled, values, side="right")])
-        hits = np.concatenate([[0], np.cumsum(counts)])
-        for arr in (pooled, lo, ends, hits):
+        steps = (pooled, *_runs(pooled, self.genuine))
+        for arr in steps:
             arr.flags.writeable = False
-        return pooled, lo, ends, hits
+        return steps
 
     def _rates(self, cells: np.ndarray, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(p_fa, p_miss) where ``cells`` pooled cells are accepted, of
@@ -125,18 +169,19 @@ class TrialScores(ArrayRecord):
 
     def _thresholds(self, cells: np.ndarray) -> np.ndarray:
         """The candidate threshold that accepts the first ``cells`` of the
-        sorted pool, for counts that each end a run of equal scores."""
+        sorted pool, for counts that each end a run of equal scores and read
+        no cell past the head."""
         pooled = self._steps[0]
         thresholds = np.where(cells == 0, -np.inf, np.inf)
-        inner = (cells > 0) & (cells < pooled.size)
+        inner = (cells > 0) & (cells < self.n_genuine + self.n_impostor)
         thresholds[inner] = _midpoints(pooled[cells[inner] - 1], pooled[cells[inner]])
         return thresholds
 
     @cached_property
     def _staircase(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(thresholds asc, p_fa, p_miss): the full staircase, one point per
-        candidate threshold, expanded from :attr:`_steps` for
-        :func:`det_curve`; no other result reads it.
+        candidate threshold, for :func:`det_curve`; no other result reads
+        it.  It sorts every pooled cell, not only the head of :attr:`_steps`.
 
         A run of equal scores ends at index j - 1 of the sorted pool, so j
         cells score at most its value, and each genuine score's run adds
@@ -145,15 +190,17 @@ class TrialScores(ArrayRecord):
         those cells and no others, and the rates divide the same counts as
         :func:`far_frr_at`.
 
-        Its peak, with the cached pool, is about four arrays of the pooled
-        cells.
+        Its peak is about four arrays of the pooled cells.
         """
-        pooled, _, ends, hits = self._steps
+        pooled = np.concatenate([self.genuine, self.impostor])
+        pooled.sort()
+        _, ends, hits = _runs(pooled, self.genuine)
         # edge[j]: a run of equal scores ends before index j and one starts at it
         edge = np.empty(pooled.size + 1, dtype=bool)
         edge[0] = edge[-1] = True
         np.not_equal(pooled[1:], pooled[:-1], out=edge[1:-1])
         values = pooled[edge[:-1]]
+        del pooled
         # cells[k + 1] is the count of cells <= values[k]; cells[0] is 0
         cells = np.flatnonzero(edge)
         del edge
@@ -173,6 +220,25 @@ class TrialScores(ArrayRecord):
         for arr in (thresholds, p_fa, p_miss):
             arr.flags.writeable = False
         return thresholds, p_fa, p_miss
+
+
+def _head(cells: np.ndarray, top: float) -> np.ndarray:
+    """A copy of the ``cells`` at or below ``top`` and of every one equal to
+    the least cell above it, in any order: the first cells of the sorted
+    pool up to the end of that cell's run, when ``top`` is the largest
+    genuine score."""
+    above = np.min(cells, where=cells > top, initial=np.inf)
+    return cells[cells <= above]
+
+
+def _runs(pooled: np.ndarray, genuine: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, ends, hits) of :attr:`TrialScores._steps`, in ``pooled``, sorted
+    cells that hold every cell at or below the largest genuine score."""
+    values, counts = np.unique(genuine, return_counts=True)
+    lo = np.searchsorted(pooled, values, side="left")
+    ends = np.concatenate([[0], np.searchsorted(pooled, values, side="right")])
+    hits = np.concatenate([[0], np.cumsum(counts)])
+    return lo, ends, hits
 
 
 def _midpoints(lower: np.ndarray, upper: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -270,11 +336,15 @@ class DcfParams:
 
 
 def split_intra_inter(tensor: ScoreTensor) -> TrialScores:
-    """Genuine and impostor scores: :meth:`ScoreTensor.partition`, flattened."""
-    genuine, impostor = tensor.partition()
-    if impostor.size == 0:
+    """Genuine and impostor scores: :meth:`ScoreTensor.partition`, flattened.
+
+    The trials hold the two arrays of :meth:`ScoreTensor.genuine_and_best`;
+    the impostor cells stay in the tensor until :attr:`TrialScores.impostor`
+    is read, and the results of the staircase read only its head.
+    """
+    if tensor.scores.shape[1] == 1:
         raise DegenerateScoresError("tensor has no impostor trials (single subject)")
-    return TrialScores(genuine, impostor)
+    return TrialScores._of_tensor(tensor)
 
 
 def far_frr_at(trials: TrialScores, threshold: float) -> tuple[float, float]:
@@ -305,17 +375,18 @@ def det_vertices(trials: TrialScores) -> DetCurve:
     where two genuine runs with no impostor cell meet: both its steps then
     move p_miss alone.
     """
-    pooled, lo, ends, hits = trials._steps
+    _, lo, ends, hits = trials._steps
+    n_cells = trials.n_genuine + trials.n_impostor
     hi = ends[1:]
     # a pure run holds genuine cells only, so its step moves p_miss alone
     pure = hi - lo == np.diff(hits)
     keep_lo = lo != ends[:-1]  # else the point is the previous run's end, or 0
-    keep_hi = np.append(~(pure[:-1] & pure[1:] & (hi[:-1] == lo[1:])), hi[-1] != pooled.size)
+    keep_hi = np.append(~(pure[:-1] & pure[1:] & (hi[:-1] == lo[1:])), hi[-1] != n_cells)
     keep = np.column_stack([keep_lo, keep_hi])
     # in descending threshold order, from the point that accepts every cell
     cells = np.column_stack([lo, hi])[keep][::-1]
     point_hits = np.column_stack([hits[:-1], hits[1:]])[keep][::-1]
-    cells = np.concatenate([[pooled.size], cells, [0]])
+    cells = np.concatenate([[n_cells], cells, [0]])
     point_hits = np.concatenate([[trials.n_genuine], point_hits, [0]])
     arrays = (trials._thresholds(cells), *trials._rates(cells, point_hits))
     for arr in arrays:
@@ -336,7 +407,9 @@ def eer(trials: TrialScores) -> float:
     # crossing lies in the stretch of the last step still at or below it
     s = int(np.count_nonzero(fa - miss <= 0.0)) - 1
     first, h, m = int(ends[s]), int(hits[s]), float(miss[s])
-    last = int(lo[s]) if s < lo.size else pooled.size
+    # past the last genuine run no impostor is at or below the crossing, so
+    # the stretch's first count is the last one read and the head holds it
+    last = int(lo[s]) if s < lo.size else trials.n_genuine + trials.n_impostor
     stretch = range(first, last + 1)
     # int / int is the correctly rounded quotient, as numpy's division of
     # the same counts as doubles is, so this p_fa is _rates' bit for bit

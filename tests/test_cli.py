@@ -702,6 +702,76 @@ class TestIdentifyContract:
         self.check(capsys, tmp_path, gallery, probe, metric)
 
 
+#: a gallery written before gallery.json held digests, with a probe image
+#: and the identify answer it was frozen with
+UNPINNED_GALLERY = Path(__file__).parent / "formats" / "gallery-no-sha256"
+
+
+class TestDistanceOverflow:
+    """A distance past the largest double is +inf, no match, and computing
+    it warns of nothing.  identify still answers when some subject's
+    distance overflows; when every subject's does, and when evaluate's
+    tensor holds one, it is a data error naming the gallery and the
+    subject."""
+
+    def unpinned_gallery(self, tmp_path, overflowing):
+        """A copy of the frozen unpinned gallery whose subjects in
+        ``overflowing`` hold the coefficient 1e200, whose square is past the
+        largest double."""
+        gallery = tmp_path / "gal"
+        shutil.copytree(UNPINNED_GALLERY, gallery)
+        rows = (gallery / "vectors.csv").read_text().splitlines(keepends=True)
+        for i, row in enumerate(rows):
+            fields = row.split(",")
+            if fields[0] in overflowing:
+                fields[4] = "1e200"
+                rows[i] = ",".join(fields)
+        (gallery / "vectors.csv").write_text("".join(rows))
+        return gallery
+
+    @pytest.mark.parametrize("overflowing", [{"s002"}, {"s000"}, {"s000", "s002"}])
+    def test_identify_answers_past_an_overflowing_subject(self, tmp_path, capsys, overflowing):
+        gallery = self.unpinned_gallery(tmp_path, overflowing)
+        frozen = json.loads((UNPINNED_GALLERY / "expected.json").read_text())
+        code, out, err = run_cli(capsys, "identify", "--gallery", str(gallery),
+                                 "--image", str(UNPINNED_GALLERY / "probe.pgm"))
+        assert (code, out, err) == (0, frozen["identify_stdout"], "")
+
+    def test_identify_refuses_a_gallery_that_overflows_every_distance(self, tmp_path, capsys):
+        gallery = self.unpinned_gallery(tmp_path, {"s000", "s001", "s002"})
+        probe = UNPINNED_GALLERY / "probe.pgm"
+        code, out, err = run_cli(capsys, "identify", "--gallery", str(gallery),
+                                 "--image", str(probe))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"data error: gallery {gallery}: the distance of image {probe} to every subject, "
+            "'s000' the first, is past the largest double\n"
+        )
+
+    def test_evaluate_refuses_a_tensor_cell_that_overflows(self, dataset, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dataset)
+        assert main(["enroll", "--config", str(cfg), "--out", str(tmp_path / "gal")]) == 0
+        gallery, meta = load_gallery(tmp_path / "gal")
+        edited = Gallery()
+        for subject in gallery.subject_ids:
+            for vec in gallery.templates_of(subject):
+                coeffs = vec.coeffs.copy()
+                if subject == gallery.subject_ids[2]:
+                    coeffs[1] = 1e200
+                edited.enroll(subject, FeatureVector(coeffs))
+        save_gallery(edited, tmp_path / "edited", meta=meta)
+        capsys.readouterr()
+        code, _, err = run_cli(capsys, "evaluate", "--config", str(cfg),
+                               "--gallery", str(tmp_path / "edited"), "--out", str(tmp_path / "res"))
+        probe, subject = gallery.subject_ids[0], gallery.subject_ids[2]
+        assert code == 2
+        assert err == (
+            f"data error: gallery {tmp_path / 'edited'}: the distance of probe subject "
+            f"{probe!r} to subject {subject!r} is past the largest double\n"
+        )
+        assert not (tmp_path / "res" / "results.json").exists()
+
+
 class TestFuseEval:
     def test_table_rows(self, tmp_path, capsys):
         code = main(
@@ -958,6 +1028,20 @@ class TestNoCommandExpandsTheFullStaircase:
             raise AssertionError("a command expanded the full staircase")
 
         monkeypatch.setattr(TrialScores, "_staircase", property(expanded))
+        assert self.run_commands(rgb_dataset, tmp_path, capsys) == (files, out)
+
+    def test_no_command_copies_the_impostor_cells_out(
+        self, dataset, rgb_dataset, tmp_path, capsys, monkeypatch
+    ):
+        cfg = write_config(tmp_path / "cfg.json", dataset, metrics=["mse", "mad"])
+        assert main(["enroll", "--config", str(cfg), "--out", str(tmp_path / "gal")]) == 0
+        capsys.readouterr()
+        files, out = self.run_commands(rgb_dataset, tmp_path, capsys)
+
+        def copied(tensor):
+            raise AssertionError("a command copied the impostor cells out of its tensor")
+
+        monkeypatch.setattr(ScoreTensor, "partition", copied)
         assert self.run_commands(rgb_dataset, tmp_path, capsys) == (files, out)
 
 

@@ -237,6 +237,8 @@ def test_identify_with_an_edited_textless_gallery_file(tiny, name, edits):
 @given(name=st.sampled_from(UNPINNED_GALLERY_FILES), edits=byte_edits)
 @example(name="gallery.json", edits=[("insert", 10**6, b"[" * 500, 2)])
 @example(name="gallery.json", edits=[("insert", 217, b"0", 1)])  # subject s001 renamed s0010
+# s002's second coefficient ~1e158: its squared distance is past the largest double
+@example(name="vectors.csv", edits=[("insert", 58, b"1" * 25, 3), ("replace", 58, b"1" * 25, 3)])
 @settings(max_examples=60, deadline=None)
 def test_identify_with_an_edited_unpinned_gallery_file(name, edits):
     identify_with_an_edited_file(UNPINNED_GALLERY, UNPINNED_GALLERY_FILES, name, edits,

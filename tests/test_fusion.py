@@ -1,5 +1,7 @@
 """Score-level fusion and the per-channel experiment driver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,54 @@ class TestFuseScoresWeighted:
         assert s1.min_dcf == s2.min_dcf
 
 
+def feret_shaped_tensor(seed):
+    """1000 x 1000 x 1 distances, the genuine ones lower, as on a FERET-sized
+    set: a few per cent of the impostor cells lie at or below the largest
+    genuine score."""
+    rng = np.random.default_rng(seed)
+    scores = np.abs(rng.normal(5.0, 1.0, (1000, 1000, 1)))
+    scores[np.arange(1000), np.arange(1000), 0] = np.abs(rng.normal(2.0, 0.5, 1000))
+    return tensor_from(scores, "mse")
+
+
+def traced_peak(call):
+    """The most bytes traced at once during ``call()``, beyond those held
+    when it began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoTensorSizedTemporaries:
+    def test_a_summary_allocates_less_than_one_tensor(self):
+        tensor = feret_shaped_tensor(35)
+        assert traced_peak(lambda: summarize_tensor(tensor)) < tensor.scores.nbytes
+
+    def test_fusing_two_tensors_allocates_less_than_one_beyond_the_output(self):
+        tensors = [feret_shaped_tensor(36), feret_shaped_tensor(37)]
+        peak = traced_peak(lambda: fuse_scores_weighted(tensors, [0.5, 2.0]))
+        assert peak < 2 * tensors[0].scores.nbytes
+
+    @pytest.mark.parametrize("shape", [(50, 700, 3), (2, 300, 300), (3, 3, 1)],
+                             ids=["blocks-of-rows", "a-row-past-a-block", "one-block"])
+    def test_fusion_in_blocks_is_the_whole_sum_bit_for_bit(self, shape):
+        rng = np.random.default_rng(38)
+        scores = [rng.random(shape) * 10.0 ** rng.integers(-320, 300, shape) for _ in range(3)]
+        scores[0].flat[::7] = -0.0  # +0.0 + -0.0 is +0.0
+        weights = [0.3, 0.59, 0.11]
+        subjects = tuple(f"s{j}" for j in range(shape[1]))
+        tensors = [ScoreTensor(subjects[: shape[0]], subjects, x, "mad") for x in scores]
+        fused = fuse_scores_weighted(tensors, weights)
+        whole = np.zeros(shape)
+        for weight, x in zip(weights, scores):
+            whole = whole + weight * x
+        assert fused.scores.tobytes() == whole.tobytes()
+
+
 class TestSummarizeTensor:
     @pytest.mark.parametrize("shape", [(5, 5, 1), (3, 6, 4)])
     @pytest.mark.parametrize("share_trials", [False, True])
@@ -130,8 +180,10 @@ class TestSummarizeTensor:
         tensor = ScoreTensor(gallery[::-1][:n_probes], gallery, scores, "mad")
         expected = identification_rate(tensor)
         calls = []
-        partition = ScoreTensor.partition
-        monkeypatch.setattr(ScoreTensor, "partition", lambda t: calls.append(t) or partition(t))
+        split = ScoreTensor.genuine_and_best
+        monkeypatch.setattr(ScoreTensor, "genuine_and_best", lambda t: calls.append(t) or split(t))
+        # the summary copies no impostor cell out of the tensor
+        monkeypatch.setattr(ScoreTensor, "partition", None)
         trials = split_intra_inter(tensor) if share_trials else None
         summary = summarize_tensor(tensor, trials=trials)
         assert calls == [tensor]

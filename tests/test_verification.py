@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from facedct import matching
 from facedct.matching import ScoreTensor, scores_from_csv, scores_to_csv
+from facedct.pipeline import summarize_tensor
 from facedct.verification import (
     PROBIT_CLAMP,
     DcfParams,
@@ -941,6 +942,92 @@ def assert_genuine_steps_match_the_full_staircase(trials):
         assert not got_arr.flags.writeable
 
 
+def assert_the_head_is_a_prefix_of_the_sorted_pool(trials, cells):
+    """The sorted head of ``trials`` is ``np.sort`` of all its ``cells`` up
+    to the last copy of the least one above the largest genuine score, or
+    all of them when none is above it; a zero of either sign is one score."""
+    pooled = trials._steps[0]
+    ordered = np.sort(cells, axis=None)
+    above = ordered[ordered > trials.genuine.max()]
+    end = int(np.searchsorted(ordered, above[0], side="right")) if above.size else ordered.size
+    assert pooled.size == end
+    assert np.array_equal(pooled, ordered[:end])
+
+
+@st.composite
+def tie_heavy_tensors(draw):
+    """Score tensors drawn from a few distances and their neighbouring
+    doubles: ties within and across the populations, adjacent doubles,
+    signed zeros, subnormals and the largest double (a distance is >= 0, so
+    -MAX is none).  Some have every impostor at or below the largest
+    genuine score, and some none."""
+    anchor = st.sampled_from([0.0, 5e-324, 1e-310, 0.1, 1.0, MAX]) | st.floats(
+        0.0, MAX, allow_nan=False, allow_infinity=False
+    )
+    pool = set()
+    for a in draw(st.lists(anchor, min_size=1, max_size=3)):
+        pool.update(math.nextafter(a, to) for to in (-math.inf, math.inf))
+        pool.add(a)
+    pool = sorted(v for v in pool if 0.0 <= v <= MAX)
+    if pool[0] == 0.0:
+        pool.insert(0, -0.0)
+    n_subjects, n_trials = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    shape = (n_subjects, n_subjects, n_trials)
+    mode = draw(st.sampled_from(["mixed", "all below", "none below"]))
+    genuine_pool = impostor_pool = pool
+    if mode == "none below" and pool[-1] > pool[0]:
+        cut = draw(st.sampled_from(sorted({v for v in pool if v > pool[0]})))
+        genuine_pool = [v for v in pool if v < cut]
+        impostor_pool = [v for v in pool if v >= cut]
+    subjects = tuple(f"s{j}" for j in range(n_subjects))
+    probes = draw(st.permutations(subjects))
+    scores = np.array(draw(st.lists(st.sampled_from(impostor_pool), min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))).reshape(shape)
+    own = [subjects.index(p) for p in probes]
+    genuine = draw(st.lists(st.sampled_from(genuine_pool), min_size=n_subjects * n_trials,
+                            max_size=n_subjects * n_trials))
+    scores[np.arange(n_subjects), own] = np.reshape(genuine, (n_subjects, n_trials))
+    if mode == "all below":
+        scores[0, own[0], 0] = scores.max()
+    return ScoreTensor(probes, subjects, scores, "mse")
+
+
+class TestTheCommandPathMatchesTheFullStaircase:
+    """summarize_tensor and det_vertices of split_intra_inter read a split
+    that copies no impostor cell out of the tensor, and a sort of the head
+    alone; their results are the full staircase's of every cell, bit for
+    bit."""
+
+    @given(tie_heavy_tensors())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_on_ties_adjacent_doubles_and_extremes(self, tensor):
+        summary = summarize_tensor(tensor, 1.0, 2.0)
+        trials = split_intra_inter(tensor)
+        vertices = det_vertices(trials)
+        genuine, impostor = tensor.partition()
+        full = TrialScores(genuine, impostor)
+        assert_the_head_is_a_prefix_of_the_sorted_pool(trials, tensor.scores)
+
+        successes = int(np.count_nonzero(genuine < impostor.min(axis=1)))
+        assert (summary.identification.successes, summary.identification.errors) == (
+            successes, genuine.size - successes)
+        assert bits(summary.eer) == bits(staircase_eer(full))
+        n_genuine, n_impostor = genuine.size, impostor.size
+        assert (summary.n_genuine, summary.n_impostor) == (n_genuine, n_impostor)
+        for label, p_true in (("0.5", 0.5), ("empirical", n_genuine / (n_genuine + n_impostor))):
+            value, threshold = staircase_min_dcf(full, DcfParams(1.0, 2.0, p_true))
+            assert bits(summary.min_dcf[label]) == bits(value)
+            assert bits(summary.min_dcf_threshold[label]) == bits(threshold)
+        want = det_curve(full).vertices()
+        for got_arr, want_arr in zip(
+            (vertices.thresholds, vertices.p_fa, vertices.p_miss),
+            (want.thresholds, want.p_fa, want.p_miss),
+        ):
+            assert got_arr.tobytes() == want_arr.tobytes()
+        # the split still gives the impostor cells when they are asked for
+        assert trials == full
+
+
 class TestGenuineStepsMatchTheFullStaircase:
     @given(tie_heavy_populations())
     @example(([1.0], [0.0, 1.0, 1.0, 2.0]))  # a single genuine cell, tied
@@ -971,7 +1058,9 @@ class TestGenuineStepsMatchTheFullStaircase:
 
         monkeypatch.setattr(TrialScores, "_staircase", property(expanded))
         eer(trials), min_dcf(trials), det_vertices(trials)
-        # the one array of the pooled cells' size is the sorted pool
-        pooled, *per_genuine_value = trials._steps
-        assert pooled.size == trials.n_genuine + trials.n_impostor
+        # the one array of more than one entry per genuine value is the head
+        _, *per_genuine_value = trials._steps
+        assert_the_head_is_a_prefix_of_the_sorted_pool(
+            trials, np.concatenate([trials.genuine, trials.impostor])
+        )
         assert all(arr.size <= trials.n_genuine + 1 for arr in per_genuine_value)
