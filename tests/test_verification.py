@@ -999,6 +999,12 @@ class TestTheCommandPathMatchesTheFullStaircase:
     bit."""
 
     @given(tie_heavy_tensors())
+    # no impostor at or below the largest genuine score, two above it tied
+    @example(ScoreTensor(("a", "b"), ("a", "b"), np.array([1.0, 3.0, 3.0, 2.0]).reshape(2, 2, 1)))
+    # every impostor at or below it, one tied with it at the largest double
+    @example(ScoreTensor(("a", "b"), ("a", "b"), np.array([MAX, 1.0, MAX, 0.5]).reshape(2, 2, 1)))
+    # signed zeros and the least subnormal, probes out of gallery order
+    @example(ScoreTensor(("b", "a"), ("a", "b"), np.array([0.0, -0.0, 5e-324, 0.0]).reshape(2, 2, 1)))
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_on_ties_adjacent_doubles_and_extremes(self, tensor):
         summary = summarize_tensor(tensor, 1.0, 2.0)
