@@ -375,14 +375,6 @@ def manifest_entries(path: str | Path) -> dict[str, list[str]]:
     return raw
 
 
-def load_manifest(path: str | Path) -> dict[str, list[Path]]:
-    """Load a dataset manifest: subject id -> ordered image paths, each
-    checked by :func:`manifest_entries` and resolved against the
-    manifest's directory."""
-    base = Path(path).parent
-    return {s: [base / e for e in entries] for s, entries in manifest_entries(path).items()}
-
-
 def write_json(path: str | Path, payload: dict) -> None:
     """Write ``payload`` as key-sorted JSON indented by one space; the format
     of the manifest and of the CLI's JSON artifacts.  A NaN or infinity

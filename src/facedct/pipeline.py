@@ -128,19 +128,22 @@ def summarize_tensor(
     min-DCF is reported both at a target prior of 0.5 and at the empirical
     genuine-trial fraction, since either reading of the cost model's prior
     is defensible.  ``trials`` is ``split_intra_inter(tensor)`` when the
-    caller already has it; passing it shares the split, and its one sort,
-    with the caller's DET export.  The split reads the genuine cells and
-    each probe's best impostor through one mask, and copies no impostor
-    cell out of the tensor: the rank-1 count compares those two arrays, and
-    the EER and both min-DCF values read only the genuine steps of the
-    staircase, from a sort of its head, the cells at or below the largest
-    genuine score and the run just above it.  So the tensor is split once
-    per summary at most, and a summary holds no array of the tensor's size.
+    caller already has it, and any other trials are a ValueError; passing
+    it shares the split, and its one sort, with the caller's DET export.
+    The split reads the genuine cells and each probe's best impostor
+    through one mask, and copies no impostor cell out of the tensor: the
+    rank-1 count compares those two arrays, and the EER and both min-DCF
+    values read only the genuine steps of the staircase, from a sort of its
+    head, the cells at or below the largest genuine score and the run just
+    above it.  So the tensor is split once per summary at most, and a
+    summary holds no array of the tensor's size.
     """
     if trials is None:
         trials = split_intra_inter(tensor)
+    elif trials._tensor is not tensor:
+        raise ValueError("trials must be split_intra_inter(tensor)")
     identification = _identification(trials.genuine, trials._best)
-    empirical = trials.n_genuine / (trials.n_genuine + trials.n_impostor)
+    empirical = trials.n_genuine / trials.n_cells
     values: dict[str, float] = {}
     arg: dict[str, float] = {}
     for label, p_true in (("0.5", 0.5), ("empirical", empirical)):

@@ -39,9 +39,10 @@ results have the float expressions of the full staircase and its bits:
   p_miss, in its stretch of impostor steps; a bisection over the stretch's
   cell counts finds the last point at or below the crossing, and the next
   point is where that point's run of equal scores ends;
-- :func:`det_vertices`: a turning point begins or ends a genuine score's run
-  (or is an end of the curve), and of those only the point between two
-  adjacent genuine runs without an impostor cell is dropped.
+- :func:`det_vertices`: a turning point begins or ends a genuine score's run,
+  or is an end of the curve.  The curve through those points alone lacks
+  only points inside runs of steps that move p_fa alone, so
+  :meth:`DetCurve.vertices` keeps the same points of it as of the full one.
 
 :func:`det_curve` returns the full staircase, one point per candidate
 threshold, as a :class:`DetCurve`, a sequence of :class:`DetPoint` over three
@@ -109,16 +110,6 @@ class TrialScores(ArrayRecord):
                 raise ValueError(f"{name} scores must be finite")
             self._freeze(name, arr)
 
-    @classmethod
-    def _of_tensor(cls, tensor: ScoreTensor) -> TrialScores:
-        """The trials of a tensor with at least two gallery subjects, from
-        :meth:`ScoreTensor.genuine_and_best`."""
-        genuine, best = tensor.genuine_and_best()
-        trials = cls.__new__(cls)
-        trials._freeze("genuine", genuine.reshape(-1))
-        trials._tensor, trials._best = tensor, best.reshape(-1)
-        return trials
-
     def __getattr__(self, name: str):
         # only reached while a split's impostor cells are still in its tensor
         if name != "impostor" or self._tensor is None:
@@ -135,6 +126,10 @@ class TrialScores(ArrayRecord):
         if self._tensor is None:
             return int(self.impostor.size)
         return int(self._tensor.scores.size) - self.n_genuine
+
+    @property
+    def n_cells(self) -> int:
+        return self.n_genuine + self.n_impostor
 
     @cached_property
     def _steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -173,7 +168,7 @@ class TrialScores(ArrayRecord):
         no cell past the head."""
         pooled = self._steps[0]
         thresholds = np.where(cells == 0, -np.inf, np.inf)
-        inner = (cells > 0) & (cells < self.n_genuine + self.n_impostor)
+        inner = (cells > 0) & (cells < self.n_cells)
         thresholds[inner] = _midpoints(pooled[cells[inner] - 1], pooled[cells[inner]])
         return thresholds
 
@@ -336,15 +331,21 @@ class DcfParams:
 
 
 def split_intra_inter(tensor: ScoreTensor) -> TrialScores:
-    """Genuine and impostor scores: :meth:`ScoreTensor.partition`, flattened.
+    """The genuine and impostor trials of a tensor: the one maker of a
+    :class:`TrialScores` over a tensor's cells.
 
-    The trials hold the two arrays of :meth:`ScoreTensor.genuine_and_best`;
-    the impostor cells stay in the tensor until :attr:`TrialScores.impostor`
-    is read, and the results of the staircase read only its head.
+    The trials hold the two arrays of :meth:`ScoreTensor.genuine_and_best`,
+    flattened.  The impostor cells, those of :meth:`ScoreTensor.partition`,
+    stay in the tensor until :attr:`TrialScores.impostor` is read, and the
+    results of the staircase read only its head.
     """
     if tensor.scores.shape[1] == 1:
         raise DegenerateScoresError("tensor has no impostor trials (single subject)")
-    return TrialScores._of_tensor(tensor)
+    genuine, best = tensor.genuine_and_best()
+    trials = TrialScores.__new__(TrialScores)
+    trials._freeze("genuine", genuine.reshape(-1))
+    trials._tensor, trials._best = tensor, best.reshape(-1)
+    return trials
 
 
 def far_frr_at(trials: TrialScores, threshold: float) -> tuple[float, float]:
@@ -371,27 +372,18 @@ def det_vertices(trials: TrialScores) -> DetCurve:
     from the genuine scores' runs in the sorted pool.
 
     A vertex ends or begins a step that moves p_miss, so it is an end of the
-    curve or an end of a genuine score's run.  Such a point is dropped only
-    where two genuine runs with no impostor cell meet: both its steps then
-    move p_miss alone.
+    curve or an end of a genuine score's run.  The curve through those
+    points alone leaves out only points inside a run of steps that move p_fa
+    alone, which :meth:`DetCurve.vertices` drops, and it keeps the rest.
     """
     _, lo, ends, hits = trials._steps
-    n_cells = trials.n_genuine + trials.n_impostor
-    hi = ends[1:]
-    # a pure run holds genuine cells only, so its step moves p_miss alone
-    pure = hi - lo == np.diff(hits)
-    keep_lo = lo != ends[:-1]  # else the point is the previous run's end, or 0
-    keep_hi = np.append(~(pure[:-1] & pure[1:] & (hi[:-1] == lo[1:])), hi[-1] != n_cells)
-    keep = np.column_stack([keep_lo, keep_hi])
+    # no cell, each run's end and start, and every cell: a run starts where
+    # the count before it holds, and a count listed twice is one point
+    cells, first = np.unique(np.concatenate([ends, lo, [trials.n_cells]]), return_index=True)
+    point_hits = np.concatenate([hits, hits[:-1], [trials.n_genuine]])[first]
     # in descending threshold order, from the point that accepts every cell
-    cells = np.column_stack([lo, hi])[keep][::-1]
-    point_hits = np.column_stack([hits[:-1], hits[1:]])[keep][::-1]
-    cells = np.concatenate([[n_cells], cells, [0]])
-    point_hits = np.concatenate([[trials.n_genuine], point_hits, [0]])
-    arrays = (trials._thresholds(cells), *trials._rates(cells, point_hits))
-    for arr in arrays:
-        arr.flags.writeable = False
-    return DetCurve(*arrays)
+    cells, point_hits = cells[::-1], point_hits[::-1]
+    return DetCurve(trials._thresholds(cells), *trials._rates(cells, point_hits)).vertices()
 
 
 def eer(trials: TrialScores) -> float:
@@ -409,7 +401,7 @@ def eer(trials: TrialScores) -> float:
     first, h, m = int(ends[s]), int(hits[s]), float(miss[s])
     # past the last genuine run no impostor is at or below the crossing, so
     # the stretch's first count is the last one read and the head holds it
-    last = int(lo[s]) if s < lo.size else trials.n_genuine + trials.n_impostor
+    last = int(lo[s]) if s < lo.size else trials.n_cells
     stretch = range(first, last + 1)
     # int / int is the correctly rounded quotient, as numpy's division of
     # the same counts as doubles is, so this p_fa is _rates' bit for bit

@@ -25,7 +25,6 @@ from facedct.features import (
     zigzag_order,
 )
 from facedct.imageio import (
-    load_manifest,
     normalize,
     read_pnm,
     resize_bilinear,
@@ -36,6 +35,7 @@ from facedct.pipeline import extract_subject_features, featurize_image
 from facedct.synth import SynthSpec, generate_dataset
 
 from byte_edit_strategy import apply_byte_edits, byte_edits
+from manifest_reference import load_manifest
 
 # The per-vector CSV writer and reader: the reference that
 # feature_matrix_to_csv and feature_matrix_from_csv are tested against.

@@ -8,7 +8,7 @@ import pytest
 from facedct.errors import ValidationError
 from facedct.features import FeatureVector
 from facedct.gallery import Gallery, SplitSpec, apply_split
-from facedct.imageio import CHANNELS, load_manifest
+from facedct.imageio import CHANNELS
 from facedct.matching import (
     ScoreTensor,
     build_score_tensor,
@@ -25,7 +25,9 @@ from facedct.fusion import (
 )
 from facedct.pipeline import extract_subject_features, featurize_image, summarize_tensor
 from facedct.synth import SynthSpec, generate_dataset
-from facedct.verification import split_intra_inter
+from facedct.verification import TrialScores, split_intra_inter
+
+from manifest_reference import load_manifest
 
 SPLIT = SplitSpec.from_iterables([1, 2, 3], [4, 5, 6])
 
@@ -188,6 +190,16 @@ class TestSummarizeTensor:
         summary = summarize_tensor(tensor, trials=trials)
         assert calls == [tensor]
         assert summary.identification == expected
+
+    def test_trials_of_another_tensor_are_refused(self):
+        subjects = ("a", "b", "c")
+        own = ScoreTensor(subjects, subjects, (1.0 - np.eye(3)).reshape(3, 3, 1), "mse")
+        other = ScoreTensor(subjects, subjects, np.eye(3).reshape(3, 3, 1), "mse")
+        summary = summarize_tensor(own, trials=split_intra_inter(own))
+        assert (summary.identification.successes, summary.eer) == (3, 0.0)
+        for trials in (split_intra_inter(other), TrialScores(*own.partition())):
+            with pytest.raises(ValueError, match=r"^trials must be split_intra_inter\(tensor\)$"):
+                summarize_tensor(own, trials=trials)
 
 
 class TestParseFusionSpec:

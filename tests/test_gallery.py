@@ -27,7 +27,9 @@ from facedct.gallery import (
     save_gallery,
     select_samples,
 )
-from facedct.imageio import ManifestError, load_manifest
+from facedct.imageio import ManifestError
+
+from manifest_reference import load_manifest
 
 ORL_SPLIT = SplitSpec.from_iterables(range(1, 6), range(6, 11))
 

@@ -19,7 +19,6 @@ from facedct.imageio import (
     PnmTruncatedError,
     PnmUnsupportedMagicError,
     RasterImage,
-    load_manifest,
     normalize,
     read_pnm,
     resize_bilinear,
@@ -28,6 +27,8 @@ from facedct.imageio import (
     write_pnm,
 )
 from facedct.synth import SynthSpec, generate_dataset
+
+from manifest_reference import load_manifest
 
 
 def _natural_key(name: str) -> tuple:

@@ -1005,6 +1005,13 @@ class TestTheCommandPathMatchesTheFullStaircase:
     @example(ScoreTensor(("a", "b"), ("a", "b"), np.array([MAX, 1.0, MAX, 0.5]).reshape(2, 2, 1)))
     # signed zeros and the least subnormal, probes out of gallery order
     @example(ScoreTensor(("b", "a"), ("a", "b"), np.array([0.0, -0.0, 5e-324, 0.0]).reshape(2, 2, 1)))
+    # the smallest cell is genuine, so a genuine run starts at count 0
+    @example(ScoreTensor(("a", "b"), ("a", "b"), np.array([0.5, 1.0, 3.0, 2.0]).reshape(2, 2, 1)))
+    # two genuine runs with no impostor cell between them
+    @example(ScoreTensor(("a", "b"), ("a", "b"), np.array([1.0, 0.5, 3.0, 2.0]).reshape(2, 2, 1)))
+    # the largest cell is genuine: the last run ends at the count of all
+    # cells, and the head is the whole pool
+    @example(ScoreTensor(("a", "b"), ("a", "b"), np.array([1.0, 0.5, 2.0, 3.0]).reshape(2, 2, 1)))
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_on_ties_adjacent_doubles_and_extremes(self, tensor):
         summary = summarize_tensor(tensor, 1.0, 2.0)
