@@ -377,8 +377,9 @@ def det_vertices(trials: TrialScores) -> DetCurve:
     alone, which :meth:`DetCurve.vertices` drops, and it keeps the rest.
     """
     _, lo, ends, hits = trials._steps
-    # no cell, each run's end and start, and every cell: a run starts where
-    # the count before it holds, and a count listed twice is one point
+    # no cell and each run's end (ends, hits), each run's start with the
+    # genuine count before the run, and every cell; a count listed twice
+    # is one point
     cells, first = np.unique(np.concatenate([ends, lo, [trials.n_cells]]), return_index=True)
     point_hits = np.concatenate([hits, hits[:-1], [trials.n_genuine]])[first]
     # in descending threshold order, from the point that accepts every cell

@@ -1,5 +1,5 @@
 """The tests' whole-manifest reference: every entry of a dataset manifest,
-resolved against the manifest's directory, as the commands read it."""
+resolved against the manifest's directory."""
 
 from __future__ import annotations
 
