@@ -2,16 +2,23 @@
 
 An image's bytes are decoded once, by :func:`_decode`, into a read-only
 view of its samples in the file's own dtype (``uint8`` or ``>u2``), each
-sample checked against maxval there.  :func:`_plane` turns one channel of
-those samples (gray passthrough, R/G/B selection, or the one luminance
-formula, :func:`_luma`) straight into a float plane, samples / maxval in
-[0, 1], and :func:`_resize` brings it to the canonical analysis window,
-giving back the plane itself when it already has that size.  Planes are
-plain 2-D float64 numpy arrays.  ``pipeline.featurize_image`` runs these
-pieces on every image; the public helpers (:func:`read_pnm`,
-:func:`to_luminance`, :func:`normalize`, :func:`resize_bilinear` and
-:func:`prepare_plane`) call the same pieces on a :class:`RasterImage`,
-whose samples are int64.
+sample checked against maxval there.  :func:`_values` casts those samples
+to float64 once per image, into one contiguous plane per channel, and
+:func:`_plane` builds each requested channel from that cast (gray
+passthrough, R/G/B selection, or the one luminance formula, :func:`_luma`)
+as a float plane, samples / maxval in [0, 1].  :func:`_resize` brings it to
+the canonical analysis window, giving back the plane itself when it
+already has that size.  It reads a plan of read-only index and weight
+arrays, built once per pair of plane and output shapes
+(:func:`_resize_plan`), of which at most :data:`_PLANS` are kept, the
+least recently used dropped first; so a dataset of one image size at one
+window builds one plan.  Planes are plain 2-D float64 numpy arrays.
+``pipeline.featurize_image`` runs these pieces on every image; the public
+helpers (:func:`read_pnm`, :func:`to_luminance`, :func:`normalize`,
+:func:`resize_bilinear` and :func:`prepare_plane`) call the same pieces on
+a :class:`RasterImage`, whose samples are int64.
+
+The ``pipeline`` module docstring gives the measured cost of each step.
 
 :class:`ArrayRecord` is the one equality rule of the public records that
 hold arrays: :class:`RasterImage` here, ``FeatureVector``, ``ScoreTensor``
@@ -226,36 +233,43 @@ def write_pnm_samples(samples: np.ndarray, maxval: int, path: str | Path) -> Non
         f.write(_encode(samples, maxval))
 
 
+def _values(samples: np.ndarray) -> np.ndarray:
+    """(height, width, channels) samples of any dtype as one new C-order
+    (channels, height, width) float64 array: the one cast of an image's
+    samples, each channel a contiguous plane."""
+    return np.ascontiguousarray(samples.transpose(2, 0, 1), dtype=np.float64)
+
+
 def _luma(samples: np.ndarray, maxval: int) -> np.ndarray:
-    """The luminance of (height, width, 3) samples as a new float plane:
+    """The luminance of (3, height, width) samples as a new float plane:
     0.3R + 0.59G + 0.11B, rounded half-up and clamped to [0, maxval]."""
-    y = LUMA_WEIGHTS[0] * samples[:, :, 0]  # float64 for every sample dtype
-    y += LUMA_WEIGHTS[1] * samples[:, :, 1]
-    y += LUMA_WEIGHTS[2] * samples[:, :, 2]
+    y = LUMA_WEIGHTS[0] * samples[0]  # float64 for every sample dtype
+    y += LUMA_WEIGHTS[1] * samples[1]
+    y += LUMA_WEIGHTS[2] * samples[2]
     y += 0.5
     np.floor(y, out=y)
     return np.minimum(y, maxval, out=y)  # y >= 0.5 before the floor
 
 
-def _plane(samples: np.ndarray, maxval: int, channel: str) -> np.ndarray:
-    """The normalized float plane, samples / maxval in [0, 1], of one of
-    :data:`CHANNELS` of (height, width, channels) samples.  "gray" requires
-    one channel, "y" is the luminance of RGB, and "r"/"g"/"b" one RGB plane.
+def _plane(values: np.ndarray, maxval: int, channel: str) -> np.ndarray:
+    """The normalized float plane, values / maxval in [0, 1], of one of
+    :data:`CHANNELS` of an image's :func:`_values`.  "gray" requires one
+    channel, "y" is the luminance of RGB, and "r"/"g"/"b" one RGB plane.
     """
     channel = channel.lower()
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
     if channel == "gray":
-        if samples.shape[2] != 1:
+        if values.shape[0] != 1:
             raise MismatchError("channel 'gray' requires a single-channel image")
-        return np.divide(samples[:, :, 0], maxval, dtype=np.float64)
-    if samples.shape[2] != 3:
+        return values[0] / maxval
+    if values.shape[0] != 3:
         what = "luminance conversion" if channel == "y" else "channel selection"
         raise MismatchError(f"{what} requires an RGB image")
     if channel == "y":
-        y = _luma(samples, maxval)
+        y = _luma(values, maxval)
         return np.divide(y, maxval, out=y)
-    return np.divide(samples[:, :, "rgb".index(channel)], maxval, dtype=np.float64)
+    return values["rgb".index(channel)] / maxval
 
 
 def to_luminance(img: RasterImage) -> RasterImage:
@@ -265,7 +279,7 @@ def to_luminance(img: RasterImage) -> RasterImage:
     """
     if img.channels != 3:
         raise MismatchError("luminance conversion requires an RGB image")
-    y = _luma(img.samples, img.maxval).astype(np.int64)
+    y = _luma(img.samples.transpose(2, 0, 1), img.maxval).astype(np.int64)
     return RasterImage(img.width, img.height, 1, img.maxval, y)
 
 
@@ -284,37 +298,66 @@ def normalize(img: RasterImage) -> np.ndarray:
     """Map a gray image to a float plane: samples / maxval, in [0, 1]."""
     if img.channels != 1:
         raise MismatchError("normalize expects a single-channel image")
-    return _plane(img.samples, img.maxval, "gray")
+    return _plane(_values(img.samples), img.maxval, "gray")
 
 
-@lru_cache(maxsize=None)
 def _axis_interp(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (lo, hi, weight of hi) source pixels of each output pixel."""
+    """The (lo, hi, weight of hi) source pixels of each output pixel."""
     # pixel-center mapping: src = (dst + 0.5) * (in/out) - 0.5, clamped
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     lo = np.floor(src).astype(np.intp)
     hi = np.minimum(lo + 1, n_in - 1)
-    interp = lo, hi, src - lo
-    for arr in interp:
+    return lo, hi, src - lo
+
+
+#: the most resize plans kept at once, one per pair of plane and output
+#: shapes; the least recently used is dropped first
+_PLANS = 8
+
+
+@lru_cache(maxsize=_PLANS)
+def _resize_plan(in_h: int, in_w: int, out_h: int, out_w: int) -> tuple[np.ndarray, ...]:
+    """The read-only arrays :func:`_resize` reads for an (in_h, in_w) plane
+    and an (out_h, out_w) output: the source rows ``ylo`` and ``yhi`` of
+    each output row; their weights ``1 - wy`` and ``wy``, each laid out at
+    the (out_h, in_w) size of the row step; the flat indices ``xlo`` and
+    ``xhi`` of each output cell's source cells in that step's C-order
+    result; and their weights ``1 - wx`` and ``wx`` at the output size.
+    So each product and sum of a resize is one contiguous loop.  A plan
+    holds 2·out_h·(in_w + 2·out_w + 1) values of 8 bytes: 214,016 bytes
+    for an 80×96 image at window 64."""
+    ylo, yhi, wy = _axis_interp(in_h, out_h)
+    xlo, xhi, wx = _axis_interp(in_w, out_w)
+    rows, cells = (out_h, in_w), (out_h, out_w)
+    wy_lo, wy_hi = (np.broadcast_to(w[:, None], rows).copy() for w in (1.0 - wy, wy))
+    row_start = np.arange(out_h, dtype=np.intp)[:, None] * in_w
+    wx_lo, wx_hi = (np.broadcast_to(w, cells).copy() for w in (1.0 - wx, wx))
+    plan = ylo, yhi, wy_lo, wy_hi, row_start + xlo, row_start + xhi, wx_lo, wx_hi
+    for arr in plan:
         arr.flags.writeable = False
-    return interp
+    return plan
 
 
 def _resize(plane: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Bilinear resize of a finite 2-D float64 plane; the plane itself when
-    it already has the output size."""
+    it already has the output size.  Each cell is ``(lo * (1 - w)) + (hi *
+    w)`` of two source rows, then the same of two cells of that result."""
     if out_w < 1 or out_h < 1:
         raise ValueError("output dimensions must be >= 1")
-    in_h, in_w = plane.shape
-    if (in_h, in_w) == (out_h, out_w):
+    if plane.shape == (out_h, out_w):
         return plane
-    ylo, yhi, wy = _axis_interp(in_h, out_h)
-    xlo, xhi, wx = _axis_interp(in_w, out_w)
-    rows = plane[ylo, :] * (1.0 - wy)[:, None]
-    rows += plane[yhi, :] * wy[:, None]
-    out = rows[:, xlo] * (1.0 - wx)
-    out += rows[:, xhi] * wx
+    ylo, yhi, wy_lo, wy_hi, xlo, xhi, wx_lo, wx_hi = _resize_plan(*plane.shape, out_h, out_w)
+    rows = plane.take(ylo, axis=0)
+    rows *= wy_lo
+    below = plane.take(yhi, axis=0)
+    below *= wy_hi
+    rows += below
+    out = rows.take(xlo)
+    out *= wx_lo
+    right = rows.take(xhi)
+    right *= wx_hi
+    out += right
     return out
 
 
@@ -332,10 +375,14 @@ def resize_bilinear(plane: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     return resized.copy() if resized is plane else resized
 
 
-def _prepare(samples: np.ndarray, maxval: int, channel: str, window: int) -> np.ndarray:
-    """The ``window`` x ``window`` plane of ``channel`` of decoded samples:
-    :func:`_plane`, then :func:`_resize`."""
-    return _resize(_plane(samples, maxval, channel), window, window)
+def _prepare(
+    samples: np.ndarray, maxval: int, channels: tuple[str, ...], window: int
+) -> list[np.ndarray]:
+    """The ``window`` x ``window`` plane of each of ``channels`` of decoded
+    samples: one float64 cast of the samples (:func:`_values`), then
+    :func:`_plane` and :func:`_resize` of each channel."""
+    values = _values(samples)
+    return [_resize(_plane(values, maxval, channel), window, window) for channel in channels]
 
 
 def prepare_plane(img: RasterImage, channel: str, window: int) -> np.ndarray:
@@ -344,7 +391,7 @@ def prepare_plane(img: RasterImage, channel: str, window: int) -> np.ndarray:
     ``channel`` is one of :data:`CHANNELS`.  "gray" requires a gray image,
     "y" computes luminance from RGB, "r"/"g"/"b" select one RGB plane.
     """
-    return _prepare(img.samples, img.maxval, channel, window)
+    return _prepare(img.samples, img.maxval, (channel,), window)[0]
 
 
 #: a lone surrogate, which JSON text can hold and UTF-8 text cannot

@@ -3,11 +3,21 @@ manifest -> features (one decode per image, for every channel) -> gallery
 -> score tensor -> summary metrics.
 
 :func:`featurize_image` is the one per-image step of every command.  It
-reads an image's bytes and decodes them once, into the file's own sample
-dtype; builds each requested channel's normalized plane straight from
-those samples and resizes it to the window; and writes the plane's first
-D zigzag DCT coefficients into the caller's row.  No ``RasterImage`` or
-``FeatureVector`` is made on the way.
+reads an image's bytes in one unbuffered read and decodes them once, into
+the file's own sample dtype; casts those samples to float64 once and
+builds each requested channel's normalized plane from that cast; resizes
+each plane to the window through the cached plan of its shapes
+(``imageio._resize_plan``, at most ``imageio._PLANS`` kept); and writes the
+plane's first D zigzag DCT coefficients into the caller's row.  No
+``RasterImage`` or ``FeatureVector`` is made on the way.
+
+On a 2-vCPU Xeon, one hot 80×96 gray image at window 64, dim 100, took
+72–76 µs in :func:`featurize_image`: 7–8 µs to read, 5–8 µs to decode,
+10–13 µs for the cast and the plane, 24–25 µs to resize and 23–24 µs for
+the DCT coefficients (minimum of 9 runs of 3,000 calls, in three rounds).
+Before the one cast, the resize plan and the unbuffered read, the same
+image took 101–161 µs, of which the resize was 40–47 µs and the read
+11–12 µs.
 
 :func:`extract_subject_features` returns, per channel, one
 :class:`~facedct.gallery.Gallery`: an ``(N, D)`` float64 matrix with rows
@@ -44,13 +54,16 @@ DEFAULT_WINDOW = 64
 #: the fewest images per share when :func:`extract_subject_features` splits
 #: them between processes.  On a 2-vCPU Xeon, in a caller holding 100 MB,
 #: n gray 80x96 images at window 64, dim 100 took, in two shares against
-#: inline (medians of 15), 1.26x and 1.13x at n = 50 and 100, 0.73x, 0.74x
-#: and 0.71x at 150, 200 and 300, and 0.64x, 0.69x and 0.59x at 400, 600
-#: and 1000; one channel of 64x64 RGB images took 1.02x, 0.95x and 1.04x at
-#: 100, 150 and 200, and 0.73x at 300.  With this floor the images are split from 300,
+#: inline (medians of 15, in four rounds), 1.12-1.45x at n = 50,
+#: 0.84-1.32x at 100, 0.75-0.95x at 150, 0.66-0.86x at 200, 0.62-0.81x at
+#: 300 and 0.59-0.80x at 400, 600 and 1000; one channel of 64x64 RGB images
+#: took 0.85-1.14x, 0.71-1.06x and 0.69-1.05x at 100, 150 and 200, and
+#: 0.62-0.68x at 300 (three rounds).  Interleaved rounds of the code before
+#: the resize plan and the one cast, at ~1.4x the cost an image, broke even
+#: at the same 100-200 gray images.  With this floor the images are split from 300,
 #: and an orl-rgb split (200 images) never is, though four channels of its
-#: images took 0.64x at 200: a fork also costs the caller's later calls a
-#: page fault for each page they write, which that timing leaves out
+#: images took 0.59-0.63x at 200: a fork also costs the caller's later
+#: calls a page fault for each page they write, which that timing leaves out
 _FEATURIZE_FLOOR = 150
 
 
@@ -70,7 +83,7 @@ def featurize_image(
     and its subject when given; decode errors keep their class."""
     with naming(f"image {path}" if subject is None else f"subject {subject!r}, image {path}"):
         samples, maxval = _decode(read_bytes(path, DataError))
-        planes = [_prepare(samples, maxval, channel, window) for channel in channels]
+        planes = _prepare(samples, maxval, channels, window)
     if out is None:
         out = np.empty((len(channels), dim))
     for plane, row in zip(planes, out):

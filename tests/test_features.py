@@ -27,7 +27,6 @@ from facedct.features import (
 from facedct.imageio import (
     normalize,
     read_pnm,
-    resize_bilinear,
     select_channel,
     to_luminance,
 )
@@ -36,6 +35,7 @@ from facedct.synth import SynthSpec, generate_dataset
 
 from byte_edit_strategy import apply_byte_edits, byte_edits
 from manifest_reference import load_manifest
+from resize_reference import reference_resize
 
 # The per-vector CSV writer and reader: the reference that
 # feature_matrix_to_csv and feature_matrix_from_csv are tested against.
@@ -386,8 +386,9 @@ class TestFeatureVector:
 
 def reference_featurize(path, channels, dim, window):
     """``(len(channels), dim)`` coefficients of one image file: read_pnm ->
-    to_luminance or select_channel -> normalize -> resize_bilinear ->
-    dct2[zigzag], with the int64 samples of a RasterImage at every step."""
+    to_luminance or select_channel -> normalize -> the broadcast resize
+    formula, interpolating at every size -> dct2[zigzag], with the int64
+    samples of a RasterImage at every step."""
     image = read_pnm(Path(path).read_bytes())
     rows, cols = np.array(zigzag_order(window)[:dim]).T
     out = []
@@ -398,7 +399,7 @@ def reference_featurize(path, channels, dim, window):
             gray = to_luminance(image)
         else:
             gray = select_channel(image, channel)
-        out.append(dct2(resize_bilinear(normalize(gray), window, window))[rows, cols])
+        out.append(dct2(reference_resize(normalize(gray), window, window))[rows, cols])
     return np.array(out)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facedct import imageio
@@ -29,6 +29,7 @@ from facedct.imageio import (
 from facedct.synth import SynthSpec, generate_dataset
 
 from manifest_reference import load_manifest
+from resize_reference import reference_resize
 
 
 def _natural_key(name: str) -> tuple:
@@ -206,6 +207,45 @@ class TestNormalize:
             normalize(rgb(1, 1, [1, 2, 3]))
 
 
+def luma_reference(samples, maxval):
+    """0.3R + 0.59G + 0.11B of (height, width, 3) samples, each channel cast
+    to float64 on its own, rounded half-up and clamped to maxval."""
+    r, g, b = (samples[:, :, c].astype(np.float64) for c in range(3))
+    return np.minimum(np.floor(0.3 * r + 0.59 * g + 0.11 * b + 0.5), maxval)
+
+
+class TestPlane:
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.sampled_from([1, 3]),
+        st.sampled_from([1, 7, 100, 255, 256, 1000, 65534, 65535]), st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_channel_is_the_samples_over_maxval_bit_for_bit(
+        self, h, w, depth, maxval, window, seed
+    ):
+        dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
+        samples = np.random.default_rng(seed).integers(0, maxval, (h, w, depth), endpoint=True)
+        samples = samples.astype(dtype)
+        samples.flat[0] = maxval
+        if depth == 1:
+            want = {"gray": samples[:, :, 0].astype(np.float64) / maxval}
+        else:
+            want = {c: samples[:, :, i].astype(np.float64) / maxval for i, c in enumerate("rgb")}
+            want["y"] = luma_reference(samples, maxval) / maxval
+        values = imageio._values(samples)
+        assert values.tobytes() == samples.transpose(2, 0, 1).astype(np.float64).tobytes()
+        for channel, plane in want.items():
+            got = imageio._plane(values, maxval, channel)
+            assert (got.shape, got.dtype) == ((h, w), np.float64)
+            assert got.tobytes() == plane.tobytes()
+        # the planes of one image, from one cast of its samples, each resized
+        channels = tuple(want)
+        prepared = imageio._prepare(samples, maxval, channels, window)
+        for channel, got in zip(channels, prepared):
+            assert got.tobytes() == reference_resize(want[channel], window, window).tobytes()
+
+
 class TestResizeBilinear:
     def test_constant_plane_stays_constant(self):
         plane = np.full((3, 5), 0.37)
@@ -233,21 +273,51 @@ class TestResizeBilinear:
         plane[0, 0] = 0.0
         out = resize_bilinear(plane, w, h)
         # the interpolation the equal-size shortcut skips
-        ylo, yhi, wy = imageio._axis_interp(h, h)
-        xlo, xhi, wx = imageio._axis_interp(w, w)
-        rows = plane[ylo, :] * (1.0 - wy)[:, None] + plane[yhi, :] * wy[:, None]
-        interpolated = rows[:, xlo] * (1.0 - wx) + rows[:, xhi] * wx
+        interpolated = reference_resize(plane, w, h)
         assert out.tobytes() == interpolated.tobytes() == plane.tobytes()
         assert out is not plane
 
-    @pytest.mark.parametrize("n_in, n_out", [(1, 1), (1, 5), (5, 1), (64, 64), (80, 64), (7, 96)])
-    def test_cached_axis_interp_equals_an_uncached_call(self, n_in, n_out):
-        cached = imageio._axis_interp(n_in, n_out)
-        assert imageio._axis_interp(n_in, n_out) is cached
-        fresh = imageio._axis_interp.__wrapped__(n_in, n_out)
+    @given(
+        st.integers(1, 40), st.integers(1, 40), st.integers(1, 20), st.integers(1, 20),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(1, 1, 20, 20, 0).via("a 1-pixel plane, resized up")
+    @example(40, 1, 3, 20, 1).via("a 1-pixel column, down on one axis and up on the other")
+    @example(96, 80, 64, 64, 2).via("too large for the draw: the feret shape")
+    def test_resize_is_the_broadcast_formula_bit_for_bit(self, h, w, oh, ow, seed):
+        rng = np.random.default_rng(seed)
+        # finite values from subnormal to 1e300, of both signs, zeros of both signs
+        plane = rng.standard_normal((h, w)) * 10.0 ** rng.integers(-320, 300, (h, w))
+        plane[rng.random((h, w)) < 0.1] = 0.0
+        plane[rng.random((h, w)) < 0.1] = -0.0
+        want = reference_resize(plane, ow, oh)
+        got = imageio._resize(plane, ow, oh)
+        assert (got.shape, got.dtype) == ((oh, ow), np.float64)
+        if (oh, ow) == (h, w):
+            assert got is plane
+        else:
+            assert got.tobytes() == want.tobytes()
+            # a plane that is not C-contiguous is read the same way
+            assert imageio._resize(plane.T.copy().T, ow, oh).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1, 1), (1, 1, 5, 5), (5, 5, 1, 1), (96, 80, 64, 64), (7, 3, 96, 2)]
+    )
+    def test_cached_resize_plan_equals_an_uncached_build(self, shape):
+        cached = imageio._resize_plan(*shape)
+        assert imageio._resize_plan(*shape) is cached
+        fresh = imageio._resize_plan.__wrapped__(*shape)
+        assert len(cached) == len(fresh) == 8
         for a, b in zip(cached, fresh):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert (a.shape, a.dtype) == (b.shape, b.dtype) and a.tobytes() == b.tobytes()
             assert not a.flags.writeable
+
+    def test_images_of_many_shapes_keep_a_bounded_number_of_plans(self):
+        for side in range(2, 2 + 3 * imageio._PLANS):
+            imageio._resize(np.ones((side, side + 1)), 4, 4)
+            assert imageio._resize_plan.cache_info().currsize <= imageio._PLANS
+        assert imageio._resize_plan.cache_info().currsize == imageio._PLANS
 
     @given(
         st.integers(1, 6), st.integers(1, 6), st.integers(1, 9), st.integers(1, 9),
