@@ -12,12 +12,9 @@ plane's first D zigzag DCT coefficients into the caller's row.  No
 ``RasterImage`` or ``FeatureVector`` is made on the way.
 
 On a 2-vCPU Xeon, one hot 80×96 gray image at window 64, dim 100, took
-72–76 µs in :func:`featurize_image`: 7–8 µs to read, 5–8 µs to decode,
-10–13 µs for the cast and the plane, 24–25 µs to resize and 23–24 µs for
-the DCT coefficients (minimum of 9 runs of 3,000 calls, in three rounds).
-Before the one cast, the resize plan and the unbuffered read, the same
-image took 101–161 µs, of which the resize was 40–47 µs and the read
-11–12 µs.
+72–80 µs in :func:`featurize_image`: 5–8 µs to read, 4–8 µs to decode,
+10–13 µs for the cast and the plane, 24–26 µs to resize and 23–31 µs for
+the DCT coefficients (minimum of 9 runs of 3,000 calls, in six rounds).
 
 :func:`extract_subject_features` returns, per channel, one
 :class:`~facedct.gallery.Gallery`: an ``(N, D)`` float64 matrix with rows
