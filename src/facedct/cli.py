@@ -358,14 +358,13 @@ def cmd_evaluate(args) -> int:
     for metric in cfg.metrics:
         with naming(f"gallery {args.gallery}", catch=DistanceOverflowError):
             tensor = build_score_tensor(probes, gallery, metric)
-        trials = split_intra_inter(tensor)
-        summary = summarize_tensor(tensor, cfg.c_miss, cfg.c_fa, trials=trials)
+        summary = summarize_tensor(tensor, cfg.c_miss, cfg.c_fa)
         rows.append(_summary_row(summary))
 
         tag = "" if single else f"_{metric}"
         save_scores_csv(tensor, out / f"scores{tag}.csv")
         svg = out / f"det{tag}.svg" if args.svg else None
-        _write_det(trials, out / f"det{tag}.csv", svg, summary.eer)
+        _write_det(summary.det, out / f"det{tag}.csv", svg, summary.eer)
         print(
             f"[{metric}] identification rate {summary.identification.rate:.4f} "
             f"({summary.identification.successes}/{summary.identification.trials}), "
@@ -427,11 +426,10 @@ def cmd_identify(args) -> int:
     return EXIT_OK
 
 
-def _write_det(trials, csv_path, svg_path, eer_value: float | None) -> int:
-    """Write the vertices of the DET curve of ``trials`` to ``csv_path`` and,
-    when ``svg_path`` is given, its plot with ``eer_value`` marked; returns
-    the number of vertices."""
-    points = det_vertices(trials)
+def _write_det(points, csv_path, svg_path, eer_value: float | None) -> int:
+    """Write the DET vertices ``points`` to ``csv_path`` and, when
+    ``svg_path`` is given, their plot with ``eer_value`` marked; returns the
+    number of vertices."""
     save_det_csv(points, csv_path)
     if svg_path:
         write_atomic(svg_path, render_det_svg(points, eer_value).encode())
@@ -451,7 +449,8 @@ def cmd_det_export(args) -> int:
             raise ValidationError(f"{flag} {out} would overwrite {taken[key]}")
         taken[key] = f"{flag} {out}"
     trials = split_intra_inter(load_scores_csv(args.scores))
-    n_points = _write_det(trials, args.out, args.svg, eer_of(trials) if args.svg else None)
+    eer_value = eer_of(trials) if args.svg else None
+    n_points = _write_det(det_vertices(trials), args.out, args.svg, eer_value)
     print(f"det curve ({n_points} points) -> {args.out}")
     return EXIT_OK
 

@@ -17,8 +17,9 @@ coefficients at 17 significant digits, so a float64 round-trips exactly.
 from __future__ import annotations
 
 import io
+import itertools
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -100,19 +101,25 @@ def zigzag_order(n: int) -> tuple[tuple[int, int], ...]:
     """
     if n < 1:
         raise ValueError("grid side must be >= 1")
-    order: list[tuple[int, int]] = []
+    return tuple(_zigzag(n))
+
+
+def _zigzag(n: int) -> Iterator[tuple[int, int]]:
+    """The cells of :func:`zigzag_order`, one anti-diagonal at a time, each
+    built only when the cells before it have been taken."""
     for d in range(2 * n - 1):
         lo = max(0, d - n + 1)
         hi = min(n - 1, d)
         rows = range(lo, hi + 1) if d % 2 == 1 else range(hi, lo - 1, -1)
-        order.extend((i, d - i) for i in rows)
-    return tuple(order)
+        yield from zip(rows, map(d.__sub__, rows))
 
 
 @lru_cache(maxsize=None)
 def _zigzag_flat(n: int, dim: int) -> np.ndarray:
-    """Read-only C-order flat indices of the first ``dim`` zigzag cells."""
-    flat = np.fromiter((r * n + c for r, c in zigzag_order(n)[:dim]), dtype=np.intp, count=dim)
+    """Read-only C-order flat indices of the first ``dim`` zigzag cells,
+    from the anti-diagonals they lie on alone."""
+    cells = itertools.islice(_zigzag(n), dim)
+    flat = np.fromiter((r * n + c for r, c in cells), dtype=np.intp, count=dim)
     flat.flags.writeable = False
     return flat
 

@@ -40,10 +40,13 @@ from .errors import DataError, MismatchError, naming, parse_json, read_bytes, wr
 #: Single-channel sources a feature vector can come from.
 CHANNELS = ("gray", "r", "g", "b", "y")
 
-#: Largest analysis window side.  Each image is resized to a float64 plane
-#: of window² cells; this bound keeps it at most 128 MiB, far above the
-#: default window of 64 and the 80×96 FERET images, so that a mistyped
-#: window is rejected instead of exhausting memory.
+#: Largest analysis window side, far above the default window of 64 and the
+#: 80×96 FERET images, so that a mistyped window is rejected.  A plane of
+#: window² float64 cells is 128 MiB at this bound, but it is not the whole
+#: cost of a window: the cached resize plan of an 80×96 image
+#: (:func:`_resize_plan`) holds 2·4096·(80 + 2·4096 + 1) doubles, about
+#: 517 MiB (33.3 MiB at window 1024), up to :data:`_PLANS` such plans are
+#: kept, and ``features.dct_matrix(4096)`` caches another 128 MiB.
 MAX_WINDOW = 4096
 
 #: RGB -> luminance weights.

@@ -14,12 +14,16 @@ thin calls into it, so every route gives the same bits.  It computes
 under ``np.errstate(over="ignore")``: a distance past the largest double is
 +inf, no match, and ``build_score_tensor`` refuses a tensor that holds one
 with a :class:`DistanceOverflowError` naming its two subjects.
-:meth:`ScoreTensor.genuine_and_best` is the one genuine/impostor split of a
-tensor that the commands and summaries read: each probe's genuine cells, by
-index, and its best impostor, through one mask of the own-subject cells,
-with no impostor cell copied.  :meth:`ScoreTensor.partition` copies every
-impostor cell out, for a :class:`~facedct.verification.TrialScores` whose
-impostor cells are asked for.
+:func:`identification_rate` is the one rank-1 rule, and
+``pipeline.summarize_tensor`` counts with it: it compares each probe's
+genuine cells with its best impostor, the two arrays of
+:meth:`ScoreTensor.genuine_and_best`, found by index and through one mask
+of the own-subject cells, with no impostor cell copied.
+``verification.split_intra_inter`` gathers the genuine cells alone and
+keeps the tensor's scores as its pool of cells, and
+:meth:`ScoreTensor.partition` copies every impostor cell out, for a
+:class:`~facedct.verification.TrialScores` whose impostor cells are asked
+for.
 
 ``build_score_tensor`` takes its probes in one of two forms:
 
@@ -322,12 +326,7 @@ def identification_rate(tensor: ScoreTensor) -> IdentificationResult:
 
     A tie between the genuine cell and any other subject counts as an error.
     """
-    return _identification(*tensor.genuine_and_best())
-
-
-def _identification(genuine: np.ndarray, best: np.ndarray) -> IdentificationResult:
-    """:func:`identification_rate` of the two arrays of
-    :meth:`ScoreTensor.genuine_and_best`, in any one shape."""
+    genuine, best = tensor.genuine_and_best()
     successes = int(np.count_nonzero(genuine < best))
     return IdentificationResult(successes, genuine.size - successes)
 

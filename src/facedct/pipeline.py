@@ -29,7 +29,7 @@ share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +38,9 @@ from .errors import DataError, naming, read_bytes
 from .features import DEFAULT_DIM, _coefficients
 from .gallery import Gallery
 from .imageio import _decode, _prepare
-from .matching import (
-    IdentificationResult,
-    ScoreTensor,
-    _identification,
-)
+from .matching import IdentificationResult, ScoreTensor, identification_rate
 from .shares import fill
-from .verification import DcfParams, TrialScores, eer, min_dcf, split_intra_inter
+from .verification import DcfParams, DetCurve, det_vertices, eer, min_dcf, split_intra_inter
 
 DEFAULT_WINDOW = 64
 
@@ -116,7 +112,8 @@ def extract_subject_features(
 
 @dataclass(frozen=True)
 class TensorSummary:
-    """Evaluation metrics of one score tensor."""
+    """Evaluation metrics of one score tensor, and the vertices of its DET
+    curve, which take no part in equality or repr."""
 
     metric: str
     identification: IdentificationResult
@@ -125,34 +122,25 @@ class TensorSummary:
     min_dcf_threshold: dict[str, float]
     n_genuine: int
     n_impostor: int
+    det: DetCurve = field(compare=False, repr=False)
 
 
-def summarize_tensor(
-    tensor: ScoreTensor,
-    c_miss: float = 1.0,
-    c_fa: float = 1.0,
-    trials: TrialScores | None = None,
-) -> TensorSummary:
-    """Identification rate plus verification metrics for a tensor.
+def summarize_tensor(tensor: ScoreTensor, c_miss: float = 1.0, c_fa: float = 1.0) -> TensorSummary:
+    """Identification rate, verification metrics and DET vertices of a tensor.
 
     min-DCF is reported both at a target prior of 0.5 and at the empirical
     genuine-trial fraction, since either reading of the cost model's prior
-    is defensible.  ``trials`` is ``split_intra_inter(tensor)`` when the
-    caller already has it, and any other trials are a ValueError; passing
-    it shares the split, and its one sort, with the caller's DET export.
-    The split reads the genuine cells and each probe's best impostor
-    through one mask, and copies no impostor cell out of the tensor: the
-    rank-1 count compares those two arrays, and the EER and both min-DCF
-    values read only the genuine steps of the staircase, from a sort of its
-    head, the cells at or below the largest genuine score and the run just
-    above it.  So the tensor is split once per summary at most, and a
+    is defensible.  The tensor is split once, by ``split_intra_inter``,
+    whose pool is the tensor's own cells: it gathers the genuine cells and
+    copies no impostor cell out.  The EER, both min-DCF values and the DET
+    vertices (``det_vertices``, as ``det.csv`` and ``det.svg`` hold them)
+    read that split's one sort of the head of the pool, the cells at or
+    below the largest genuine score and the run just above it.  The rank-1
+    count is ``identification_rate`` of the tensor, taken after the split,
+    which refuses a one-subject tensor with a ``DegenerateScoresError``.  A
     summary holds no array of the tensor's size.
     """
-    if trials is None:
-        trials = split_intra_inter(tensor)
-    elif trials._tensor is not tensor:
-        raise ValueError("trials must be split_intra_inter(tensor)")
-    identification = _identification(trials.genuine, trials._best)
+    trials = split_intra_inter(tensor)
     empirical = trials.n_genuine / trials.n_cells
     values: dict[str, float] = {}
     arg: dict[str, float] = {}
@@ -160,10 +148,11 @@ def summarize_tensor(
         values[label], arg[label] = min_dcf(trials, DcfParams(c_miss, c_fa, p_true))
     return TensorSummary(
         metric=tensor.metric,
-        identification=identification,
+        identification=identification_rate(tensor),
         eer=eer(trials),
         min_dcf=values,
         min_dcf_threshold=arg,
         n_genuine=trials.n_genuine,
         n_impostor=trials.n_impostor,
+        det=det_vertices(trials),
     )

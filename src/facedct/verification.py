@@ -11,11 +11,18 @@ midpoint of two adjacent doubles rounds onto the upper one, or their sum
 overflows to +-inf.  So the error staircase attains on the set every value
 it takes anywhere on the real line.
 
-The genuine and impostor populations are the two arrays of
-:meth:`ScoreTensor.partition`, flattened.  :func:`split_intra_inter` reads
-only the genuine cells and each probe's best impostor out of the tensor
-(:meth:`ScoreTensor.genuine_and_best`); the impostor cells are copied out
-only when :attr:`TrialScores.impostor` is read, and no command reads it.
+Every :class:`TrialScores` holds one pool of its cells.  A hand-made one
+copies its two populations once into one read-only array, genuine first,
+and its two fields are the halves of that array.  :func:`split_intra_inter`
+gathers a tensor's genuine cells alone, the first array of
+:meth:`ScoreTensor.partition`, flattened, and its pool is the tensor's
+scores; the impostor cells, the second array, are copied out only when
+:attr:`TrialScores.impostor` is read, and no command reads it.  The counts,
+the sort of the head, the full staircase and :func:`far_frr_at` each read
+the pool one way, whichever made it: :func:`far_frr_at` counts the accepted
+impostors as the accepted cells less the accepted genuine cells.  The
+rank-1 count is ``matching.identification_rate`` of the tensor; no split
+carries it.
 
 A point of the staircase is a count c of the sorted pooled cells, accepted,
 and the count h of genuine cells among them: p_fa = (c - h) / #impostor,
@@ -53,7 +60,9 @@ calls it, and the tests use it as the oracle of the other results.  The
 vertical steps is one straight segment, so its interior points are
 dropped.  Each kept row has the bytes the full export gives it.
 The thresholds of the dropped points are not exported; ``scores.csv`` and
-:func:`far_frr_at` still give the error rates at any threshold.
+:func:`far_frr_at` still give the error rates at any threshold.  A summary
+of ``pipeline.summarize_tensor`` carries the vertices of its split, so
+``evaluate`` writes both files from the sort that gave its EER and min-DCF.
 
 Each kept interior point ends or begins a step that moves p_miss, and one
 that moves p_fa, so there are at most 2 * min(#distinct genuine, #distinct
@@ -86,29 +95,35 @@ class DegenerateScoresError(DataError):
 
 @dataclass(eq=False)
 class TrialScores(ArrayRecord):
-    """Genuine (intra) and impostor (inter) distance populations.
+    """Genuine (intra) and impostor (inter) distance populations over one
+    pool of their cells.
 
-    :func:`split_intra_inter` makes one over a tensor's cells: it holds the
-    genuine cells and each probe's best impostor, and copies the impostor
-    cells out of the tensor only when :attr:`impostor` is first read.
+    A hand-made one copies its two populations once into one read-only
+    pool, genuine first, and its two fields are the halves of that pool.
+    :func:`split_intra_inter` makes one whose pool is its tensor's scores:
+    it holds the genuine cells, and copies the impostor cells out of the
+    tensor only when :attr:`impostor` is first read.
     """
 
     genuine: np.ndarray = field(repr=False)
     impostor: np.ndarray = field(repr=False)
 
-    # not fields: the tensor of a split, and each probe's best impostor,
-    # flattened as the genuine cells are
+    # not fields: every cell, genuine and impostor, in any order and shape,
+    # and the tensor of a split
+    _cells = None
     _tensor = None
-    _best = None
 
     def __post_init__(self) -> None:
+        arrays = []
         for name in ("genuine", "impostor"):
             arr = np.asarray(getattr(self, name), dtype=np.float64).reshape(-1)
             if arr.size == 0:
                 raise DegenerateScoresError(f"no {name} trials")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} scores must be finite")
-            self._freeze(name, arr)
+            arrays.append(arr)
+        self._freeze("_cells", np.concatenate(arrays))
+        self.genuine, self.impostor = np.split(self._cells, [arrays[0].size])
 
     def __getattr__(self, name: str):
         # only reached while a split's impostor cells are still in its tensor
@@ -123,13 +138,11 @@ class TrialScores(ArrayRecord):
 
     @property
     def n_impostor(self) -> int:
-        if self._tensor is None:
-            return int(self.impostor.size)
-        return int(self._tensor.scores.size) - self.n_genuine
+        return self.n_cells - self.n_genuine
 
     @property
     def n_cells(self) -> int:
-        return self.n_genuine + self.n_impostor
+        return int(self._cells.size)
 
     @cached_property
     def _steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -145,11 +158,7 @@ class TrialScores(ArrayRecord):
         The head is the one array of more than one entry per distinct
         genuine score.
         """
-        top = self.genuine.max()
-        if self._tensor is None:
-            pooled = np.concatenate([self.genuine, _head(self.impostor, top)])
-        else:
-            pooled = _head(self._tensor.scores, top)  # the genuine cells with it
+        pooled = _head(self._cells, self.genuine.max())
         pooled.sort()
         steps = (pooled, *_runs(pooled, self.genuine))
         for arr in steps:
@@ -187,8 +196,7 @@ class TrialScores(ArrayRecord):
 
         Its peak is about four arrays of the pooled cells.
         """
-        pooled = np.concatenate([self.genuine, self.impostor])
-        pooled.sort()
+        pooled = np.sort(self._cells, axis=None)
         _, ends, hits = _runs(pooled, self.genuine)
         # edge[j]: a run of equal scores ends before index j and one starts at it
         edge = np.empty(pooled.size + 1, dtype=bool)
@@ -334,17 +342,17 @@ def split_intra_inter(tensor: ScoreTensor) -> TrialScores:
     """The genuine and impostor trials of a tensor: the one maker of a
     :class:`TrialScores` over a tensor's cells.
 
-    The trials hold the two arrays of :meth:`ScoreTensor.genuine_and_best`,
-    flattened.  The impostor cells, those of :meth:`ScoreTensor.partition`,
-    stay in the tensor until :attr:`TrialScores.impostor` is read, and the
-    results of the staircase read only its head.
+    The trials gather the genuine cells, flattened, and their pool is the
+    tensor's scores.  The impostor cells, those of
+    :meth:`ScoreTensor.partition`, stay in the tensor until
+    :attr:`TrialScores.impostor` is read, and the results of the staircase
+    read only the head of the pool.
     """
     if tensor.scores.shape[1] == 1:
         raise DegenerateScoresError("tensor has no impostor trials (single subject)")
-    genuine, best = tensor.genuine_and_best()
     trials = TrialScores.__new__(TrialScores)
-    trials._freeze("genuine", genuine.reshape(-1))
-    trials._tensor, trials._best = tensor, best.reshape(-1)
+    trials._freeze("genuine", tensor.scores[tensor._own()[0]].reshape(-1))
+    trials._cells, trials._tensor = tensor.scores, tensor
     return trials
 
 
@@ -356,9 +364,8 @@ def far_frr_at(trials: TrialScores, threshold: float) -> tuple[float, float]:
     """
     if math.isnan(threshold):
         raise ValueError(f"threshold {threshold} must be a number, not NaN")
-    p_fa = float(np.count_nonzero(trials.impostor <= threshold)) / trials.n_impostor
-    p_miss = float(np.count_nonzero(trials.genuine > threshold)) / trials.n_genuine
-    return p_fa, p_miss
+    hits = np.count_nonzero(trials.genuine <= threshold)
+    return trials._rates(np.count_nonzero(trials._cells <= threshold), hits)
 
 
 def det_curve(trials: TrialScores) -> DetCurve:

@@ -1,15 +1,19 @@
 """The benchmark's tracer (``perfbench/tracer.py``) patches facedct functions
 by module and name, and its self-test checks two ``facedct.cli`` bindings.
-A rename must fail here, not only under ``perfbench/run.py --trace 1``."""
+A rename must fail here, not only under ``perfbench/run.py --trace 1``.
+The self-test itself runs here too, so a change that breaks anything else
+the benchmark imports or calls fails with the tests."""
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +42,13 @@ def test_cli_binds_the_names_the_selftest_checks():
 
     assert facedct.cli.build_score_tensor is facedct.matching.build_score_tensor
     assert facedct.cli.eer_of is facedct.verification.eer
+
+
+def test_the_benchmark_selftest_passes():
+    # it runs every workload at a tiny shape, through the CLI, the tracer
+    # and the output checks, in the .bench_work directory it then removes
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]

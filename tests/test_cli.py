@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facedct import errors, matching
+from facedct import errors, matching, verification
 from facedct.cli import build_parser, load_config, main
 from facedct.errors import MismatchError, ValidationError, read_bytes
 from facedct.features import FeatureVector, extract_features, feature_matrix_to_csv
@@ -532,6 +532,18 @@ class TestEvaluate:
         ]
         assert row["eer"] == eer(trials)
         assert row["min_dcf"]["0.5"] == min(0.5 * p.p_miss + 0.5 * p.p_fa for p in full)
+
+    def test_one_sort_of_the_head_serves_each_metric(self, evaluated, tmp_path, monkeypatch):
+        # the summary's split and its one sort also give the DET exports
+        heads = []
+        head = verification._head
+        monkeypatch.setattr(verification, "_head", lambda *a: heads.append(a) or head(*a))
+        argv = ["evaluate", "--config", str(evaluated / "cfg.json"),
+                "--gallery", str(evaluated / "gal"), "--out", str(tmp_path), "--svg"]
+        assert main(argv) == 0
+        assert len(heads) == 2
+        for name in ("det_mse.csv", "det_mad.csv", "det_mse.svg", "det_mad.svg"):
+            assert (tmp_path / name).read_bytes() == (evaluated / "res" / name).read_bytes()
 
     def test_det_export_takes_the_cells_from_the_sidecar_evaluate_wrote(
         self, evaluated, tmp_path, capsys, monkeypatch

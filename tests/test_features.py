@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facedct import features
 from facedct.errors import DataError
 from facedct.features import (
     FeatureVector,
@@ -183,6 +184,25 @@ class TestZigzag:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             zigzag_order(0)
+
+    def test_every_prefix_is_the_flattened_order(self):
+        for n in range(1, 41):
+            rows, cols = np.array(zigzag_order(n)).T
+            flat = (rows * n + cols).astype(np.intp)
+            for dim in range(1, n * n + 1):
+                got = _zigzag_flat.__wrapped__(n, dim)
+                assert got.dtype == np.intp
+                assert got.tobytes() == flat[:dim].tobytes(), (n, dim)
+
+    def test_a_prefix_builds_no_whole_order(self, monkeypatch):
+        # zigzag_order(4096) would build and keep 16.7M cells
+        before = zigzag_order.cache_info()
+        monkeypatch.setattr(features, "zigzag_order", None)
+        got = _zigzag_flat.__wrapped__(4096, 100)
+        assert zigzag_order.cache_info() == before
+        # the first 100 cells lie on the first 14 anti-diagonals, as at n = 40
+        rows, cols = np.array(zigzag_order(40)[:100]).T
+        assert got.tolist() == (rows * 4096 + cols).tolist()
 
 
 class TestExtractFeatures:

@@ -25,7 +25,6 @@ from facedct.fusion import (
 )
 from facedct.pipeline import extract_subject_features, featurize_image, summarize_tensor
 from facedct.synth import SynthSpec, generate_dataset
-from facedct.verification import TrialScores, split_intra_inter
 
 from manifest_reference import load_manifest
 
@@ -173,8 +172,7 @@ class TestNoTensorSizedTemporaries:
 
 class TestSummarizeTensor:
     @pytest.mark.parametrize("shape", [(5, 5, 1), (3, 6, 4)])
-    @pytest.mark.parametrize("share_trials", [False, True])
-    def test_one_partition_serves_the_whole_summary(self, monkeypatch, shape, share_trials):
+    def test_one_partition_serves_the_whole_summary(self, monkeypatch, shape):
         n_probes, n_gallery, n_trials = shape
         gallery = tuple(f"s{j}" for j in range(n_gallery))
         # probes out of gallery order; one decimal makes genuine/impostor ties
@@ -186,20 +184,9 @@ class TestSummarizeTensor:
         monkeypatch.setattr(ScoreTensor, "genuine_and_best", lambda t: calls.append(t) or split(t))
         # the summary copies no impostor cell out of the tensor
         monkeypatch.setattr(ScoreTensor, "partition", None)
-        trials = split_intra_inter(tensor) if share_trials else None
-        summary = summarize_tensor(tensor, trials=trials)
+        summary = summarize_tensor(tensor)
         assert calls == [tensor]
         assert summary.identification == expected
-
-    def test_trials_of_another_tensor_are_refused(self):
-        subjects = ("a", "b", "c")
-        own = ScoreTensor(subjects, subjects, (1.0 - np.eye(3)).reshape(3, 3, 1), "mse")
-        other = ScoreTensor(subjects, subjects, np.eye(3).reshape(3, 3, 1), "mse")
-        summary = summarize_tensor(own, trials=split_intra_inter(own))
-        assert (summary.identification.successes, summary.eer) == (3, 0.0)
-        for trials in (split_intra_inter(other), TrialScores(*own.partition())):
-            with pytest.raises(ValueError, match=r"^trials must be split_intra_inter\(tensor\)$"):
-                summarize_tensor(own, trials=trials)
 
 
 class TestParseFusionSpec:

@@ -1,8 +1,9 @@
 """The package's layering, read from its source: only ``shares`` starts
 processes or maps memory, files are written in three places only, only
 ``pinned`` touches the ``.npy`` format, a caught error is raised again with
-its source named by ``errors.naming`` only, and every name a module
-imports is used in it."""
+its source named by ``errors.naming`` only, only ``verification`` reads the
+internals of a ``TrialScores``, and every name a module imports is used in
+it."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,10 @@ RE_RAISERS = {
 #: numpy's ``.npy`` reader and writer, which one module alone may use, so
 #: that a pinned ``.npy`` has one writer and one parser
 NPY_FORMAT = {"np.lib", "np.load", "np.save", "numpy.lib", "numpy.load", "numpy.save"}
+
+#: the private attributes of ``verification.TrialScores``: its pool, a
+#: split's tensor and the staircase built from them
+TRIAL_INTERNALS = {"_cells", "_tensor", "_steps", "_staircase", "_rates", "_thresholds"}
 
 
 def scoped(node, scope=""):
@@ -122,6 +127,16 @@ def test_only_pinned_uses_the_npy_format():
     }
     assert {module for module, _ in uses} == {"pinned"}
     assert {use for _, use in uses} == {"np.lib"}
+
+
+def test_only_verification_reads_the_internals_of_trial_scores():
+    reads = {
+        (path.stem, node.attr)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in TRIAL_INTERNALS
+    }
+    assert {module for module, _ in reads} == {"verification"}
 
 
 def raises_from_caught(handler):

@@ -1,6 +1,7 @@
 """Genuine/impostor split, FAR/FRR sweep, DET, EER, DCF, probit."""
 
 import csv
+import dataclasses
 import decimal
 import hashlib
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facedct import matching
+from facedct import matching, verification
 from facedct.matching import ScoreTensor, scores_from_csv, scores_to_csv
 from facedct.pipeline import summarize_tensor
 from facedct.verification import (
@@ -154,6 +155,9 @@ class TestSplitIntraInter:
     def test_single_subject_rejected(self):
         with pytest.raises(DegenerateScoresError):
             split_intra_inter(square_tensor(np.ones((1, 1, 3))))
+        # rank-1 needs no impostor cell, but the summary's split does
+        with pytest.raises(DegenerateScoresError):
+            summarize_tensor(square_tensor(np.ones((1, 1, 3))))
 
     def test_cells_land_in_right_population(self):
         scores = np.zeros((2, 2, 2))
@@ -529,6 +533,28 @@ class TestTrialScoresInvariants:
         # raw Gaussian scores are legitimate input for the sweep machinery
         trials = TrialScores([-1.0, 0.5], [0.0, 2.0])
         assert trials.n_genuine == 2
+
+    def test_writes_into_the_inputs_leave_the_trials_alone(self):
+        genuine, impostor = np.array([1.0, 2.0, 3.0, 4.0]), np.array([3.5, 4.5])
+        trials = TrialScores(genuine, impostor)
+        assert eer(trials) == 0.25
+        genuine[:], impostor[:] = 5.0, 0.0
+        assert trials.genuine.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert trials.impostor.tolist() == [3.5, 4.5]
+        assert eer(trials) == eer(TrialScores([1.0, 2.0, 3.0, 4.0], [3.5, 4.5])) == 0.25
+        assert far_frr_at(trials, 3.5) == (0.5, 0.25)
+        assert eer(TrialScores(genuine, impostor)) == 1.0
+
+    def test_the_two_populations_are_halves_of_one_read_only_pool(self):
+        trials = TrialScores([[2.0], [1.0]], [3.0, 0.5, 4.0])
+        assert trials.genuine.tolist() == [2.0, 1.0]
+        assert trials.impostor.tolist() == [3.0, 0.5, 4.0]
+        assert trials.genuine.base is trials.impostor.base
+        for arr in (trials.genuine, trials.impostor):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+        assert (trials.n_genuine, trials.n_impostor, trials.n_cells) == (2, 3, 5)
 
 
 # Reference oracles: the standard library's probit behind the same range
@@ -1032,13 +1058,33 @@ class TestTheCommandPathMatchesTheFullStaircase:
             assert bits(summary.min_dcf[label]) == bits(value)
             assert bits(summary.min_dcf_threshold[label]) == bits(threshold)
         want = det_curve(full).vertices()
-        for got_arr, want_arr in zip(
-            (vertices.thresholds, vertices.p_fa, vertices.p_miss),
-            (want.thresholds, want.p_fa, want.p_miss),
-        ):
-            assert got_arr.tobytes() == want_arr.tobytes()
+        for got in (vertices, summary.det):
+            for got_arr, want_arr in zip(
+                (got.thresholds, got.p_fa, got.p_miss), (want.thresholds, want.p_fa, want.p_miss)
+            ):
+                assert got_arr.tobytes() == want_arr.tobytes()
         # the split still gives the impostor cells when they are asked for
         assert trials == full
+
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_the_summary_carries_the_det_vertices_of_its_one_sort(self, monkeypatch, seed):
+        tensor = tie_heavy_tensor(seed)
+        want = det_vertices(split_intra_inter(tensor))
+        heads = []
+        head = verification._head
+        monkeypatch.setattr(verification, "_head", lambda *a: heads.append(a) or head(*a))
+        summary = summarize_tensor(tensor)
+        assert len(heads) == 1
+        got = summary.det
+        for got_arr, want_arr in zip(
+            (got.thresholds, got.p_fa, got.p_miss), (want.thresholds, want.p_fa, want.p_miss)
+        ):
+            assert got_arr.tobytes() == want_arr.tobytes()
+            assert not got_arr.flags.writeable
+        # the vertices take no part in the summary's equality or repr
+        assert summary == dataclasses.replace(summary, det=want[:1])
+        assert "det=" not in repr(summary)
 
 
 class TestGenuineStepsMatchTheFullStaircase:
