@@ -21,8 +21,7 @@ scores; the impostor cells, the second array, are copied out only when
 the sort of the head, the full staircase and :func:`far_frr_at` each read
 the pool one way, whichever made it: :func:`far_frr_at` counts the accepted
 impostors as the accepted cells less the accepted genuine cells.  The
-rank-1 count is ``matching.identification_rate`` of the tensor; no split
-carries it.
+rank-1 count is ``matching.identification_rate`` of the tensor.
 
 A point of the staircase is a count c of the sorted pooled cells, accepted,
 and the count h of genuine cells among them: p_fa = (c - h) / #impostor,

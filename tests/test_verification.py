@@ -1066,7 +1066,6 @@ class TestTheCommandPathMatchesTheFullStaircase:
         # the split still gives the impostor cells when they are asked for
         assert trials == full
 
-
     @pytest.mark.parametrize("seed", [5, 6])
     def test_the_summary_carries_the_det_vertices_of_its_one_sort(self, monkeypatch, seed):
         tensor = tie_heavy_tensor(seed)
