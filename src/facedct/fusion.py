@@ -48,7 +48,13 @@ def fuse_scores_sum(tensors: list[ScoreTensor]) -> ScoreTensor:
 
 
 #: the most cells of the block of whole probe rows that
-#: :func:`fuse_scores_weighted` weighs at once, unless one row holds more
+#: :func:`fuse_scores_weighted` weighs at once, unless one row holds more.
+#: On a 2-vCPU Xeon, a sum and its ScoreTensor took, at 4,096, 16,384,
+#: 65,536 and 262,144 cells a block (medians of 25 or 41 interleaved runs,
+#: eight sets): 4.58-6.47, 4.18-5.71, 4.01-5.88 and 4.61-6.43 ms for one
+#: 1000 x 1000 x 1 tensor, where 65,536 was the least in five sets and
+#: 16,384 in three; 0.050-0.097, 0.046-0.096, 0.046-0.082 and
+#: 0.046-0.081 ms for three 40 x 40 x 5 tensors, one block from 16,384 on
 _FUSE_BLOCK_CELLS = 65_536
 
 

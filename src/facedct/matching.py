@@ -14,16 +14,19 @@ thin calls into it, so every route gives the same bits.  It computes
 under ``np.errstate(over="ignore")``: a distance past the largest double is
 +inf, no match, and ``build_score_tensor`` refuses a tensor that holds one
 with a :class:`DistanceOverflowError` naming its two subjects.
+A :class:`ScoreTensor` finds each probe row's own-subject column once,
+when it is made, through one lookup of its gallery subjects, and holds the
+genuine cells there as the read-only ``(P, T)`` :attr:`ScoreTensor.genuine`.
 :func:`identification_rate` is the one rank-1 rule, and
 ``pipeline.summarize_tensor`` counts with it: it compares each probe's
 genuine cells with its best impostor, the two arrays of
-:meth:`ScoreTensor.genuine_and_best`, found by index and through one mask
-of the own-subject cells, with no impostor cell copied.
-``verification.split_intra_inter`` gathers the genuine cells alone and
-keeps the tensor's scores as its pool of cells, and
+:meth:`ScoreTensor.genuine_and_best`, the best found through one
+``(P, G, 1)`` mask of the other columns, with no impostor cell copied.
+``verification.split_intra_inter`` takes :attr:`ScoreTensor.genuine`,
+builds no mask and keeps the tensor's scores as its pool of cells, and
 :meth:`ScoreTensor.partition` copies every impostor cell out, for a
 :class:`~facedct.verification.TrialScores` whose impostor cells are asked
-for.
+for.  No other module reads a private member of a :class:`ScoreTensor`.
 
 ``build_score_tensor`` takes its probes in one of two forms:
 
@@ -173,6 +176,10 @@ class ScoreTensor(ArrayRecord):
 
     Probe subjects must all be enrolled (appear among gallery subjects);
     the tensor is square exactly when the two subject lists coincide.
+    Each probe row's own-subject column is found once, at construction,
+    from one lookup of the gallery subjects, and :attr:`genuine` holds the
+    read-only ``(P, T)`` genuine cells, those columns, gathered then.
+    Neither is a field, so equality and repr read the fields alone.
     """
 
     probe_subjects: tuple[str, ...]
@@ -192,9 +199,10 @@ class ScoreTensor(ArrayRecord):
             raise ValueError("tensor needs at least one trial per subject")
         if len(set(self.probe_subjects)) != len(self.probe_subjects):
             raise ValueError("duplicate probe subjects")
-        if len(set(self.gallery_subjects)) != len(self.gallery_subjects):
+        column = {s: j for j, s in enumerate(self.gallery_subjects)}
+        if len(column) != len(self.gallery_subjects):
             raise ValueError("duplicate gallery subjects")
-        missing = set(self.probe_subjects) - set(self.gallery_subjects)
+        missing = set(self.probe_subjects) - column.keys()
         if missing:
             raise ValueError(f"probe subjects missing from gallery: {sorted(missing)}")
         if not np.all(np.isfinite(arr)):
@@ -203,37 +211,32 @@ class ScoreTensor(ArrayRecord):
             raise ValueError("distances must be >= 0")
         self._freeze("scores", arr)
         self.metric = check_metric(self.metric)
+        # each probe row's own-subject column, and the genuine cells there
+        self._own_columns = np.array([column[s] for s in self.probe_subjects], dtype=np.intp)
+        self._freeze("genuine", arr[np.arange(len(self._own_columns)), self._own_columns])
 
     @property
     def n_trials(self) -> int:
         return int(self.scores.shape[2])
 
-    def _own(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """The index of each probe row's own-subject column, and its
-        ``(P, G, 1)`` mask."""
-        n_probes, n_gallery, _ = self.scores.shape
-        lookup = {s: j for j, s in enumerate(self.gallery_subjects)}
-        index = np.arange(n_probes), np.array([lookup[s] for s in self.probe_subjects])
-        own = np.zeros((n_probes, n_gallery, 1), dtype=bool)
-        own[index] = True
-        return index, own
+    def _impostor_mask(self) -> np.ndarray:
+        """The ``(P, G, 1)`` mask of every column but each probe row's own."""
+        return (np.arange(self.scores.shape[1]) != self._own_columns[:, None])[:, :, None]
 
     def genuine_and_best(self) -> tuple[np.ndarray, np.ndarray]:
-        """Genuine cells ``(P, T)``, each probe row's own-subject column, and
-        each probe's best impostor ``(P, T)``, the least of its other columns
-        (+inf when the gallery has no other subject); no impostor cell is
-        copied."""
-        index, own = self._own()
-        return self.scores[index], np.min(self.scores, axis=1, where=~own, initial=np.inf)
+        """:attr:`genuine`, and each probe's best impostor ``(P, T)``, the
+        least of its other columns (+inf when the gallery has no other
+        subject); no impostor cell is copied."""
+        best = np.min(self.scores, axis=1, where=self._impostor_mask(), initial=np.inf)
+        return self.genuine, best
 
     def partition(self) -> tuple[np.ndarray, np.ndarray]:
-        """Genuine cells ``(P, T)``, each probe row's own-subject column, and
-        impostor cells ``(P, G-1, T)``, its other columns in gallery order."""
+        """:attr:`genuine`, and the impostor cells ``(P, G-1, T)``, each
+        probe row's other columns in gallery order."""
         n_probes, n_gallery, n_trials = self.scores.shape
-        index, own = self._own()
         # a full-shape mask picks single cells, ~10x faster than (P, G) rows
-        impostor = self.scores[~np.broadcast_to(own, self.scores.shape)]
-        return self.scores[index], impostor.reshape(n_probes, n_gallery - 1, n_trials)
+        impostor = self.scores[np.broadcast_to(self._impostor_mask(), self.scores.shape)]
+        return self.genuine, impostor.reshape(n_probes, n_gallery - 1, n_trials)
 
     def with_scores(self, scores: np.ndarray) -> "ScoreTensor":
         return ScoreTensor(self.probe_subjects, self.gallery_subjects, scores, self.metric)

@@ -131,8 +131,9 @@ def summarize_tensor(tensor: ScoreTensor, c_miss: float = 1.0, c_fa: float = 1.0
     min-DCF is reported both at a target prior of 0.5 and at the empirical
     genuine-trial fraction, since either reading of the cost model's prior
     is defensible.  The tensor is split once, by ``split_intra_inter``,
-    whose pool is the tensor's own cells: it gathers the genuine cells and
-    copies no impostor cell out.  The EER, both min-DCF values and the DET
+    whose pool is the tensor's own cells: it takes ``ScoreTensor.genuine``,
+    the genuine cells the tensor gathered when it was made, and copies no
+    impostor cell out.  The EER, both min-DCF values and the DET
     vertices (``det_vertices``, as ``det.csv`` and ``det.svg`` hold them)
     read that split's one sort of the head of the pool, the cells at or
     below the largest genuine score and the run just above it.  The rank-1

@@ -14,9 +14,10 @@ it takes anywhere on the real line.
 Every :class:`TrialScores` holds one pool of its cells.  A hand-made one
 copies its two populations once into one read-only array, genuine first,
 and its two fields are the halves of that array.  :func:`split_intra_inter`
-gathers a tensor's genuine cells alone, the first array of
-:meth:`ScoreTensor.partition`, flattened, and its pool is the tensor's
-scores; the impostor cells, the second array, are copied out only when
+takes a tensor's genuine cells, :attr:`ScoreTensor.genuine`, which the
+tensor gathered once when it was made, flattened, and its pool is the
+tensor's scores; the impostor cells, the second array of
+:meth:`ScoreTensor.partition`, are copied out only when
 :attr:`TrialScores.impostor` is read, and no command reads it.  The counts,
 the sort of the head, the full staircase and :func:`far_frr_at` each read
 the pool one way, whichever made it: :func:`far_frr_at` counts the accepted
@@ -341,16 +342,16 @@ def split_intra_inter(tensor: ScoreTensor) -> TrialScores:
     """The genuine and impostor trials of a tensor: the one maker of a
     :class:`TrialScores` over a tensor's cells.
 
-    The trials gather the genuine cells, flattened, and their pool is the
-    tensor's scores.  The impostor cells, those of
-    :meth:`ScoreTensor.partition`, stay in the tensor until
-    :attr:`TrialScores.impostor` is read, and the results of the staircase
-    read only the head of the pool.
+    The trials hold the tensor's :attr:`~ScoreTensor.genuine` cells,
+    flattened, with no copy, and their pool is the tensor's scores.  The
+    impostor cells, those of :meth:`ScoreTensor.partition`, stay in the
+    tensor until :attr:`TrialScores.impostor` is read, and the results of
+    the staircase read only the head of the pool.
     """
-    if tensor.scores.shape[1] == 1:
+    if len(tensor.gallery_subjects) == 1:
         raise DegenerateScoresError("tensor has no impostor trials (single subject)")
     trials = TrialScores.__new__(TrialScores)
-    trials._freeze("genuine", tensor.scores[tensor._own()[0]].reshape(-1))
+    trials._freeze("genuine", tensor.genuine.reshape(-1))
     trials._cells, trials._tensor = tensor.scores, tensor
     return trials
 

@@ -2,8 +2,8 @@
 processes or maps memory, files are written in three places only, only
 ``pinned`` touches the ``.npy`` format, a caught error is raised again with
 its source named by ``errors.naming`` only, only ``verification`` reads the
-internals of a ``TrialScores``, and every name a module imports is used in
-it."""
+internals of a ``TrialScores`` and only ``matching`` those of a
+``ScoreTensor``, and every name a module imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -137,6 +137,38 @@ def test_only_verification_reads_the_internals_of_trial_scores():
         if isinstance(node, ast.Attribute) and node.attr in TRIAL_INTERNALS
     }
     assert {module for module, _ in reads} == {"verification"}
+
+
+def private_members(tree, class_name):
+    """The private names that the class ``class_name`` of ``tree`` defines:
+    its methods and class attributes, and the attributes its methods set on
+    ``self``, less dunders."""
+    cls = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == class_name)
+    names = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.add(node.attr)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_only_matching_reads_the_internals_of_score_tensors():
+    matching = next(path for path in MODULES if path.stem == "matching")
+    internals = private_members(ast.parse(matching.read_text()), "ScoreTensor")
+    assert internals
+    reads = {
+        (path.stem, node.attr)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in internals
+    }
+    assert {module for module, _ in reads} == {"matching"}
 
 
 def raises_from_caught(handler):

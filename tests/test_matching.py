@@ -40,6 +40,7 @@ from facedct.matching import (
 from facedct.pipeline import extract_subject_features
 from facedct.shares import n_shares
 from facedct.synth import SynthSpec, generate_dataset
+from facedct.verification import split_intra_inter
 
 from byte_edit_strategy import apply_byte_edits, byte_edits
 from forked import forked_shares
@@ -353,9 +354,17 @@ class TestIdentificationRate:
         before = tensor.scores.tobytes()
         genuine, impostor = tensor.partition()
         own = [gallery.index(s) for s in probes]
-        assert genuine.tobytes() == np.array(
-            [tensor.scores[i, own[i]] for i in range(len(probes))]
-        ).tobytes()
+        brute = np.array([tensor.scores[i, own[i]] for i in range(len(probes))])
+        assert genuine.tobytes() == brute.tobytes()
+        # the genuine cells are gathered once, read-only, and shared
+        assert tensor.genuine.tobytes() == brute.tobytes()
+        assert tensor.genuine.shape == (len(probes), n_trials)
+        assert not tensor.genuine.flags.writeable
+        with pytest.raises(ValueError):
+            tensor.genuine[0, 0] = 1.0
+        assert genuine is tensor.genuine and tensor.genuine_and_best()[0] is tensor.genuine
+        if n_gallery >= 2:
+            assert split_intra_inter(tensor).genuine.tobytes() == brute.tobytes()
         others = [
             [tensor.scores[i, j] for j in range(n_gallery) if j != own[i]]
             for i in range(len(probes))
