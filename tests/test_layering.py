@@ -34,11 +34,6 @@ RE_RAISERS = {
 #: that a pinned ``.npy`` has one writer and one parser
 NPY_FORMAT = {"np.lib", "np.load", "np.save", "numpy.lib", "numpy.load", "numpy.save"}
 
-#: the private attributes of ``verification.TrialScores``: its pool, a
-#: split's tensor and the staircase built from them
-TRIAL_INTERNALS = {"_cells", "_tensor", "_steps", "_staircase", "_rates", "_thresholds"}
-
-
 def scoped(node, scope=""):
     """(qualified name of the enclosing function or class, node) for every
     node below ``node``."""
@@ -129,16 +124,6 @@ def test_only_pinned_uses_the_npy_format():
     assert {use for _, use in uses} == {"np.lib"}
 
 
-def test_only_verification_reads_the_internals_of_trial_scores():
-    reads = {
-        (path.stem, node.attr)
-        for path in MODULES
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr in TRIAL_INTERNALS
-    }
-    assert {module for module, _ in reads} == {"verification"}
-
-
 def private_members(tree, class_name):
     """The private names that the class ``class_name`` of ``tree`` defines:
     its methods and class attributes, and the attributes its methods set on
@@ -158,17 +143,28 @@ def private_members(tree, class_name):
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
-def test_only_matching_reads_the_internals_of_score_tensors():
-    matching = next(path for path in MODULES if path.stem == "matching")
-    internals = private_members(ast.parse(matching.read_text()), "ScoreTensor")
+def readers_of_internals(module, class_name):
+    """The modules that read a private name which the class ``class_name``
+    of ``module`` defines."""
+    path = next(p for p in MODULES if p.stem == module)
+    internals = private_members(ast.parse(path.read_text()), class_name)
     assert internals
-    reads = {
-        (path.stem, node.attr)
-        for path in MODULES
-        for node in ast.walk(ast.parse(path.read_text()))
+    return {
+        p.stem
+        for p in MODULES
+        for node in ast.walk(ast.parse(p.read_text()))
         if isinstance(node, ast.Attribute) and node.attr in internals
     }
-    assert {module for module, _ in reads} == {"matching"}
+
+
+def test_only_verification_reads_the_internals_of_trial_scores():
+    # its pool, a split's tensor and the staircase built from them
+    assert readers_of_internals("verification", "TrialScores") == {"verification"}
+
+
+def test_only_matching_reads_the_internals_of_score_tensors():
+    # its own columns and the mask built from them
+    assert readers_of_internals("matching", "ScoreTensor") == {"matching"}
 
 
 def raises_from_caught(handler):
