@@ -16,10 +16,11 @@ a caught error is raised again in another form only where the message
 has another form, as a read or a write that fails names its path and the
 system's reason.
 
-Every file is written by :func:`write_atomic`, which streams its data,
+Every artifact is written by :func:`write_atomic`, which streams its data,
 bytes or an iterable of byte chunks, into a temporary file and one
 incremental sha256, and returns the digest, so that no caller holds a
-second copy of what it writes to hash it.  Every file is read by
+second copy of what it writes to hash it; the synthetic images alone are
+written by ``imageio.write_pnm_samples``.  Every file is read by
 :func:`read_bytes`, or through the open file of :func:`reading` where the
 reader need not hold it whole; both name the file when it cannot be read.
 """
@@ -115,7 +116,7 @@ def parse_json(data: bytes | str, source: object, error: type[FacedctError]) -> 
 
 def _write_chunks(path: Path, chunks: Iterable[bytes | memoryview]) -> str:
     """Write ``chunks`` in order to the new file ``path``; the sha256 of
-    their bytes.  Every file write goes through here."""
+    their bytes.  Every artifact write goes through here."""
     digest = hashlib.sha256()
     with open(path, "wb") as f:
         for chunk in chunks:

@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import DataError, MismatchError, naming, parse_json, read_bytes, remove_file
 from .features import FeatureVector, feature_matrix_from_csv, feature_matrix_to_csv
-from .imageio import CHANNELS, MAX_WINDOW, manifest_entries
+from .imageio import CHANNELS, MAX_WINDOW, ArrayRecord, manifest_entries
 from .pinned import pinned_array, save_pinned, sha256
 
 GALLERY_FORMAT = "facedct-gallery"
@@ -174,7 +174,7 @@ def apply_split(
     )
 
 
-class Gallery:
+class Gallery(ArrayRecord):
     """Map of subject id -> template vectors: a grouped matrix, plus an
     append buffer that the next read merges into it.
 
@@ -184,16 +184,15 @@ class Gallery:
     enrollment order.  :meth:`enroll` appends one row to the buffer, in any
     subject order and also after :func:`load_gallery`, so it costs O(1);
     the next read of the matrix, its offsets or its subjects merges the
-    buffer in with one stable sort of the row labels.
+    buffer in with one stable sort of the row labels.  Two galleries are
+    equal when their dims, channels, subjects, offsets and matrices are,
+    the buffers merged first.
     """
 
     def __init__(self) -> None:
         self._feature_dim: int | None = None
         self._channel: str | None = None
-        self._ids: list[str] = []
-        self._index: dict[str, int] = {}
-        self._matrix = np.empty((0, 0))
-        self._offsets = np.zeros(1, dtype=np.intp)
+        self._hold([], [], np.empty((0, 0)))
         self._staged: list[tuple[str, np.ndarray]] = []
 
     @classmethod
@@ -210,14 +209,12 @@ class Gallery:
 
     def _hold(self, ids: list[str], counts: list[int], matrix: np.ndarray) -> None:
         """Take ``matrix``, rows grouped by subject in ``ids`` order, read-only."""
-        matrix.flags.writeable = False
         offsets = np.zeros(len(ids) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
-        offsets.flags.writeable = False
         self._ids = ids
         self._index = {s: j for j, s in enumerate(ids)}
-        self._matrix = matrix
-        self._offsets = offsets
+        self._freeze("_matrix", matrix)
+        self._freeze("_offsets", offsets)
 
     def _flush(self) -> None:
         """Merge the staged rows after the grouped ones; each subject keeps
@@ -303,18 +300,9 @@ class Gallery:
         self._feature_dim, self._channel = dim, channel
         self._staged.append((subject_id, vec.coeffs))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Gallery):
-            return NotImplemented
-        self._flush()
-        other._flush()
-        return (
-            self._feature_dim == other._feature_dim
-            and self._channel == other._channel
-            and self._ids == other._ids
-            and np.array_equal(self._offsets, other._offsets)
-            and np.array_equal(self._matrix, other._matrix)
-        )
+    def _values(self) -> tuple:
+        # read through the properties, which merge the staged rows first
+        return self.feature_dim, self.channel, self.subject_ids, self.offsets, self.matrix
 
 
 def _labels(ids: list[str], counts: list[int]) -> list[str]:

@@ -20,9 +20,11 @@ a :class:`RasterImage`, whose samples are int64.
 
 The ``pipeline`` module docstring gives the measured cost of each step.
 
-:class:`ArrayRecord` is the one equality rule of the public records that
-hold arrays: :class:`RasterImage` here, ``FeatureVector``, ``ScoreTensor``
-and ``TrialScores``.
+:class:`ArrayRecord` is the one equality rule of the six public types that
+hold arrays: :class:`RasterImage` here, ``FeatureVector``, ``ScoreTensor``,
+``TrialScores``, ``Gallery`` and ``DetCurve``.  Each compares the tuple
+its :meth:`ArrayRecord._values` returns: its dataclass fields, or for a
+``Gallery`` its dim, channel, subjects, offsets and matrix.
 """
 
 from __future__ import annotations
@@ -80,11 +82,14 @@ class ManifestError(DataError):
 
 
 class ArrayRecord:
-    """Base of the public records that hold numpy arrays.
+    """Base of the public types that hold numpy arrays: :class:`RasterImage`,
+    ``FeatureVector``, ``ScoreTensor``, ``TrialScores``, ``Gallery`` and
+    ``DetCurve``.
 
-    Two records are equal when they are of one type and every dataclass
-    field is equal, arrays by ``np.array_equal``.  A record is unhashable,
-    as its arrays are, and holds each array read-only.
+    Two records are equal when they are of one type and the tuples their
+    :meth:`_values` return are equal item by item, arrays by
+    ``np.array_equal``.  A record is unhashable, as its arrays are, and
+    holds each array read-only.
     """
 
     __hash__ = None
@@ -93,10 +98,14 @@ class ArrayRecord:
         arr.flags.writeable = False
         object.__setattr__(self, name, arr)
 
+    def _values(self) -> tuple:
+        """What equality compares: every dataclass field, in order."""
+        return tuple(getattr(self, f.name) for f in fields(self))
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        pairs = zip(self._values(), other._values())
         return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
 

@@ -113,7 +113,7 @@ def extract_subject_features(
 @dataclass(frozen=True)
 class TensorSummary:
     """Evaluation metrics of one score tensor, and the vertices of its DET
-    curve, which take no part in equality or repr."""
+    curve, which take part in equality but not in repr."""
 
     metric: str
     identification: IdentificationResult
@@ -122,7 +122,7 @@ class TensorSummary:
     min_dcf_threshold: dict[str, float]
     n_genuine: int
     n_impostor: int
-    det: DetCurve = field(compare=False, repr=False)
+    det: DetCurve = field(repr=False)
 
 
 def summarize_tensor(tensor: ScoreTensor, c_miss: float = 1.0, c_fa: float = 1.0) -> TensorSummary:

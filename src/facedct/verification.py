@@ -265,17 +265,19 @@ class DetPoint:
     p_miss: float
 
 
-class DetCurve(Sequence[DetPoint]):
+@dataclass(eq=False)
+class DetCurve(ArrayRecord, Sequence[DetPoint]):
     """DET staircase ordered by threshold descending, held as three
     read-only arrays; indexing and iteration build :class:`DetPoint` values
     on demand, and slicing returns a :class:`DetCurve`."""
 
-    __slots__ = ("thresholds", "p_fa", "p_miss")
+    thresholds: np.ndarray
+    p_fa: np.ndarray
+    p_miss: np.ndarray
 
-    def __init__(self, thresholds: np.ndarray, p_fa: np.ndarray, p_miss: np.ndarray) -> None:
-        self.thresholds = thresholds
-        self.p_fa = p_fa
-        self.p_miss = p_miss
+    def __post_init__(self) -> None:
+        for name in ("thresholds", "p_fa", "p_miss"):
+            self._freeze(name, getattr(self, name))
 
     def __len__(self) -> int:
         return int(self.thresholds.size)
@@ -295,7 +297,7 @@ class DetCurve(Sequence[DetPoint]):
 
     def vertices(self) -> DetCurve:
         """The turning points of the curve, as a :class:`DetCurve` over new
-        read-only arrays.
+        arrays.
 
         Interior point i is dropped when the steps i-1 -> i and i -> i+1 both
         change p_fa alone, or both change p_miss alone: it then lies on the
@@ -309,10 +311,7 @@ class DetCurve(Sequence[DetPoint]):
         miss_only = miss_moves & ~fa_moves
         keep = np.ones(len(self), dtype=bool)
         keep[1:-1] = ~((fa_only[:-1] & fa_only[1:]) | (miss_only[:-1] & miss_only[1:]))
-        arrays = (self.thresholds[keep], self.p_fa[keep], self.p_miss[keep])
-        for arr in arrays:
-            arr.flags.writeable = False
-        return DetCurve(*arrays)
+        return DetCurve(self.thresholds[keep], self.p_fa[keep], self.p_miss[keep])
 
 
 @dataclass(frozen=True)

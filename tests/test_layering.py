@@ -3,7 +3,8 @@ processes or maps memory, files are written in three places only, only
 ``pinned`` touches the ``.npy`` format, a caught error is raised again with
 its source named by ``errors.naming`` only, only ``verification`` reads the
 internals of a ``TrialScores`` and only ``matching`` those of a
-``ScoreTensor``, and every name a module imports is used in it."""
+``ScoreTensor``, only ``imageio.ArrayRecord`` defines equality, and every
+name a module imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -186,6 +187,19 @@ def test_only_errors_names_the_source_of_a_caught_error():
         if isinstance(node, ast.ExceptHandler) and raises_from_caught(node)
     }
     assert re_raisers == RE_RAISERS
+
+
+def test_only_array_record_defines_equality():
+    # every other record takes its __eq__, and its unhashability, from it
+    definers = {
+        (path.stem, cls.name)
+        for path in MODULES
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__eq__"
+    }
+    assert definers == {("imageio", "ArrayRecord")}
 
 
 def imported_names(tree):

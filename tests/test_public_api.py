@@ -9,10 +9,11 @@ import pytest
 import facedct
 from facedct.features import FeatureVector
 from facedct.fusion import ChannelRunResult
-from facedct.imageio import RasterImage
+from facedct.gallery import Gallery
+from facedct.imageio import ArrayRecord, RasterImage
 from facedct.matching import ScoreTensor
 from facedct.pipeline import summarize_tensor
-from facedct.verification import TrialScores
+from facedct.verification import TrialScores, det_curve
 
 PUBLIC_NAMES = [
     "CHANNELS",
@@ -105,6 +106,14 @@ RECORDS = {
         lambda: TrialScores([0.5, 1.0], [2.0, 3.0]),
         {"genuine": np.array([0.5, 1.5]), "impostor": np.array([2.0, 4.0])},
     ),
+    "DetCurve": (
+        lambda: det_curve(TrialScores([0.1, 0.2], [0.3, 0.05, 0.4])),
+        {
+            "thresholds": np.array([np.inf, 0.35, 0.25, 0.15, 0.1, -np.inf]),
+            "p_fa": np.array([1.0, 2 / 3, 1 / 3, 1 / 3, 0.0, 0.0]),
+            "p_miss": np.array([0.0, 0.0, 0.0, 0.5, 0.5, 1.0]),
+        },
+    ),
     "ChannelRunResult": (
         lambda: ChannelRunResult(tensor(), summarize_tensor(tensor())),
         {
@@ -146,3 +155,61 @@ class TestArrayRecordsCompareByValue:
         make, _ = RECORDS[kind]
         with pytest.raises(TypeError):
             hash(make())
+
+
+def gallery(ids=("a", "b"), counts=(1, 2), channel="gray", rows=((1.0, 2.0), (3.0, 4.0), (5.0, 6.0))):
+    return Gallery._of_subjects(list(ids), list(counts), channel, np.array(rows))
+
+
+def staged_gallery():
+    """gallery() enrolled row by row, in another subject order, not yet merged."""
+    g = Gallery()
+    for subject, row in (("b", [3.0, 4.0]), ("a", [1.0, 2.0]), ("b", [5.0, 6.0])):
+        g.enroll(subject, FeatureVector(row, "gray", subject))
+    return g
+
+
+class TestGalleriesCompareByValue:
+    """A gallery is an ArrayRecord of its dim, channel, subjects, offsets and
+    matrix, which are not dataclass fields, so RECORDS cannot hold it."""
+
+    def test_galleries_built_apart_or_staged_are_equal(self):
+        a, b = gallery(), gallery()
+        assert isinstance(a, ArrayRecord)
+        assert a is not b
+        assert a == b
+        assert not a != b
+        assert staged_gallery() == a
+        assert a == staged_gallery()
+        assert a.__eq__(object()) is NotImplemented
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_each_part_takes_part(self):
+        dim = gallery()
+        # the dim alone; a made gallery takes it from its matrix
+        dim._feature_dim = 3
+        changed = {
+            "dim": dim,
+            "channel": gallery(channel="r"),
+            "subject ids": gallery(ids=("a", "c")),
+            "offsets": gallery(counts=(2, 1)),
+            "matrix": gallery(rows=((1.0, 2.0), (3.0, 4.0), (5.0, 7.0))),
+        }
+        assert len(gallery()._values()) == len(changed)
+        for part, other in changed.items():
+            assert gallery() != other, part
+            assert other != gallery(), part
+
+    def test_an_empty_gallery_holds_its_arrays_read_only(self):
+        g = Gallery()
+        assert not g.matrix.flags.writeable and not g.offsets.flags.writeable
+        assert g == Gallery()
+
+    def test_a_gallery_of_a_subclass_is_not_equal(self):
+        class Sub(Gallery):
+            pass
+
+        sub = Sub._of_subjects(["a", "b"], [1, 2], "gray", gallery().matrix.copy())
+        assert sub != gallery()
+        assert gallery() != sub

@@ -1081,8 +1081,8 @@ class TestTheCommandPathMatchesTheFullStaircase:
         ):
             assert got_arr.tobytes() == want_arr.tobytes()
             assert not got_arr.flags.writeable
-        # the vertices take no part in the summary's equality or repr
-        assert summary == dataclasses.replace(summary, det=want[:1])
+        # the vertices take part in the summary's equality but not its repr
+        assert summary != dataclasses.replace(summary, det=want[:1])
         assert "det=" not in repr(summary)
 
 
